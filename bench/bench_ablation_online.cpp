@@ -35,7 +35,8 @@ double mean_regret_of(core::AbrAdversaryEnv::Params params, std::uint64_t seed,
                       std::size_t steps, const abr::VideoManifest& m) {
   abr::BufferBased bb;
   core::AbrAdversaryEnv env{m, bb, params};
-  rl::PpoAgent adversary = core::train_abr_adversary(env, steps, seed);
+  rl::PpoAgent adversary = core::train_adversary(
+      env, core::abr_adversary_ppo_config(), steps, seed);
   util::Rng rng{seed + 1};
   const auto traces = core::record_abr_traces(adversary, env, 20, rng);
   double regret = 0.0;

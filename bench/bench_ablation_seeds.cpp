@@ -50,15 +50,16 @@ void run_seeds() {
   // (one env + seed per job, results in seed order at any thread count).
   std::vector<std::unique_ptr<abr::BufferBased>> abr_targets;
   std::vector<std::unique_ptr<core::AbrAdversaryEnv>> abr_envs;
-  std::vector<core::AbrAdversaryJob> abr_jobs;
+  std::vector<core::AdversaryJob> abr_jobs;
   for (std::uint64_t seed : seeds) {
     abr_targets.push_back(std::make_unique<abr::BufferBased>());
     abr_envs.push_back(
         std::make_unique<core::AbrAdversaryEnv>(m, *abr_targets.back()));
-    abr_jobs.push_back({abr_envs.back().get(), abr_steps, seed});
+    abr_jobs.push_back({abr_envs.back().get(),
+                        core::abr_adversary_ppo_config(), abr_steps, seed});
   }
   const std::vector<rl::PpoAgent> abr_adversaries =
-      core::train_abr_adversaries(abr_jobs, &pool);
+      core::train_adversaries(abr_jobs, &pool);
 
   for (std::size_t s = 0; s < seeds.size(); ++s) {
     const std::uint64_t seed = seeds[s];
@@ -92,13 +93,14 @@ void run_seeds() {
   util::RunningStat cc_spread;
 
   std::vector<std::unique_ptr<core::CcAdversaryEnv>> cc_envs;
-  std::vector<core::CcAdversaryJob> cc_jobs;
+  std::vector<core::AdversaryJob> cc_jobs;
   for (std::uint64_t seed : seeds) {
     cc_envs.push_back(std::make_unique<core::CcAdversaryEnv>());
-    cc_jobs.push_back({cc_envs.back().get(), cc_steps, seed});
+    cc_jobs.push_back({cc_envs.back().get(), core::cc_adversary_ppo_config(),
+                       cc_steps, seed});
   }
   const std::vector<rl::PpoAgent> cc_adversaries =
-      core::train_cc_adversaries(cc_jobs, &pool);
+      core::train_adversaries(cc_jobs, &pool);
 
   for (std::size_t s = 0; s < seeds.size(); ++s) {
     const std::uint64_t seed = seeds[s];

@@ -38,7 +38,8 @@ AblationResult evaluate(double smoothing_weight, std::uint64_t seed,
   core::AbrAdversaryEnv::Params params;
   params.smoothing_weight = smoothing_weight;
   core::AbrAdversaryEnv env{m, bb, params};
-  rl::PpoAgent adversary = core::train_abr_adversary(env, steps, seed);
+  rl::PpoAgent adversary = core::train_adversary(
+      env, core::abr_adversary_ppo_config(), steps, seed);
 
   util::Rng rng{seed + 1};
   const auto traces = core::record_abr_traces(adversary, env, 20, rng);

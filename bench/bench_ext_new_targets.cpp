@@ -32,7 +32,8 @@ void attack_copa(std::size_t steps) {
   std::printf("\n-- adversary vs Copa (underutilization goal) --\n");
   core::CcAdversaryEnv::Params p;
   core::CcAdversaryEnv env{p, core::cc_senders().factory("copa")};
-  rl::PpoAgent adversary = core::train_cc_adversary(env, steps, 1101);
+  rl::PpoAgent adversary = core::train_adversary(
+      env, core::cc_adversary_ppo_config(), steps, 1101);
   util::Rng rng{1102};
   const core::CcEpisodeRecord record =
       core::record_cc_episode(adversary, env, rng, /*deterministic=*/false);
@@ -58,7 +59,8 @@ void attack_vivace(std::size_t steps) {
   std::printf("\n-- adversary vs PCC Vivace (underutilization goal) --\n");
   core::CcAdversaryEnv::Params p;
   core::CcAdversaryEnv env{p, core::cc_senders().factory("vivace")};
-  rl::PpoAgent adversary = core::train_cc_adversary(env, steps, 1109);
+  rl::PpoAgent adversary = core::train_adversary(
+      env, core::cc_adversary_ppo_config(), steps, 1109);
   util::Rng rng{1110};
   const core::CcEpisodeRecord record =
       core::record_cc_episode(adversary, env, rng, /*deterministic=*/false);
@@ -75,7 +77,8 @@ void attack_bola(std::size_t steps) {
   const abr::VideoManifest m{mp};
   abr::Bola bola;
   core::AbrAdversaryEnv env{m, bola};
-  rl::PpoAgent adversary = core::train_abr_adversary(env, steps, 1103);
+  rl::PpoAgent adversary = core::train_adversary(
+      env, core::abr_adversary_ppo_config(), steps, 1103);
   util::Rng rng{1104};
   const auto traces = core::record_abr_traces(adversary, env, 20, rng);
   double regret = 0.0;
@@ -97,7 +100,8 @@ void rebuffering_goal(std::size_t steps) {
   core::AbrAdversaryEnv::Params p;
   p.goal = core::AbrAdversaryEnv::Goal::kRebuffering;
   core::AbrAdversaryEnv env{m, bb, p};
-  rl::PpoAgent adversary = core::train_abr_adversary(env, steps, 1105);
+  rl::PpoAgent adversary = core::train_adversary(
+      env, core::abr_adversary_ppo_config(), steps, 1105);
   util::Rng rng{1106};
   const auto traces = core::record_abr_traces(adversary, env, 20, rng);
   double stall = 0.0;
@@ -118,7 +122,8 @@ void congestion_goal(std::size_t steps) {
   core::CcAdversaryEnv::Params p;
   p.goal = core::CcAdversaryEnv::Goal::kCongestion;
   core::CcAdversaryEnv env{p};
-  rl::PpoAgent adversary = core::train_cc_adversary(env, steps, 1107);
+  rl::PpoAgent adversary = core::train_adversary(
+      env, core::cc_adversary_ppo_config(), steps, 1107);
   util::Rng rng{1108};
   const core::CcEpisodeRecord record =
       core::record_cc_episode(adversary, env, rng, /*deterministic=*/false);

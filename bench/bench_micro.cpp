@@ -415,14 +415,15 @@ void write_parallel_artifact() {
     abr::BufferBased bb1;
     core::AbrAdversaryEnv env0{mini, bb0};
     core::AbrAdversaryEnv env1{mini, bb1};
+    const rl::PpoConfig config = core::abr_adversary_ppo_config();
     std::vector<double> signature;
     ThreadSample sample;
     sample.threads = threads;
     sample.seconds = time_seconds([&] {
       const std::vector<rl::PpoAgent> adversaries =
-          core::train_abr_adversaries(
-              {{.env = &env0, .steps = 1, .seed = 7},
-               {.env = &env1, .steps = 1, .seed = 13}},
+          core::train_adversaries(
+              {{.env = &env0, .config = config, .steps = 1, .seed = 7},
+               {.env = &env1, .config = config, .steps = 1, .seed = 13}},
               &pool);
       const auto traces = core::record_abr_traces(
           adversaries[0], mini,

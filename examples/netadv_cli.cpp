@@ -199,7 +199,8 @@ int cmd_attack(const std::vector<std::string>& args) {
   core::AbrAdversaryEnv env{manifest, *protocol};
   std::printf("training adversary vs %s for %zu steps...\n",
               protocol->name().c_str(), steps);
-  rl::PpoAgent adversary = core::train_abr_adversary(env, steps, 20190707);
+  rl::PpoAgent adversary = core::train_adversary(
+      env, core::abr_adversary_ppo_config(), steps, 20190707);
 
   util::Rng rng{20190708};
   const auto traces = core::record_abr_traces(adversary, env, count, rng);

@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
   // 4. Train the adversary (PPO, two hidden layers of 32/16 — Section 3).
   std::printf("training adversary against %s for %zu steps...\n",
               bb.name().c_str(), steps);
-  rl::PpoAgent adversary = core::train_abr_adversary(env, steps, /*seed=*/42);
+  rl::PpoAgent adversary = core::train_adversary(
+      env, core::abr_adversary_ppo_config(), steps, /*seed=*/42);
 
   // 5. Record adversarial traces and measure the damage.
   util::Rng rng{43};

@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
   std::printf("regression gate: training a %zu-step adversary against %s\n",
               steps, protocol.name().c_str());
   core::AbrAdversaryEnv env{manifest, protocol};
-  rl::PpoAgent adversary = core::train_abr_adversary(env, steps, /*seed=*/2024);
+  rl::PpoAgent adversary = core::train_adversary(
+      env, core::abr_adversary_ppo_config(), steps, /*seed=*/2024);
 
   util::Rng rng{2025};
   const auto traces = core::record_abr_traces(adversary, env, 20, rng);

@@ -83,7 +83,7 @@ rl::PpoAgent make_pensieve_agent(const VideoManifest& manifest,
 
 /// Serve a trained agent behind the AbrProtocol interface (deterministic
 /// greedy policy, like deploying Pensieve's trained actor). Accepts any
-/// rl::Agent, so PPO- and A2C-trained Pensieves serve identically.
+/// rl::Agent.
 class PensievePolicy final : public AbrProtocol {
  public:
   /// Non-owning: `agent` must outlive the policy.

@@ -79,19 +79,13 @@ std::vector<double> qoe_per_trace(const ProtocolFactory& make_protocol,
                                   const std::vector<trace::Trace>& traces,
                                   const QoeParams& qoe,
                                   util::ThreadPool* pool) {
-  auto replay_one = [&](std::size_t i) {
+  return util::parallel_map(pool, traces.size(), [&](std::size_t i) {
     const std::unique_ptr<AbrProtocol> protocol = make_protocol();
     if (!protocol) {
       throw std::invalid_argument{"qoe_per_trace: factory returned null"};
     }
     return run_playback(*protocol, manifest, traces[i], qoe).mean_chunk_qoe;
-  };
-  if (pool == nullptr) {
-    std::vector<double> result(traces.size());
-    for (std::size_t i = 0; i < traces.size(); ++i) result[i] = replay_one(i);
-    return result;
-  }
-  return pool->parallel_map(traces.size(), replay_one);
+  });
 }
 
 }  // namespace netadv::abr

@@ -9,6 +9,7 @@
 
 #include "util/fsatomic.hpp"
 #include "util/hash.hpp"
+#include "util/spec.hpp"
 
 namespace netadv::core {
 
@@ -21,7 +22,8 @@ namespace fs = std::filesystem;
 }
 
 std::string version_stem(std::uint64_t version) {
-  return "v" + std::to_string(version);
+  // append, not "v" + ...: GCC 12 misreports the latter under -Wrestrict.
+  return std::string{"v"}.append(std::to_string(version));
 }
 
 /// "v12.ckpt" -> 12; nullopt for anything else (meta sidecars, temp files).
@@ -30,16 +32,8 @@ std::optional<std::uint64_t> parse_version_file(const std::string& filename) {
       filename.substr(filename.size() - 5) != ".ckpt") {
     return std::nullopt;
   }
-  const std::string digits = filename.substr(1, filename.size() - 6);
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return std::nullopt;
-  }
-  try {
-    return static_cast<std::uint64_t>(std::stoull(digits));
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  return util::parse_unsigned(
+      std::string_view{filename}.substr(1, filename.size() - 6));
 }
 
 std::string read_bytes(const std::string& path, const std::string& root) {
@@ -95,17 +89,13 @@ std::pair<std::string, std::optional<std::uint64_t>> parse_checkpoint_ref(
     const std::string& ref) {
   const std::size_t at = ref.rfind('@');
   if (at == std::string::npos) return {ref, std::nullopt};
-  const std::string suffix = ref.substr(at + 1);
-  if (suffix.size() < 2 || suffix.front() != 'v' ||
-      suffix.find_first_not_of("0123456789", 1) != std::string::npos) {
-    return {ref, std::nullopt};
-  }
-  try {
-    return {ref.substr(0, at),
-            static_cast<std::uint64_t>(std::stoull(suffix.substr(1)))};
-  } catch (const std::exception&) {
-    return {ref, std::nullopt};
-  }
+  const std::string_view suffix = std::string_view{ref}.substr(at + 1);
+  const std::optional<std::uint64_t> version =
+      !suffix.empty() && suffix.front() == 'v'
+          ? util::parse_unsigned(suffix.substr(1))
+          : std::nullopt;
+  if (!version) return {ref, std::nullopt};
+  return {ref.substr(0, at), *version};
 }
 
 CheckpointStore::CheckpointStore(std::string root) : root_(std::move(root)) {

@@ -45,6 +45,9 @@ FairnessAdversaryEnv::FairnessAdversaryEnv(Params params,
       params_.latency_max_ms < params_.latency_min_ms ||
       params_.loss_min < 0.0 || params_.loss_max > 1.0 ||
       params_.loss_max < params_.loss_min || params_.epoch_s <= 0.0 ||
+      // NaN fails every comparison and inf overflows the epoch count.
+      !std::isfinite(params_.epoch_s) ||
+      !std::isfinite(params_.episode_duration_s) ||
       params_.episode_duration_s < params_.epoch_s ||
       params_.stagger_s < 0.0 || params_.cross_rate_mbps <= 0.0 ||
       params_.cross_cwnd_packets <= 0.0 || params_.cross_period_s <= 0.0 ||

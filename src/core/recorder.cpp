@@ -25,6 +25,22 @@ std::vector<rl::Vec> run_episode(rl::PpoAgent& agent, rl::Env& env,
   return actions;
 }
 
+/// The fan-out every batch function below shares: one child seed per task,
+/// drawn from `seed` on the caller in task order (the seeds
+/// Rng::fork_streams would use), then `one(i, seed_i)` across `pool`
+/// (inline when null) with results reduced by task index — so a batch is
+/// bit-identical at every thread count, including no pool at all.
+template <typename One>
+auto fan_out(std::size_t count, std::uint64_t seed, util::ThreadPool* pool,
+             const One& one) {
+  util::Rng master{seed};
+  std::vector<std::uint64_t> seeds(count);
+  for (auto& s : seeds) s = master();
+  return util::parallel_map(pool, count, [&](std::size_t i) {
+    return one(i, seeds[i]);
+  });
+}
+
 }  // namespace
 
 std::vector<trace::Trace> record_abr_traces(rl::PpoAgent& agent,
@@ -49,31 +65,21 @@ std::vector<trace::Trace> record_abr_traces(
     const ProtocolFactory& make_protocol, const AbrAdversaryEnv::Params& params,
     std::size_t count, std::uint64_t seed, bool deterministic,
     util::ThreadPool* pool) {
-  // Fork every episode's stream up front on the caller so episode i replays
-  // the same randomness whichever thread picks it up.
-  util::Rng master{seed};
-  std::vector<util::Rng> streams = master.fork_streams(count);
-
-  auto record_one = [&](std::size_t i) {
+  return fan_out(count, seed, pool, [&](std::size_t, std::uint64_t s) {
     const std::unique_ptr<abr::AbrProtocol> protocol = make_protocol();
     if (!protocol) {
       throw std::invalid_argument{"record_abr_traces: factory returned null"};
     }
     AbrAdversaryEnv env{manifest, *protocol, params};
     rl::PpoAgent clone = agent;
-    run_episode(clone, env, streams[i], deterministic);
+    util::Rng rng{s};
+    run_episode(clone, env, rng, deterministic);
     trace::Trace t;
     for (double bw : env.episode_bandwidths()) {
       t.append({env.chunk_duration_s(), bw, 80.0, 0.0});
     }
     return t;
-  };
-  if (pool == nullptr) {
-    std::vector<trace::Trace> traces(count);
-    for (std::size_t i = 0; i < count; ++i) traces[i] = record_one(i);
-    return traces;
-  }
-  return pool->parallel_map(count, record_one);
+  });
 }
 
 AbrEpisodeRecord record_abr_episode(rl::PpoAgent& agent, AbrAdversaryEnv& env,
@@ -155,20 +161,12 @@ std::vector<CcEpisodeRecord> record_cc_episodes(
     const rl::PpoAgent& agent, const CcAdversaryEnv::Params& params,
     const CcAdversaryEnv::SenderFactory& make_sender, std::size_t count,
     std::uint64_t seed, bool deterministic, util::ThreadPool* pool) {
-  util::Rng master{seed};
-  std::vector<util::Rng> streams = master.fork_streams(count);
-
-  auto record_one = [&](std::size_t i) {
+  return fan_out(count, seed, pool, [&](std::size_t, std::uint64_t s) {
     CcAdversaryEnv env{params, make_sender};
     rl::PpoAgent clone = agent;
-    return record_cc_episode(clone, env, streams[i], deterministic);
-  };
-  if (pool == nullptr) {
-    std::vector<CcEpisodeRecord> records(count);
-    for (std::size_t i = 0; i < count; ++i) records[i] = record_one(i);
-    return records;
-  }
-  return pool->parallel_map(count, record_one);
+    util::Rng rng{s};
+    return record_cc_episode(clone, env, rng, deterministic);
+  });
 }
 
 FairnessEpisodeRecord record_fairness_episode(rl::PpoAgent& agent,
@@ -229,20 +227,12 @@ std::vector<FairnessEpisodeRecord> record_fairness_episodes(
     std::vector<FairnessAdversaryEnv::SenderFactory> factories,
     std::size_t count, std::uint64_t seed, bool deterministic,
     util::ThreadPool* pool) {
-  util::Rng master{seed};
-  std::vector<util::Rng> streams = master.fork_streams(count);
-
-  auto record_one = [&](std::size_t i) {
+  return fan_out(count, seed, pool, [&](std::size_t, std::uint64_t s) {
     FairnessAdversaryEnv env{params, factories};
     rl::PpoAgent clone = agent;
-    return record_fairness_episode(clone, env, streams[i], deterministic);
-  };
-  if (pool == nullptr) {
-    std::vector<FairnessEpisodeRecord> records(count);
-    for (std::size_t i = 0; i < count; ++i) records[i] = record_one(i);
-    return records;
-  }
-  return pool->parallel_map(count, record_one);
+    util::Rng rng{s};
+    return record_fairness_episode(clone, env, rng, deterministic);
+  });
 }
 
 CcReplayResult replay_cc_trace(cc::CcSender& sender, const trace::Trace& t,
@@ -274,25 +264,14 @@ std::vector<CcReplayResult> replay_cc_traces(
     const SenderFactory& make_sender, const std::vector<trace::Trace>& traces,
     const cc::LinkSim::Params& link_params, std::uint64_t seed,
     util::ThreadPool* pool) {
-  // Fork one link seed per trace up front (on the caller) so the replay of
-  // trace i is the same whichever thread picks it up.
-  util::Rng master{seed};
-  std::vector<std::uint64_t> seeds(traces.size());
-  for (auto& s : seeds) s = master();
-
-  auto replay_one = [&](std::size_t i) {
+  return fan_out(traces.size(), seed, pool,
+                 [&](std::size_t i, std::uint64_t link_seed) {
     const std::unique_ptr<cc::CcSender> sender = make_sender();
     if (!sender) {
       throw std::invalid_argument{"replay_cc_traces: factory returned null"};
     }
-    return replay_cc_trace(*sender, traces[i], link_params, seeds[i]);
-  };
-  if (pool == nullptr) {
-    std::vector<CcReplayResult> results(traces.size());
-    for (std::size_t i = 0; i < traces.size(); ++i) results[i] = replay_one(i);
-    return results;
-  }
-  return pool->parallel_map(traces.size(), replay_one);
+    return replay_cc_trace(*sender, traces[i], link_params, link_seed);
+  });
 }
 
 FairnessReplayResult replay_fairness_trace(
@@ -358,22 +337,11 @@ std::vector<FairnessReplayResult> replay_fairness_traces(
     const std::vector<trace::Trace>& traces,
     const cc::LinkSim::Params& link_params, double stagger_s,
     std::uint64_t seed, util::ThreadPool* pool) {
-  util::Rng master{seed};
-  std::vector<std::uint64_t> seeds(traces.size());
-  for (auto& s : seeds) s = master();
-
-  auto replay_one = [&](std::size_t i) {
+  return fan_out(traces.size(), seed, pool,
+                 [&](std::size_t i, std::uint64_t link_seed) {
     return replay_fairness_trace(mix, traces[i], link_params, stagger_s,
-                                 seeds[i]);
-  };
-  if (pool == nullptr) {
-    std::vector<FairnessReplayResult> results(traces.size());
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      results[i] = replay_one(i);
-    }
-    return results;
-  }
-  return pool->parallel_map(traces.size(), replay_one);
+                                 link_seed);
+  });
 }
 
 }  // namespace netadv::core

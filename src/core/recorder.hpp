@@ -4,6 +4,15 @@
 //  * per-chunk ABR episode timelines (Fig. 3);
 //  * per-epoch CC timelines with both physical conditions and the raw
 //    pre-clipping policy actions (Fig. 5 and Fig. 6).
+//
+// Every batch function here (record_abr_traces, record_cc_episodes,
+// record_fairness_episodes, replay_cc_traces, replay_fairness_traces) runs
+// `count` independent tasks across an optional pool (sequentially when
+// null) through one fan-out with one determinism contract: a child seed per
+// task is forked from `seed` on the calling thread in task order before
+// dispatch, each task touches only its own clone/env/stream, and results
+// land in the slot of their own index — so a batch is bit-identical at every
+// thread count, including pool == nullptr.
 #pragma once
 
 #include <cstddef>
@@ -34,15 +43,8 @@ std::vector<trace::Trace> record_abr_traces(rl::PpoAgent& agent,
 /// call (it only constructs new objects).
 using ProtocolFactory = std::function<std::unique_ptr<abr::AbrProtocol>()>;
 
-/// Batch corpus generation: record `count` adversarial traces across `pool`
-/// (sequentially when null), one fresh (cloned agent, fresh protocol, fresh
-/// env) triple per task.
-///
-/// Determinism contract: per-episode RNG streams are forked from `seed` on
-/// the calling thread in episode order before dispatch, each task touches
-/// only its own clone/env/stream, and results land in the slot of their own
-/// episode index — so the corpus is bit-identical at every thread count,
-/// including pool == nullptr.
+/// Batch corpus generation: `count` adversarial traces, one fresh (cloned
+/// agent, fresh protocol, fresh env) triple per task.
 std::vector<trace::Trace> record_abr_traces(
     const rl::PpoAgent& agent, const abr::VideoManifest& manifest,
     const ProtocolFactory& make_protocol, const AbrAdversaryEnv::Params& params,
@@ -87,12 +89,9 @@ struct CcEpisodeRecord {
 CcEpisodeRecord record_cc_episode(rl::PpoAgent& agent, CcAdversaryEnv& env,
                                   util::Rng& rng, bool deterministic = true);
 
-/// Batch variant of record_cc_episode: `count` episodes across `pool`
-/// (sequentially when null), one fresh (cloned agent, fresh env with a fresh
-/// target sender) pair per task. Same determinism contract as the batch
-/// record_abr_traces: streams forked from `seed` in episode order on the
-/// caller, results reduced by episode index, bit-identical at every thread
-/// count. `make_sender` may be null for the env's default target (BBR).
+/// Batch variant of record_cc_episode: one fresh (cloned agent, fresh env
+/// with a fresh target sender) pair per task. `make_sender` may be null for
+/// the env's default target (BBR).
 std::vector<CcEpisodeRecord> record_cc_episodes(
     const rl::PpoAgent& agent, const CcAdversaryEnv::Params& params,
     const CcAdversaryEnv::SenderFactory& make_sender, std::size_t count,
@@ -125,11 +124,8 @@ FairnessEpisodeRecord record_fairness_episode(rl::PpoAgent& agent,
                                               util::Rng& rng,
                                               bool deterministic = true);
 
-/// Batch variant: `count` episodes across `pool` (sequentially when null),
-/// one fresh (cloned agent, fresh env with fresh mix senders) pair per task.
-/// Same determinism contract as record_cc_episodes: streams forked from
-/// `seed` in episode order on the caller, results reduced by episode index,
-/// bit-identical at every thread count.
+/// Batch variant: one fresh (cloned agent, fresh env with fresh mix senders)
+/// pair per task.
 std::vector<FairnessEpisodeRecord> record_fairness_episodes(
     const rl::PpoAgent& agent, const FairnessAdversaryEnv::Params& params,
     std::vector<FairnessAdversaryEnv::SenderFactory> factories,
@@ -153,10 +149,8 @@ CcReplayResult replay_cc_trace(cc::CcSender& sender, const trace::Trace& t,
 /// only constructs new objects).
 using SenderFactory = std::function<std::unique_ptr<cc::CcSender>()>;
 
-/// Replay a whole trace corpus across `pool` (sequentially when null), one
-/// fresh sender per trace. Per-trace link seeds are forked from `seed` in
-/// trace order before dispatch, so the result vector is identical at every
-/// thread count.
+/// Replay a whole trace corpus, one fresh sender and one forked link seed
+/// per trace.
 std::vector<CcReplayResult> replay_cc_traces(
     const SenderFactory& make_sender, const std::vector<trace::Trace>& traces,
     const cc::LinkSim::Params& link_params, std::uint64_t seed,
@@ -178,7 +172,7 @@ FairnessReplayResult replay_fairness_trace(
     const cc::LinkSim::Params& link_params, double stagger_s,
     std::uint64_t seed);
 
-/// Corpus variant, same determinism contract as replay_cc_traces.
+/// Corpus variant: one forked link seed per trace.
 std::vector<FairnessReplayResult> replay_fairness_traces(
     const std::vector<SenderFactory>& mix,
     const std::vector<trace::Trace>& traces,

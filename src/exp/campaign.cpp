@@ -20,15 +20,9 @@ namespace {
 }
 
 std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long value = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument{text};
-    return static_cast<std::uint64_t>(value);
-  } catch (const std::exception&) {
-    throw std::runtime_error{"campaign: " + what + " is not an integer: '" +
-                             text + "'"};
-  }
+  if (const auto value = util::parse_unsigned(text)) return *value;
+  throw std::runtime_error{"campaign: " + what + " is not an integer: '" +
+                           text + "'"};
 }
 
 JobSpec job_from_section(const util::SpecFile& spec,

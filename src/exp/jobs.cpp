@@ -1,10 +1,12 @@
 #include "exp/jobs.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdarg>
 #include <cstdio>
+#include <functional>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -42,26 +44,46 @@ namespace {
                            "): " + what};
 }
 
+/// `fn()`, with any exception it throws rethrown as this job's failure.
+template <typename Fn>
+auto or_fail(const JobContext& ctx, const Fn& fn) -> decltype(fn()) {
+  try {
+    return fn();
+  } catch (const std::exception& e) {
+    job_fail(ctx, e.what());
+  }
+}
+
+/// printf into a std::string, for job notes.
+[[gnu::format(printf, 1, 2)]] std::string format_note(const char* spec, ...) {
+  std::va_list args;
+  va_start(args, spec);
+  std::va_list sizing;
+  va_copy(sizing, args);
+  const int size = std::vsnprintf(nullptr, 0, spec, sizing);
+  va_end(sizing);
+  std::string note(static_cast<std::size_t>(std::max(size, 0)), '\0');
+  std::vsnprintf(note.data(), note.size() + 1, spec, args);
+  va_end(args);
+  return note;
+}
+
 std::size_t size_param(const JobContext& ctx, const std::string& key,
                        std::size_t fallback) {
   const std::string* value = ctx.job->find(key);
   if (value == nullptr) return fallback;
-  try {
-    return static_cast<std::size_t>(std::stoull(*value));
-  } catch (const std::exception&) {
-    job_fail(ctx, key + " is not an integer: '" + *value + "'");
-  }
+  const std::optional<std::uint64_t> parsed = util::parse_unsigned(*value);
+  if (!parsed) job_fail(ctx, key + " is not an integer: '" + *value + "'");
+  return static_cast<std::size_t>(*parsed);
 }
 
 double double_param(const JobContext& ctx, const std::string& key,
                     double fallback) {
   const std::string* value = ctx.job->find(key);
   if (value == nullptr) return fallback;
-  try {
-    return std::stod(*value);
-  } catch (const std::exception&) {
-    job_fail(ctx, key + " is not a number: '" + *value + "'");
-  }
+  const std::optional<double> parsed = util::parse_finite(*value);
+  if (!parsed) job_fail(ctx, key + " is not a number: '" + *value + "'");
+  return *parsed;
 }
 
 /// Corpus sizes scale down with NETADV_SCALE like bench_common's trace
@@ -83,11 +105,9 @@ abr::VideoManifest job_manifest() {
 /// `domain = abr | cc` selects which target registry and adversary stack a
 /// train/record/replay job runs on.
 core::TargetDomain domain_param(const JobContext& ctx) {
-  try {
+  return or_fail(ctx, [&] {
     return core::parse_domain(ctx.job->value_or("domain", "abr"));
-  } catch (const std::exception& e) {
-    job_fail(ctx, e.what());
-  }
+  });
 }
 
 /// Root of the campaign's checkpoint store: `store_dir =` when given, else
@@ -122,20 +142,17 @@ core::FactoryArgs target_args(const JobContext& ctx) {
 std::string publish_checkpoint(const JobContext& ctx, const std::string& name,
                                const std::string& kind,
                                const std::string& source) {
-  const std::string* version = ctx.job->find("store_version");
-  if (version == nullptr) {
+  if (ctx.job->find("store_version") == nullptr) {
     job_fail(ctx, "store_name needs store_version = <integer> (explicit so "
                   "re-runs republish the same immutable slot)");
   }
-  try {
-    core::CheckpointStore store{store_root(ctx)};
-    return store
-        .put(name, static_cast<std::uint64_t>(std::stoull(*version)), kind,
-             source, ctx.campaign->name + "/" + ctx.job->id)
+  const std::uint64_t version = size_param(ctx, "store_version", 0);
+  return or_fail(ctx, [&] {
+    return core::CheckpointStore{store_root(ctx)}
+        .put(name, version, kind, source,
+             ctx.campaign->name + "/" + ctx.job->id)
         .path;
-  } catch (const std::exception& e) {
-    job_fail(ctx, e.what());
-  }
+  });
 }
 
 /// Byte-verbatim file copy — promote republishes a winning checkpoint
@@ -150,169 +167,418 @@ void copy_bytes(const std::string& from, const std::string& to) {
   if (!out) throw std::runtime_error{"cannot write " + to};
 }
 
-/// Resolve `protocol =` against the domain's registry exactly once, up
-/// front: a bad name (or a missing pensieve checkpoint) fails the job here,
-/// before any artifact is written, and the returned factory is handed to
-/// every batch API that needs fresh targets.
-core::ProtocolFactory abr_target_factory(const JobContext& ctx) {
-  try {
-    return core::abr_protocols().factory(ctx.job->value_or("protocol", ""),
-                                         target_args(ctx));
-  } catch (const std::exception& e) {
-    job_fail(ctx, e.what());
-  }
+/// Resolve `protocol =` against the target registry exactly once, up front:
+/// a bad name fails the job here, before any artifact is written, and the
+/// returned factory is handed to every batch API that needs fresh targets.
+template <typename T>
+std::function<std::unique_ptr<T>()> target_factory(
+    const JobContext& ctx, const core::Registry<T>& registry) {
+  return or_fail(ctx, [&] {
+    return registry.factory(ctx.job->value_or("protocol", ""),
+                            target_args(ctx));
+  });
 }
 
-core::SenderFactory cc_target_factory(const JobContext& ctx) {
-  try {
-    return core::cc_senders().factory(ctx.job->value_or("protocol", ""),
-                                      target_args(ctx));
-  } catch (const std::exception& e) {
-    job_fail(ctx, e.what());
-  }
-}
-
-/// CC episode shape: `duration = <seconds>` shortens Figure 5's 30-s
-/// episodes (1000 epochs) — campaigns and tests use it to bound work.
-core::CcAdversaryEnv::Params cc_env_params(const JobContext& ctx) {
-  core::CcAdversaryEnv::Params params;
-  params.episode_duration_s =
-      double_param(ctx, "duration", params.episode_duration_s);
-  if (params.episode_duration_s <= 0.0) {
+/// `duration = <seconds>` shortens the CC and fairness envs' 30-s episodes
+/// (Figure 5's 1000 epochs) — campaigns and tests use it to bound work.
+double duration_param(const JobContext& ctx, double fallback) {
+  const double duration = double_param(ctx, "duration", fallback);
+  if (duration <= 0.0) {
     job_fail(ctx, "duration must be a positive number of episode seconds");
   }
-  return params;
+  return duration;
 }
 
-/// Shared setup for the fairness-family adversary kinds (fairness,
-/// cross-traffic, late-join): flow mix from `flows =` (default bbr,bbr)
-/// resolved through the cc_senders registry, reward variant from
-/// `reward = jain | victim`, episode length from `duration =`.
-struct FairnessSetup {
-  core::FairnessAdversaryEnv::Params params;
-  std::vector<core::FairnessAdversaryEnv::SenderFactory> factories;
-  std::string mix_names;
+/// The trace set a replay or serve job reads: `traces = <job>` or
+/// `trace_file = <path>`.
+std::vector<trace::Trace> trace_set_param(const JobContext& ctx) {
+  if (const std::string* set_job = ctx.job->find("traces")) {
+    return trace::load_trace_set(
+        ctx.input_ending_with(*set_job, "_traces.csv"));
+  }
+  if (const std::string* file = ctx.job->find("trace_file")) {
+    return trace::load_trace_set(*file);
+  }
+  job_fail(ctx, ctx.job->kind +
+                    " needs traces = <trace-set job> or trace_file = ...");
+}
+
+/// Index of the column headed `name`, or nullopt — artifacts are read by
+/// column name, never by position.
+std::optional<std::size_t> column_of(const util::CsvTable& table,
+                                     const std::string& name) {
+  const auto it = std::find(table.header.begin(), table.header.end(), name);
+  if (it == table.header.end()) return std::nullopt;
+  return static_cast<std::size_t>(it - table.header.begin());
+}
+
+/// One numeric CSV row per recorded episode or replayed trace.
+using Rows = std::vector<std::vector<double>>;
+
+double column_sum(const Rows& rows, std::size_t column) {
+  double total = 0.0;
+  for (const auto& row : rows) total += row[column];
+  return total;
+}
+
+void write_rows(const std::string& path,
+                const std::vector<std::string>& header, const Rows& rows) {
+  util::CsvWriter writer{path};
+  writer.write_row(header);
+  for (const auto& row : rows) writer.write_row(row);
+}
+
+/// A record job's output: the replayable corpus, one summary row per trace.
+struct Recording {
+  std::vector<trace::Trace> traces;
+  Rows summary;
 };
 
-FairnessSetup fairness_setup(const JobContext& ctx,
-                             core::FairnessAdversaryEnv::Scenario scenario) {
-  if (domain_param(ctx) != core::TargetDomain::kCc) {
-    job_fail(ctx, "fairness adversaries need domain = cc");
-  }
-  FairnessSetup setup;
-  setup.params.scenario = scenario;
-  setup.mix_names = ctx.job->value_or("flows", "bbr,bbr");
-  try {
-    setup.factories = core::resolve_flow_mix(setup.mix_names);
-    setup.params.reward =
-        core::parse_fairness_reward(ctx.job->value_or("reward", "jain"));
-  } catch (const std::exception& e) {
-    job_fail(ctx, e.what());
-  }
-  setup.params.episode_duration_s =
-      double_param(ctx, "duration", setup.params.episode_duration_s);
-  if (setup.params.episode_duration_s <= 0.0) {
-    job_fail(ctx, "duration must be a positive number of episode seconds");
-  }
-  // Short test/smoke episodes must still see every flow start: shrink the
-  // stagger (and the late-join window) with the episode so the reward gate
-  // opens while there are epochs left to pay for.
-  setup.params.stagger_s = std::min(
-      setup.params.stagger_s,
-      setup.params.episode_duration_s /
-          (4.0 * static_cast<double>(setup.factories.size())));
-  setup.params.late_join_max_s =
-      std::min(setup.params.late_join_max_s,
-               setup.params.episode_duration_s / 3.0);
-  setup.params.late_join_min_s =
-      std::min(setup.params.late_join_min_s, setup.params.late_join_max_s);
-  return setup;
-}
+/// What a train-adversary / record-traces / replay job attacks, resolved
+/// once from its params — `domain`, `adversary`, `protocol` or `flows`,
+/// `duration`, `reward` — into one descriptor per target family: an ABR
+/// protocol, a CC sender, or a CC flow mix. Each job kind then runs one
+/// path over it. Construction resolves every target name, so a bad one
+/// fails the job before any artifact is written.
+class AttackSetup {
+ public:
+  virtual ~AttackSetup() = default;
+  AttackSetup(const AttackSetup&) = delete;
+  AttackSetup& operator=(const AttackSetup&) = delete;
 
-/// Per-episode fairness summary: per-flow mean throughput plus the two
-/// unfairness metrics, one row per recorded episode.
-void write_fairness_summary(
-    const std::vector<core::FairnessEpisodeRecord>& episodes,
-    std::size_t flow_count, const std::string& path, double* mean_jain,
-    double* mean_victim) {
-  util::CsvWriter writer{path};
-  std::vector<std::string> header{"episode"};
-  for (std::size_t f = 0; f < flow_count; ++f) {
-    header.push_back("flow" + std::to_string(f) + "_mbps");
+  /// `make(env)` on a fresh env around fresh targets — the one place an
+  /// adversary meets its env, for training and for restoring alike.
+  virtual rl::PpoAgent on_env(
+      const std::function<rl::PpoAgent(rl::Env&)>& make) const = 0;
+  /// `count` adversarial episodes on streams forked from the job seed.
+  virtual Recording record(std::size_t count) const = 0;
+  /// One row per trace: the target replayed on the recorded conditions.
+  virtual Rows replay(const std::vector<trace::Trace>& traces) const = 0;
+  /// The note over a record job's summary, or over a replay job's rows.
+  virtual std::string note(const Rows& rows, bool replay) const = 0;
+
+  rl::PpoAgent train(std::size_t steps) const {
+    return on_env([&](rl::Env& env) {
+      return core::train_adversary(env, config, steps, ctx_.seed, nullptr,
+                                   ctx_.pool);
+    });
   }
-  header.emplace_back("jain");
-  header.emplace_back("victim_utilization");
-  header.emplace_back("aggregate_utilization");
-  writer.write_row(header);
-  double jain_total = 0.0;
-  double victim_total = 0.0;
-  for (std::size_t i = 0; i < episodes.size(); ++i) {
-    const core::FairnessEpisodeRecord& e = episodes[i];
-    std::vector<double> row{static_cast<double>(i)};
-    for (std::size_t f = 0; f < flow_count; ++f) {
-      row.push_back(f < e.flow_throughput_mbps.size()
-                        ? util::mean(e.flow_throughput_mbps[f])
-                        : 0.0);
+
+  /// The `from = <train-adversary job>` checkpoint in this topology.
+  rl::PpoAgent restore() const {
+    const std::string* from = ctx_.job->find("from");
+    if (from == nullptr) {
+      job_fail(ctx_, "record-traces with adversary = ppo needs from = "
+                     "<train-adversary job>");
     }
-    row.push_back(e.mean_jain);
-    row.push_back(e.mean_victim_utilization);
-    row.push_back(e.mean_aggregate_utilization);
-    writer.write_row(row);
-    jain_total += e.mean_jain;
-    victim_total += e.mean_victim_utilization;
+    const std::string checkpoint =
+        ctx_.input_ending_with(*from, "_adversary.ckpt");
+    return on_env([&](rl::Env& env) {
+      return core::restore_adversary(env, config, checkpoint);
+    });
   }
-  const double n =
-      episodes.empty() ? 1.0 : static_cast<double>(episodes.size());
-  *mean_jain = jain_total / n;
-  *mean_victim = victim_total / n;
-}
 
-/// Per-trace regret summary shared by both ABR record-traces paths.
-void write_summary(const abr::VideoManifest& manifest,
-                   const core::ProtocolFactory& make_target,
-                   const std::vector<trace::Trace>& traces,
-                   const std::string& path, double* mean_regret) {
-  util::CsvWriter writer{path};
-  writer.write_row(
-      std::vector<std::string>{"trace", "optimal_qoe", "protocol_qoe",
-                               "regret"});
-  double total = 0.0;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    auto target = make_target();
-    const double optimal = abr::optimal_playback(manifest, traces[i]).total_qoe;
-    const double got =
-        abr::run_playback(*target, manifest, traces[i]).total_qoe;
-    writer.write_row(std::vector<double>{static_cast<double>(i), optimal, got,
-                                         optimal - got});
-    total += optimal - got;
-  }
-  *mean_regret =
-      traces.empty() ? 0.0 : total / static_cast<double>(traces.size());
-}
+  rl::PpoConfig config;  ///< adversary_ppo_config(domain)
+  std::string subject;   ///< "adversary vs bb", for the train note
+  std::vector<std::string> summary_header;
+  std::vector<std::string> replay_header;
+  std::string replay_suffix = "_replay.csv";
 
-/// Per-episode utilization summary, the CC analog of the regret summary
-/// (the adversary's success metric is how far below 1.0 it pins this).
-void write_cc_summary(const std::vector<core::CcEpisodeRecord>& episodes,
-                      const std::string& path, double* mean_utilization) {
-  util::CsvWriter writer{path};
-  writer.write_row(std::vector<std::string>{"trace", "mean_utilization"});
-  double total = 0.0;
-  for (std::size_t i = 0; i < episodes.size(); ++i) {
-    writer.write_row(std::vector<double>{static_cast<double>(i),
-                                         episodes[i].mean_utilization});
-    total += episodes[i].mean_utilization;
+ protected:
+  AttackSetup(const JobContext& ctx, core::TargetDomain domain)
+      : config(core::adversary_ppo_config(domain)), ctx_(ctx) {}
+
+  const JobContext& ctx_;
+};
+
+/// An ABR protocol on the deterministic-size manifest, attacked by PPO or
+/// by CEM — which searches traces directly and needs no checkpoint.
+class AbrAttack final : public AttackSetup {
+ public:
+  AbrAttack(const JobContext& ctx, std::string adversary)
+      : AttackSetup{ctx, core::TargetDomain::kAbr},
+        adversary_(std::move(adversary)),
+        make_target_(target_factory(ctx, core::abr_protocols())) {
+    subject = "adversary vs " + make_target_()->name();
+    summary_header = {"trace", "optimal_qoe", "protocol_qoe", "regret"};
+    replay_header = {"trace", "qoe"};
+    replay_suffix = "_qoe.csv";
   }
-  *mean_utilization =
-      episodes.empty() ? 0.0 : total / static_cast<double>(episodes.size());
+
+  rl::PpoAgent on_env(
+      const std::function<rl::PpoAgent(rl::Env&)>& make) const override {
+    const auto target = make_target_();
+    core::AbrAdversaryEnv env{manifest_, *target};
+    return make(env);
+  }
+
+  Recording record(std::size_t count) const override {
+    Recording out;
+    out.traces = adversary_ == "cem"
+                     ? cem_search(count)
+                     : core::record_abr_traces(
+                           restore(), manifest_, make_target_, {}, count,
+                           ctx_.seed, /*deterministic=*/false, ctx_.pool);
+    out.summary = util::parallel_map(
+        ctx_.pool, out.traces.size(), [&](std::size_t i) {
+          const trace::Trace& t = out.traces[i];
+          const auto target = make_target_();
+          const double optimal = abr::optimal_playback(manifest_, t).total_qoe;
+          const double got = abr::run_playback(*target, manifest_, t).total_qoe;
+          return std::vector<double>{static_cast<double>(i), optimal, got,
+                                     optimal - got};
+        });
+    return out;
+  }
+
+  Rows replay(const std::vector<trace::Trace>& traces) const override {
+    const std::vector<double> qoe =
+        abr::qoe_per_trace(make_target_, manifest_, traces, {}, ctx_.pool);
+    Rows rows;
+    for (std::size_t i = 0; i < qoe.size(); ++i) {
+      rows.push_back({static_cast<double>(i), qoe[i]});
+    }
+    return rows;
+  }
+
+  std::string note(const Rows& rows, bool replay) const override {
+    // Mean regret (summary column 3) or mean QoE (replay column 1).
+    const double mean =
+        rows.empty() ? 0.0
+                     : column_sum(rows, replay ? 1 : 3) /
+                           static_cast<double>(rows.size());
+    return replay ? format_note("%zu replays, mean QoE %.2f", rows.size(),
+                                mean)
+                  : format_note("%zu traces, mean regret %.2f QoE",
+                                rows.size(), mean);
+  }
+
+ private:
+  /// One independent CEM search per trace, stream-forked before dispatch:
+  /// the corpus is bit-identical at any thread count.
+  std::vector<trace::Trace> cem_search(std::size_t count) const {
+    core::CemTraceAdversary::Params params;
+    params.population = size_param(ctx_, "population", params.population);
+    const std::size_t nominal_iterations =
+        size_param(ctx_, "iterations", params.iterations);
+    params.iterations = std::max<std::size_t>(
+        static_cast<std::size_t>(static_cast<double>(nominal_iterations) *
+                                 std::min(1.0, util::bench_scale())),
+        2);
+    const core::CemTraceAdversary cem{params};
+    std::vector<util::Rng> streams = util::Rng{ctx_.seed}.fork_streams(count);
+    return util::parallel_map(ctx_.pool, count, [&](std::size_t i) {
+      const auto target = make_target_();
+      return cem.search(manifest_, *target, streams[i]).best_trace;
+    });
+  }
+
+  std::string adversary_;
+  core::ProtocolFactory make_target_;
+  abr::VideoManifest manifest_ = job_manifest();
+};
+
+/// One CC sender on the adversary-controlled link (Section 4).
+class CcAttack final : public AttackSetup {
+ public:
+  CcAttack(const JobContext& ctx, const std::string& adversary)
+      : AttackSetup{ctx, core::TargetDomain::kCc},
+        make_sender_(target_factory(ctx, core::cc_senders())) {
+    if (adversary != "ppo") {
+      job_fail(ctx, "record-traces with domain = cc supports adversary = ppo "
+                    "only — CEM searches chunk-bandwidth traces, an ABR "
+                    "formulation");
+    }
+    params_.episode_duration_s =
+        duration_param(ctx, params_.episode_duration_s);
+    subject = "adversary vs " + make_sender_()->name();
+    summary_header = {"trace", "mean_utilization"};
+    replay_header = {"trace", "utilization", "throughput_mbps"};
+  }
+
+  rl::PpoAgent on_env(
+      const std::function<rl::PpoAgent(rl::Env&)>& make) const override {
+    core::CcAdversaryEnv env{params_, make_sender_};
+    return make(env);
+  }
+
+  Recording record(std::size_t count) const override {
+    std::vector<core::CcEpisodeRecord> episodes = core::record_cc_episodes(
+        restore(), params_, make_sender_, count, ctx_.seed,
+        /*deterministic=*/false, ctx_.pool);
+    Recording out;
+    for (std::size_t i = 0; i < episodes.size(); ++i) {
+      out.traces.push_back(std::move(episodes[i].trace));
+      out.summary.push_back(
+          {static_cast<double>(i), episodes[i].mean_utilization});
+    }
+    return out;
+  }
+
+  Rows replay(const std::vector<trace::Trace>& traces) const override {
+    const std::vector<core::CcReplayResult> replays =
+        core::replay_cc_traces(make_sender_, traces, {}, ctx_.seed, ctx_.pool);
+    Rows rows;
+    for (std::size_t i = 0; i < replays.size(); ++i) {
+      rows.push_back({static_cast<double>(i), replays[i].mean_utilization,
+                      replays[i].mean_throughput_mbps});
+    }
+    return rows;
+  }
+
+  std::string note(const Rows& rows, bool replay) const override {
+    // Mean utilization is column 1 of both tables.
+    const double n = static_cast<double>(rows.size());
+    const double total = column_sum(rows, 1);
+    if (replay) {
+      return format_note("%zu cc replays, mean utilization %.1f%%",
+                         rows.size(), rows.empty() ? 0.0 : 100.0 * total / n);
+    }
+    return format_note("%zu cc episodes, mean utilization %.1f%%",
+                       rows.size(), 100.0 * (rows.empty() ? 0.0 : total / n));
+  }
+
+ private:
+  core::SenderFactory make_sender_;
+  core::CcAdversaryEnv::Params params_;
+};
+
+/// A flow mix sharing one bottleneck (`flows =`, default bbr,bbr) under a
+/// fairness-family adversary (fairness, cross-traffic, late-join) scored by
+/// `reward = jain | victim`.
+class FairnessAttack final : public AttackSetup {
+ public:
+  FairnessAttack(const JobContext& ctx, const std::string& adversary,
+                 core::FairnessAdversaryEnv::Scenario scenario)
+      : AttackSetup{ctx, core::TargetDomain::kCc},
+        mix_names_(ctx.job->value_or("flows", "bbr,bbr")) {
+    params_.scenario = scenario;
+    mix_ = or_fail(ctx, [&] { return core::resolve_flow_mix(mix_names_); });
+    params_.reward = or_fail(ctx, [&] {
+      return core::parse_fairness_reward(ctx.job->value_or("reward", "jain"));
+    });
+    params_.episode_duration_s =
+        duration_param(ctx, params_.episode_duration_s);
+    // Short test/smoke episodes must still see every flow start: shrink the
+    // stagger (and the late-join window) with the episode so the reward
+    // gate opens while there are epochs left to pay for.
+    params_.stagger_s =
+        std::min(params_.stagger_s,
+                 params_.episode_duration_s /
+                     (4.0 * static_cast<double>(mix_.size())));
+    params_.late_join_max_s =
+        std::min(params_.late_join_max_s, params_.episode_duration_s / 3.0);
+    params_.late_join_min_s =
+        std::min(params_.late_join_min_s, params_.late_join_max_s);
+    subject = adversary + " adversary vs " + mix_names_;
+    adversary_ = adversary;
+    const auto header = [&](const char* first) {
+      std::vector<std::string> columns{first};
+      for (std::size_t f = 0; f < mix_.size(); ++f) {
+        columns.push_back("flow" + std::to_string(f) + "_mbps");
+      }
+      columns.insert(columns.end(), {"jain", "victim_utilization",
+                                     "aggregate_utilization"});
+      return columns;
+    };
+    summary_header = header("episode");
+    replay_header = header("trace");
+  }
+
+  rl::PpoAgent on_env(
+      const std::function<rl::PpoAgent(rl::Env&)>& make) const override {
+    core::FairnessAdversaryEnv env{params_, mix_};
+    return make(env);
+  }
+
+  Recording record(std::size_t count) const override {
+    std::vector<core::FairnessEpisodeRecord> episodes =
+        core::record_fairness_episodes(restore(), params_, mix_, count,
+                                       ctx_.seed, /*deterministic=*/false,
+                                       ctx_.pool);
+    Recording out;
+    for (std::size_t i = 0; i < episodes.size(); ++i) {
+      core::FairnessEpisodeRecord& e = episodes[i];
+      std::vector<double> row{static_cast<double>(i)};
+      for (std::size_t f = 0; f < mix_.size(); ++f) {
+        row.push_back(f < e.flow_throughput_mbps.size()
+                          ? util::mean(e.flow_throughput_mbps[f])
+                          : 0.0);
+      }
+      row.insert(row.end(), {e.mean_jain, e.mean_victim_utilization,
+                             e.mean_aggregate_utilization});
+      out.traces.push_back(std::move(e.trace));
+      out.summary.push_back(std::move(row));
+    }
+    return out;
+  }
+
+  /// The whole mix replays each trace together, starts staggered by
+  /// `stagger =` seconds (default 0.5).
+  Rows replay(const std::vector<trace::Trace>& traces) const override {
+    const std::vector<core::FairnessReplayResult> replays =
+        core::replay_fairness_traces(mix_, traces, {},
+                                     double_param(ctx_, "stagger", 0.5),
+                                     ctx_.seed, ctx_.pool);
+    Rows rows;
+    for (std::size_t i = 0; i < replays.size(); ++i) {
+      const core::FairnessReplayResult& r = replays[i];
+      std::vector<double> row{static_cast<double>(i)};
+      row.insert(row.end(), r.mean_flow_throughput_mbps.begin(),
+                 r.mean_flow_throughput_mbps.end());
+      row.insert(row.end(), {r.mean_jain, r.mean_victim_utilization,
+                             r.mean_aggregate_utilization});
+      rows.push_back(std::move(row));
+    }
+    return rows;
+  }
+
+  std::string note(const Rows& rows, bool replay) const override {
+    // Both tables lead with the index and one column per flow.
+    const std::size_t jain = 1 + mix_.size();
+    if (replay) {
+      return format_note("%zu multi-flow replays, mean Jain %.3f",
+                         rows.size(),
+                         rows.empty() ? 1.0
+                                      : column_sum(rows, jain) /
+                                            static_cast<double>(rows.size()));
+    }
+    const double n = rows.empty() ? 1.0 : static_cast<double>(rows.size());
+    return format_note(
+        "%zu %s episodes vs %s, mean Jain %.3f, victim util %.1f%%",
+        rows.size(), adversary_.c_str(), mix_names_.c_str(),
+        column_sum(rows, jain) / n, 100.0 * (column_sum(rows, jain + 1) / n));
+  }
+
+ private:
+  std::string adversary_;
+  std::string mix_names_;
+  std::vector<core::SenderFactory> mix_;
+  core::FairnessAdversaryEnv::Params params_;
+};
+
+/// Resolve the job's attack. `adversary` is ppo, cem or a fairness kind; a
+/// fairness kind attacks a flow mix and needs domain = cc, otherwise the
+/// domain picks the target family.
+std::unique_ptr<AttackSetup> attack_setup(const JobContext& ctx,
+                                          const std::string& adversary) {
+  const core::TargetDomain domain = domain_param(ctx);
+  if (const auto scenario = core::fairness_scenario_for(adversary)) {
+    if (domain != core::TargetDomain::kCc) {
+      job_fail(ctx, "fairness adversaries need domain = cc");
+    }
+    return std::make_unique<FairnessAttack>(ctx, adversary, *scenario);
+  }
+  if (domain == core::TargetDomain::kCc) {
+    return std::make_unique<CcAttack>(ctx, adversary);
+  }
+  return std::make_unique<AbrAttack>(ctx, adversary);
 }
 
 JobResult run_gen_traces(const JobContext& ctx) {
-  std::unique_ptr<trace::TraceGenerator> generator;
-  try {
-    generator = core::trace_generators().make(ctx.job->value_or("generator", ""));
-  } catch (const std::exception& e) {
-    job_fail(ctx, e.what());
-  }
+  const auto generator = or_fail(ctx, [&] {
+    return core::trace_generators().make(ctx.job->value_or("generator", ""));
+  });
   const std::size_t count = scaled_count(size_param(ctx, "count", 100));
   util::Rng rng{ctx.seed};
   const std::vector<trace::Trace> traces = generator->generate_many(count, rng);
@@ -325,320 +591,64 @@ JobResult run_gen_traces(const JobContext& ctx) {
 
 JobResult run_train_adversary(const JobContext& ctx) {
   const std::string adversary = ctx.job->value_or("adversary", "ppo");
-  if (const auto scenario = core::fairness_scenario_for(adversary)) {
-    const FairnessSetup setup = fairness_setup(ctx, *scenario);
-    const std::size_t steps =
-        util::scaled_steps(size_param(ctx, "steps", 80000), 256);
-    core::FairnessAdversaryEnv env{setup.params, setup.factories};
-    rl::PpoAgent agent = core::train_adversary(
-        env, core::cc_adversary_ppo_config(), steps, ctx.seed, nullptr,
-        ctx.pool);
-    JobResult result;
-    result.artifacts.push_back(ctx.artifact("_adversary.ckpt"));
-    rl::save_checkpoint(agent, result.artifacts.back());
-    if (const std::string* store_name = ctx.job->find("store_name")) {
-      result.artifacts.push_back(publish_checkpoint(
-          ctx, *store_name, "adversary", result.artifacts.front()));
-    }
-    result.note = "PPO " + adversary + " adversary vs " + setup.mix_names +
-                  ", " + std::to_string(steps) + " steps";
-    return result;
-  }
-  if (adversary != "ppo") {
+  if (adversary != "ppo" && !core::fairness_scenario_for(adversary)) {
     job_fail(ctx, "train-adversary supports adversary = ppo or a fairness "
                   "kind (fairness | cross-traffic | late-join); CEM is "
                   "trace-based — use record-traces with adversary = cem");
   }
-  const core::TargetDomain domain = domain_param(ctx);
+  const std::unique_ptr<AttackSetup> setup = attack_setup(ctx, adversary);
   const std::size_t steps =
       util::scaled_steps(size_param(ctx, "steps", 80000), 256);
-
-  std::string target_name;
-  rl::PpoAgent agent = [&]() -> rl::PpoAgent {
-    if (domain == core::TargetDomain::kCc) {
-      const core::SenderFactory make_sender = cc_target_factory(ctx);
-      target_name = make_sender()->name();
-      core::CcAdversaryEnv env{cc_env_params(ctx), make_sender};
-      return core::train_adversary(env, core::adversary_ppo_config(domain),
-                                   steps, ctx.seed, nullptr, ctx.pool);
-    }
-    const auto protocol = abr_target_factory(ctx)();
-    target_name = protocol->name();
-    const abr::VideoManifest manifest = job_manifest();
-    core::AbrAdversaryEnv env{manifest, *protocol};
-    return core::train_adversary(env, core::adversary_ppo_config(domain),
-                                 steps, ctx.seed, nullptr, ctx.pool);
-  }();
-
   JobResult result;
   result.artifacts.push_back(ctx.artifact("_adversary.ckpt"));
-  rl::save_checkpoint(agent, result.artifacts.back());
+  rl::save_checkpoint(setup->train(steps), result.artifacts.back());
   if (const std::string* store_name = ctx.job->find("store_name")) {
     result.artifacts.push_back(publish_checkpoint(
         ctx, *store_name, "adversary", result.artifacts.front()));
   }
-  result.note = "PPO adversary vs " + target_name + ", " +
-                std::to_string(steps) + " steps";
+  result.note =
+      "PPO " + setup->subject + ", " + std::to_string(steps) + " steps";
   return result;
 }
 
-/// The `from = <train-adversary job>` checkpoint both record paths load.
-std::string adversary_checkpoint(const JobContext& ctx) {
-  const std::string* from = ctx.job->find("from");
-  if (from == nullptr) {
-    job_fail(ctx, "record-traces with adversary = ppo needs from = "
-                  "<train-adversary job>");
-  }
-  return ctx.input_ending_with(*from, "_adversary.ckpt");
-}
-
 JobResult run_record_traces(const JobContext& ctx) {
-  const core::TargetDomain domain = domain_param(ctx);
   const std::string adversary = ctx.job->value_or("adversary", "ppo");
   if (!core::adversary_kinds().contains(adversary)) {
     job_fail(ctx, "unknown adversary '" + adversary + "' (" +
                       core::adversary_kinds().names() + ")");
   }
-  const std::size_t count = scaled_count(size_param(ctx, "count", 20));
-
-  if (const auto scenario = core::fairness_scenario_for(adversary)) {
-    const FairnessSetup setup = fairness_setup(ctx, *scenario);
-    const std::string checkpoint = adversary_checkpoint(ctx);
-    core::FairnessAdversaryEnv env{setup.params, setup.factories};
-    rl::PpoAgent agent = core::restore_adversary(
-        env, core::cc_adversary_ppo_config(), checkpoint);
-    const std::vector<core::FairnessEpisodeRecord> episodes =
-        core::record_fairness_episodes(agent, setup.params, setup.factories,
-                                       count, ctx.seed,
-                                       /*deterministic=*/false, ctx.pool);
-    std::vector<trace::Trace> traces;
-    traces.reserve(episodes.size());
-    for (const core::FairnessEpisodeRecord& episode : episodes) {
-      traces.push_back(episode.trace);
-    }
-    JobResult result;
-    result.artifacts.push_back(ctx.artifact("_traces.csv"));
-    trace::save_trace_set(traces, result.artifacts.back());
-    result.artifacts.push_back(ctx.artifact("_summary.csv"));
-    double mean_jain = 1.0;
-    double mean_victim = 0.0;
-    write_fairness_summary(episodes, setup.factories.size(),
-                           result.artifacts.back(), &mean_jain, &mean_victim);
-    char note[160];
-    std::snprintf(note, sizeof note,
-                  "%zu %s episodes vs %s, mean Jain %.3f, victim util %.1f%%",
-                  episodes.size(), adversary.c_str(),
-                  setup.mix_names.c_str(), mean_jain, 100.0 * mean_victim);
-    result.note = note;
-    return result;
-  }
-
-  if (domain == core::TargetDomain::kCc) {
-    if (adversary != "ppo") {
-      job_fail(ctx, "record-traces with domain = cc supports adversary = ppo "
-                    "only — CEM searches chunk-bandwidth traces, an ABR "
-                    "formulation");
-    }
-    const std::string checkpoint = adversary_checkpoint(ctx);
-    const core::SenderFactory make_sender = cc_target_factory(ctx);
-    const core::CcAdversaryEnv::Params params = cc_env_params(ctx);
-    core::CcAdversaryEnv env{params, make_sender};
-    rl::PpoAgent agent = core::restore_adversary(
-        env, core::adversary_ppo_config(domain), checkpoint);
-    const std::vector<core::CcEpisodeRecord> episodes =
-        core::record_cc_episodes(agent, params, make_sender, count, ctx.seed,
-                                 /*deterministic=*/false, ctx.pool);
-    std::vector<trace::Trace> traces;
-    traces.reserve(episodes.size());
-    for (const core::CcEpisodeRecord& episode : episodes) {
-      traces.push_back(episode.trace);
-    }
-    JobResult result;
-    result.artifacts.push_back(ctx.artifact("_traces.csv"));
-    trace::save_trace_set(traces, result.artifacts.back());
-    result.artifacts.push_back(ctx.artifact("_summary.csv"));
-    double mean_utilization = 0.0;
-    write_cc_summary(episodes, result.artifacts.back(), &mean_utilization);
-    char note[128];
-    std::snprintf(note, sizeof note,
-                  "%zu cc episodes, mean utilization %.1f%%", episodes.size(),
-                  100.0 * mean_utilization);
-    result.note = note;
-    return result;
-  }
-
-  const abr::VideoManifest manifest = job_manifest();
-  const core::ProtocolFactory make_target = abr_target_factory(ctx);
-  std::vector<trace::Trace> traces;
-
-  if (adversary == "cem") {
-    core::CemTraceAdversary::Params params;
-    params.population = size_param(ctx, "population", params.population);
-    const std::size_t nominal_iterations =
-        size_param(ctx, "iterations", params.iterations);
-    params.iterations = std::max<std::size_t>(
-        static_cast<std::size_t>(static_cast<double>(nominal_iterations) *
-                                 std::min(1.0, util::bench_scale())),
-        2);
-    const core::CemTraceAdversary cem{params};
-    // One independent CEM search per trace, stream-forked before dispatch:
-    // the corpus is bit-identical at any thread count.
-    std::vector<util::Rng> streams = util::Rng{ctx.seed}.fork_streams(count);
-    traces.resize(count);
-    const auto search_one = [&](std::size_t i) {
-      auto target = make_target();
-      traces[i] = cem.search(manifest, *target, streams[i]).best_trace;
-    };
-    if (ctx.pool != nullptr) {
-      ctx.pool->parallel_for(count, search_one);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) search_one(i);
-    }
-  } else {
-    const std::string checkpoint = adversary_checkpoint(ctx);
-    const auto topology_protocol = make_target();
-    core::AbrAdversaryEnv env{manifest, *topology_protocol};
-    rl::PpoAgent agent = core::restore_adversary(
-        env, core::adversary_ppo_config(domain), checkpoint);
-    traces = core::record_abr_traces(agent, manifest, make_target,
-                                     core::AbrAdversaryEnv::Params{}, count,
-                                     ctx.seed, /*deterministic=*/false,
-                                     ctx.pool);
-  }
-
+  const std::unique_ptr<AttackSetup> setup = attack_setup(ctx, adversary);
+  const Recording recording =
+      setup->record(scaled_count(size_param(ctx, "count", 20)));
   JobResult result;
   result.artifacts.push_back(ctx.artifact("_traces.csv"));
-  trace::save_trace_set(traces, result.artifacts.back());
-  double mean_regret = 0.0;
+  trace::save_trace_set(recording.traces, result.artifacts.back());
   result.artifacts.push_back(ctx.artifact("_summary.csv"));
-  write_summary(manifest, make_target, traces, result.artifacts.back(),
-                &mean_regret);
-  char note[128];
-  std::snprintf(note, sizeof note, "%zu traces, mean regret %.2f QoE",
-                traces.size(), mean_regret);
-  result.note = note;
+  write_rows(result.artifacts.back(), setup->summary_header,
+             recording.summary);
+  result.note = setup->note(recording.summary, /*replay=*/false);
   return result;
 }
 
 JobResult run_replay(const JobContext& ctx) {
-  const core::TargetDomain domain = domain_param(ctx);
-  const std::string* set_job = ctx.job->find("traces");
-  std::string set_path;
-  if (set_job != nullptr) {
-    set_path = ctx.input_ending_with(*set_job, "_traces.csv");
-  } else if (const std::string* file = ctx.job->find("trace_file")) {
-    set_path = *file;
-  } else {
-    job_fail(ctx, "replay needs traces = <trace-set job> or trace_file = ...");
-  }
-  const std::vector<trace::Trace> traces = trace::load_trace_set(set_path);
-
-  // `flows = a,b,...` switches the CC replay to the shared-bottleneck
-  // multi-flow path: the whole mix replays each trace together.
-  if (domain == core::TargetDomain::kCc && ctx.job->find("flows") != nullptr) {
-    std::vector<core::SenderFactory> mix;
-    try {
-      mix = core::resolve_flow_mix(*ctx.job->find("flows"));
-    } catch (const std::exception& e) {
-      job_fail(ctx, e.what());
-    }
-    const double stagger_s = double_param(ctx, "stagger", 0.5);
-    const std::vector<core::FairnessReplayResult> replays =
-        core::replay_fairness_traces(mix, traces, {}, stagger_s, ctx.seed,
-                                     ctx.pool);
-    JobResult result;
-    result.artifacts.push_back(ctx.artifact("_replay.csv"));
-    util::CsvWriter writer{result.artifacts.back()};
-    std::vector<std::string> header{"trace"};
-    for (std::size_t f = 0; f < mix.size(); ++f) {
-      header.push_back("flow" + std::to_string(f) + "_mbps");
-    }
-    header.emplace_back("jain");
-    header.emplace_back("victim_utilization");
-    header.emplace_back("aggregate_utilization");
-    writer.write_row(header);
-    double jain_total = 0.0;
-    for (std::size_t i = 0; i < replays.size(); ++i) {
-      std::vector<double> row{static_cast<double>(i)};
-      for (double v : replays[i].mean_flow_throughput_mbps) row.push_back(v);
-      row.push_back(replays[i].mean_jain);
-      row.push_back(replays[i].mean_victim_utilization);
-      row.push_back(replays[i].mean_aggregate_utilization);
-      writer.write_row(row);
-      jain_total += replays[i].mean_jain;
-    }
-    char note[128];
-    std::snprintf(
-        note, sizeof note, "%zu multi-flow replays, mean Jain %.3f",
-        replays.size(),
-        replays.empty() ? 1.0
-                        : jain_total / static_cast<double>(replays.size()));
-    result.note = note;
-    return result;
-  }
-
-  if (domain == core::TargetDomain::kCc) {
-    const core::SenderFactory make_sender = cc_target_factory(ctx);
-    const std::vector<core::CcReplayResult> replays =
-        core::replay_cc_traces(make_sender, traces, {}, ctx.seed, ctx.pool);
-    JobResult result;
-    result.artifacts.push_back(ctx.artifact("_replay.csv"));
-    util::CsvWriter writer{result.artifacts.back()};
-    writer.write_row(
-        std::vector<std::string>{"trace", "utilization", "throughput_mbps"});
-    double total = 0.0;
-    for (std::size_t i = 0; i < replays.size(); ++i) {
-      writer.write_row(std::vector<double>{static_cast<double>(i),
-                                           replays[i].mean_utilization,
-                                           replays[i].mean_throughput_mbps});
-      total += replays[i].mean_utilization;
-    }
-    char note[128];
-    std::snprintf(
-        note, sizeof note, "%zu cc replays, mean utilization %.1f%%",
-        replays.size(),
-        replays.empty() ? 0.0
-                        : 100.0 * total / static_cast<double>(replays.size()));
-    result.note = note;
-    return result;
-  }
-
-  const abr::VideoManifest manifest = job_manifest();
-  const std::vector<double> qoe = abr::qoe_per_trace(
-      abr_target_factory(ctx), manifest, traces, {}, ctx.pool);
+  // A replay attacks nothing, so it has no adversary kind: `flows =`
+  // replays the whole mix on each trace, otherwise the single target does.
+  const std::unique_ptr<AttackSetup> setup = attack_setup(
+      ctx, ctx.job->find("flows") != nullptr ? "fairness" : "ppo");
+  const Rows rows = setup->replay(trace_set_param(ctx));
   JobResult result;
-  result.artifacts.push_back(ctx.artifact("_qoe.csv"));
-  util::CsvWriter writer{result.artifacts.back()};
-  writer.write_row(std::vector<std::string>{"trace", "qoe"});
-  for (std::size_t i = 0; i < qoe.size(); ++i) {
-    writer.write_row(std::vector<double>{static_cast<double>(i), qoe[i]});
-  }
-  char note[128];
-  std::snprintf(note, sizeof note, "%zu replays, mean QoE %.2f", qoe.size(),
-                qoe.empty() ? 0.0 : util::mean(qoe));
-  result.note = note;
+  result.artifacts.push_back(ctx.artifact(setup->replay_suffix));
+  write_rows(result.artifacts.back(), setup->replay_header, rows);
+  result.note = setup->note(rows, /*replay=*/true);
   return result;
 }
 
 JobResult run_serve(const JobContext& ctx) {
-  const std::string* set_job = ctx.job->find("traces");
-  std::string set_path;
-  if (set_job != nullptr) {
-    set_path = ctx.input_ending_with(*set_job, "_traces.csv");
-  } else if (const std::string* file = ctx.job->find("trace_file")) {
-    set_path = *file;
-  } else {
-    job_fail(ctx, "serve needs traces = <trace-set job> or trace_file = ...");
-  }
-  std::vector<trace::Trace> traces = trace::load_trace_set(set_path);
+  std::vector<trace::Trace> traces = trace_set_param(ctx);
 
   const std::string qoe_name = ctx.job->value_or("qoe", "lin");
-  std::unique_ptr<abr::QoeModel> qoe;
-  try {
-    qoe = core::qoe_models().make(qoe_name, target_args(ctx));
-  } catch (const std::exception& e) {
-    job_fail(ctx, e.what());
-  }
+  const auto qoe = or_fail(
+      ctx, [&] { return core::qoe_models().make(qoe_name, target_args(ctx)); });
 
   const std::size_t sessions = scaled_count(size_param(ctx, "sessions", 100));
   const std::string protocol = ctx.job->value_or("protocol", "");
@@ -661,8 +671,8 @@ JobResult run_serve(const JobContext& ctx) {
     serve::PensieveBatchPolicy policy{agent};
     summaries = engine.run(policy, *qoe, sessions, ctx.pool, &stats);
   } else {
-    summaries = engine.run(abr_target_factory(ctx), *qoe, sessions, ctx.pool,
-                           &stats);
+    summaries = engine.run(target_factory(ctx, core::abr_protocols()), *qoe,
+                           sessions, ctx.pool, &stats);
   }
 
   double qoe_total = 0.0;
@@ -670,14 +680,11 @@ JobResult run_serve(const JobContext& ctx) {
   JobResult result;
   result.artifacts.push_back(ctx.artifact("_sessions.csv"));
   serve::save_session_summaries(summaries, result.artifacts.back());
-  char note[160];
-  std::snprintf(note, sizeof note,
-                "%zu sessions x %zu traces, mean %s QoE %.2f (%.0f "
-                "decisions/s)",
-                summaries.size(), engine.traces().size(), qoe->name().c_str(),
-                qoe_total / static_cast<double>(summaries.size()),
-                stats.decisions_per_s());
-  result.note = note;
+  result.note = format_note(
+      "%zu sessions x %zu traces, mean %s QoE %.2f (%.0f decisions/s)",
+      summaries.size(), engine.traces().size(), qoe->name().c_str(),
+      qoe_total / static_cast<double>(summaries.size()),
+      stats.decisions_per_s());
   return result;
 }
 
@@ -773,11 +780,9 @@ JobResult run_robustify_round(const JobContext& ctx) {
         static_cast<double>(env.traces().size()),
         static_cast<double>(round.adversarial_traces.size())});
   }
-  char note[160];
-  std::snprintf(note, sizeof note,
-                "eval mean QoE %.2f, p5 %.2f (%zu adversarial traces added)",
-                mean_qoe, p5_qoe, round.adversarial_traces.size());
-  result.note = note;
+  result.note = format_note(
+      "eval mean QoE %.2f, p5 %.2f (%zu adversarial traces added)", mean_qoe,
+      p5_qoe, round.adversarial_traces.size());
   return result;
 }
 
@@ -799,24 +804,19 @@ JobResult run_train_protocol(const JobContext& ctx) {
     // record job's summary); stable sort keeps ties in declaration order.
     std::vector<std::pair<double, std::size_t>> ranked;
     for (std::size_t i = 0; i < exploit.size(); ++i) {
-      util::CsvTable summary;
-      try {
-        summary =
-            util::read_csv(ctx.input_ending_with(exploit[i], "_summary.csv"));
-      } catch (const std::exception& e) {
-        job_fail(ctx, e.what());
-      }
-      std::size_t regret_col = summary.header.size();
-      for (std::size_t c = 0; c < summary.header.size(); ++c) {
-        if (summary.header[c] == "regret") regret_col = c;
-      }
-      if (regret_col == summary.header.size()) {
+      const util::CsvTable summary = or_fail(ctx, [&] {
+        return util::read_csv(
+            ctx.input_ending_with(exploit[i], "_summary.csv"));
+      });
+      const std::optional<std::size_t> regret_col =
+          column_of(summary, "regret");
+      if (!regret_col) {
         job_fail(ctx, "exploit_from job '" + exploit[i] +
                           "' has no regret column — rank exploiters with ABR "
                           "record-traces summaries");
       }
       double total = 0.0;
-      for (const auto& row : summary.rows) total += row[regret_col];
+      for (const auto& row : summary.rows) total += row[*regret_col];
       ranked.emplace_back(summary.rows.empty()
                               ? 0.0
                               : total / static_cast<double>(summary.rows.size()),
@@ -868,12 +868,9 @@ JobResult run_train_protocol(const JobContext& ctx) {
     result.artifacts.push_back(publish_checkpoint(ctx, *store_name, "protocol",
                                                   result.artifacts.front()));
   }
-  char note[160];
-  std::snprintf(note, sizeof note,
-                "%zu steps on %zu traces (%zu/%zu exploiter sets)",
-                cfg.protocol_steps, env.traces().size(), exploit_used,
-                exploit.size());
-  result.note = note;
+  result.note = format_note("%zu steps on %zu traces (%zu/%zu exploiter sets)",
+                            cfg.protocol_steps, env.traces().size(),
+                            exploit_used, exploit.size());
   return result;
 }
 
@@ -909,13 +906,10 @@ JobResult run_eval_matrix(const JobContext& ctx) {
   result.artifacts.push_back(ctx.artifact("_worst.csv"));
   core::save_eval_worst(matrix, result.artifacts.back());
   const std::size_t best = matrix.least_exploitable();
-  char note[160];
-  std::snprintf(note, sizeof note,
-                "%zux%zu regret matrix, least exploitable %s "
-                "(worst-case QoE %.2f)",
-                rows.size(), columns.size(),
-                matrix.checkpoints[best].c_str(), matrix.worst_case_qoe(best));
-  result.note = note;
+  result.note = format_note(
+      "%zux%zu regret matrix, least exploitable %s (worst-case QoE %.2f)",
+      rows.size(), columns.size(), matrix.checkpoints[best].c_str(),
+      matrix.worst_case_qoe(best));
   return result;
 }
 
@@ -934,52 +928,52 @@ JobResult run_promote(const JobContext& ctx) {
     job_fail(ctx, "promote needs checkpoints = <training jobs, in the "
                   "eval-matrix column order>");
   }
-  util::CsvTable worst;
-  try {
-    worst = util::read_csv(ctx.input_ending_with(*matrix_from, "_worst.csv"));
-  } catch (const std::exception& e) {
-    job_fail(ctx, e.what());
-  }
+  const util::CsvTable worst = or_fail(ctx, [&] {
+    return util::read_csv(ctx.input_ending_with(*matrix_from, "_worst.csv"));
+  });
   if (worst.rows.size() != checkpoints.size()) {
     job_fail(ctx, "checkpoints = lists " + std::to_string(checkpoints.size()) +
                       " jobs but the matrix scored " +
                       std::to_string(worst.rows.size()) + " columns");
+  }
+  const std::optional<std::size_t> regret =
+      column_of(worst, "worst_case_regret");
+  const std::optional<std::size_t> qoe = column_of(worst, "worst_case_qoe");
+  if (!regret || !qoe) {
+    job_fail(ctx, "matrix_from job '" + *matrix_from +
+                      "' has no worst_case_regret and worst_case_qoe "
+                      "columns — promote reads an eval-matrix _worst.csv");
   }
   // The promotion rule (EvalMatrix::least_exploitable, re-derived from the
   // artifact so promote stays a pure function of its inputs): argmax
   // worst-case QoE, ties to the lowest column index.
   std::size_t best = 0;
   for (std::size_t c = 1; c < worst.rows.size(); ++c) {
-    if (worst.rows[c][2] > worst.rows[best][2]) best = c;
+    if (worst.rows[c][*qoe] > worst.rows[best][*qoe]) best = c;
   }
 
   JobResult result;
   result.artifacts.push_back(ctx.artifact("_pensieve.ckpt"));
-  try {
+  or_fail(ctx, [&] {
     copy_bytes(ctx.input_ending_with(checkpoints[best], "_pensieve.ckpt"),
                result.artifacts.back());
-  } catch (const std::exception& e) {
-    job_fail(ctx, e.what());
-  }
+  });
   result.artifacts.push_back(ctx.artifact("_promotion.csv"));
   {
     util::CsvWriter writer{result.artifacts.back()};
     writer.write_row(std::vector<std::string>{"winner", "worst_case_regret",
                                               "worst_case_qoe"});
     writer.write_row(std::vector<double>{static_cast<double>(best),
-                                         worst.rows[best][1],
-                                         worst.rows[best][2]});
+                                         worst.rows[best][*regret],
+                                         worst.rows[best][*qoe]});
   }
   if (const std::string* store_name = ctx.job->find("store_name")) {
     result.artifacts.push_back(publish_checkpoint(ctx, *store_name, "protocol",
                                                   result.artifacts.front()));
   }
-  char note[160];
-  std::snprintf(note, sizeof note,
-                "promoted %s (worst-case QoE %.2f, regret %.2f)",
-                checkpoints[best].c_str(), worst.rows[best][2],
-                worst.rows[best][1]);
-  result.note = note;
+  result.note = format_note("promoted %s (worst-case QoE %.2f, regret %.2f)",
+                            checkpoints[best].c_str(), worst.rows[best][*qoe],
+                            worst.rows[best][*regret]);
   return result;
 }
 

@@ -1,7 +1,6 @@
-// The trainable-agent interface shared by the PPO and A2C trainers, so
-// protocols and recorders can hold "an RL policy" without committing to an
-// algorithm (Pensieve's original trainer was A3C; the paper's adversaries
-// use PPO — both live behind this interface here).
+// The trainable-agent interface, so protocols and recorders can hold "an RL
+// policy" without committing to an algorithm. Pensieve originally trained
+// with A3C, and netadv trains with PPO: PpoAgent is the one implementation.
 #pragma once
 
 #include <cstddef>

@@ -11,7 +11,7 @@
 // grads) run the identical arithmetic against caller-owned activation caches
 // and a caller-owned gradient buffer, so any number of threads can
 // backpropagate through one shared network at once (parameters are only
-// read). The PPO/A2C shadow-buffer minibatch path is built on this.
+// read). The PPO shadow-buffer minibatch path is built on this.
 #pragma once
 
 #include <atomic>
@@ -85,7 +85,7 @@ class Mlp {
   /// Workspace&) would have produced, because gemm computes each output
   /// element in the same canonical order as gemv. The caches are valid for
   /// backward(grad, ws, grads) until the parameters change (track
-  /// param_version()); PPO/A2C use this to reuse rollout-time activations in
+  /// param_version()); PPO uses this to reuse rollout-time activations in
   /// the shadow-gradient minibatch path instead of recomputing forwards.
   std::vector<Vec> forward_batch(const std::vector<Vec>& inputs,
                                  std::vector<Workspace>* caches = nullptr) const;

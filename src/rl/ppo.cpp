@@ -444,8 +444,7 @@ void PpoAgent::accumulate_sample(const Transition& t, double inv_batch,
   // matches the network (bit-identical — see ActivationCache); otherwise
   // recompute the forward into the task-private workspace. With the default
   // PPO schedule only the pre-first-optimizer-step minibatches hit, but a
-  // full-batch single-epoch schedule (and every A2C update) reuses the
-  // whole rollout.
+  // full-batch single-epoch schedule reuses the whole rollout.
   const bool actor_cached =
       use_activation_cache_ && t.cache.actor_version == actor_.param_version();
   const bool critic_cached = use_activation_cache_ &&

@@ -2,19 +2,6 @@
 
 namespace netadv::rl {
 
-namespace {
-
-void for_each_replica(util::ThreadPool* pool, std::size_t n,
-                      const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr) {
-    pool->parallel_for(n, body);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-  }
-}
-
-}  // namespace
-
 VecEnv::VecEnv(const Factory& factory, std::size_t n, std::uint64_t seed,
                util::ThreadPool* pool)
     : pool_(pool) {
@@ -37,7 +24,7 @@ VecEnv::VecEnv(const Factory& factory, std::size_t n, std::uint64_t seed,
 
 const std::vector<Vec>& VecEnv::reset_all() {
   reset_obs_.assign(size(), Vec{});
-  for_each_replica(pool_, size(), [this](std::size_t i) {
+  util::parallel_for(pool_, size(), [this](std::size_t i) {
     reset_obs_[i] = envs_[i]->reset(rngs_[i]);
   });
   return reset_obs_;
@@ -50,7 +37,7 @@ const VecEnv::StepBatch& VecEnv::step(const std::vector<Vec>& actions) {
   batch_.observations.assign(size(), Vec{});
   batch_.rewards.assign(size(), 0.0);
   batch_.dones.assign(size(), 0);
-  for_each_replica(pool_, size(), [this, &actions](std::size_t i) {
+  util::parallel_for(pool_, size(), [this, &actions](std::size_t i) {
     StepResult result = envs_[i]->step(actions[i], rngs_[i]);
     batch_.rewards[i] = result.reward;
     batch_.dones[i] = result.done ? 1 : 0;

@@ -143,11 +143,7 @@ std::vector<SessionSummary> SessionEngine::run(
       latencies[k] = seconds_since(decide_start);
       apply_download(s, quality);
     };
-    if (pool != nullptr) {
-      pool->parallel_for(active.size(), tick);
-    } else {
-      for (std::size_t k = 0; k < active.size(); ++k) tick(k);
-    }
+    util::parallel_for(pool, active.size(), tick);
     local.decision_latency_s.insert(local.decision_latency_s.end(),
                                     latencies.begin(), latencies.end());
   }
@@ -208,11 +204,7 @@ std::vector<SessionSummary> SessionEngine::run(BatchPolicy& policy,
     const auto download = [&](std::size_t k) {
       apply_download(sessions[active[k]], qualities[k]);
     };
-    if (pool != nullptr) {
-      pool->parallel_for(active.size(), download);
-    } else {
-      for (std::size_t k = 0; k < active.size(); ++k) download(k);
-    }
+    util::parallel_for(pool, active.size(), download);
   }
 
   local.elapsed_s = seconds_since(run_start);

@@ -1,5 +1,7 @@
 #include "util/spec.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -93,6 +95,26 @@ std::vector<std::string> split_list(const std::string& csv) {
     if (!item.empty()) items.push_back(item);
   }
   return items;
+}
+
+std::optional<std::uint64_t> parse_unsigned(std::string_view text) {
+  // from_chars takes no whitespace or '+', and no '-' for unsigned types.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<double> parse_finite(std::string_view text) {
+  if (!text.empty() && text.front() == '-') return std::nullopt;
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace netadv::util

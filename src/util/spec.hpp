@@ -19,7 +19,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -56,5 +59,12 @@ SpecFile parse_spec_file(const std::string& path);
 /// Split a comma-separated list, trimming whitespace and dropping empty
 /// items ("a, b,c" -> {"a","b","c"}).
 std::vector<std::string> split_list(const std::string& csv);
+
+/// Strict numeric values: the whole string is the number, with no sign,
+/// whitespace or trailing junk ("-1", "+2", "20x" are rejected, not wrapped
+/// or truncated), and a double must be finite ("nan", "inf" are rejected).
+/// nullopt on rejection or overflow; callers name the offending key.
+std::optional<std::uint64_t> parse_unsigned(std::string_view text);
+std::optional<double> parse_finite(std::string_view text);
 
 }  // namespace netadv::util

@@ -95,4 +95,24 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// ThreadPool::parallel_for on `pool`, or the same index loop inline on the
+/// caller when `pool` is null — the one spelling of "parallel if given a
+/// pool" every fan-out uses. Same contract either way: body(i) writes only
+/// state owned by index i, so the outcome is identical with or without a
+/// pool.
+template <typename Fn>
+void parallel_for(ThreadPool* pool, std::size_t n, const Fn& body) {
+  if (pool != nullptr) return pool->parallel_for(n, body);
+  for (std::size_t i = 0; i < n; ++i) body(i);
+}
+
+/// ThreadPool::parallel_map over the same null-pool fallback.
+template <typename Fn>
+auto parallel_map(ThreadPool* pool, std::size_t n, Fn&& fn)
+    -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
+  std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> out(n);
+  parallel_for(pool, n, [&](std::size_t i) { out[i] = fn(i); });
+  return out;
+}
+
 }  // namespace netadv::util

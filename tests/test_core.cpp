@@ -263,6 +263,19 @@ TEST(CcAdversaryEnv, ValidatesParams) {
   EXPECT_THROW(CcAdversaryEnv{bad2}, std::invalid_argument);
 }
 
+// NaN slips past every `<` check and inf overflows epochs_per_episode():
+// non-finite episode shapes must be rejected at construction.
+TEST(CcAdversaryEnv, RejectsNonFiniteEpisodeShape) {
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    CcAdversaryEnv::Params duration;
+    duration.episode_duration_s = bad;
+    EXPECT_THROW(CcAdversaryEnv{duration}, std::invalid_argument) << bad;
+    CcAdversaryEnv::Params epoch;
+    epoch.epoch_s = bad;
+    EXPECT_THROW(CcAdversaryEnv{epoch}, std::invalid_argument) << bad;
+  }
+}
+
 TEST(CcAdversaryEnv, StepBeforeResetThrows) {
   CcAdversaryEnv env;
   Rng rng{23};
@@ -392,7 +405,8 @@ TEST(EndToEnd, TrainedAbrAdversaryBeatsRandomTracesAgainstBb) {
   abr::BufferBased bb;
   AbrAdversaryEnv env{m, bb};
 
-  rl::PpoAgent adversary = train_abr_adversary(env, 24576, 51);
+  rl::PpoAgent adversary =
+      train_adversary(env, abr_adversary_ppo_config(), 24576, 51);
 
   // Regret (optimal - protocol QoE) on 20 adversarial vs 20 random traces.
   Rng rng{53};

@@ -416,6 +416,10 @@ TEST(CotrainCampaign, ValidatesTheLoopAxesAtLoadTime) {
   expect_bad("adversaries = fairness\n", "cc-only");
   expect_bad("domain = cc\n", "domain is always abr");
   expect_bad("generator = nosuch\n", "unknown generator");
+  // Counts are strict unsigned integers: no wrap-around, no trailing junk.
+  expect_bad("generations = -1\n", "generations is not an integer: '-1'");
+  expect_bad("candidates = 2x\n", "candidates is not an integer: '2x'");
+  expect_bad("seeds = 1, +2\n", "seeds is not an integer: '+2'");
 }
 
 // Small enough for ctest (NETADV_SCALE is unset here, so every knob is
@@ -477,6 +481,33 @@ TEST(CotrainCampaign, GenerationLoopRunsEndToEndAndNeverDemotes) {
   core::FactoryArgs args;
   args.set("store", base + "/store");
   EXPECT_NE(core::abr_protocols().make("pensieve@champ", args), nullptr);
+}
+
+// Promote reads the matrix's _worst.csv by column name: a reduction without
+// the worst-case columns fails with a named error rather than reading past
+// the end of each row.
+TEST(CotrainCampaign, PromoteRejectsAWorstCsvWithoutItsColumns) {
+  const std::string dir = temp_dir("netadv_promote_bad_worst");
+  exp::JobRegistry registry = exp::builtin_jobs();
+  registry.add("narrow-matrix", [](const exp::JobContext& ctx) {
+    exp::JobResult result;
+    result.artifacts.push_back(ctx.artifact("_worst.csv"));
+    std::ofstream{result.artifacts.back()} << "checkpoint\n0\n1\n";
+    return result;
+  });
+  const exp::CampaignReport report = exp::run_campaign(
+      campaign_from("[campaign]\nname = narrow\nout_dir = " + dir + "\n"
+                    "[job m]\nkind = narrow-matrix\n"
+                    "[job p]\nkind = promote\nafter = m\nmatrix_from = m\n"
+                    "checkpoints = m, m\n"),
+      registry);
+  EXPECT_FALSE(report.ok());
+  const std::string& error = report.outcome_of("p").error;
+  EXPECT_NE(error.find("matrix_from job 'm' has no worst_case_regret and "
+                       "worst_case_qoe columns"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(std::filesystem::exists(dir + "/p_pensieve.ckpt"));
 }
 
 // ------------------------------------------------- determinism / resume

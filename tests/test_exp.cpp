@@ -3,6 +3,8 @@
 // the spec/hash utilities they build on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -76,6 +78,23 @@ TEST(Spec, SplitListTrimsAndDropsEmpties) {
   EXPECT_EQ(items[0], "a");
   EXPECT_EQ(items[1], "b");
   EXPECT_EQ(items[2], "c");
+}
+
+TEST(Spec, StrictNumbersRejectSignsJunkAndNonFinite) {
+  EXPECT_EQ(util::parse_unsigned("0"), 0u);
+  EXPECT_EQ(util::parse_unsigned("18446744073709551615"),
+            18446744073709551615ull);
+  for (const char* bad : {"", "-1", "+2", "20x", " 3", "3 ", "1.5",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(util::parse_unsigned(bad), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(util::parse_finite("2"), 2.0);
+  EXPECT_EQ(util::parse_finite(".5"), 0.5);
+  EXPECT_EQ(util::parse_finite("1e-3"), 1e-3);
+  for (const char* bad : {"", "-1", "+2", "2s", " 2", "nan", "inf",
+                          "infinity", "1e999"}) {
+    EXPECT_EQ(util::parse_finite(bad), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 // ---------------------------------------------------------------- hash
@@ -838,6 +857,215 @@ TEST(BuiltinJobs, FairnessJobsFailWithEnumeratingErrors) {
   EXPECT_NE(bad_reward.outcome_of("train").error.find("jain | victim"),
             std::string::npos)
       << bad_reward.outcome_of("train").error;
+
+  // Numeric params are strict: no sign wrap-around ("-1" is not 2^64 - 1),
+  // no truncated junk ("20x" is not 20), no non-finite durations.
+  const std::string fair_job =
+      "domain = cc\nadversary = fairness\nflows = bbr,bbr\n";
+  for (const auto& [job, needle] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"kind = train-adversary\n" + fair_job + "steps = 20x\n",
+            "steps is not an integer: '20x'"},
+           {"kind = train-adversary\n" + fair_job + "steps = -1\n",
+            "steps is not an integer: '-1'"},
+           {"kind = record-traces\n" + fair_job + "count = -1\n",
+            "count is not an integer: '-1'"},
+           {"kind = train-adversary\n" + fair_job + "duration = nan\n",
+            "duration is not a number: 'nan'"},
+           {"kind = train-adversary\ndomain = cc\nprotocol = bbr\n"
+            "duration = inf\n",
+            "duration is not a number: 'inf'"},
+           {"kind = train-adversary\ndomain = cc\nprotocol = bbr\n"
+            "duration = 2s\n",
+            "duration is not a number: '2s'"},
+           {"kind = train-adversary\ndomain = cc\nprotocol = bbr\n"
+            "steps = 256\nduration = 2\nstore_name = a\n"
+            "store_version = -1\n",
+            "store_version is not an integer: '-1'"},
+       }) {
+    const exp::CampaignReport bad = exp::run_campaign(
+        campaign_from("[campaign]\nname = bad-number\nout_dir = " + dir +
+                      "3\n[job j]\n" + job),
+        exp::builtin_jobs());
+    EXPECT_FALSE(bad.ok()) << job;
+    EXPECT_NE(bad.outcome_of("j").error.find(needle), std::string::npos)
+        << bad.outcome_of("j").error;
+  }
+}
+
+// `flows =` is a cc concept on replay too: an ABR replay must not silently
+// drop it and replay single-flow ABR instead.
+TEST(BuiltinJobs, ReplayRejectsAFlowMixOutsideTheCcDomain) {
+  const std::string dir = temp_dir("netadv_builtin_replay_flows");
+  const exp::CampaignReport report = exp::run_campaign(
+      campaign_from("[campaign]\nname = abr-flows\nout_dir = " + dir + "\n"
+                    "[job corpus]\nkind = gen-traces\ngenerator = random\n"
+                    "count = 2\n"
+                    "[job rep]\nkind = replay\nafter = corpus\n"
+                    "traces = corpus\nprotocol = bb\nflows = bbr,cubic\n"),
+      exp::builtin_jobs());
+  EXPECT_FALSE(report.ok());
+  const std::string& error = report.outcome_of("rep").error;
+  EXPECT_NE(error.find("fairness adversaries need domain = cc"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(std::filesystem::exists(dir + "/rep_qoe.csv"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/rep_replay.csv"));
+}
+
+// ------------------------------------------------- golden campaign
+//
+// Cross-commit identity oracle for the attack job kinds: one tiny campaign
+// covering train-adversary / record-traces / replay for ABR-PPO, ABR-CEM,
+// CC and two fairness scenarios, pinned to the FNV-1a hash of every
+// artifact, every job note and every manifest params_hash. The thread-count
+// gates above only prove identity *within* a build; this one fails when a
+// refactor changes a single byte any of these jobs write. Every budget sits
+// at its NETADV_SCALE floor (steps 256, count 2, CEM iterations 2), so the
+// campaign is the same at any scale; the test still pins 0.01, the smoke
+// scale CI runs campaigns at.
+//
+// The constants are the output of an x86-64 Release build (IEEE doubles,
+// no fast-math). A deliberate change to any of these jobs' numerics must
+// regenerate them — run the test and copy the reported actual values.
+
+std::string golden_campaign_spec(const std::string& dir) {
+  return "[campaign]\nname = golden\nseed = 13\nout_dir = " + dir + "\n"
+         "[job abr-train]\nkind = train-adversary\nprotocol = bb\n"
+         "steps = 256\n"
+         "[job abr-rec]\nkind = record-traces\nafter = abr-train\n"
+         "from = abr-train\nprotocol = bb\ncount = 2\n"
+         "[job abr-rep]\nkind = replay\nafter = abr-rec\ntraces = abr-rec\n"
+         "protocol = mpc\n"
+         "[job cem-rec]\nkind = record-traces\nadversary = cem\n"
+         "protocol = bb\ncount = 2\npopulation = 8\niterations = 2\n"
+         "[job cem-rep]\nkind = replay\nafter = cem-rec\ntraces = cem-rec\n"
+         "protocol = bb\n"
+         "[job cc-train]\nkind = train-adversary\ndomain = cc\n"
+         "protocol = cubic\nsteps = 256\nduration = 2\n"
+         "[job cc-rec]\nkind = record-traces\nafter = cc-train\n"
+         "from = cc-train\ndomain = cc\nprotocol = cubic\ncount = 2\n"
+         "duration = 2\n"
+         "[job cc-rep]\nkind = replay\nafter = cc-rec\ntraces = cc-rec\n"
+         "domain = cc\nprotocol = bbr\n"
+         "[job fair-train]\nkind = train-adversary\ndomain = cc\n"
+         "adversary = fairness\nflows = bbr,cubic\nsteps = 256\n"
+         "duration = 2\n"
+         "[job fair-rec]\nkind = record-traces\nafter = fair-train\n"
+         "from = fair-train\ndomain = cc\nadversary = fairness\n"
+         "flows = bbr,cubic\ncount = 2\nduration = 2\n"
+         "[job fair-rep]\nkind = replay\nafter = fair-rec\n"
+         "traces = fair-rec\ndomain = cc\nflows = bbr,bbr\n"
+         "[job late-train]\nkind = train-adversary\ndomain = cc\n"
+         "adversary = late-join\nreward = victim\nflows = cubic,bbr\n"
+         "steps = 256\nduration = 2\n"
+         "[job late-rec]\nkind = record-traces\nafter = late-train\n"
+         "from = late-train\ndomain = cc\nadversary = late-join\n"
+         "reward = victim\nflows = cubic,bbr\ncount = 2\nduration = 2\n";
+}
+
+struct GoldenArtifact {
+  const char* file;
+  const char* fnv1a;
+};
+
+struct GoldenJob {
+  const char* id;
+  const char* params_hash;
+  const char* note;
+};
+
+constexpr GoldenArtifact kGoldenArtifacts[] = {
+    {"abr-train_adversary.ckpt", "0d06f55fa314e6a5"},
+    {"abr-rec_traces.csv", "cf89ffbad2a0fea2"},
+    {"abr-rec_summary.csv", "9e277b9d1823c05a"},
+    {"abr-rep_qoe.csv", "4d25c127ecd72d5d"},
+    {"cem-rec_traces.csv", "760688a81e77de69"},
+    {"cem-rec_summary.csv", "ccdd54478b99fe44"},
+    {"cem-rep_qoe.csv", "5497b4290581e579"},
+    {"cc-train_adversary.ckpt", "c9ea0abbf3aa0bc7"},
+    {"cc-rec_traces.csv", "c03d49c54e285f50"},
+    {"cc-rec_summary.csv", "252dee4e6ce52ed4"},
+    {"cc-rep_replay.csv", "9c3aa63c1b32acb6"},
+    {"fair-train_adversary.ckpt", "1cffec22f26a224b"},
+    {"fair-rec_traces.csv", "ed54bc5033500277"},
+    {"fair-rec_summary.csv", "1b846262536b7ecd"},
+    {"fair-rep_replay.csv", "46120f2c865a3199"},
+    {"late-train_adversary.ckpt", "3a6f515d8e7c58c0"},
+    {"late-rec_traces.csv", "c2768bdfbe23cdc6"},
+    {"late-rec_summary.csv", "899173647e1f94ac"},
+};
+
+constexpr GoldenJob kGoldenJobs[] = {
+    {"abr-train", "b63954c1fed50ccb",
+     "PPO adversary vs bb, 256 steps"},
+    {"abr-rec", "aee9a772e46edc55",
+     "2 traces, mean regret 105.05 QoE"},
+    {"abr-rep", "f1e6f33b983a39cc",
+     "2 replays, mean QoE 0.99"},
+    {"cem-rec", "6361f60795e283af",
+     "2 traces, mean regret 123.28 QoE"},
+    {"cem-rep", "7efc268b59d7b0b4",
+     "2 replays, mean QoE -0.27"},
+    {"cc-train", "adcb8d38e5760491",
+     "PPO adversary vs cubic, 256 steps"},
+    {"cc-rec", "dd711f329332e83a",
+     "2 cc episodes, mean utilization 11.9%"},
+    {"cc-rep", "ccea0ac1524a0ccb",
+     "2 cc replays, mean utilization 55.1%"},
+    {"fair-train", "9351a83dcb99e72c",
+     "PPO fairness adversary vs bbr,cubic, 256 steps"},
+    {"fair-rec", "16168a377218615c",
+     "2 fairness episodes vs bbr,cubic, mean Jain 0.773, "
+     "victim util 51.2%"},
+    {"fair-rep", "4f1bd90d4252494d",
+     "2 multi-flow replays, mean Jain 0.642"},
+    {"late-train", "2e0ec29d4ceac28f",
+     "PPO late-join adversary vs cubic,bbr, 256 steps"},
+    {"late-rec", "0120938e91216435",
+     "2 late-join episodes vs cubic,bbr, mean Jain 0.859, "
+     "victim util 9.5%"},
+};
+
+TEST(BuiltinJobs, GoldenAttackCampaignIsByteStableAcrossCommits) {
+  ::setenv("NETADV_SCALE", "0.01", /*overwrite=*/1);
+  const std::string dir = temp_dir("netadv_builtin_golden");
+  const exp::CampaignReport report = exp::run_campaign(
+      campaign_from(golden_campaign_spec(dir)), exp::builtin_jobs());
+  ASSERT_TRUE(report.ok());
+
+  // Exactly the pinned artifacts, nothing more (manifest aside).
+  std::vector<std::string> written;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name != exp::kManifestFilename) written.push_back(name);
+  }
+  std::sort(written.begin(), written.end());
+  std::vector<std::string> pinned;
+  for (const GoldenArtifact& a : kGoldenArtifacts) pinned.emplace_back(a.file);
+  std::sort(pinned.begin(), pinned.end());
+  EXPECT_EQ(written, pinned);
+
+  for (const GoldenArtifact& a : kGoldenArtifacts) {
+    const std::string path = dir + "/" + a.file;
+    ASSERT_TRUE(std::filesystem::exists(path)) << a.file;
+    EXPECT_EQ(util::hash_hex(util::fnv1a64_file(path)), a.fnv1a)
+        << "{\"" << a.file << "\", \""
+        << util::hash_hex(util::fnv1a64_file(path)) << "\"},";
+  }
+
+  const std::vector<exp::ManifestEntry> manifest =
+      exp::read_manifest(exp::manifest_path(dir));
+  for (const GoldenJob& job : kGoldenJobs) {
+    const std::string& note = report.outcome_of(job.id).result.note;
+    std::string params_hash;
+    for (const exp::ManifestEntry& entry : manifest) {
+      if (entry.job == job.id) params_hash = entry.params_hash;
+    }
+    EXPECT_EQ(params_hash, job.params_hash) << job.id;
+    EXPECT_EQ(note, job.note) << "{\"" << job.id << "\", \"" << params_hash
+                              << "\", \"" << note << "\"},";
+  }
 }
 
 TEST(BuiltinJobs, FairnessCampaignArtifactsAreIdenticalAcrossThreadCounts) {

@@ -122,6 +122,19 @@ TEST(FairnessAdversaryEnv, Validates) {
   EXPECT_THROW(env.step({0.0, 0.0, 0.0}, rng), std::logic_error);
 }
 
+TEST(FairnessAdversaryEnv, RejectsNonFiniteEpisodeShape) {
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    core::FairnessAdversaryEnv::Params duration;
+    duration.episode_duration_s = bad;
+    EXPECT_THROW(core::FairnessAdversaryEnv{duration}, std::invalid_argument)
+        << bad;
+    core::FairnessAdversaryEnv::Params epoch;
+    epoch.epoch_s = bad;
+    EXPECT_THROW(core::FairnessAdversaryEnv{epoch}, std::invalid_argument)
+        << bad;
+  }
+}
+
 TEST(FairnessAdversaryEnv, AllLossEpochEarnsNothingAndStaysFinite) {
   // Max loss starves every flow. The regression this pins: Jain of an
   // all-zero throughput vector must be 1 (trivially fair) so the pay term

@@ -20,7 +20,6 @@
 #include "cc/cubic.hpp"
 #include "core/recorder.hpp"
 #include "core/trainer.hpp"
-#include "rl/a2c.hpp"
 #include "rl/mlp.hpp"
 #include "rl/ppo.hpp"
 #include "rl/toy_envs.hpp"
@@ -328,36 +327,6 @@ TEST(ParallelGradients, ActivationCacheIdenticalAcrossThreadCountsAndToggle) {
   }
 }
 
-std::vector<double> train_a2c_shadow_at(util::ThreadPool* pool) {
-  util::set_log_level(util::LogLevel::kWarn);
-  rl::A2cConfig cfg;
-  cfg.hidden_sizes = {12};
-  cfg.n_steps = 32;
-  rl::ContextualBanditEnv env{2, 3, 8};
-  rl::A2cAgent agent{env.observation_size(), env.action_spec(), cfg, 19};
-  agent.set_thread_pool(pool);
-  agent.train(env, 256);
-  // A2cAgent has no checkpoint accessors; probe the policy through actions
-  // and values on a fixed observation grid instead.
-  std::vector<double> signature;
-  for (std::size_t c = 0; c < 2; ++c) {
-    rl::Vec obs(2, 0.0);
-    obs[c] = 1.0;
-    signature.push_back(agent.act_deterministic(obs)[0]);
-    signature.push_back(agent.value_estimate(obs));
-  }
-  return signature;
-}
-
-TEST(ParallelGradients, A2cShadowPathMatchesSequential) {
-  const std::vector<double> reference = train_a2c_shadow_at(nullptr);
-  for (std::size_t threads : kThreadCounts) {
-    util::ThreadPool pool{threads};
-    EXPECT_EQ(train_a2c_shadow_at(&pool), reference)
-        << "A2C policy differs at " << threads << " threads";
-  }
-}
-
 std::vector<rl::PpoAgent> train_adversary_pair_at(util::ThreadPool* pool) {
   util::set_log_level(util::LogLevel::kWarn);
   abr::VideoManifest::Params mp;
@@ -367,10 +336,11 @@ std::vector<rl::PpoAgent> train_adversary_pair_at(util::ThreadPool* pool) {
   abr::BufferBased bb1;
   core::AbrAdversaryEnv env0{m, bb0};
   core::AbrAdversaryEnv env1{m, bb1};
+  const rl::PpoConfig config = core::abr_adversary_ppo_config();
   // One PPO update each (n_steps = 2048 in the adversary config).
-  return core::train_abr_adversaries(
-      {{.env = &env0, .steps = 1, .seed = 7},
-       {.env = &env1, .steps = 1, .seed = 13}},
+  return core::train_adversaries(
+      {{.env = &env0, .config = config, .steps = 1, .seed = 7},
+       {.env = &env1, .config = config, .steps = 1, .seed = 13}},
       pool);
 }
 

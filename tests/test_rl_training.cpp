@@ -125,6 +125,21 @@ TEST(PpoAgent, ConstructorValidatesArguments) {
                std::invalid_argument);
 }
 
+// Protocols and recorders hold "an RL policy" through rl::Agent; the trainer
+// must train, evaluate and describe itself through that base class alone.
+TEST(AgentInterface, PolymorphicUseAcrossAlgorithms) {
+  ContextualBanditEnv env{2, 3, 16};
+  PpoConfig cfg = small_config();
+  cfg.epochs = 10;
+  PpoAgent ppo{env.observation_size(), env.action_spec(), cfg, 29};
+  Agent& agent = ppo;
+  agent.train(env, 8000);
+  Rng rng{3};
+  EXPECT_GT(agent.evaluate(env, 10, rng), 10.0);  // well above random (5.3)
+  EXPECT_EQ(agent.observation_size(), env.observation_size());
+  EXPECT_EQ(agent.action_spec().num_actions, 3u);
+}
+
 TEST(Checkpoint, RoundTripPreservesBehaviour) {
   ContextualBanditEnv env{2, 3, 16};
   PpoAgent agent{env.observation_size(), env.action_spec(), small_config(), 29};
