@@ -8,13 +8,13 @@
 // updates, a miniature Figure-1 pipeline (concurrent adversary training +
 // batch trace recording) at 1/2/N threads, the campaign DAG scheduler
 // (per-job dispatch overhead and a miniature campaign at 1/2/8 threads),
-// the scalar-vs-AVX2/AVX-512 MLP math kernels, the fp32 inference fast
-// path vs the fp64 SIMD kernels, and a shadow-gradient epoch with the
-// rollout activation cache on vs off — and drops the numbers as
+// the scalar-vs-AVX2/AVX-512 MLP math kernels, and a shadow-gradient epoch
+// with the rollout activation cache on vs off — and drops the numbers as
 // bench_out/BENCH_parallel.json so the perf trajectory of the threading
 // and SIMD work is tracked across PRs.
 // Every section also re-checks the determinism contract: results at N
-// threads (and on either kernel backend) must be bit-identical.
+// threads (and on either kernel backend) must be bit-identical. The binary
+// exits non-zero when any of those identity checks fails.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -291,7 +291,9 @@ double time_seconds(Fn&& fn) {
   return std::chrono::duration<double>(stop - start).count();
 }
 
-void write_parallel_artifact() {
+/// Measures every section and writes BENCH_parallel.json; returns false if
+/// any identity check failed (or the artifact could not be written).
+bool write_parallel_artifact() {
   const std::size_t hw = util::ThreadPool::default_thread_count();
   std::vector<std::size_t> thread_counts{1, 2};
   if (hw > 2) thread_counts.push_back(hw);
@@ -734,94 +736,6 @@ void write_parallel_artifact() {
     }
   }
 
-  // --- kernels_f32: the fp32 inference fast path vs the fp64 SIMD kernels,
-  // both through the dispatched entry points (the active backend — the best
-  // this host supports). fp32 halves memory traffic and doubles SIMD width,
-  // so the gemm target is >= 2x over fp64. ---
-  struct F32Sample {
-    const char* name = "";
-    double f64_seconds = 0.0;
-    double f32_seconds = 0.0;
-  };
-  std::vector<F32Sample> f32_samples;
-  {
-    util::Rng krng{78};
-    const std::size_t kr = 64, kc = 64, kb = 256;
-    rl::Vec kw(kr * kc), kb_bias(kr), kx(kc), kxb(kb * kc);
-    for (auto& v : kw) v = krng.uniform(-1.0, 1.0);
-    for (auto& v : kb_bias) v = krng.uniform(-1.0, 1.0);
-    for (auto& v : kx) v = krng.uniform(-1.0, 1.0);
-    for (auto& v : kxb) v = krng.uniform(-1.0, 1.0);
-    const std::vector<float> kwf(kw.begin(), kw.end());
-    const std::vector<float> kbf(kb_bias.begin(), kb_bias.end());
-    const std::vector<float> kxf(kx.begin(), kx.end());
-    const std::vector<float> kxbf(kxb.begin(), kxb.end());
-
-    {
-      F32Sample s;
-      s.name = "gemm_64x64_batch256";
-      rl::Vec yd(kb * kr, 0.0);
-      std::vector<float> yf(kb * kr, 0.0f);
-      const std::size_t reps = 40;
-      s.f64_seconds = time_seconds([&] {
-        for (std::size_t i = 0; i < reps; ++i) {
-          rl::kernels::gemm(kw, kr, kc, kxb, kb, kb_bias, yd);
-        }
-      });
-      s.f32_seconds = time_seconds([&] {
-        for (std::size_t i = 0; i < reps; ++i) {
-          rl::kernels::gemm(kwf, kr, kc, kxbf, kb, kbf, yf);
-        }
-      });
-      f32_samples.push_back(s);
-    }
-    {
-      F32Sample s;
-      s.name = "gemv_64x64";
-      rl::Vec yd(kr, 0.0);
-      std::vector<float> yf(kr, 0.0f);
-      const std::size_t reps = 20000;
-      s.f64_seconds = time_seconds([&] {
-        for (std::size_t i = 0; i < reps; ++i) {
-          rl::kernels::gemv(kw, kr, kc, kx, kb_bias, yd);
-        }
-      });
-      s.f32_seconds = time_seconds([&] {
-        for (std::size_t i = 0; i < reps; ++i) {
-          rl::kernels::gemv(kwf, kr, kc, kxf, kbf, yf);
-        }
-      });
-      f32_samples.push_back(s);
-    }
-    {
-      F32Sample s;
-      s.name = "dot_4096";
-      rl::Vec a(4096), c(4096);
-      for (auto& v : a) v = krng.uniform(-1.0, 1.0);
-      for (auto& v : c) v = krng.uniform(-1.0, 1.0);
-      const std::vector<float> af(a.begin(), a.end());
-      const std::vector<float> cf(c.begin(), c.end());
-      double rd = 0.0;
-      float rf = 0.0f;
-      const std::size_t reps = 20000;
-      s.f64_seconds = time_seconds([&] {
-        for (std::size_t i = 0; i < reps; ++i) rd += rl::kernels::dot(a, c);
-      });
-      s.f32_seconds = time_seconds([&] {
-        for (std::size_t i = 0; i < reps; ++i) rf += rl::kernels::dot(af, cf);
-      });
-      benchmark::DoNotOptimize(rd);
-      benchmark::DoNotOptimize(rf);
-      f32_samples.push_back(s);
-    }
-  }
-  double f32_gemm_speedup = 0.0;
-  for (const auto& s : f32_samples) {
-    if (std::string{s.name}.rfind("gemm", 0) == 0 && s.f32_seconds > 0.0) {
-      f32_gemm_speedup = s.f64_seconds / s.f32_seconds;
-    }
-  }
-
   // --- activation_cache: one shadow-gradient epoch over a 1024-step rollout
   // (single full-batch minibatch, so every sample's rollout activations are
   // still version-fresh) with the cache on vs off. An epoch without the
@@ -920,11 +834,15 @@ void write_parallel_artifact() {
     return best;
   };
 
+  const bool all_identical = replay_identical && gradient_identical &&
+                             pipeline_identical && sched_identical &&
+                             worker_identical && kernel_identical &&
+                             cache_params_identical;
   const std::string path = util::bench_output_dir() + "/BENCH_parallel.json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     util::log_error("BENCH_parallel: cannot open %s", path.c_str());
-    return;
+    return false;
   }
   const auto write_samples = [&](const char* key,
                                  const std::vector<ThreadSample>& samples,
@@ -991,19 +909,6 @@ void write_parallel_artifact() {
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"kernel_gemm_speedup_scalar_to_avx2\": %.3f,\n",
                kernel_gemm_speedup);
-  std::fprintf(f, "  \"kernels_f32\": [\n");
-  for (std::size_t i = 0; i < f32_samples.size(); ++i) {
-    const auto& s = f32_samples[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"f64_seconds\": %.6f, "
-                 "\"f32_seconds\": %.6f, \"speedup_f32_vs_f64\": %.3f}%s\n",
-                 s.name, s.f64_seconds, s.f32_seconds,
-                 s.f32_seconds > 0.0 ? s.f64_seconds / s.f32_seconds : 0.0,
-                 i + 1 < f32_samples.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"kernel_f32_gemm_speedup_vs_f64\": %.3f,\n",
-               f32_gemm_speedup);
   std::fprintf(f, "  \"activation_cache\": {\n");
   std::fprintf(f, "    \"rollout_steps\": %zu,\n", cache_steps);
   std::fprintf(f, "    \"epochs_timed\": %zu,\n", cache_reps);
@@ -1046,20 +951,15 @@ void write_parallel_artifact() {
   std::fclose(f);
   util::log_info("BENCH_parallel: wrote %s (replay %.2fx, rollout %.2fx, "
                  "gradient %.2fx, fig pipeline %.2fx at %zu threads; "
-                 "campaign dispatch %.1f us/job; gemm scalar->%s %.2fx, "
-                 "gemm f64->f32 %.2fx; activation cache epoch drop %.0f%%; "
+                 "campaign dispatch %.1f us/job; gemm scalar->%s %.2fx; "
+                 "activation cache epoch drop %.0f%%; "
                  "all results identical: %s)",
                  path.c_str(), speedup(replay_samples),
                  speedup(rollout_samples), speedup(gradient_samples),
                  speedup(pipeline_samples), hw, dispatch_us_per_job,
                  rl::kernels::backend_name(), kernel_gemm_speedup,
-                 f32_gemm_speedup, cache_epoch_drop * 100.0,
-                 replay_identical && gradient_identical &&
-                         pipeline_identical && sched_identical &&
-                         worker_identical && kernel_identical &&
-                         cache_params_identical
-                     ? "yes"
-                     : "NO");
+                 cache_epoch_drop * 100.0, all_identical ? "yes" : "NO");
+  return all_identical;
 }
 
 }  // namespace
@@ -1069,6 +969,11 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  write_parallel_artifact();
+  if (!write_parallel_artifact()) {
+    util::log_error(
+        "BENCH_parallel: an identity check failed or the artifact could not "
+        "be written");
+    return 1;
+  }
   return 0;
 }

@@ -55,11 +55,11 @@
 #include "exp/scheduler.hpp"
 #include "exp/spool.hpp"
 #include "rl/kernels.hpp"
-#include "rl/mlp.hpp"
 #include "serve/engine.hpp"
 #include "trace/generators.hpp"
 #include "trace/mahimahi.hpp"
 #include "trace/trace.hpp"
+#include "util/config.hpp"
 #include "util/fsatomic.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
@@ -495,6 +495,7 @@ int cmd_info(const std::vector<std::string>& args) {
 
   const char* simd_env = std::getenv("NETADV_SIMD");
   const char* threads_env = std::getenv("NETADV_THREADS");
+  const char* scale_env = std::getenv("NETADV_SCALE");
   std::printf("kernel backends (compiled / cpu / usable):\n");
   const struct {
     const char* name;
@@ -522,11 +523,8 @@ int cmd_info(const std::vector<std::string>& args) {
   std::printf("NETADV_THREADS   %s -> %zu lanes\n",
               threads_env ? threads_env : "(unset, hardware)",
               util::ThreadPool::default_thread_count());
-  std::printf("NETADV_F32_ROLLOUT %s -> fp32 rollout default %s\n",
-              std::getenv("NETADV_F32_ROLLOUT")
-                  ? std::getenv("NETADV_F32_ROLLOUT")
-                  : "(unset)",
-              rl::f32_rollout_env_default() ? "on" : "off");
+  std::printf("NETADV_SCALE     %s -> %g\n",
+              scale_env ? scale_env : "(unset, 1)", util::bench_scale());
   return 0;
 }
 

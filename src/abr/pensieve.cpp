@@ -150,8 +150,8 @@ rl::PpoAgent make_pensieve_agent(const VideoManifest& manifest,
                       config, seed};
 }
 
-PensievePolicy::PensievePolicy(rl::Agent& agent, std::string name)
-    : agent_(&agent), name_(std::move(name)) {}
+PensievePolicy::PensievePolicy(rl::PpoAgent& agent, std::string name)
+    : agent_(agent), name_(std::move(name)) {}
 
 void PensievePolicy::begin_video(const VideoManifest& manifest) {
   manifest_ = &manifest;
@@ -162,7 +162,7 @@ std::size_t PensievePolicy::choose_quality(const AbrObservation& observation) {
     throw std::logic_error{"PensievePolicy: begin_video not called"};
   }
   const rl::Vec features = pensieve_features(observation, *manifest_);
-  const rl::Vec action = agent_->act_deterministic(features);
+  const rl::Vec action = agent_.act_deterministic(features);
   return static_cast<std::size_t>(action[0]);
 }
 

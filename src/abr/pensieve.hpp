@@ -82,19 +82,18 @@ rl::PpoAgent make_pensieve_agent(const VideoManifest& manifest,
                                  const rl::PpoConfig& config = pensieve_ppo_config());
 
 /// Serve a trained agent behind the AbrProtocol interface (deterministic
-/// greedy policy, like deploying Pensieve's trained actor). Accepts any
-/// rl::Agent.
+/// greedy policy, like deploying Pensieve's trained actor).
 class PensievePolicy final : public AbrProtocol {
  public:
   /// Non-owning: `agent` must outlive the policy.
-  explicit PensievePolicy(rl::Agent& agent, std::string name = "pensieve");
+  explicit PensievePolicy(rl::PpoAgent& agent, std::string name = "pensieve");
 
   std::string name() const override { return name_; }
   void begin_video(const VideoManifest& manifest) override;
   std::size_t choose_quality(const AbrObservation& observation) override;
 
  private:
-  rl::Agent* agent_;
+  rl::PpoAgent& agent_;
   std::string name_;
   const VideoManifest* manifest_ = nullptr;
 };

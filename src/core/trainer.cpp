@@ -8,7 +8,6 @@
 
 #include "core/recorder.hpp"
 #include "rl/checkpoint.hpp"
-#include "rl/kernels.hpp"
 #include "util/log.hpp"
 
 namespace netadv::core {
@@ -56,12 +55,6 @@ rl::PpoAgent train_adversary(rl::Env& env, const rl::PpoConfig& config,
                              util::ThreadPool* pool) {
   rl::PpoAgent agent{env.observation_size(), env.action_spec(), config, seed};
   agent.set_thread_pool(pool);
-  // Which math path a run used (`netadv_cli info` shows the same resolution)
-  // — fp32 rollout changes results by rounding, so it matters for
-  // reproducing a recorded experiment.
-  util::log_debug("train_adversary: %s kernels, fp32 rollout %s",
-                  rl::kernels::backend_name(),
-                  agent.f32_rollout() ? "on" : "off");
   agent.train(env, steps, callback);
   agent.set_thread_pool(nullptr);
   return agent;

@@ -1,5 +1,6 @@
 #include "rl/checkpoint.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -16,15 +17,29 @@ void write_vector(std::ostream& out, const std::string& key,
   out << '\n';
 }
 
-std::vector<double> read_vector(std::istream& in, const std::string& expected_key) {
+/// Read `<key> <n> <n values>`. The declared n is untrusted: it must equal
+/// `expected` (the size the agent's topology implies) before anything is
+/// allocated, so a corrupt count fails with a named error instead of a
+/// bad_alloc or an OOM kill.
+std::vector<double> read_vector(std::istream& in, const std::string& expected_key,
+                                std::size_t expected, const std::string& path) {
   std::string key;
   std::size_t n = 0;
   if (!(in >> key >> n) || key != expected_key) {
-    throw std::runtime_error{"checkpoint: expected key '" + expected_key + "'"};
+    throw std::runtime_error{"load_checkpoint: expected key '" + expected_key +
+                             "' in " + path};
+  }
+  if (n != expected) {
+    throw std::runtime_error{"load_checkpoint: '" + key + "' declares " +
+                             std::to_string(n) + " values, the agent expects " +
+                             std::to_string(expected) + " in " + path};
   }
   std::vector<double> values(n);
   for (auto& v : values) {
-    if (!(in >> v)) throw std::runtime_error{"checkpoint: truncated vector " + key};
+    if (!(in >> v)) {
+      throw std::runtime_error{"load_checkpoint: truncated vector '" + key +
+                               "' in " + path};
+    }
   }
   return values;
 }
@@ -40,8 +55,9 @@ CheckpointMeta read_meta_block(std::istream& in, const std::string& path) {
   }
   std::string line;
   std::getline(in, line);  // consume the rest of the `meta <n>` line
+  // n is untrusted, so no reserve(n): a corrupt count runs out of lines
+  // (and throws) long before it could exhaust memory.
   CheckpointMeta meta;
-  meta.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (!std::getline(in, line)) {
       throw std::runtime_error{"load_checkpoint: truncated meta block in " +
@@ -136,26 +152,19 @@ void load_checkpoint(PpoAgent& agent, const std::string& path) {
     throw std::runtime_error{"load_checkpoint: action space mismatch"};
   }
 
-  const auto actor = read_vector(in, "actor");
-  if (actor.size() != agent.actor().param_count()) {
-    throw std::runtime_error{"load_checkpoint: actor parameter count mismatch"};
-  }
+  const auto actor =
+      read_vector(in, "actor", agent.actor().param_count(), path);
   std::copy(actor.begin(), actor.end(), agent.actor().params().begin());
 
-  const auto critic = read_vector(in, "critic");
-  if (critic.size() != agent.critic().param_count()) {
-    throw std::runtime_error{"load_checkpoint: critic parameter count mismatch"};
-  }
+  const auto critic =
+      read_vector(in, "critic", agent.critic().param_count(), path);
   std::copy(critic.begin(), critic.end(), agent.critic().params().begin());
 
-  const auto log_std = read_vector(in, "log_std");
-  if (log_std.size() != agent.log_std().size()) {
-    throw std::runtime_error{"load_checkpoint: log_std size mismatch"};
-  }
-  agent.log_std() = log_std;
+  agent.log_std() = read_vector(in, "log_std", agent.log_std().size(), path);
 
-  auto obs_mean = read_vector(in, "obs_mean");
-  auto obs_second = read_vector(in, version == "v1" ? "obs_var" : "obs_m2");
+  auto obs_mean = read_vector(in, "obs_mean", obs_size, path);
+  auto obs_second = read_vector(in, version == "v1" ? "obs_var" : "obs_m2",
+                                obs_size, path);
   std::size_t obs_count = 0;
   if (!(in >> key >> obs_count) || key != "obs_count") {
     throw std::runtime_error{"load_checkpoint: missing obs_count"};

@@ -1,9 +1,8 @@
-// Scalar reference implementation of the canonical accumulation orders
+// Scalar reference implementation of the canonical accumulation order
 // (see kernels.hpp) plus the runtime backend dispatch. This TU is compiled
 // without ISA-specific flags so the binary runs on any x86-64 (or non-x86)
-// host; std::fma / std::fmaf are correctly rounded everywhere, which is what
-// makes the scalar path bit-identical to the fused-multiply-add hardware
-// backends.
+// host; std::fma is correctly rounded everywhere, which is what makes the
+// scalar path bit-identical to the fused-multiply-add hardware backends.
 #include "rl/kernels.hpp"
 
 #include <atomic>
@@ -31,19 +30,6 @@ inline double dot_canonical(const double* a, const double* b,
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-/// Canonical float dot product: kLanesF32 interleaved fmaf partial sums,
-/// combined as ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)). The single source of
-/// truth for the fp32 accumulation order.
-inline float dot_canonical_f32(const float* a, const float* b,
-                               std::size_t n) noexcept {
-  float lane[kLanesF32] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
-  for (std::size_t i = 0; i < n; ++i) {
-    lane[i % kLanesF32] = std::fmaf(a[i], b[i], lane[i % kLanesF32]);
-  }
-  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-}
-
 }  // namespace
 
 namespace scalar {
@@ -60,18 +46,6 @@ void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
   }
 }
 
-void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::span<const float> b,
-          std::span<float> y) {
-  assert(w.size() == rows * cols);
-  assert(x.size() == cols);
-  assert(b.size() == rows);
-  assert(y.size() == rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    y[r] = b[r] + dot_canonical_f32(w.data() + r * cols, x.data(), cols);
-  }
-}
-
 void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::size_t batch,
           std::span<const double> b, std::span<double> y) {
@@ -84,22 +58,6 @@ void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
     double* yn = y.data() + n * rows;
     for (std::size_t r = 0; r < rows; ++r) {
       yn[r] = b[r] + dot_canonical(w.data() + r * cols, xn, cols);
-    }
-  }
-}
-
-void gemm(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::size_t batch,
-          std::span<const float> b, std::span<float> y) {
-  assert(w.size() == rows * cols);
-  assert(x.size() == batch * cols);
-  assert(b.size() == rows);
-  assert(y.size() == batch * rows);
-  for (std::size_t n = 0; n < batch; ++n) {
-    const float* xn = x.data() + n * cols;
-    float* yn = y.data() + n * rows;
-    for (std::size_t r = 0; r < rows; ++r) {
-      yn[r] = b[r] + dot_canonical_f32(w.data() + r * cols, xn, cols);
     }
   }
 }
@@ -140,11 +98,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return dot_canonical(a.data(), b.data(), a.size());
 }
 
-float dot(std::span<const float> a, std::span<const float> b) {
-  assert(a.size() == b.size());
-  return dot_canonical_f32(a.data(), b.data(), a.size());
-}
-
 }  // namespace scalar
 
 // Builds that compile a backend TU out keep its namespace linkable so tests
@@ -156,19 +109,9 @@ float dot(std::span<const float> a, std::span<const float> b) {
             std::span<double> y) {                                            \
     scalar::gemv(w, rows, cols, x, b, y);                                     \
   }                                                                           \
-  void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,     \
-            std::span<const float> x, std::span<const float> b,               \
-            std::span<float> y) {                                             \
-    scalar::gemv(w, rows, cols, x, b, y);                                     \
-  }                                                                           \
   void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,    \
             std::span<const double> x, std::size_t batch,                     \
             std::span<const double> b, std::span<double> y) {                 \
-    scalar::gemm(w, rows, cols, x, batch, b, y);                              \
-  }                                                                           \
-  void gemm(std::span<const float> w, std::size_t rows, std::size_t cols,     \
-            std::span<const float> x, std::size_t batch,                      \
-            std::span<const float> b, std::span<float> y) {                   \
     scalar::gemm(w, rows, cols, x, batch, b, y);                              \
   }                                                                           \
   void gemv_transposed(std::span<const double> w, std::size_t rows,           \
@@ -181,9 +124,6 @@ float dot(std::span<const float> a, std::span<const float> b) {
     scalar::rank1_update(w, rows, cols, g, x);                                \
   }                                                                           \
   double dot(std::span<const double> a, std::span<const double> b) {          \
-    return scalar::dot(a, b);                                                 \
-  }                                                                           \
-  float dot(std::span<const float> a, std::span<const float> b) {             \
     return scalar::dot(a, b);                                                 \
   }
 
@@ -380,39 +320,9 @@ void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
   }
 }
 
-void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::span<const float> b,
-          std::span<float> y) {
-  switch (active_backend()) {
-    case Backend::kAvx512:
-      return avx512::gemv(w, rows, cols, x, b, y);
-    case Backend::kAvx2:
-      return avx2::gemv(w, rows, cols, x, b, y);
-    case Backend::kNeon:
-      return neon::gemv(w, rows, cols, x, b, y);
-    case Backend::kScalar:
-      return scalar::gemv(w, rows, cols, x, b, y);
-  }
-}
-
 void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::size_t batch,
           std::span<const double> b, std::span<double> y) {
-  switch (active_backend()) {
-    case Backend::kAvx512:
-      return avx512::gemm(w, rows, cols, x, batch, b, y);
-    case Backend::kAvx2:
-      return avx2::gemm(w, rows, cols, x, batch, b, y);
-    case Backend::kNeon:
-      return neon::gemm(w, rows, cols, x, batch, b, y);
-    case Backend::kScalar:
-      return scalar::gemm(w, rows, cols, x, batch, b, y);
-  }
-}
-
-void gemm(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::size_t batch,
-          std::span<const float> b, std::span<float> y) {
   switch (active_backend()) {
     case Backend::kAvx512:
       return avx512::gemm(w, rows, cols, x, batch, b, y);
@@ -455,20 +365,6 @@ void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols,
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {
-  switch (active_backend()) {
-    case Backend::kAvx512:
-      return avx512::dot(a, b);
-    case Backend::kAvx2:
-      return avx2::dot(a, b);
-    case Backend::kNeon:
-      return neon::dot(a, b);
-    case Backend::kScalar:
-      return scalar::dot(a, b);
-  }
-  return scalar::dot(a, b);
-}
-
-float dot(std::span<const float> a, std::span<const float> b) {
   switch (active_backend()) {
     case Backend::kAvx512:
       return avx512::dot(a, b);

@@ -1,6 +1,6 @@
 // Vectorized math kernels for the MLP core (gemv, gemm, transposed gemv,
 // rank-1 update, dot) behind runtime CPU dispatch, preserving the repo's
-// bit-exactness contract — in two precisions.
+// bit-exactness contract. Everything is fp64 (DESIGN.md §7).
 //
 // The canonical accumulation order
 // --------------------------------
@@ -36,21 +36,6 @@
 // {0,1} in one accumulator, lanes {2,3} in the other, fma'd in the same
 // element order. Both are bit-identical to the scalar reference.
 //
-// The float32 inference path
-// --------------------------
-// The f32 overload set (gemv / gemm / dot on float spans) is the rollout
-// fast path: half the bytes, twice the SIMD width. Its canonical order is
-// kLanesF32 = 8 interleaved fmaf partial sums (the AVX2 float width),
-// combined in the fixed tree
-//
-//   ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
-//
-// with the same widening rules: AVX-512 packs two rows' 8-lane accumulators
-// per zmm, NEON splits the 8 lanes across two 4-wide q registers. std::fmaf
-// is correctly rounded, so scalar and SIMD f32 agree bit for bit. There are
-// deliberately NO f32 gradient kernels (gemv_transposed / rank1_update):
-// training math stays float64 (DESIGN.md §7, precision contract).
-//
 // Backends are always available by name (`kernels::scalar`, `kernels::avx2`,
 // `kernels::avx512`, `kernels::neon`); names whose TU was compiled out (or
 // whose ISA the CPU lacks) forward to the scalar implementation, so callers
@@ -74,10 +59,6 @@ namespace netadv::rl::kernels {
 /// Number of interleaved partial sums in the canonical double reduction
 /// order (the AVX2 register width in doubles).
 inline constexpr std::size_t kLanes = 4;
-
-/// Number of interleaved partial sums in the canonical float reduction
-/// order (the AVX2 register width in floats).
-inline constexpr std::size_t kLanesF32 = 8;
 
 enum class Backend { kScalar, kAvx2, kAvx512, kNeon };
 
@@ -114,25 +95,18 @@ Backend set_backend(Backend backend) noexcept;
 
 // ---------------------------------------------------------------------------
 // Dispatched entry points. Semantics and bit-exact results are identical
-// across backends; only wall-clock differs. The float overloads form the
-// inference-only f32 fast path (no gradient kernels — see file comment).
+// across backends; only wall-clock differs.
 
 /// y = W x + b, W row-major (rows x cols). Per row: bias + canonical dot.
 void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::span<const double> b,
           std::span<double> y);
-void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::span<const float> b,
-          std::span<float> y);
 
 /// Batched forward: Y = X W^T + 1 b^T with X (batch x cols) and Y
 /// (batch x rows), each output element computed exactly like gemv's.
 void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::size_t batch,
           std::span<const double> b, std::span<double> y);
-void gemm(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::size_t batch,
-          std::span<const float> b, std::span<float> y);
 
 /// y = W^T g. Element-wise fma accumulation over rows (no lane reduction).
 void gemv_transposed(std::span<const double> w, std::size_t rows,
@@ -145,9 +119,8 @@ void gemv_transposed(std::span<const double> w, std::size_t rows,
 void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols,
                   std::span<const double> g, std::span<const double> x);
 
-/// Canonical 4-lane (double) / 8-lane (float) dot; requires equal sizes.
+/// Canonical 4-lane dot; requires equal sizes.
 double dot(std::span<const double> a, std::span<const double> b);
-float dot(std::span<const float> a, std::span<const float> b);
 
 // ---------------------------------------------------------------------------
 // Named backends, for bit-identity tests and the kernel micro-bench. Every
@@ -158,22 +131,15 @@ float dot(std::span<const float> a, std::span<const float> b);
   void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,   \
             std::span<const double> x, std::span<const double> b,            \
             std::span<double> y);                                            \
-  void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,    \
-            std::span<const float> x, std::span<const float> b,              \
-            std::span<float> y);                                             \
   void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,   \
             std::span<const double> x, std::size_t batch,                    \
             std::span<const double> b, std::span<double> y);                 \
-  void gemm(std::span<const float> w, std::size_t rows, std::size_t cols,    \
-            std::span<const float> x, std::size_t batch,                     \
-            std::span<const float> b, std::span<float> y);                   \
   void gemv_transposed(std::span<const double> w, std::size_t rows,          \
                        std::size_t cols, std::span<const double> g,          \
                        std::span<double> y);                                 \
   void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols, \
                     std::span<const double> g, std::span<const double> x);   \
-  double dot(std::span<const double> a, std::span<const double> b);          \
-  float dot(std::span<const float> a, std::span<const float> b);
+  double dot(std::span<const double> a, std::span<const double> b);
 
 namespace scalar {
 NETADV_KERNEL_BACKEND_DECLS

@@ -41,74 +41,6 @@ inline double dot_canonical_avx2(const double* a, const double* b,
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-/// The canonical 8-lane reduction tree, in-register. _mm_hadd_ps performs
-/// the exact pairwise float additions the scalar tree
-///   ((l0+l1) + (l2+l3)) + ((l4+l5) + (l6+l7))
-/// spells out — each hadd slot is one of the tree's adds on the same two
-/// operands — so this is a latency optimization, never a value change.
-inline float reduce_canonical_f32(__m256 acc) noexcept {
-  const __m128 lo = _mm256_castps256_ps128(acc);    // l0..l3
-  const __m128 hi = _mm256_extractf128_ps(acc, 1);  // l4..l7
-  const __m128 s1 = _mm_hadd_ps(lo, hi);  // [l0+l1, l2+l3, l4+l5, l6+l7]
-  const __m128 s2 = _mm_hadd_ps(s1, s1);  // [(l0+l1)+(l2+l3), (l4+l5)+(l6+l7), ..]
-  return _mm_cvtss_f32(s2) +
-         _mm_cvtss_f32(_mm_shuffle_ps(s2, s2, 0x55));
-}
-
-/// Canonical float dot product: one 8-wide accumulator whose lane j holds
-/// the partial sum of elements i with i % 8 == j; tail folded by std::fmaf;
-/// lanes combined in the fixed kLanesF32 tree (kernels.hpp). Matches
-/// kernels.cpp's dot_canonical_f32 bit for bit.
-inline float dot_canonical_avx2_f32(const float* a, const float* b,
-                                    std::size_t n) noexcept {
-  __m256 acc = _mm256_setzero_ps();
-  const std::size_t n8 = n & ~static_cast<std::size_t>(7);
-  for (std::size_t i = 0; i < n8; i += 8) {
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), acc);
-  }
-  if (n8 == n) return reduce_canonical_f32(acc);
-  alignas(32) float lane[8];
-  _mm256_store_ps(lane, acc);
-  for (std::size_t i = n8; i < n; ++i) {
-    lane[i - n8] = std::fmaf(a[i], b[i], lane[i - n8]);
-  }
-  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-}
-
-/// Two canonical float dots sharing one pass over x: independent 8-lane
-/// accumulators per row (identical chains to dot_canonical_avx2_f32), with
-/// the x load amortized across the pair. Row-pairing halves the x traffic of
-/// the fp32 inference gemv, whose matrices have even row counts in every MLP
-/// layer this project builds.
-inline void dot_pair_f32(const float* row0, const float* row1, const float* x,
-                         std::size_t n, float* out0, float* out1) noexcept {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  const std::size_t n8 = n & ~static_cast<std::size_t>(7);
-  for (std::size_t i = 0; i < n8; i += 8) {
-    const __m256 xv = _mm256_loadu_ps(x + i);
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(row0 + i), xv, acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(row1 + i), xv, acc1);
-  }
-  if (n8 == n) {
-    *out0 = reduce_canonical_f32(acc0);
-    *out1 = reduce_canonical_f32(acc1);
-    return;
-  }
-  alignas(32) float lane0[8], lane1[8];
-  _mm256_store_ps(lane0, acc0);
-  _mm256_store_ps(lane1, acc1);
-  for (std::size_t i = n8; i < n; ++i) {
-    lane0[i - n8] = std::fmaf(row0[i], x[i], lane0[i - n8]);
-    lane1[i - n8] = std::fmaf(row1[i], x[i], lane1[i - n8]);
-  }
-  *out0 = ((lane0[0] + lane0[1]) + (lane0[2] + lane0[3])) +
-          ((lane0[4] + lane0[5]) + (lane0[6] + lane0[7]));
-  *out1 = ((lane1[0] + lane1[1]) + (lane1[2] + lane1[3])) +
-          ((lane1[4] + lane1[5]) + (lane1[6] + lane1[7]));
-}
-
 }  // namespace
 
 void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
@@ -189,49 +121,6 @@ void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols,
 double dot(std::span<const double> a, std::span<const double> b) {
   assert(a.size() == b.size());
   return dot_canonical_avx2(a.data(), b.data(), a.size());
-}
-
-// ---------------------------------------------------------------------------
-// fp32 inference path (kLanesF32 = 8 canonical order; no gradient kernels —
-// see kernels.hpp).
-
-void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::span<const float> b,
-          std::span<float> y) {
-  assert(w.size() == rows * cols);
-  assert(x.size() == cols);
-  assert(b.size() == rows);
-  assert(y.size() == rows);
-  const std::size_t r2 = rows & ~static_cast<std::size_t>(1);
-  for (std::size_t r = 0; r < r2; r += 2) {
-    float d0, d1;
-    dot_pair_f32(w.data() + r * cols, w.data() + (r + 1) * cols, x.data(),
-                 cols, &d0, &d1);
-    y[r] = b[r] + d0;
-    y[r + 1] = b[r + 1] + d1;
-  }
-  if (r2 < rows) {
-    y[r2] =
-        b[r2] + dot_canonical_avx2_f32(w.data() + r2 * cols, x.data(), cols);
-  }
-}
-
-void gemm(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::size_t batch,
-          std::span<const float> b, std::span<float> y) {
-  assert(w.size() == rows * cols);
-  assert(x.size() == batch * cols);
-  assert(b.size() == rows);
-  assert(y.size() == batch * rows);
-  for (std::size_t n = 0; n < batch; ++n) {
-    gemv(w, rows, cols, x.subspan(n * cols, cols), b,
-         y.subspan(n * rows, rows));
-  }
-}
-
-float dot(std::span<const float> a, std::span<const float> b) {
-  assert(a.size() == b.size());
-  return dot_canonical_avx2_f32(a.data(), b.data(), a.size());
 }
 
 }  // namespace netadv::rl::kernels::avx2

@@ -1,23 +1,17 @@
 // NEON (AArch64 Advanced SIMD) implementation of the canonical accumulation
-// orders (kernels.hpp). Advanced SIMD is baseline on AArch64, so this TU
+// order (kernels.hpp). Advanced SIMD is baseline on AArch64, so this TU
 // needs no extra ISA flags; it is compiled only on aarch64 targets (CMake
 // NETADV_SIMD=neon/auto).
 //
 // NEON registers are 128-bit, half the canonical lane count in doubles, so
-// the canonical orders map onto PAIRS of q-register accumulators instead of
-// one wide register:
+// the canonical order maps onto a PAIR of q-register accumulators instead of
+// one wide register: lanes {0,1} live in acc01, lanes {2,3} in acc23. Each
+// 4-element step fmas a[i..i+1] into acc01 and a[i+2..i+3] into acc23 —
+// element i still lands in lane i % 4, exactly the scalar chain.
 //
-//   fp64: lanes {0,1} live in acc01, lanes {2,3} in acc23. Each 4-element
-//   step fmas a[i..i+1] into acc01 and a[i+2..i+3] into acc23 — element i
-//   still lands in lane i % 4, exactly the scalar chain.
-//
-//   fp32: lanes {0..3} in acc0123, lanes {4..7} in acc4567, stepping 8
-//   elements — element i lands in lane i % 8.
-//
-// Tails fold into the lane arrays by std::fma / std::fmaf and the lanes
-// combine in the fixed trees from kernels.hpp, so results are bit-identical
-// to the scalar reference (vfmaq is a fused multiply-add, one rounding,
-// same as std::fma). Element-wise kernels have no cross-lane reduction:
+// Tails fold into the lane array by std::fma and the lanes combine in the
+// fixed tree from kernels.hpp, so results are bit-identical to the scalar
+// reference (vfmaq is a fused multiply-add, one rounding, same as std::fma). Element-wise kernels have no cross-lane reduction:
 // vfmaq for gemv_transposed, mul-then-add for rank1_update (see the
 // rank1_update contract in kernels.hpp).
 #include "rl/kernels.hpp"
@@ -53,27 +47,6 @@ inline double dot_canonical_neon(const double* a, const double* b,
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-/// Canonical 8-lane float dot on two 4-wide accumulators. Bit-identical to
-/// kernels.cpp's dot_canonical_f32.
-inline float dot_canonical_neon_f32(const float* a, const float* b,
-                                    std::size_t n) noexcept {
-  float32x4_t acc0123 = vdupq_n_f32(0.0f);  // canonical lanes {0..3}
-  float32x4_t acc4567 = vdupq_n_f32(0.0f);  // canonical lanes {4..7}
-  const std::size_t n8 = n & ~static_cast<std::size_t>(7);
-  for (std::size_t i = 0; i < n8; i += 8) {
-    acc0123 = vfmaq_f32(acc0123, vld1q_f32(a + i), vld1q_f32(b + i));
-    acc4567 = vfmaq_f32(acc4567, vld1q_f32(a + i + 4), vld1q_f32(b + i + 4));
-  }
-  float lane[kLanesF32];
-  vst1q_f32(lane, acc0123);
-  vst1q_f32(lane + 4, acc4567);
-  for (std::size_t i = n8; i < n; ++i) {
-    lane[i - n8] = std::fmaf(a[i], b[i], lane[i - n8]);
-  }
-  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-}
-
 }  // namespace
 
 void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
@@ -88,34 +61,9 @@ void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
   }
 }
 
-void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::span<const float> b,
-          std::span<float> y) {
-  assert(w.size() == rows * cols);
-  assert(x.size() == cols);
-  assert(b.size() == rows);
-  assert(y.size() == rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    y[r] = b[r] + dot_canonical_neon_f32(w.data() + r * cols, x.data(), cols);
-  }
-}
-
 void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::size_t batch,
           std::span<const double> b, std::span<double> y) {
-  assert(w.size() == rows * cols);
-  assert(x.size() == batch * cols);
-  assert(b.size() == rows);
-  assert(y.size() == batch * rows);
-  for (std::size_t n = 0; n < batch; ++n) {
-    gemv(w, rows, cols, x.subspan(n * cols, cols), b,
-         y.subspan(n * rows, rows));
-  }
-}
-
-void gemm(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::size_t batch,
-          std::span<const float> b, std::span<float> y) {
   assert(w.size() == rows * cols);
   assert(x.size() == batch * cols);
   assert(b.size() == rows);
@@ -174,11 +122,6 @@ void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols,
 double dot(std::span<const double> a, std::span<const double> b) {
   assert(a.size() == b.size());
   return dot_canonical_neon(a.data(), b.data(), a.size());
-}
-
-float dot(std::span<const float> a, std::span<const float> b) {
-  assert(a.size() == b.size());
-  return dot_canonical_neon_f32(a.data(), b.data(), a.size());
 }
 
 }  // namespace netadv::rl::kernels::neon

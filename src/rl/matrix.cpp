@@ -7,7 +7,7 @@
 namespace netadv::rl {
 
 // The historical entry points delegate to the dispatched kernel layer
-// (kernels.hpp), which owns the canonical accumulation orders and the
+// (kernels.hpp), which owns the canonical accumulation order and the
 // backend selection.
 
 void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
@@ -16,21 +16,9 @@ void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
   kernels::gemv(w, rows, cols, x, b, y);
 }
 
-void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::span<const float> b,
-          std::span<float> y) {
-  kernels::gemv(w, rows, cols, x, b, y);
-}
-
 void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::size_t batch,
           std::span<const double> b, std::span<double> y) {
-  kernels::gemm(w, rows, cols, x, batch, b, y);
-}
-
-void gemm(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::size_t batch,
-          std::span<const float> b, std::span<float> y) {
   kernels::gemm(w, rows, cols, x, batch, b, y);
 }
 
@@ -46,10 +34,6 @@ void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols,
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {
-  return kernels::dot(a, b);
-}
-
-float dot(std::span<const float> a, std::span<const float> b) {
   return kernels::dot(a, b);
 }
 

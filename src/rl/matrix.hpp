@@ -1,11 +1,9 @@
 // Dense row-major matrix of doubles plus the handful of BLAS-level-2 kernels
 // the MLP needs (gemv, transposed gemv, rank-1 update). The free functions
 // here are thin wrappers over the dispatched kernel layer in kernels.hpp,
-// which implements the canonical accumulation orders (4-lane fp64, 8-lane
-// fp32) once per backend — bit-identical across backends, thread counts,
-// and ISAs (DESIGN.md §7). The float overloads mirror the inference-only
-// f32 kernel surface: forward kernels and dot only, no gradient kernels,
-// because training math stays float64 (the precision contract).
+// which implements the canonical 4-lane accumulation order once per
+// backend — bit-identical across backends, thread counts, and ISAs
+// (DESIGN.md §7).
 #pragma once
 
 #include <cstddef>
@@ -16,9 +14,6 @@
 namespace netadv::rl {
 
 using Vec = std::vector<double>;
-
-/// Float vector for the fp32 inference fast path (mirrors Vec).
-using FVec = std::vector<float>;
 
 class Matrix {
  public:
@@ -61,9 +56,6 @@ class Matrix {
 void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::span<const double> b,
           std::span<double> y);
-void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::span<const float> b,
-          std::span<float> y);
 
 /// Batched forward: Y = X W^T + 1 b^T, with X a (batch x cols) row-major
 /// block and Y (batch x rows). Each output row uses exactly the gemv
@@ -74,9 +66,6 @@ void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,
 void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::size_t batch,
           std::span<const double> b, std::span<double> y);
-void gemm(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::size_t batch,
-          std::span<const float> b, std::span<float> y);
 
 /// y = W^T g — propagates a gradient through a linear layer.
 void gemv_transposed(std::span<const double> w, std::size_t rows,
@@ -89,7 +78,6 @@ void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols,
 
 /// Dot product; requires equal sizes.
 double dot(std::span<const double> a, std::span<const double> b);
-float dot(std::span<const float> a, std::span<const float> b);
 
 /// Euclidean norm.
 double l2_norm(std::span<const double> a);

@@ -3,20 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "rl/kernels.hpp"
 
 namespace netadv::rl {
-
-bool f32_rollout_env_default() noexcept {
-  const char* env = std::getenv("NETADV_F32_ROLLOUT");
-  if (env == nullptr) return false;
-  return std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0 ||
-         std::strcmp(env, "true") == 0;
-}
 
 namespace {
 
@@ -43,20 +34,6 @@ double activate_grad(Activation act, double z, double a) noexcept {
       return 1.0;
   }
   return 1.0;
-}
-
-/// float32 activation for the fp32 inference path (tanhf, not a widened
-/// double tanh — the point is to stay in single precision end to end).
-float activate_f32(Activation act, float z) noexcept {
-  switch (act) {
-    case Activation::kTanh:
-      return std::tanh(z);
-    case Activation::kRelu:
-      return z > 0.0f ? z : 0.0f;
-    case Activation::kIdentity:
-      return z;
-  }
-  return z;
 }
 
 }  // namespace
@@ -181,86 +158,6 @@ std::vector<Vec> Mlp::forward_batch(const std::vector<Vec>& inputs,
     outputs[n].assign(
         current.begin() + static_cast<std::ptrdiff_t>(n * output_size()),
         current.begin() + static_cast<std::ptrdiff_t>((n + 1) * output_size()));
-  }
-  return outputs;
-}
-
-void Mlp::sync_f32_mirror() const {
-  // Double-checked: the acquire fast path keeps already-synced concurrent
-  // inference lock-free; only an actual conversion takes the mutex.
-  if (f32_.version.load(std::memory_order_acquire) == version_) return;
-  std::lock_guard<std::mutex> lock{f32_.mu};
-  if (f32_.version.load(std::memory_order_relaxed) == version_) return;
-  f32_.values.resize(params_.size());
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    f32_.values[i] = static_cast<float>(params_[i]);
-  }
-  f32_.version.store(version_, std::memory_order_release);
-}
-
-std::span<const float> Mlp::forward_f32(const Vec& input,
-                                        F32Workspace& ws) const {
-  if (input.size() != input_size()) {
-    throw std::invalid_argument{"Mlp::forward_f32: wrong input size"};
-  }
-  sync_f32_mirror();
-  ws.current.resize(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    ws.current[i] = static_cast<float>(input[i]);
-  }
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const Layer& l = layers_[i];
-    ws.next.assign(l.out, 0.0f);
-    kernels::gemv(
-        std::span<const float>{f32_.values.data() + l.w_offset, l.in * l.out},
-        l.out, l.in, ws.current,
-        std::span<const float>{f32_.values.data() + l.b_offset, l.out},
-        ws.next);
-    const bool last = (i + 1 == layers_.size());
-    const Activation act = last ? Activation::kIdentity : hidden_;
-    if (act != Activation::kIdentity) {
-      for (auto& z : ws.next) z = activate_f32(act, z);
-    }
-    std::swap(ws.current, ws.next);
-  }
-  return ws.current;
-}
-
-std::vector<Vec> Mlp::forward_batch_f32(const std::vector<Vec>& inputs) const {
-  const std::size_t batch = inputs.size();
-  sync_f32_mirror();
-  std::vector<float> current(batch * input_size());
-  for (std::size_t n = 0; n < batch; ++n) {
-    if (inputs[n].size() != input_size()) {
-      throw std::invalid_argument{"Mlp::forward_batch_f32: wrong input size"};
-    }
-    for (std::size_t i = 0; i < input_size(); ++i) {
-      current[n * input_size() + i] = static_cast<float>(inputs[n][i]);
-    }
-  }
-
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const Layer& l = layers_[i];
-    std::vector<float> next(batch * l.out);
-    kernels::gemm(
-        std::span<const float>{f32_.values.data() + l.w_offset, l.in * l.out},
-        l.out, l.in, current, batch,
-        std::span<const float>{f32_.values.data() + l.b_offset, l.out}, next);
-    const bool last = (i + 1 == layers_.size());
-    const Activation act = last ? Activation::kIdentity : hidden_;
-    if (act != Activation::kIdentity) {
-      for (auto& z : next) z = activate_f32(act, z);
-    }
-    current = std::move(next);
-  }
-
-  std::vector<Vec> outputs(batch);
-  for (std::size_t n = 0; n < batch; ++n) {
-    outputs[n].resize(output_size());
-    for (std::size_t j = 0; j < output_size(); ++j) {
-      outputs[n][j] =
-          static_cast<double>(current[n * output_size() + j]);
-    }
   }
   return outputs;
 }

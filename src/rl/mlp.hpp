@@ -14,10 +14,8 @@
 // read). The PPO shadow-buffer minibatch path is built on this.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -28,14 +26,6 @@ namespace netadv::rl {
 
 enum class Activation { kTanh, kRelu, kIdentity };
 
-/// Process-wide default for the fp32 rollout fast path, from the
-/// NETADV_F32_ROLLOUT environment variable ("1" | "on" | "true" = enabled;
-/// anything else, or unset, = disabled). Agents read this once at
-/// construction; set_f32_rollout() overrides per agent. Default OFF because
-/// fp32 inference differs from fp64 by rounding — every golden artifact is
-/// recorded against the fp64 path.
-bool f32_rollout_env_default() noexcept;
-
 class Mlp {
  public:
   /// Caller-owned activation caches for the const forward/backward pair.
@@ -44,13 +34,6 @@ class Mlp {
   struct Workspace {
     std::vector<Vec> pre;   ///< per-layer pre-activations z
     std::vector<Vec> post;  ///< per-layer post-activations a (post[0] = input)
-  };
-
-  /// Scratch buffers for the fp32 inference path (forward_f32); one per
-  /// concurrent task, reusable across calls.
-  struct F32Workspace {
-    FVec current;
-    FVec next;
   };
 
   /// `sizes` is {input, hidden..., output}; at least {in, out}.
@@ -90,24 +73,6 @@ class Mlp {
   std::vector<Vec> forward_batch(const std::vector<Vec>& inputs,
                                  std::vector<Workspace>* caches = nullptr) const;
 
-  /// fp32 inference forward: runs the whole network in float32 against a
-  /// lazily-synced fp32 mirror of the parameters, using the f32 kernel
-  /// overloads (kLanesF32 canonical order — see kernels.hpp). Roughly half
-  /// the memory traffic and twice the SIMD width of forward(); the result
-  /// differs from the fp64 path by rounding, so it is reserved for
-  /// action-selection/rollout, never for gradients (DESIGN.md §7 precision
-  /// contract). The mirror re-syncs automatically whenever the parameters
-  /// may have changed (see param_version()); syncing is thread-safe, so
-  /// concurrent const callers with distinct workspaces are fine. The
-  /// returned span aliases `ws` and is valid until the next call with the
-  /// same workspace.
-  std::span<const float> forward_f32(const Vec& input, F32Workspace& ws) const;
-
-  /// Batched fp32 inference via the f32 gemm kernel; bit-identical to
-  /// forward_f32 per input. Outputs are widened to double for drop-in use
-  /// by callers that consume fp64 heads.
-  std::vector<Vec> forward_batch_f32(const std::vector<Vec>& inputs) const;
-
   /// Backpropagate `grad_output` (dLoss/dOutput for the *last* forward()),
   /// accumulating parameter gradients; returns dLoss/dInput.
   Vec backward(const Vec& grad_output);
@@ -127,10 +92,10 @@ class Mlp {
   /// Mutable parameter access. Handing out a writable view means the
   /// parameters MAY change, so this conservatively bumps param_version() —
   /// that one rule keeps every mutation site (optimizer steps, checkpoint
-  /// restore, perturbation search) invalidating the fp32 mirror and any
-  /// version-stamped activation caches without each caller remembering to.
-  /// Over-invalidation is harmless: a spurious bump costs one re-sync or
-  /// one recomputed forward, never a wrong result.
+  /// restore, perturbation search) invalidating version-stamped activation
+  /// caches without each caller remembering to. Over-invalidation is
+  /// harmless: a spurious bump costs one recomputed forward, never a wrong
+  /// result.
   std::span<double> params() noexcept {
     ++version_;
     return params_;
@@ -141,15 +106,9 @@ class Mlp {
 
   /// Monotone counter identifying the current parameter values; bumped by
   /// every mutable params() access. Cached results stamped with this value
-  /// (the fp32 mirror, rollout activation caches) are reusable exactly while
-  /// the stamp still matches.
+  /// (rollout activation caches) are reusable exactly while the stamp still
+  /// matches.
   std::uint64_t param_version() const noexcept { return version_; }
-
-  /// True while the fp32 mirror matches the current parameters (i.e. the
-  /// last forward_f32 since the last mutable params() access re-synced it).
-  bool f32_mirror_fresh() const noexcept {
-    return f32_.version.load(std::memory_order_acquire) == version_;
-  }
 
   const std::vector<std::size_t>& layer_sizes() const noexcept { return sizes_; }
   Activation hidden_activation() const noexcept { return hidden_; }
@@ -161,33 +120,6 @@ class Mlp {
     std::size_t w_offset = 0;  // rows=out, cols=in
     std::size_t b_offset = 0;
   };
-
-  /// Lazily-synced float32 copy of the flat parameter array (same offsets).
-  /// `version` is the param_version() the values were converted from, 0
-  /// meaning never synced (version_ starts at 1). mutable + internally
-  /// locked so const inference paths can sync it; the atomic version makes
-  /// the fast path (already synced) a lock-free acquire load, and the mutex
-  /// only serializes the rare conversion. Copying an Mlp copies the values
-  /// but gives the copy fresh synchronization state.
-  struct F32Mirror {
-    FVec values;
-    std::atomic<std::uint64_t> version{0};
-    std::mutex mu;
-
-    F32Mirror() = default;
-    F32Mirror(const F32Mirror& other)
-        : values(other.values),
-          version(other.version.load(std::memory_order_acquire)) {}
-    F32Mirror& operator=(const F32Mirror& other) {
-      values = other.values;
-      version.store(other.version.load(std::memory_order_acquire),
-                    std::memory_order_release);
-      return *this;
-    }
-  };
-
-  /// Ensure the fp32 mirror matches the current parameters.
-  void sync_f32_mirror() const;
 
   std::span<double> weight(const Layer& l) noexcept {
     return {params_.data() + l.w_offset, l.in * l.out};
@@ -211,10 +143,8 @@ class Mlp {
   std::vector<double> params_;
   std::vector<double> grads_;
 
-  // Starts at 1 so a zero-stamped cache (or the never-synced mirror) can
-  // never accidentally match.
+  // Starts at 1 so a zero-stamped cache can never accidentally match.
   std::uint64_t version_ = 1;
-  mutable F32Mirror f32_;
 
   // Activation caches from the last member forward(); the member
   // forward/backward pair simply runs the const workspace pair against this.

@@ -6,7 +6,6 @@
 
 #include "rl/distributions.hpp"
 #include "rl/kernels.hpp"
-#include "util/log.hpp"
 
 namespace netadv::rl {
 
@@ -71,8 +70,7 @@ PpoAgent::PpoAgent(std::size_t observation_size, ActionSpec action_spec,
                        : 0,
                    {.learning_rate = config_.learning_rate}),
       obs_normalizer_(observation_size),
-      return_normalizer_(config_.gamma),
-      f32_rollout_(f32_rollout_env_default()) {
+      return_normalizer_(config_.gamma) {
   if (observation_size == 0) {
     throw std::invalid_argument{"PpoAgent: observation_size must be > 0"};
   }
@@ -98,17 +96,8 @@ Vec PpoAgent::normalized(const Vec& observation) const {
                                         : observation;
 }
 
-Vec PpoAgent::actor_head(const Vec& obs) {
-  if (f32_rollout_) {
-    const std::span<const float> head = actor_.forward_f32(obs, actor_f32_ws_);
-    return Vec(head.begin(), head.end());
-  }
-  const Vec& head = actor_.forward(obs);
-  return head;
-}
-
 Vec PpoAgent::act_stochastic(const Vec& observation, util::Rng& rng) {
-  const Vec head = actor_head(normalized(observation));
+  const Vec& head = actor_.forward(normalized(observation));
   if (discrete()) {
     return {static_cast<double>(Categorical::sample(head, rng))};
   }
@@ -116,7 +105,7 @@ Vec PpoAgent::act_stochastic(const Vec& observation, util::Rng& rng) {
 }
 
 Vec PpoAgent::act_deterministic(const Vec& observation) {
-  Vec head = actor_head(normalized(observation));
+  const Vec& head = actor_.forward(normalized(observation));
   if (discrete()) {
     return {static_cast<double>(Categorical::mode(head))};
   }
@@ -129,8 +118,7 @@ std::vector<Vec> PpoAgent::act_deterministic_batch(
   for (std::size_t i = 0; i < observations.size(); ++i) {
     norm[i] = normalized(observations[i]);
   }
-  std::vector<Vec> heads = f32_rollout_ ? actor_.forward_batch_f32(norm)
-                                        : actor_.forward_batch(norm);
+  std::vector<Vec> heads = actor_.forward_batch(norm);
   if (discrete()) {
     std::vector<Vec> actions(heads.size());
     for (std::size_t i = 0; i < heads.size(); ++i) {
@@ -142,11 +130,26 @@ std::vector<Vec> PpoAgent::act_deterministic_batch(
 }
 
 double PpoAgent::value_estimate(const Vec& observation) {
-  const Vec obs = normalized(observation);
-  if (f32_rollout_) {
-    return static_cast<double>(critic_.forward_f32(obs, critic_f32_ws_)[0]);
+  return critic_.forward(normalized(observation))[0];
+}
+
+double PpoAgent::evaluate(Env& env, std::size_t episodes, util::Rng& rng,
+                          bool deterministic) {
+  double total = 0.0;
+  for (std::size_t e = 0; e < episodes; ++e) {
+    Vec obs = env.reset(rng);
+    double episode_reward = 0.0;
+    while (true) {
+      const Vec action = deterministic ? act_deterministic(obs)
+                                       : act_stochastic(obs, rng);
+      StepResult result = env.step(action, rng);
+      episode_reward += result.reward;
+      if (result.done) break;
+      obs = std::move(result.observation);
+    }
+    total += episode_reward;
   }
-  return critic_.forward(obs)[0];
+  return total / static_cast<double>(episodes);
 }
 
 TrainReport PpoAgent::train(Env& env, std::size_t total_steps,
@@ -175,18 +178,11 @@ TrainReport PpoAgent::train(Env& env, std::size_t total_steps,
 
       Transition t;
       t.observation = obs;
-      // Score the step through the selected precision path. The fp64 path
-      // forwards into the transition's activation cache (bit-identical to
+      // Forward into the transition's activation cache (bit-identical to
       // the member forward — same const workspace routine) so the gradient
-      // epochs can reuse these activations; the fp32 path has no fp64
-      // activations to cache, so the stamps stay 0 (never reused).
-      Vec head_store;
+      // epochs can reuse these activations.
       const Vec* head;
-      if (f32_rollout_) {
-        head_store = actor_head(obs);
-        head = &head_store;
-        t.value = static_cast<double>(critic_.forward_f32(obs, critic_f32_ws_)[0]);
-      } else if (use_activation_cache_) {
+      if (use_activation_cache_) {
         head = &actor_.forward(obs, t.cache.actor);
         t.cache.actor_version = actor_.param_version();
         t.value = critic_.forward(obs, t.cache.critic)[0];
@@ -224,14 +220,7 @@ TrainReport PpoAgent::train(Env& env, std::size_t total_steps,
       }
     }
 
-    // The bootstrap value uses the same precision as the rollout values it
-    // joins in the GAE recursion.
-    const Vec last_norm = normalized(raw_obs);
-    const double last_value =
-        f32_rollout_
-            ? static_cast<double>(critic_.forward_f32(last_norm,
-                                                      critic_f32_ws_)[0])
-            : critic_.forward(last_norm)[0];
+    const double last_value = critic_.forward(normalized(raw_obs))[0];
     buffer.compute_advantages(last_value, config_.gamma, config_.gae_lambda);
 
     const MinibatchStats last_stats = run_update_epochs(buffer);
@@ -298,7 +287,6 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
   std::vector<Vec> actions(n_envs);
   std::vector<Mlp::Workspace> actor_caches;
   std::vector<Mlp::Workspace> critic_caches;
-  const bool fill_caches = !f32_rollout_ && use_activation_cache_;
 
   std::size_t steps_done = 0;
   std::size_t update_index = 0;
@@ -321,16 +309,10 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
         norm_obs[i] = normalized(raw_obs[i]);
       }
 
-      const std::vector<Vec> heads =
-          f32_rollout_
-              ? actor_.forward_batch_f32(norm_obs)
-              : actor_.forward_batch(norm_obs,
-                                     fill_caches ? &actor_caches : nullptr);
-      const std::vector<Vec> values =
-          f32_rollout_
-              ? critic_.forward_batch_f32(norm_obs)
-              : critic_.forward_batch(norm_obs,
-                                      fill_caches ? &critic_caches : nullptr);
+      const std::vector<Vec> heads = actor_.forward_batch(
+          norm_obs, use_activation_cache_ ? &actor_caches : nullptr);
+      const std::vector<Vec> values = critic_.forward_batch(
+          norm_obs, use_activation_cache_ ? &critic_caches : nullptr);
 
       for (std::size_t i = 0; i < n_envs; ++i) {
         Transition t;
@@ -344,7 +326,7 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
           t.log_prob = DiagGaussian::log_prob(heads[i], log_std_, t.action);
         }
         t.value = values[i][0];
-        if (fill_caches) {
+        if (use_activation_cache_) {
           t.cache.actor = std::move(actor_caches[i]);
           t.cache.actor_version = actor_.param_version();
           t.cache.critic = std::move(critic_caches[i]);
@@ -377,10 +359,7 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
     for (std::size_t i = 0; i < n_envs; ++i) {
       norm_obs[i] = normalized(raw_obs[i]);
     }
-    // Same precision as the rollout values feeding the GAE recursion.
-    const std::vector<Vec> bootstrap = f32_rollout_
-                                           ? critic_.forward_batch_f32(norm_obs)
-                                           : critic_.forward_batch(norm_obs);
+    const std::vector<Vec> bootstrap = critic_.forward_batch(norm_obs);
     std::vector<double> last_values(n_envs);
     for (std::size_t i = 0; i < n_envs; ++i) last_values[i] = bootstrap[i][0];
 

@@ -48,30 +48,30 @@ struct PpoConfig {
   bool normalize_rewards = true;
 };
 
-class PpoAgent final : public Agent {
+class PpoAgent {
  public:
   PpoAgent(std::size_t observation_size, ActionSpec action_spec,
            PpoConfig config, std::uint64_t seed);
 
   /// Sample an action from the current policy. Does not update normalizer
   /// statistics; safe for evaluation.
-  Vec act_stochastic(const Vec& observation, util::Rng& rng) override;
+  Vec act_stochastic(const Vec& observation, util::Rng& rng);
 
   /// Deterministic action: categorical mode or Gaussian mean (the paper's
   /// "actions before exploration noise", Figure 6).
-  Vec act_deterministic(const Vec& observation) override;
+  Vec act_deterministic(const Vec& observation);
 
   /// Batched deterministic actions over N observations through the gemm
   /// forward path; bit-identical to N act_deterministic calls.
   std::vector<Vec> act_deterministic_batch(const std::vector<Vec>& observations);
 
   /// Critic estimate of the (normalized-reward) value of an observation.
-  double value_estimate(const Vec& observation) override;
+  double value_estimate(const Vec& observation);
 
   /// Run PPO for at least `total_steps` environment steps (rounded up to a
   /// whole number of rollouts).
   TrainReport train(Env& env, std::size_t total_steps,
-                    const TrainCallback& callback = nullptr) override;
+                    const TrainCallback& callback = nullptr);
 
   /// Vectorized PPO: each update's rollout is collected from venv.size()
   /// replicas stepped concurrently (n_steps / size() steps per replica,
@@ -81,6 +81,10 @@ class PpoAgent final : public Agent {
   /// never on the pool's thread count.
   TrainReport train(VecEnv& venv, std::size_t total_steps,
                     const TrainCallback& callback = nullptr);
+
+  /// Mean raw episode reward over `episodes` fresh episodes.
+  double evaluate(Env& env, std::size_t episodes, util::Rng& rng,
+                  bool deterministic = true);
 
   /// Attach a pool for shadow-buffer minibatch gradients (nullptr restores
   /// the sequential path).
@@ -103,18 +107,6 @@ class PpoAgent final : public Agent {
     double entropy = 0.0;
   };
 
-  /// Route inference-style forwards (act_*, value_estimate, and the rollout
-  /// action/value scoring inside train()) through the fp32 fast path
-  /// (Mlp::forward_f32). Gradients, optimizer state, and checkpoints stay
-  /// float64 regardless (DESIGN.md §7 precision contract). fp32 results
-  /// differ from fp64 by rounding, so this is OFF by default (overridable
-  /// process-wide with NETADV_F32_ROLLOUT=1) — enabling it during training
-  /// changes trained parameters relative to golden artifacts, and it also
-  /// disables the rollout activation cache for those rollouts (fp32
-  /// activations cannot seed fp64 gradients).
-  void set_f32_rollout(bool on) noexcept { f32_rollout_ = on; }
-  bool f32_rollout() const noexcept { return f32_rollout_; }
-
   /// Record each rollout transition's forward activations and reuse them in
   /// the gradient path while the parameters are unchanged (version-stamped,
   /// bit-identical reuse — see ActivationCache in rl/rollout.hpp). Default
@@ -133,8 +125,8 @@ class PpoAgent final : public Agent {
   MinibatchStats run_update_epochs(const RolloutBuffer& buffer);
 
   const PpoConfig& config() const noexcept { return config_; }
-  const ActionSpec& action_spec() const noexcept override { return action_spec_; }
-  std::size_t observation_size() const noexcept override { return obs_size_; }
+  const ActionSpec& action_spec() const noexcept { return action_spec_; }
+  std::size_t observation_size() const noexcept { return obs_size_; }
 
   // Checkpoint access (see rl/checkpoint.hpp).
   Mlp& actor() noexcept { return actor_; }
@@ -150,9 +142,6 @@ class PpoAgent final : public Agent {
 
  private:
   Vec normalized(const Vec& observation) const;
-  /// Policy head for one (already normalized) observation via the precision
-  /// path selected by set_f32_rollout().
-  Vec actor_head(const Vec& obs);
   bool discrete() const noexcept {
     return action_spec_.type == ActionType::kDiscrete;
   }
@@ -195,11 +184,7 @@ class PpoAgent final : public Agent {
   RunningNormalizer obs_normalizer_;
   ReturnNormalizer return_normalizer_;
 
-  // Inference fast-path state (see set_f32_rollout / set_activation_cache).
-  bool f32_rollout_;
-  bool use_activation_cache_ = true;
-  Mlp::F32Workspace actor_f32_ws_;
-  Mlp::F32Workspace critic_f32_ws_;
+  bool use_activation_cache_ = true;  // see set_activation_cache
 
   // Shadow-buffer minibatch scratch (see set_thread_pool). Not part of the
   // agent's logical state; copied agents just get fresh scratch.

@@ -5,11 +5,11 @@
 // pensieve sessions costs N gemv-bound forwards per tick. A BatchPolicy
 // instead answers a whole tick's worth of observations at once;
 // PensieveBatchPolicy gathers the feature vectors and runs ONE
-// PpoAgent::act_deterministic_batch (gemm-shaped, f32-capable under
-// NETADV_F32_ROLLOUT) per tick. act_deterministic_batch is bit-identical to
-// N act_deterministic calls, so the batched path reproduces the per-session
-// path's decisions — and therefore its session summaries — exactly; only
-// decisions/sec changes. bench_serve measures the gap.
+// PpoAgent::act_deterministic_batch (gemm-shaped) per tick.
+// act_deterministic_batch is bit-identical to N act_deterministic calls, so
+// the batched path reproduces the per-session path's decisions — and
+// therefore its session summaries — exactly; only decisions/sec changes.
+// bench_serve measures the gap.
 #pragma once
 
 #include <cstddef>

@@ -4,21 +4,28 @@
 #include <cstdlib>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "util/log.hpp"
+#include "util/spec.hpp"
 
 namespace netadv::util {
 
 double bench_scale() noexcept {
   static const double scale = [] {
-    double value = 1.0;
-    if (const char* env = std::getenv("NETADV_SCALE")) {
-      char* end = nullptr;
-      const double parsed = std::strtod(env, &end);
-      if (end != env && parsed > 0.0) value = parsed;
+    const char* env = std::getenv("NETADV_SCALE");
+    if (env == nullptr) return 1.0;
+    const std::optional<double> parsed = parse_finite(env);
+    if (!parsed || *parsed <= 0.0) {
+      log_warn("NETADV_SCALE='%s' is not a positive number; using 1", env);
+      return 1.0;
     }
-    return std::clamp(value, 0.001, 100.0);
+    const double value = std::clamp(*parsed, 0.001, 100.0);
+    if (value != *parsed) {
+      log_warn("NETADV_SCALE=%s is outside [0.001, 100]; using %g", env, value);
+    }
+    return value;
   }();
   return scale;
 }

@@ -7,7 +7,9 @@ namespace netadv::util {
 
 /// Multiplier applied to training-step budgets in benches and examples.
 /// Reads NETADV_SCALE (default 1.0); values are clamped to [0.001, 100].
-/// NETADV_SCALE=0.1 gives a fast smoke run, 1.0 the paper-scale run.
+/// NETADV_SCALE=0.1 gives a fast smoke run, 1.0 the paper-scale run. A value
+/// that is not a positive finite number falls back to 1.0; it and a clamped
+/// value each log a warning naming the scale used instead.
 double bench_scale() noexcept;
 
 /// Directory where benches drop CSV artifacts. Reads NETADV_OUT_DIR

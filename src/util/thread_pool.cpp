@@ -1,6 +1,12 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <optional>
+
+#include "util/log.hpp"
+#include "util/spec.hpp"
 
 namespace netadv::util {
 
@@ -97,13 +103,23 @@ ThreadPool& ThreadPool::global() {
 }
 
 std::size_t ThreadPool::default_thread_count() noexcept {
-  if (const char* env = std::getenv("NETADV_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && parsed > 0) return static_cast<std::size_t>(parsed);
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const char* env = std::getenv("NETADV_THREADS");
+  if (env == nullptr) return hw;
+  const std::optional<std::uint64_t> parsed = parse_unsigned(env);
+  if (parsed && *parsed > kMaxThreads) {
+    log_warn("NETADV_THREADS=%s exceeds the %zu-lane limit; using %zu", env,
+             kMaxThreads, kMaxThreads);
+    return kMaxThreads;
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  if (!parsed || *parsed == 0) {
+    log_warn(
+        "NETADV_THREADS='%s' is not a positive integer; using the hardware "
+        "count %zu",
+        env, hw);
+    return hw;
+  }
+  return static_cast<std::size_t>(*parsed);
 }
 
 }  // namespace netadv::util

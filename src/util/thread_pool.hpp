@@ -72,8 +72,13 @@ class ThreadPool {
   /// so one knob controls every experiment.
   static ThreadPool& global();
 
-  /// NETADV_THREADS if set and valid, else std::thread::hardware_concurrency
-  /// (at least 1).
+  /// Upper bound on the NETADV_THREADS lane count; larger values are capped.
+  static constexpr std::size_t kMaxThreads = 256;
+
+  /// NETADV_THREADS if set to an integer in [1, kMaxThreads], else
+  /// std::thread::hardware_concurrency (at least 1). A set but unusable
+  /// value logs a warning naming what is used instead: larger counts are
+  /// capped at kMaxThreads, anything else falls back to the hardware count.
   static std::size_t default_thread_count() noexcept;
 
  private:

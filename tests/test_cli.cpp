@@ -322,7 +322,51 @@ TEST(Cli, InfoReportsBackendsAndKnobResolution) {
   EXPECT_NE(output.find("<- active"), std::string::npos);
   EXPECT_NE(output.find("NETADV_SIMD"), std::string::npos);
   EXPECT_NE(output.find("NETADV_THREADS"), std::string::npos);
-  EXPECT_NE(output.find("NETADV_F32_ROLLOUT"), std::string::npos);
+  EXPECT_NE(output.find("NETADV_SCALE"), std::string::npos);
+}
+
+TEST(Cli, InfoWarnsOnUnusableThreadCounts) {
+  // Anything but a plain positive integer falls back to the hardware count
+  // with a warning naming the variable and the value; an oversized count is
+  // capped rather than honored (it used to end in bad_alloc).
+  for (const std::string value : {"4x", "abc", "0", "-3"}) {
+    std::string output;
+    ASSERT_EQ(run_cli("info", &output, "NETADV_THREADS=" + value), 0);
+    EXPECT_NE(output.find("NETADV_THREADS='" + value + "'"), std::string::npos)
+        << output;
+    EXPECT_NE(output.find("using the hardware count"), std::string::npos)
+        << output;
+  }
+  std::string output;
+  ASSERT_EQ(run_cli("info", &output, "NETADV_THREADS=99999999999"), 0);
+  EXPECT_NE(output.find("NETADV_THREADS=99999999999 exceeds"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("99999999999 -> 256 lanes"), std::string::npos)
+      << output;
+
+  ASSERT_EQ(run_cli("info", &output, "NETADV_THREADS=3"), 0);
+  EXPECT_NE(output.find("3 -> 3 lanes"), std::string::npos) << output;
+  EXPECT_EQ(output.find("WARN"), std::string::npos) << output;
+}
+
+TEST(Cli, InfoWarnsOnUnusableScale) {
+  for (const std::string value : {"0.5x", "abc", "0", "-1", "nan"}) {
+    std::string output;
+    ASSERT_EQ(run_cli("info", &output, "NETADV_SCALE=" + value), 0);
+    EXPECT_NE(output.find("NETADV_SCALE='" + value + "'"), std::string::npos)
+        << output;
+    EXPECT_NE(output.find(value + " -> 1\n"), std::string::npos) << output;
+  }
+  std::string output;
+  ASSERT_EQ(run_cli("info", &output, "NETADV_SCALE=1e9"), 0);
+  EXPECT_NE(output.find("NETADV_SCALE=1e9 is outside"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("1e9 -> 100\n"), std::string::npos) << output;
+
+  ASSERT_EQ(run_cli("info", &output, "NETADV_SCALE=0.25"), 0);
+  EXPECT_NE(output.find("0.25 -> 0.25\n"), std::string::npos) << output;
+  EXPECT_EQ(output.find("WARN"), std::string::npos) << output;
 }
 
 TEST(Cli, InfoWithArgumentsIsAUsageError) {

@@ -1,9 +1,9 @@
 // Bit-exactness gates for the dispatched SIMD kernel layer (rl/kernels.hpp).
 // The contract under test: the scalar fallback and every SIMD backend (AVX2,
-// AVX-512, NEON) compute the same canonical accumulation orders — 4 fma
-// lanes in fp64, 8 in fp32 — so every kernel agrees bit for bit between
-// backends, and therefore end-to-end PPO training produces byte-identical
-// parameters whichever backend (and thread count) computed it. Identity
+// AVX-512, NEON) compute the same canonical accumulation order — 4 fma
+// lanes — so every kernel agrees bit for bit between backends, and
+// therefore end-to-end PPO training produces byte-identical parameters
+// whichever backend (and thread count) computed it. Identity
 // suites for backends this host cannot run skip explicitly (GTEST_SKIP), so
 // an unsupported host reports "skipped", never a silent pass. The
 // ParallelKernels suite deliberately matches the Parallel* naming so the
@@ -27,8 +27,6 @@ namespace {
 using namespace netadv;
 using namespace netadv::rl;
 
-using FVec = std::vector<float>;
-
 const std::size_t kThreadCounts[] = {1, 2, 8};
 
 // Sizes chosen to hit every SIMD tail length (n % 4 and n % 8) at small and
@@ -42,12 +40,6 @@ Vec random_vec(util::Rng& rng, std::size_t n) {
   return v;
 }
 
-FVec random_fvec(util::Rng& rng, std::size_t n) {
-  FVec v(n);
-  for (auto& x : v) x = static_cast<float>(rng.uniform(-2.0, 2.0));
-  return v;
-}
-
 /// The full kernel surface of one named backend, so identity tests can run
 /// the same body against avx2/avx512/neon.
 struct BackendFns {
@@ -55,35 +47,26 @@ struct BackendFns {
   void (*gemv)(std::span<const double>, std::size_t, std::size_t,
                std::span<const double>, std::span<const double>,
                std::span<double>);
-  void (*gemv_f32)(std::span<const float>, std::size_t, std::size_t,
-                   std::span<const float>, std::span<const float>,
-                   std::span<float>);
   void (*gemm)(std::span<const double>, std::size_t, std::size_t,
                std::span<const double>, std::size_t, std::span<const double>,
                std::span<double>);
-  void (*gemm_f32)(std::span<const float>, std::size_t, std::size_t,
-                   std::span<const float>, std::size_t, std::span<const float>,
-                   std::span<float>);
   void (*gemv_transposed)(std::span<const double>, std::size_t, std::size_t,
                           std::span<const double>, std::span<double>);
   void (*rank1_update)(std::span<double>, std::size_t, std::size_t,
                        std::span<const double>, std::span<const double>);
   double (*dot)(std::span<const double>, std::span<const double>);
-  float (*dot_f32)(std::span<const float>, std::span<const float>);
 };
 
 const BackendFns kBackendFns[] = {
-    {kernels::Backend::kAvx2, kernels::avx2::gemv, kernels::avx2::gemv,
-     kernels::avx2::gemm, kernels::avx2::gemm, kernels::avx2::gemv_transposed,
-     kernels::avx2::rank1_update, kernels::avx2::dot, kernels::avx2::dot},
-    {kernels::Backend::kAvx512, kernels::avx512::gemv, kernels::avx512::gemv,
-     kernels::avx512::gemm, kernels::avx512::gemm,
+    {kernels::Backend::kAvx2, kernels::avx2::gemv, kernels::avx2::gemm,
+     kernels::avx2::gemv_transposed, kernels::avx2::rank1_update,
+     kernels::avx2::dot},
+    {kernels::Backend::kAvx512, kernels::avx512::gemv, kernels::avx512::gemm,
      kernels::avx512::gemv_transposed, kernels::avx512::rank1_update,
-     kernels::avx512::dot, kernels::avx512::dot},
-    {kernels::Backend::kNeon, kernels::neon::gemv, kernels::neon::gemv,
-     kernels::neon::gemm, kernels::neon::gemm,
+     kernels::avx512::dot},
+    {kernels::Backend::kNeon, kernels::neon::gemv, kernels::neon::gemm,
      kernels::neon::gemv_transposed, kernels::neon::rank1_update,
-     kernels::neon::dot, kernels::neon::dot},
+     kernels::neon::dot},
 };
 
 const BackendFns& backend_fns(kernels::Backend backend) {
@@ -116,23 +99,6 @@ TEST(KernelCanonicalOrder, DotMatchesFourLaneFmaReference) {
       lane[i % kernels::kLanes] = std::fma(a[i], b[i], lane[i % kernels::kLanes]);
     }
     const double expected = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-    EXPECT_EQ(kernels::scalar::dot(a, b), expected) << "n=" << n;
-    EXPECT_EQ(kernels::dot(a, b), expected) << "n=" << n;
-  }
-}
-
-TEST(KernelCanonicalOrder, DotF32MatchesEightLaneFmaReference) {
-  util::Rng rng{111};
-  for (std::size_t n : kSizes) {
-    const FVec a = random_fvec(rng, n);
-    const FVec b = random_fvec(rng, n);
-    float lane[kernels::kLanesF32] = {};
-    for (std::size_t i = 0; i < n; ++i) {
-      lane[i % kernels::kLanesF32] =
-          std::fmaf(a[i], b[i], lane[i % kernels::kLanesF32]);
-    }
-    const float expected = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-                           ((lane[4] + lane[5]) + (lane[6] + lane[7]));
     EXPECT_EQ(kernels::scalar::dot(a, b), expected) << "n=" << n;
     EXPECT_EQ(kernels::dot(a, b), expected) << "n=" << n;
   }
@@ -204,35 +170,6 @@ TEST_P(KernelBitIdentityP, ScalarAndSimdAgreeOnEveryKernel) {
       const Vec a2 = random_vec(rng, cols);
       EXPECT_EQ(kernels::scalar::dot(x, a2), fns.dot(x, a2))
           << "dot n=" << cols;
-    }
-  }
-}
-
-TEST_P(KernelBitIdentityP, ScalarAndSimdAgreeOnEveryF32Kernel) {
-  const BackendFns& fns = backend_fns(GetParam());
-  util::Rng rng{313};
-  for (std::size_t rows : {std::size_t{1}, std::size_t{2}, std::size_t{3},
-                           std::size_t{8}, std::size_t{16}}) {
-    for (std::size_t cols : kSizes) {
-      const FVec w = random_fvec(rng, rows * cols);
-      const FVec x = random_fvec(rng, cols);
-      const FVec b = random_fvec(rng, rows);
-
-      FVec ys(rows, 0.0f), yv(rows, 0.0f);
-      kernels::scalar::gemv(w, rows, cols, x, b, ys);
-      fns.gemv_f32(w, rows, cols, x, b, yv);
-      EXPECT_EQ(ys, yv) << "gemv f32 " << rows << "x" << cols;
-
-      const std::size_t batch = 3;
-      const FVec xb = random_fvec(rng, batch * cols);
-      FVec zs(batch * rows, 0.0f), zv(batch * rows, 0.0f);
-      kernels::scalar::gemm(w, rows, cols, xb, batch, b, zs);
-      fns.gemm_f32(w, rows, cols, xb, batch, b, zv);
-      EXPECT_EQ(zs, zv) << "gemm f32 " << rows << "x" << cols;
-
-      const FVec a2 = random_fvec(rng, cols);
-      EXPECT_EQ(kernels::scalar::dot(x, a2), fns.dot_f32(x, a2))
-          << "dot f32 n=" << cols;
     }
   }
 }

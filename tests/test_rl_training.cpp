@@ -2,10 +2,10 @@
 // environments with known optima, and checkpoints must round-trip.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -125,14 +125,13 @@ TEST(PpoAgent, ConstructorValidatesArguments) {
                std::invalid_argument);
 }
 
-// Protocols and recorders hold "an RL policy" through rl::Agent; the trainer
-// must train, evaluate and describe itself through that base class alone.
+// Protocols and recorders hold a PpoAgent; it must train, evaluate and
+// describe itself through that public surface alone.
 TEST(AgentInterface, PolymorphicUseAcrossAlgorithms) {
   ContextualBanditEnv env{2, 3, 16};
   PpoConfig cfg = small_config();
   cfg.epochs = 10;
-  PpoAgent ppo{env.observation_size(), env.action_spec(), cfg, 29};
-  Agent& agent = ppo;
+  PpoAgent agent{env.observation_size(), env.action_spec(), cfg, 29};
   agent.train(env, 8000);
   Rng rng{3};
   EXPECT_GT(agent.evaluate(env, 10, rng), 10.0);  // well above random (5.3)
@@ -203,29 +202,6 @@ TEST(Checkpoint, SaveLoadSaveIsByteIdenticalContinuous) {
   expect_checkpoint_byte_identity(agent, restored, "continuous");
 }
 
-TEST(Checkpoint, SaveLoadSaveIsByteIdenticalWithF32Rollout) {
-  // The precision contract (DESIGN.md §7): the fp32 path is inference-only,
-  // so checkpoints written while it is enabled are the same float64 v2 files
-  // — nothing in the on-disk state may narrow to float.
-  ContextualBanditEnv env{2, 3, 16};
-  PpoAgent agent{env.observation_size(), env.action_spec(), small_config(), 29};
-  agent.set_f32_rollout(true);
-  agent.train(env, 1024);
-  PpoAgent restored{env.observation_size(), env.action_spec(), small_config(),
-                    999};
-  restored.set_f32_rollout(true);
-  expect_checkpoint_byte_identity(agent, restored, "f32_rollout");
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "netadv_ckpt_f32.txt").string();
-  save_checkpoint(agent, path);
-  std::ifstream in{path};
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "netadv-ppo-checkpoint v2");
-  std::remove(path.c_str());
-}
-
 TEST(Checkpoint, SaveLoadSaveIsByteIdenticalUntrained) {
   // count_ < 2 is the regression case: restoring used to plant a spurious
   // second moment that changed the bytes (and later the variance).
@@ -279,89 +255,55 @@ TEST(Checkpoint, TopologyMismatchThrows) {
   std::remove(path.c_str());
 }
 
+/// Runs load_checkpoint on `path` and returns the runtime_error message (or
+/// a note saying what else happened, so the caller's expectations fail).
+std::string load_error(PpoAgent& agent, const std::string& path) {
+  try {
+    load_checkpoint(agent, path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  } catch (const std::exception& e) {
+    return std::string{"non-runtime_error: "} + e.what();
+  }
+  return "no error";
+}
+
+TEST(Checkpoint, DeclaredCountsAreCheckedBeforeAllocating) {
+  // A corrupt count must fail with an error naming the key and the file,
+  // never allocate what the file declares (a bare bad_alloc, or an OOM kill).
+  ContextualBanditEnv env{2, 3, 16};
+  PpoAgent agent{env.observation_size(), env.action_spec(), small_config(), 31};
+  const auto dir = std::filesystem::temp_directory_path();
+
+  const std::string huge_vector = (dir / "netadv_ckpt_huge_actor.txt").string();
+  {
+    std::ofstream out{huge_vector};
+    out << "netadv-ppo-checkpoint v2\nobs_size 2\naction discrete 3\n"
+        << "actor 99999999999999 1 2\n";
+  }
+  const std::string vector_error = load_error(agent, huge_vector);
+  EXPECT_NE(vector_error.find("'actor'"), std::string::npos) << vector_error;
+  EXPECT_NE(vector_error.find(huge_vector), std::string::npos) << vector_error;
+
+  const std::string huge_meta = (dir / "netadv_ckpt_huge_meta.txt").string();
+  {
+    std::ofstream out{huge_meta};
+    out << "netadv-ppo-checkpoint v3\nmeta 99999999999999\njob train\n";
+  }
+  const std::string meta_error = load_error(agent, huge_meta);
+  EXPECT_NE(meta_error.find("meta"), std::string::npos) << meta_error;
+  EXPECT_NE(meta_error.find(huge_meta), std::string::npos) << meta_error;
+  EXPECT_THROW(read_checkpoint_meta(huge_meta), std::runtime_error);
+
+  std::remove(huge_vector.c_str());
+  std::remove(huge_meta.c_str());
+}
+
 TEST(Checkpoint, MissingFileThrows) {
   ContextualBanditEnv env{2, 2, 8};
   PpoAgent agent{env.observation_size(), env.action_spec(), small_config(), 37};
   EXPECT_THROW(load_checkpoint(agent, "/nonexistent/ckpt.txt"),
                std::runtime_error);
-}
-
-// --- fp32 inference fast path ---------------------------------------------
-
-TEST(F32Inference, ForwardMatchesFp64WithinRounding) {
-  Rng rng{5};
-  Mlp net{{4, 16, 3}, Activation::kTanh, 1.0, rng};
-  Mlp::F32Workspace ws;
-  const Vec x{0.3, -0.7, 1.1, 0.05};
-  const Vec& ref = net.forward(x);
-  const std::span<const float> fast = net.forward_f32(x, ws);
-  ASSERT_EQ(fast.size(), ref.size());
-  for (std::size_t j = 0; j < ref.size(); ++j) {
-    EXPECT_NEAR(static_cast<double>(fast[j]), ref[j], 1e-5) << "output " << j;
-  }
-}
-
-TEST(F32Inference, MirrorResyncsAfterParameterMutation) {
-  Rng rng{6};
-  Mlp net{{3, 8, 2}, Activation::kTanh, 1.0, rng};
-  Mlp::F32Workspace ws;
-  const Vec x{0.25, -0.5, 0.75};
-
-  const std::span<const float> out1 = net.forward_f32(x, ws);
-  const std::vector<float> before{out1.begin(), out1.end()};
-  EXPECT_TRUE(net.f32_mirror_fresh());
-
-  // Any mutable params() access (what optimizer steps and checkpoint loads
-  // go through) must stale the mirror; the next forward_f32 must re-sync and
-  // see the new values.
-  auto params = net.params();
-  EXPECT_FALSE(net.f32_mirror_fresh());
-  for (auto& p : params) p += 0.25;
-
-  const std::span<const float> out2 = net.forward_f32(x, ws);
-  EXPECT_TRUE(net.f32_mirror_fresh());
-  bool changed = false;
-  for (std::size_t j = 0; j < before.size(); ++j) {
-    if (before[j] != out2[j]) changed = true;
-  }
-  EXPECT_TRUE(changed) << "stale fp32 mirror survived a parameter mutation";
-}
-
-TEST(F32Inference, MirrorIsResyncedAfterEveryOptimizerStep) {
-  // Train with the fp32 rollout enabled: each optimizer step bumps the param
-  // version, and the very next rollout forward must re-sync. After training
-  // the final update leaves the mirror stale (the last thing train() does is
-  // step the optimizer); any inference call freshens it again.
-  ContextualBanditEnv env{2, 3, 16};
-  PpoAgent agent{env.observation_size(), env.action_spec(), small_config(), 43};
-  agent.set_f32_rollout(true);
-  ASSERT_TRUE(agent.f32_rollout());
-  agent.train(env, 512);
-  EXPECT_FALSE(agent.actor().f32_mirror_fresh());
-  EXPECT_FALSE(agent.critic().f32_mirror_fresh());
-
-  Vec obs(2, 0.0);
-  obs[0] = 1.0;
-  agent.act_deterministic(obs);
-  agent.value_estimate(obs);
-  EXPECT_TRUE(agent.actor().f32_mirror_fresh());
-  EXPECT_TRUE(agent.critic().f32_mirror_fresh());
-}
-
-TEST(F32Inference, PpoTrainsUnderF32Rollout) {
-  // Smoke gate: fp32 rollout scoring must still learn the bandit (gradients
-  // are fp64, only action/value scoring is narrowed).
-  ContextualBanditEnv env{2, 3, 16};
-  PpoAgent agent{env.observation_size(), env.action_spec(), small_config(), 11};
-  agent.set_f32_rollout(true);
-  agent.train(env, 15000);
-  for (std::size_t ctx = 0; ctx < 2; ++ctx) {
-    Vec obs(2, 0.0);
-    obs[ctx] = 1.0;
-    const Vec action = agent.act_deterministic(obs);
-    EXPECT_EQ(static_cast<std::size_t>(action[0]), env.correct_arm(ctx))
-        << "context " << ctx;
-  }
 }
 
 // --- rollout activation cache ---------------------------------------------
@@ -379,6 +321,24 @@ void expect_same_params(const PpoAgent& a, const PpoAgent& b) {
   for (std::size_t i = 0; i < ca.size(); ++i) {
     ASSERT_EQ(ca[i], cb[i]) << "critic param " << i;
   }
+}
+
+TEST(ActivationCache, MutableParamsAccessBumpsVersion) {
+  // The cache's invalidation rule: every mutable params() access (what
+  // optimizer steps and checkpoint loads go through) bumps param_version(),
+  // so a stamped cache can never be reused after the parameters may have
+  // changed. A const access must not bump it, or reuse would never hit.
+  Rng rng{6};
+  Mlp net{{3, 8, 2}, Activation::kTanh, 1.0, rng};
+  const std::uint64_t v0 = net.param_version();
+  const Mlp& view = net;
+  EXPECT_EQ(view.params().size(), net.param_count());
+  EXPECT_EQ(net.param_version(), v0);
+  net.params();
+  const std::uint64_t v1 = net.param_version();
+  EXPECT_GT(v1, v0);
+  net.params()[0] += 0.25;
+  EXPECT_GT(net.param_version(), v1);
 }
 
 TEST(ActivationCache, TrainedParametersBitIdenticalCacheOnOrOff) {
