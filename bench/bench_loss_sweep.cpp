@@ -16,8 +16,8 @@
 #include "cc/bbr.hpp"
 #include "cc/copa.hpp"
 #include "cc/cubic.hpp"
+#include "cc/multiflow.hpp"
 #include "cc/vivace.hpp"
-#include "cc/runner.hpp"
 #include "common/bench_common.hpp"
 #include "util/config.hpp"
 
@@ -29,11 +29,11 @@ using namespace netadv::bench;
 double measure_utilization(cc::CcSender& sender, double loss, double sim_s) {
   cc::LinkSim::Params link;
   link.initial = {12.0, 30.0, loss};
-  cc::CcRunner runner{sender, link, 808};
+  cc::MultiFlowRunner runner{{&sender}, link, 808};
   runner.run_until(5.0);
   runner.collect();  // discard startup
   runner.run_until(5.0 + sim_s);
-  return runner.collect().utilization();
+  return runner.collect().aggregate_utilization();
 }
 
 void run_loss_sweep() {

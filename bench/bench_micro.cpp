@@ -35,7 +35,7 @@
 #include "abr/optimal.hpp"
 #include "abr/runner.hpp"
 #include "cc/bbr.hpp"
-#include "cc/runner.hpp"
+#include "cc/multiflow.hpp"
 #include "core/abr_adversary.hpp"
 #include "core/cc_adversary.hpp"
 #include "core/recorder.hpp"
@@ -71,18 +71,18 @@ void BM_LinkTransmit(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkTransmit);
 
-void BM_CcRunnerSimSecond(benchmark::State& state) {
+void BM_SingleFlowSimSecond(benchmark::State& state) {
   // One simulated second of a BBR flow on a 12 Mbps link (~1000 packets).
   for (auto _ : state) {
     state.PauseTiming();
     cc::BbrSender bbr;
-    cc::CcRunner runner{bbr, {}, 2};
+    cc::MultiFlowRunner runner{{&bbr}, {}, 2};
     state.ResumeTiming();
     runner.run_until(1.0);
-    benchmark::DoNotOptimize(runner.total_delivered());
+    benchmark::DoNotOptimize(runner.total_delivered(0));
   }
 }
-BENCHMARK(BM_CcRunnerSimSecond)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SingleFlowSimSecond)->Unit(benchmark::kMicrosecond);
 
 void BM_StreamingChunk(benchmark::State& state) {
   const abr::VideoManifest m;

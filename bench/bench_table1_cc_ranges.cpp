@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "cc/bbr.hpp"
-#include "cc/runner.hpp"
+#include "cc/multiflow.hpp"
 #include "common/bench_common.hpp"
 #include "core/cc_adversary.hpp"
 #include "util/config.hpp"
@@ -61,12 +61,11 @@ void run_table1() {
         cc::BbrSender bbr;
         cc::LinkSim::Params link;
         link.initial = {bw, lat, loss};
-        cc::CcRunner runner{bbr, link, 777};
+        cc::MultiFlowRunner runner{{&bbr}, link, 777};
         runner.run_until(5.0);
         runner.collect();  // discard startup
         runner.run_until(5.0 + sim_s);
-        const cc::IntervalStats stats = runner.collect();
-        const double util = stats.utilization();
+        const double util = runner.collect().aggregate_utilization();
         if (loss == 0.0) min_util_no_loss = std::min(min_util_no_loss, util);
         print_row({fmt(bw, 0), fmt(lat, 1), fmt(loss * 100, 0), fmt(util)},
                   w2);

@@ -135,8 +135,8 @@ Fig1Artifacts build_fig1_artifacts(std::uint64_t seed) {
   // triple per trace across the pool. Stock protocols come from the shared
   // registry; Pensieve serves the in-memory agent trained above, so it stays
   // a local factory (the registry's `pensieve` entry loads checkpoints).
-  const core::ProtocolFactory make_mpc = core::abr_protocols().factory("mpc");
-  const core::ProtocolFactory make_bb = core::abr_protocols().factory("bb");
+  const abr::ProtocolFactory make_mpc = core::abr_protocols().factory("mpc");
+  const abr::ProtocolFactory make_bb = core::abr_protocols().factory("bb");
   util::log_info("fig1: recording 2 x %zu adversarial traces", traces_per_set);
   art.traces_vs_mpc = core::record_abr_traces(
       adv_mpc, m, make_mpc, core::AbrAdversaryEnv::Params{}, traces_per_set,

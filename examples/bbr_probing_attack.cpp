@@ -9,7 +9,7 @@
 #include <string>
 
 #include "cc/bbr.hpp"
-#include "cc/runner.hpp"
+#include "cc/multiflow.hpp"
 #include "core/cc_adversary.hpp"
 #include "core/recorder.hpp"
 #include "core/trainer.hpp"
@@ -26,13 +26,12 @@ int main(int argc, char** argv) {
     cc::BbrSender bbr;
     cc::LinkSim::Params link;
     link.initial = {15.0, 37.5, 0.0};
-    cc::CcRunner runner{bbr, link, 1};
+    cc::MultiFlowRunner runner{{&bbr}, link, 1};
     runner.run_until(5.0);
     runner.collect();
     runner.run_until(30.0);
-    const cc::IntervalStats stats = runner.collect();
     std::printf("benign fixed link (15 Mbps): BBR utilization %.1f%%\n",
-                100.0 * stats.utilization());
+                100.0 * runner.collect().aggregate_utilization());
   }
 
   // (b) Train the adversary and attack.

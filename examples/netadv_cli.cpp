@@ -35,10 +35,12 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -62,6 +64,7 @@
 #include "util/config.hpp"
 #include "util/fsatomic.hpp"
 #include "util/log.hpp"
+#include "util/spec.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -105,8 +108,17 @@ std::unique_ptr<abr::AbrProtocol> make_protocol(const std::string& kind) {
   return core::abr_protocols().try_make(kind);
 }
 
-std::unique_ptr<cc::CcSender> make_sender(const std::string& kind) {
-  return core::cc_senders().try_make(kind);
+/// A positional count: a plain unsigned integer ("-1" and "2x" are
+/// rejected, not wrapped or truncated). nullopt after naming the argument
+/// on stderr; the caller returns usage().
+std::optional<std::size_t> count_arg(const char* name,
+                                     const std::string& text) {
+  const std::optional<std::uint64_t> value = util::parse_unsigned(text);
+  if (!value) {
+    std::fprintf(stderr, "error: <%s> must be an unsigned integer, got '%s'\n",
+                 name, text.c_str());
+  }
+  return value;
 }
 
 void print_registry(const char* heading, const core::RegistryBase& registry) {
@@ -157,9 +169,10 @@ int cmd_gen(const std::vector<std::string>& args) {
   if (args.size() != 3) return usage();
   auto gen = make_generator(args[0]);
   if (!gen) return usage();
-  const auto count = static_cast<std::size_t>(std::stoul(args[1]));
+  const std::optional<std::size_t> count = count_arg("count", args[1]);
+  if (!count) return usage();
   util::Rng rng{20190707};
-  for (std::size_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < *count; ++i) {
     const std::string path = args[2] + "_" + std::to_string(i) + ".csv";
     trace::save_trace(gen->generate(rng), path);
     std::printf("wrote %s\n", path.c_str());
@@ -188,22 +201,23 @@ int cmd_eval(const std::vector<std::string>& args) {
 int cmd_attack(const std::vector<std::string>& args) {
   if (args.size() != 4) return usage();
   if (!core::abr_protocols().contains(args[0])) return usage();
+  const std::optional<std::size_t> steps = count_arg("steps", args[1]);
+  const std::optional<std::size_t> count = count_arg("count", args[2]);
+  if (!steps || !count) return usage();
   // Resolve the target factory once; attack + per-trace regret reuse it.
-  const core::ProtocolFactory make_target =
+  const abr::ProtocolFactory make_target =
       core::abr_protocols().factory(args[0]);
   auto protocol = make_target();
-  const auto steps = static_cast<std::size_t>(std::stoul(args[1]));
-  const auto count = static_cast<std::size_t>(std::stoul(args[2]));
 
   const abr::VideoManifest manifest;
   core::AbrAdversaryEnv env{manifest, *protocol};
   std::printf("training adversary vs %s for %zu steps...\n",
-              protocol->name().c_str(), steps);
+              protocol->name().c_str(), *steps);
   rl::PpoAgent adversary = core::train_adversary(
-      env, core::abr_adversary_ppo_config(), steps, 20190707);
+      env, core::abr_adversary_ppo_config(), *steps, 20190707);
 
   util::Rng rng{20190708};
-  const auto traces = core::record_abr_traces(adversary, env, count, rng);
+  const auto traces = core::record_abr_traces(adversary, env, *count, rng);
   double regret = 0.0;
   for (std::size_t i = 0; i < traces.size(); ++i) {
     const std::string path = args[3] + "_" + std::to_string(i) + ".csv";
@@ -220,13 +234,15 @@ int cmd_attack(const std::vector<std::string>& args) {
 
 int cmd_cc(const std::vector<std::string>& args) {
   if (args.size() != 2) return usage();
-  auto sender = make_sender(args[0]);
-  if (!sender) return usage();
+  if (!core::cc_senders().contains(args[0])) return usage();
+  const cc::SenderFactory make_sender = core::cc_senders().factory(args[0]);
+  const std::string name = make_sender()->name();
   const trace::Trace t = trace::load_trace(args[1]);
-  const core::CcReplayResult result =
-      core::replay_cc_trace(*sender, t, {}, 20190707);
-  std::printf("%s on %s:\n", sender->name().c_str(), args[1].c_str());
-  std::printf("  mean throughput  %8.2f Mbps\n", result.mean_throughput_mbps);
+  const core::CcReplayResult result = core::replay_cc_trace(
+      {make_sender}, t, {}, /*stagger_s=*/0.0, 20190707);
+  std::printf("%s on %s:\n", name.c_str(), args[1].c_str());
+  std::printf("  mean throughput  %8.2f Mbps\n",
+              result.mean_flow_throughput_mbps[0]);
   std::printf("  mean utilization %8.1f %%\n",
               100.0 * result.mean_utilization);
   return 0;
@@ -236,18 +252,19 @@ int cmd_serve(const std::vector<std::string>& args) {
   if (args.size() != 4 && args.size() != 5) return usage();
   if (!core::abr_protocols().contains(args[0])) return usage();
   if (!core::qoe_models().contains(args[1])) return usage();
+  const std::optional<std::size_t> sessions = count_arg("sessions", args[2]);
+  if (!sessions) return usage();
   // Resolve both names up front; `serve pensieve` without a checkpoint
   // throws from the factory at session setup (runtime error, exit 1).
-  const core::ProtocolFactory make_target =
+  const abr::ProtocolFactory make_target =
       core::abr_protocols().factory(args[0]);
   const std::unique_ptr<abr::QoeModel> qoe = core::qoe_models().make(args[1]);
-  const auto sessions = static_cast<std::size_t>(std::stoul(args[2]));
 
   serve::SessionEngine engine{abr::VideoManifest{},
                               {trace::load_trace(args[3])}};
   serve::ServeStats stats;
   const std::vector<serve::SessionSummary> summaries = engine.run(
-      make_target, *qoe, sessions, &util::ThreadPool::global(), &stats);
+      make_target, *qoe, *sessions, &util::ThreadPool::global(), &stats);
 
   double qoe_total = 0.0;
   double rebuffer_total = 0.0;
@@ -382,6 +399,13 @@ int cmd_campaign_status(const std::string& spec_path) {
   return view.settled_failed == 0 && view.settled_blocked == 0 ? 0 : 1;
 }
 
+// Upper bounds on the fleet flags: a lease beyond a day only delays breaking
+// a dead worker's claim, a poll beyond a minute only delays noticing settled
+// jobs, and a thousand forked workers is already far past useful.
+constexpr double kMaxLeaseS = 86400.0;
+constexpr std::uint64_t kMaxPollMs = 60000;
+constexpr std::uint64_t kMaxSpawnWorkers = 1024;
+
 int cmd_campaign(const std::string& exe,
                  const std::vector<std::string>& args) {
   if (!args.empty() && args[0] == "status") {
@@ -409,19 +433,26 @@ int cmd_campaign(const std::string& exe,
         std::fprintf(stderr, "campaign: %s needs a value\n", arg.c_str());
         return usage();
       }
-      try {
-        if (arg == "--spawn-workers") {
-          spawn = std::stol(args[++i]);
-          if (spawn < 1) throw std::invalid_argument{"count"};
-        } else if (arg == "--lease") {
-          lease_s = std::stod(args[++i]);
-          if (lease_s <= 0.0) throw std::invalid_argument{"lease"};
-        } else {
-          poll_ms = std::stoi(args[++i]);
-          if (poll_ms < 1) throw std::invalid_argument{"poll"};
-        }
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "campaign: bad value for %s\n", arg.c_str());
+      // Strict parses: "2x" and "50ms" are not numbers, and a NaN, infinite
+      // or oversized lease would never let a dead worker's claim expire.
+      const std::string& value = args[++i];
+      bool ok = false;
+      if (arg == "--spawn-workers") {
+        const auto n = util::parse_unsigned(value);
+        ok = n && *n >= 1 && *n <= kMaxSpawnWorkers;
+        if (ok) spawn = static_cast<long>(*n);
+      } else if (arg == "--lease") {
+        const auto s = util::parse_finite(value);
+        ok = s && *s > 0.0 && *s <= kMaxLeaseS;
+        if (ok) lease_s = *s;
+      } else {
+        const auto ms = util::parse_unsigned(value);
+        ok = ms && *ms >= 1 && *ms <= kMaxPollMs;
+        if (ok) poll_ms = static_cast<int>(*ms);
+      }
+      if (!ok) {
+        std::fprintf(stderr, "campaign: bad value '%s' for %s\n",
+                     value.c_str(), arg.c_str());
         return usage();
       }
     } else if (!arg.empty() && arg[0] == '-') {

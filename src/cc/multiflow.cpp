@@ -42,6 +42,11 @@ double MultiFlowRunner::Interval::aggregate_utilization() const noexcept {
   return std::min(1.0, delivered / capacity_bits);
 }
 
+double MultiFlowRunner::Interval::utilization(std::size_t f) const noexcept {
+  if (capacity_bits <= 0.0 || f >= flows.size()) return 0.0;
+  return std::min(1.0, flows[f].delivered_bits / capacity_bits);
+}
+
 MultiFlowRunner::MultiFlowRunner(std::vector<CcSender*> senders,
                                  LinkSim::Params link_params,
                                  std::uint64_t seed,
@@ -60,6 +65,7 @@ MultiFlowRunner::MultiFlowRunner(std::vector<CcSender*> senders,
     }
     Flow flow;
     flow.sender = senders[i];
+    flow.bbr = dynamic_cast<BbrSender*>(senders[i]);
     flow.start_time_s = start_times_s.empty() ? 0.0 : start_times_s[i];
     flow.send_allowed_at_s = flow.start_time_s;
     flow.last_rtt_s = 2.0 * link_.conditions().one_way_delay_ms / 1000.0;
@@ -83,7 +89,8 @@ void MultiFlowRunner::advance_clock(double t_s) {
 double MultiFlowRunner::next_send_time(const Flow& flow) const {
   if (now_s_ + 1e-12 < flow.start_time_s) return flow.start_time_s;
   if (flow.inflight >= flow.sender->cwnd_packets()) return kInf;
-  return std::max({now_s_, flow.send_allowed_at_s, flow.start_time_s});
+  // send_allowed_at_s starts at start_time_s and only moves later.
+  return std::max(now_s_, flow.send_allowed_at_s);
 }
 
 void MultiFlowRunner::send_packet(std::size_t flow_index) {
@@ -101,7 +108,7 @@ void MultiFlowRunner::send_packet(std::size_t flow_index) {
     Event e;
     e.kind = Event::Kind::kAck;
     e.time_s = result.ack_return_time_s;
-    e.flow = flow_index;
+    e.flow = static_cast<std::uint32_t>(flow_index);
     e.ack.packet_id = id;
     e.ack.send_time_s = now_s_;
     e.ack.ack_time_s = result.ack_return_time_s;
@@ -109,13 +116,15 @@ void MultiFlowRunner::send_packet(std::size_t flow_index) {
     e.ack.delivered_at_send = flow.delivered;
     e.ack.delivered_time_at_send_s = flow.delivered_time_s;
     events_.push(e);
+    flow.queue_delay_sum_s += result.queue_delay_s;
   } else {
+    // Drop: the stack notices roughly one RTT after the send.
     Event e;
     e.kind = Event::Kind::kLoss;
     e.time_s = now_s_ + std::max(flow.last_rtt_s,
                                  2.0 * link_.conditions().one_way_delay_ms /
                                      1000.0);
-    e.flow = flow_index;
+    e.flow = static_cast<std::uint32_t>(flow_index);
     e.loss.packet_id = id;
     e.loss.send_time_s = now_s_;
     e.loss.detect_time_s = e.time_s;
@@ -137,17 +146,13 @@ void MultiFlowRunner::process_event(const Event& event) {
 
     AckInfo ack = event.ack;
     ack.delivered = flow.delivered;
-    if (auto* bbr = dynamic_cast<BbrSender*>(flow.sender)) {
-      bbr->set_inflight(flow.inflight);
-    }
+    if (flow.bbr != nullptr) flow.bbr->set_inflight(flow.inflight);
     flow.sender->on_ack(ack);
   } else {
     --flow.inflight;
     ++flow.total_lost;
     ++flow.interval.packets_lost;
-    if (auto* bbr = dynamic_cast<BbrSender*>(flow.sender)) {
-      bbr->set_inflight(flow.inflight);
-    }
+    if (flow.bbr != nullptr) flow.bbr->set_inflight(flow.inflight);
     flow.sender->on_loss(event.loss);
   }
 }
@@ -185,11 +190,13 @@ MultiFlowRunner::Interval MultiFlowRunner::collect() {
   Interval interval;
   interval.duration_s = now_s_ - interval_start_s_;
   interval.capacity_bits = interval_capacity_bits_;
+  interval.flows.reserve(flows_.size());
   for (auto& flow : flows_) {
     FlowStats stats = flow.interval;
     if (stats.packets_delivered > 0) {
-      stats.mean_rtt_s =
-          flow.rtt_sum_s / static_cast<double>(stats.packets_delivered);
+      const auto acks = static_cast<double>(stats.packets_delivered);
+      stats.mean_queue_delay_s = flow.queue_delay_sum_s / acks;
+      stats.mean_rtt_s = flow.rtt_sum_s / acks;
       flow.last_mean_rtt_s = stats.mean_rtt_s;
     } else {
       // No deliveries this interval (starved or not yet started): carry the
@@ -201,6 +208,7 @@ MultiFlowRunner::Interval MultiFlowRunner::collect() {
     interval.flows.push_back(stats);
     flow.interval = FlowStats{};
     flow.rtt_sum_s = 0.0;
+    flow.queue_delay_sum_s = 0.0;
   }
   interval_start_s_ = now_s_;
   interval_capacity_bits_ = 0.0;

@@ -1,8 +1,11 @@
-// Multiple congestion-controlled flows sharing one bottleneck — the
-// contention setting every real deployment faces and the natural substrate
-// for the incast/fairness adversarial goals the paper sketches in
-// Section 5. Same event model as CcRunner, with per-flow pacing, delivery
-// bookkeeping, and statistics.
+// The discrete-event loop for congestion-controlled flows sharing one
+// LinkSim bottleneck: paces each flow's packets at its sender's rate (gated
+// by its cwnd), returns ACKs after the path delay, and notifies the sender
+// of drops one RTT later. A single flow is a one-sender mix — the Section-4
+// setting, where the adversary env advances it in 30-ms epochs, changing
+// link conditions between epochs and reading the per-epoch utilization and
+// queueing delay. Two or more flows give the contention substrate for the
+// fairness goals the paper sketches in Section 5.
 #pragma once
 
 #include <cstdint>
@@ -15,12 +18,18 @@
 
 namespace netadv::cc {
 
+class BbrSender;
+
 /// Per-flow interval statistics (since the previous collect()).
 struct FlowStats {
   std::uint64_t packets_sent = 0;
   std::uint64_t packets_delivered = 0;
   std::uint64_t packets_lost = 0;
   double delivered_bits = 0.0;
+  /// Mean queueing delay of this interval's deliveries: each delivered
+  /// packet's queue delay is counted when it is sent, and the sum is divided
+  /// by the interval's ACK count; 0 for an interval with no deliveries.
+  double mean_queue_delay_s = 0.0;
   /// Mean RTT of this interval's deliveries; for an interval with no
   /// deliveries, the previous interval's mean (the link's base RTT before
   /// any delivery) — never a fabricated 0 ms.
@@ -64,7 +73,12 @@ class MultiFlowRunner {
     std::vector<FlowStats> flows;
 
     std::vector<double> throughputs_mbps() const;
+    /// Delivered / capacity over every flow, clamped to [0, 1] (packets
+    /// queued in the previous interval can deliver just past its boundary);
+    /// 0 when no capacity elapsed.
     double aggregate_utilization() const noexcept;
+    /// The same share for flow `f` alone.
+    double utilization(std::size_t f) const noexcept;
   };
   Interval collect();
 
@@ -84,6 +98,7 @@ class MultiFlowRunner {
  private:
   struct Flow {
     CcSender* sender = nullptr;
+    BbrSender* bbr = nullptr;  ///< `sender` when it is BBR (told inflight)
     double start_time_s = 0.0;
     double send_allowed_at_s = 0.0;
     double inflight = 0.0;
@@ -96,13 +111,14 @@ class MultiFlowRunner {
     std::uint64_t total_lost = 0;
     FlowStats interval{};
     double rtt_sum_s = 0.0;
+    double queue_delay_sum_s = 0.0;
   };
 
   struct Event {
     enum class Kind { kAck, kLoss };
     double time_s = 0.0;
     Kind kind = Kind::kAck;
-    std::size_t flow = 0;
+    std::uint32_t flow = 0;  ///< fills the padding after `kind`
     AckInfo ack;
     LossInfo loss;
     bool operator>(const Event& other) const noexcept {

@@ -1,13 +1,15 @@
 // The congestion-control sender interface and the feedback it receives.
 //
-// The simulator models a single bulk flow over one bottleneck: the sender
-// always has data, paces packets at the algorithm's rate subject to its
+// The simulator models bulk flows over one bottleneck: each sender always
+// has data, paces packets at the algorithm's rate subject to its
 // congestion window, and learns about deliveries via ACKs and about drops
 // via loss notifications delayed by roughly one RTT (the dup-ACK/timeout
 // detection delay of a real stack).
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 
 namespace netadv::cc {
@@ -53,5 +55,9 @@ class CcSender {
   /// this.
   virtual double cwnd_packets() const = 0;
 };
+
+/// Builds a fresh sender per episode, replay or flow; must be thread-safe to
+/// call (it only constructs new objects).
+using SenderFactory = std::function<std::unique_ptr<CcSender>()>;
 
 }  // namespace netadv::cc

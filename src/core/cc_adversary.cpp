@@ -8,7 +8,7 @@
 
 namespace netadv::core {
 
-CcAdversaryEnv::CcAdversaryEnv(Params params, SenderFactory factory)
+CcAdversaryEnv::CcAdversaryEnv(Params params, cc::SenderFactory factory)
     : params_(params),
       factory_(factory ? std::move(factory) : [] {
         return std::unique_ptr<cc::CcSender>(std::make_unique<cc::BbrSender>());
@@ -34,8 +34,8 @@ rl::ActionSpec CcAdversaryEnv::action_spec() const {
 }
 
 rl::Vec CcAdversaryEnv::observe() const {
-  return {last_interval_.utilization(),
-          std::min(1.0, last_interval_.mean_queue_delay_s /
+  return {last_interval_.aggregate_utilization(),
+          std::min(1.0, last_interval_.flows[0].mean_queue_delay_s /
                             params_.queue_delay_scale_s)};
 }
 
@@ -48,9 +48,10 @@ rl::Vec CcAdversaryEnv::reset(util::Rng& rng) {
   link.initial.one_way_delay_ms =
       0.5 * (params_.latency_min_ms + params_.latency_max_ms);
   link.initial.loss_rate = 0.0;
-  runner_ = std::make_unique<cc::CcRunner>(*sender_, link, rng());
+  runner_ = std::make_unique<cc::MultiFlowRunner>(
+      std::vector<cc::CcSender*>{sender_.get()}, link, rng());
   epoch_index_ = 0;
-  last_interval_ = cc::IntervalStats{};
+  last_interval_ = cc::MultiFlowRunner::Interval{};
   last_reward_ = AdversaryReward{};
   ewma_initialized_ = false;
 
@@ -100,7 +101,7 @@ rl::StepResult CcAdversaryEnv::step(const rl::Vec& action, util::Rng& /*rng*/) {
       // the optimum is full utilization (1), the protocol earned U + L'
       // where the adversary is charged for the loss it injected.
       last_reward_.optimal = 1.0;
-      last_reward_.protocol = last_interval_.utilization() + loss;
+      last_reward_.protocol = last_interval_.aggregate_utilization() + loss;
       break;
     case Goal::kCongestion:
       // Reward standing queues: optimal behaviour keeps queueing delay at
@@ -108,7 +109,7 @@ rl::StepResult CcAdversaryEnv::step(const rl::Vec& action, util::Rng& /*rng*/) {
       // Loss injection is still charged so the adversary cannot manufacture
       // congestion signals for free.
       last_reward_.optimal = 0.0;
-      last_reward_.protocol = -(last_interval_.mean_queue_delay_s /
+      last_reward_.protocol = -(last_interval_.flows[0].mean_queue_delay_s /
                                 params_.queue_delay_scale_s) +
                               loss;
       break;

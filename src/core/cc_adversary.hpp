@@ -12,11 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "cc/link.hpp"
-#include "cc/runner.hpp"
+#include "cc/multiflow.hpp"
 #include "cc/sender.hpp"
 #include "core/reward.hpp"
 #include "rl/env.hpp"
@@ -25,8 +24,6 @@ namespace netadv::core {
 
 class CcAdversaryEnv final : public rl::Env {
  public:
-  using SenderFactory = std::function<std::unique_ptr<cc::CcSender>()>;
-
   /// What the adversary optimizes (Section 5, "Different adversarial
   /// goals"). kUnderutilization is the paper's r = 1 - U - L - 0.01 S;
   /// kCongestion instead rewards the queueing delay the target inflicts on
@@ -55,7 +52,7 @@ class CcAdversaryEnv final : public rl::Env {
 
   /// `factory` builds a fresh target sender per episode (default: BBR).
   CcAdversaryEnv() : CcAdversaryEnv(Params{}, nullptr) {}
-  explicit CcAdversaryEnv(Params params, SenderFactory factory = nullptr);
+  explicit CcAdversaryEnv(Params params, cc::SenderFactory factory = nullptr);
 
   std::string name() const override { return "cc-adversary"; }
   std::size_t observation_size() const override { return 2; }
@@ -66,9 +63,9 @@ class CcAdversaryEnv final : public rl::Env {
   const AdversaryReward& last_reward() const noexcept { return last_reward_; }
   const Params& params() const noexcept { return params_; }
   /// Live access to the flow under attack (for the Figure-5/6 recorders).
-  cc::CcRunner* runner() noexcept { return runner_.get(); }
   cc::CcSender* sender() noexcept { return sender_.get(); }
-  const cc::IntervalStats& last_interval() const noexcept {
+  /// The latest epoch of the one-flow runner: flows[0] is the target.
+  const cc::MultiFlowRunner::Interval& last_interval() const noexcept {
     return last_interval_;
   }
   std::size_t epochs_per_episode() const noexcept {
@@ -80,12 +77,12 @@ class CcAdversaryEnv final : public rl::Env {
   rl::Vec observe() const;
 
   Params params_;
-  SenderFactory factory_;
+  cc::SenderFactory factory_;
 
   std::unique_ptr<cc::CcSender> sender_;
-  std::unique_ptr<cc::CcRunner> runner_;
+  std::unique_ptr<cc::MultiFlowRunner> runner_;
   std::size_t epoch_index_ = 0;
-  cc::IntervalStats last_interval_{};
+  cc::MultiFlowRunner::Interval last_interval_{};
   AdversaryReward last_reward_{};
 
   // Smoothing-factor EWMAs over *normalized* bandwidth/latency so S is

@@ -37,8 +37,8 @@ class OnOffBlastSender final : public cc::CcSender {
 
 FairnessAdversaryEnv::~FairnessAdversaryEnv() = default;
 
-FairnessAdversaryEnv::FairnessAdversaryEnv(Params params,
-                                           std::vector<SenderFactory> factories)
+FairnessAdversaryEnv::FairnessAdversaryEnv(
+    Params params, std::vector<cc::SenderFactory> factories)
     : params_(params), factories_(std::move(factories)) {
   if (params_.bandwidth_min_mbps <= 0.0 ||
       params_.bandwidth_max_mbps <= params_.bandwidth_min_mbps ||
@@ -242,14 +242,7 @@ rl::StepResult FairnessAdversaryEnv::step(const rl::Vec& action,
   // pay term to its fair value.
   const std::size_t n = factories_.size();
   last_jain_ = cc::jain_fairness_index(mix_throughputs());
-  // min() clamp as in aggregate_utilization(): queued packets from the
-  // previous epoch can deliver just past the boundary, nudging a single
-  // interval's ratio above 1.
-  last_victim_util_ =
-      last_interval_.capacity_bits > 0.0 && !last_interval_.flows.empty()
-          ? std::min(1.0, last_interval_.flows[0].delivered_bits /
-                              last_interval_.capacity_bits)
-          : 0.0;
+  last_victim_util_ = last_interval_.utilization(0);
   // Victim pay term: 1 at the victim's fair share (or above), 0 when fully
   // starved — same scale as the Jain term.
   double victim_term =

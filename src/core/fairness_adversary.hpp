@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -42,8 +41,6 @@ class OnOffBlastSender;  // the cross-traffic accomplice (defined in the .cpp)
 
 class FairnessAdversaryEnv final : public rl::Env {
  public:
-  using SenderFactory = std::function<std::unique_ptr<cc::CcSender>()>;
-
   /// Which contention story the episode tells (see the header comment).
   enum class Scenario { kFairness, kCrossTraffic, kLateJoin };
 
@@ -92,7 +89,7 @@ class FairnessAdversaryEnv final : public rl::Env {
   /// `factories` build the competing flows each episode (default: two BBRs).
   FairnessAdversaryEnv() : FairnessAdversaryEnv(Params{}) {}
   explicit FairnessAdversaryEnv(Params params,
-                                std::vector<SenderFactory> factories = {});
+                                std::vector<cc::SenderFactory> factories = {});
   ~FairnessAdversaryEnv() override;
 
   std::string name() const override;
@@ -132,7 +129,7 @@ class FairnessAdversaryEnv final : public rl::Env {
   std::vector<double> mix_throughputs() const;
 
   Params params_;
-  std::vector<SenderFactory> factories_;
+  std::vector<cc::SenderFactory> factories_;
 
   std::vector<std::unique_ptr<cc::CcSender>> senders_;
   std::unique_ptr<OnOffBlastSender> cross_sender_;

@@ -62,7 +62,8 @@ std::vector<trace::Trace> record_abr_traces(rl::PpoAgent& agent,
 
 std::vector<trace::Trace> record_abr_traces(
     const rl::PpoAgent& agent, const abr::VideoManifest& manifest,
-    const ProtocolFactory& make_protocol, const AbrAdversaryEnv::Params& params,
+    const abr::ProtocolFactory& make_protocol,
+    const AbrAdversaryEnv::Params& params,
     std::size_t count, std::uint64_t seed, bool deterministic,
     util::ThreadPool* pool) {
   return fan_out(count, seed, pool, [&](std::size_t, std::uint64_t s) {
@@ -140,11 +141,13 @@ CcEpisodeRecord record_cc_episode(rl::PpoAgent& agent, CcAdversaryEnv& env,
     } else {
       record.bbr_mode.push_back(-1);
     }
-    const cc::IntervalStats& stats = env.last_interval();
-    record.throughput_mbps.push_back(stats.throughput_mbps());
-    record.utilization.push_back(stats.utilization());
-    record.queue_delay_s.push_back(stats.mean_queue_delay_s);
-    util_sum += stats.utilization();
+    const cc::MultiFlowRunner::Interval& interval = env.last_interval();
+    const cc::FlowStats& flow = interval.flows[0];
+    const double utilization = interval.aggregate_utilization();
+    record.throughput_mbps.push_back(flow.throughput_mbps(interval.duration_s));
+    record.utilization.push_back(utilization);
+    record.queue_delay_s.push_back(flow.mean_queue_delay_s);
+    util_sum += utilization;
     ++epochs;
 
     record.trace.append({env.params().epoch_s, physical[0], physical[1],
@@ -159,7 +162,7 @@ CcEpisodeRecord record_cc_episode(rl::PpoAgent& agent, CcAdversaryEnv& env,
 
 std::vector<CcEpisodeRecord> record_cc_episodes(
     const rl::PpoAgent& agent, const CcAdversaryEnv::Params& params,
-    const CcAdversaryEnv::SenderFactory& make_sender, std::size_t count,
+    const cc::SenderFactory& make_sender, std::size_t count,
     std::uint64_t seed, bool deterministic, util::ThreadPool* pool) {
   return fan_out(count, seed, pool, [&](std::size_t, std::uint64_t s) {
     CcAdversaryEnv env{params, make_sender};
@@ -224,7 +227,7 @@ FairnessEpisodeRecord record_fairness_episode(rl::PpoAgent& agent,
 
 std::vector<FairnessEpisodeRecord> record_fairness_episodes(
     const rl::PpoAgent& agent, const FairnessAdversaryEnv::Params& params,
-    std::vector<FairnessAdversaryEnv::SenderFactory> factories,
+    std::vector<cc::SenderFactory> factories,
     std::size_t count, std::uint64_t seed, bool deterministic,
     util::ThreadPool* pool) {
   return fan_out(count, seed, pool, [&](std::size_t, std::uint64_t s) {
@@ -235,70 +238,25 @@ std::vector<FairnessEpisodeRecord> record_fairness_episodes(
   });
 }
 
-CcReplayResult replay_cc_trace(cc::CcSender& sender, const trace::Trace& t,
+CcReplayResult replay_cc_trace(const std::vector<cc::SenderFactory>& mix,
+                               const trace::Trace& t,
                                const cc::LinkSim::Params& link_params,
-                               std::uint64_t seed) {
+                               double stagger_s, std::uint64_t seed) {
   if (t.empty()) throw std::invalid_argument{"replay_cc_trace: empty trace"};
-  cc::CcRunner runner{sender, link_params, seed};
-  CcReplayResult result;
-  double now = 0.0;
-  double util_sum = 0.0;
-  double tput_sum = 0.0;
-  for (const auto& segment : t.segments()) {
-    runner.set_conditions({segment.bandwidth_mbps, segment.latency_ms,
-                           segment.loss_rate});
-    now += segment.duration_s;
-    runner.run_until(now);
-    const cc::IntervalStats stats = runner.collect();
-    result.throughput_mbps.push_back(stats.throughput_mbps());
-    util_sum += stats.utilization();
-    tput_sum += stats.throughput_mbps();
-  }
-  const auto n = static_cast<double>(t.size());
-  result.mean_utilization = util_sum / n;
-  result.mean_throughput_mbps = tput_sum / n;
-  return result;
-}
-
-std::vector<CcReplayResult> replay_cc_traces(
-    const SenderFactory& make_sender, const std::vector<trace::Trace>& traces,
-    const cc::LinkSim::Params& link_params, std::uint64_t seed,
-    util::ThreadPool* pool) {
-  return fan_out(traces.size(), seed, pool,
-                 [&](std::size_t i, std::uint64_t link_seed) {
-    const std::unique_ptr<cc::CcSender> sender = make_sender();
-    if (!sender) {
-      throw std::invalid_argument{"replay_cc_traces: factory returned null"};
-    }
-    return replay_cc_trace(*sender, traces[i], link_params, link_seed);
-  });
-}
-
-FairnessReplayResult replay_fairness_trace(
-    const std::vector<SenderFactory>& mix, const trace::Trace& t,
-    const cc::LinkSim::Params& link_params, double stagger_s,
-    std::uint64_t seed) {
-  if (t.empty()) {
-    throw std::invalid_argument{"replay_fairness_trace: empty trace"};
-  }
-  if (mix.size() < 2) {
-    throw std::invalid_argument{"replay_fairness_trace: need >= 2 flows"};
-  }
   std::vector<std::unique_ptr<cc::CcSender>> senders;
   std::vector<cc::CcSender*> raw;
   std::vector<double> starts;
   for (std::size_t i = 0; i < mix.size(); ++i) {
     senders.push_back(mix[i]());
     if (!senders.back()) {
-      throw std::invalid_argument{
-          "replay_fairness_trace: factory returned null"};
+      throw std::invalid_argument{"replay_cc_trace: factory returned null"};
     }
     raw.push_back(senders.back().get());
     starts.push_back(static_cast<double>(i) * stagger_s);
   }
   cc::MultiFlowRunner runner{raw, link_params, seed, starts};
 
-  FairnessReplayResult result;
+  CcReplayResult result;
   result.mean_flow_throughput_mbps.assign(mix.size(), 0.0);
   double now = 0.0;
   double jain_sum = 0.0;
@@ -310,16 +268,12 @@ FairnessReplayResult replay_fairness_trace(
     now += segment.duration_s;
     runner.run_until(now);
     const cc::MultiFlowRunner::Interval interval = runner.collect();
-    const double jain = cc::jain_fairness_index(interval.throughputs_mbps());
-    result.jain.push_back(jain);
-    jain_sum += jain;
-    victim_sum += interval.capacity_bits > 0.0 && !interval.flows.empty()
-                      ? std::min(1.0, interval.flows[0].delivered_bits /
-                                          interval.capacity_bits)
-                      : 0.0;
-    util_sum += interval.aggregate_utilization();
-    for (std::size_t f = 0; f < mix.size() && f < interval.flows.size();
-         ++f) {
+    const double utilization = interval.aggregate_utilization();
+    result.utilization.push_back(utilization);
+    jain_sum += cc::jain_fairness_index(interval.throughputs_mbps());
+    victim_sum += interval.utilization(0);
+    util_sum += utilization;
+    for (std::size_t f = 0; f < mix.size(); ++f) {
       result.mean_flow_throughput_mbps[f] +=
           interval.flows[f].throughput_mbps(interval.duration_s);
     }
@@ -327,20 +281,19 @@ FairnessReplayResult replay_fairness_trace(
   const auto n = static_cast<double>(t.size());
   result.mean_jain = jain_sum / n;
   result.mean_victim_utilization = victim_sum / n;
-  result.mean_aggregate_utilization = util_sum / n;
+  result.mean_utilization = util_sum / n;
   for (double& v : result.mean_flow_throughput_mbps) v /= n;
   return result;
 }
 
-std::vector<FairnessReplayResult> replay_fairness_traces(
-    const std::vector<SenderFactory>& mix,
+std::vector<CcReplayResult> replay_cc_traces(
+    const std::vector<cc::SenderFactory>& mix,
     const std::vector<trace::Trace>& traces,
     const cc::LinkSim::Params& link_params, double stagger_s,
     std::uint64_t seed, util::ThreadPool* pool) {
   return fan_out(traces.size(), seed, pool,
                  [&](std::size_t i, std::uint64_t link_seed) {
-    return replay_fairness_trace(mix, traces[i], link_params, stagger_s,
-                                 link_seed);
+    return replay_cc_trace(mix, traces[i], link_params, stagger_s, link_seed);
   });
 }
 

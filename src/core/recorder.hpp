@@ -6,7 +6,7 @@
 //    pre-clipping policy actions (Fig. 5 and Fig. 6).
 //
 // Every batch function here (record_abr_traces, record_cc_episodes,
-// record_fairness_episodes, replay_cc_traces, replay_fairness_traces) runs
+// record_fairness_episodes, replay_cc_traces) runs
 // `count` independent tasks across an optional pool (sequentially when
 // null) through one fan-out with one determinism contract: a child seed per
 // task is forked from `seed` on the calling thread in task order before
@@ -16,10 +16,10 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <vector>
 
+#include "abr/runner.hpp"
+#include "cc/sender.hpp"
 #include "core/abr_adversary.hpp"
 #include "core/cc_adversary.hpp"
 #include "core/fairness_adversary.hpp"
@@ -39,15 +39,13 @@ std::vector<trace::Trace> record_abr_traces(rl::PpoAgent& agent,
                                             std::size_t count, util::Rng& rng,
                                             bool deterministic = false);
 
-/// Builds a fresh target protocol per recording task; must be thread-safe to
-/// call (it only constructs new objects).
-using ProtocolFactory = std::function<std::unique_ptr<abr::AbrProtocol>()>;
-
 /// Batch corpus generation: `count` adversarial traces, one fresh (cloned
-/// agent, fresh protocol, fresh env) triple per task.
+/// agent, fresh protocol, fresh env) triple per task. `make_protocol` must
+/// be thread-safe to call (it only constructs new objects).
 std::vector<trace::Trace> record_abr_traces(
     const rl::PpoAgent& agent, const abr::VideoManifest& manifest,
-    const ProtocolFactory& make_protocol, const AbrAdversaryEnv::Params& params,
+    const abr::ProtocolFactory& make_protocol,
+    const AbrAdversaryEnv::Params& params,
     std::size_t count, std::uint64_t seed, bool deterministic = false,
     util::ThreadPool* pool = nullptr);
 
@@ -94,7 +92,7 @@ CcEpisodeRecord record_cc_episode(rl::PpoAgent& agent, CcAdversaryEnv& env,
 /// the env's default target (BBR).
 std::vector<CcEpisodeRecord> record_cc_episodes(
     const rl::PpoAgent& agent, const CcAdversaryEnv::Params& params,
-    const CcAdversaryEnv::SenderFactory& make_sender, std::size_t count,
+    const cc::SenderFactory& make_sender, std::size_t count,
     std::uint64_t seed, bool deterministic = false,
     util::ThreadPool* pool = nullptr);
 
@@ -128,53 +126,32 @@ FairnessEpisodeRecord record_fairness_episode(rl::PpoAgent& agent,
 /// pair per task.
 std::vector<FairnessEpisodeRecord> record_fairness_episodes(
     const rl::PpoAgent& agent, const FairnessAdversaryEnv::Params& params,
-    std::vector<FairnessAdversaryEnv::SenderFactory> factories,
+    std::vector<cc::SenderFactory> factories,
     std::size_t count, std::uint64_t seed, bool deterministic = false,
     util::ThreadPool* pool = nullptr);
 
-/// Replay a recorded CC trace (fixed conditions per segment) against a
-/// sender, ignoring the adversary: used to check that recorded traces
-/// reproduce the damage without re-running the adversary (Section 2.1).
+/// Replay a recorded CC trace (fixed conditions per segment) against a flow
+/// mix sharing the bottleneck, ignoring the adversary: used to check that
+/// recorded traces reproduce the damage without re-running the adversary
+/// (Section 2.1). Flow i starts at i * `stagger_s`, like the fairness env's
+/// staggered arrivals; a one-flow mix replays the Section-4 single sender.
 struct CcReplayResult {
-  double mean_utilization = 0.0;
-  double mean_throughput_mbps = 0.0;
-  std::vector<double> throughput_mbps;  ///< per segment
-};
-
-CcReplayResult replay_cc_trace(cc::CcSender& sender, const trace::Trace& t,
-                               const cc::LinkSim::Params& link_params,
-                               std::uint64_t seed);
-
-/// Builds a fresh sender per replay task; must be thread-safe to call (it
-/// only constructs new objects).
-using SenderFactory = std::function<std::unique_ptr<cc::CcSender>()>;
-
-/// Replay a whole trace corpus, one fresh sender and one forked link seed
-/// per trace.
-std::vector<CcReplayResult> replay_cc_traces(
-    const SenderFactory& make_sender, const std::vector<trace::Trace>& traces,
-    const cc::LinkSim::Params& link_params, std::uint64_t seed,
-    util::ThreadPool* pool = nullptr);
-
-/// Replay a recorded trace against a whole flow mix on a shared bottleneck —
-/// the fairness analogue of replay_cc_trace. Starts are staggered by
-/// `stagger_s` like the env's kFairness scenario.
-struct FairnessReplayResult {
+  double mean_utilization = 0.0;         ///< all flows' capacity share
+  double mean_victim_utilization = 0.0;  ///< flow 0's capacity share
   double mean_jain = 1.0;
-  double mean_victim_utilization = 0.0;
-  double mean_aggregate_utilization = 0.0;
   std::vector<double> mean_flow_throughput_mbps;  ///< per flow, episode mean
-  std::vector<double> jain;                       ///< per segment
+  std::vector<double> utilization;                ///< per segment
 };
 
-FairnessReplayResult replay_fairness_trace(
-    const std::vector<SenderFactory>& mix, const trace::Trace& t,
-    const cc::LinkSim::Params& link_params, double stagger_s,
-    std::uint64_t seed);
+CcReplayResult replay_cc_trace(const std::vector<cc::SenderFactory>& mix,
+                               const trace::Trace& t,
+                               const cc::LinkSim::Params& link_params,
+                               double stagger_s, std::uint64_t seed);
 
-/// Corpus variant: one forked link seed per trace.
-std::vector<FairnessReplayResult> replay_fairness_traces(
-    const std::vector<SenderFactory>& mix,
+/// Replay a whole trace corpus, fresh senders and one forked link seed per
+/// trace.
+std::vector<CcReplayResult> replay_cc_traces(
+    const std::vector<cc::SenderFactory>& mix,
     const std::vector<trace::Trace>& traces,
     const cc::LinkSim::Params& link_params, double stagger_s,
     std::uint64_t seed, util::ThreadPool* pool = nullptr);

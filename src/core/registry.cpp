@@ -211,15 +211,14 @@ const Registry<abr::QoeModel>& qoe_models() {
   return registry;
 }
 
-std::vector<std::function<std::unique_ptr<cc::CcSender>()>> resolve_flow_mix(
-    const std::string& flows_csv) {
+std::vector<cc::SenderFactory> resolve_flow_mix(const std::string& flows_csv) {
   const std::vector<std::string> names = util::split_list(flows_csv);
   if (names.size() < 2) {
     throw std::runtime_error{"flow mix '" + flows_csv +
                              "' needs at least two flows (e.g. flows = "
                              "bbr,cubic)"};
   }
-  std::vector<std::function<std::unique_ptr<cc::CcSender>()>> factories;
+  std::vector<cc::SenderFactory> factories;
   factories.reserve(names.size());
   for (const auto& name : names) {
     factories.push_back(cc_senders().factory(name));

@@ -30,12 +30,11 @@
 #include <utility>
 #include <vector>
 
+#include "cc/sender.hpp"
+
 namespace netadv::abr {
 class AbrProtocol;
 class QoeModel;
-}
-namespace netadv::cc {
-class CcSender;
 }
 namespace netadv::trace {
 class TraceGenerator;
@@ -286,7 +285,6 @@ const Registry<abr::QoeModel>& qoe_models();
 /// sender factories via cc_senders(). The mix is what fairness adversaries
 /// attack, so it needs at least two flows; unknown names throw the
 /// registry's enumerating error.
-std::vector<std::function<std::unique_ptr<cc::CcSender>()>> resolve_flow_mix(
-    const std::string& flows_csv);
+std::vector<cc::SenderFactory> resolve_flow_mix(const std::string& flows_csv);
 
 }  // namespace netadv::core

@@ -374,7 +374,7 @@ class AbrAttack final : public AttackSetup {
   }
 
   std::string adversary_;
-  core::ProtocolFactory make_target_;
+  abr::ProtocolFactory make_target_;
   abr::VideoManifest manifest_ = job_manifest();
 };
 
@@ -416,12 +416,12 @@ class CcAttack final : public AttackSetup {
   }
 
   Rows replay(const std::vector<trace::Trace>& traces) const override {
-    const std::vector<core::CcReplayResult> replays =
-        core::replay_cc_traces(make_sender_, traces, {}, ctx_.seed, ctx_.pool);
+    const std::vector<core::CcReplayResult> replays = core::replay_cc_traces(
+        {make_sender_}, traces, {}, /*stagger_s=*/0.0, ctx_.seed, ctx_.pool);
     Rows rows;
     for (std::size_t i = 0; i < replays.size(); ++i) {
       rows.push_back({static_cast<double>(i), replays[i].mean_utilization,
-                      replays[i].mean_throughput_mbps});
+                      replays[i].mean_flow_throughput_mbps[0]});
     }
     return rows;
   }
@@ -439,7 +439,7 @@ class CcAttack final : public AttackSetup {
   }
 
  private:
-  core::SenderFactory make_sender_;
+  cc::SenderFactory make_sender_;
   core::CcAdversaryEnv::Params params_;
 };
 
@@ -513,21 +513,21 @@ class FairnessAttack final : public AttackSetup {
     return out;
   }
 
-  /// The whole mix replays each trace together, starts staggered by
-  /// `stagger =` seconds (default 0.5).
+  /// The whole mix (two or more flows, per resolve_flow_mix) replays each
+  /// trace together, starts staggered by `stagger =` seconds (default 0.5).
   Rows replay(const std::vector<trace::Trace>& traces) const override {
-    const std::vector<core::FairnessReplayResult> replays =
-        core::replay_fairness_traces(mix_, traces, {},
-                                     double_param(ctx_, "stagger", 0.5),
-                                     ctx_.seed, ctx_.pool);
+    const std::vector<core::CcReplayResult> replays =
+        core::replay_cc_traces(mix_, traces, {},
+                               double_param(ctx_, "stagger", 0.5), ctx_.seed,
+                               ctx_.pool);
     Rows rows;
     for (std::size_t i = 0; i < replays.size(); ++i) {
-      const core::FairnessReplayResult& r = replays[i];
+      const core::CcReplayResult& r = replays[i];
       std::vector<double> row{static_cast<double>(i)};
       row.insert(row.end(), r.mean_flow_throughput_mbps.begin(),
                  r.mean_flow_throughput_mbps.end());
       row.insert(row.end(), {r.mean_jain, r.mean_victim_utilization,
-                             r.mean_aggregate_utilization});
+                             r.mean_utilization});
       rows.push_back(std::move(row));
     }
     return rows;
@@ -553,7 +553,7 @@ class FairnessAttack final : public AttackSetup {
  private:
   std::string adversary_;
   std::string mix_names_;
-  std::vector<core::SenderFactory> mix_;
+  std::vector<cc::SenderFactory> mix_;
   core::FairnessAdversaryEnv::Params params_;
 };
 

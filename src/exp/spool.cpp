@@ -2,9 +2,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <filesystem>
 #include <mutex>
 #include <stdexcept>
@@ -27,14 +30,16 @@ std::string steal_target(const std::string& claim) {
 
 /// Refreshes a claim file's mtime every lease/4 seconds until destroyed,
 /// so a *live* worker's claim never looks stale no matter how long its
-/// job runs. kill -9 stops the refresh and the claim ages out.
+/// job runs. kill -9 stops the refresh and the claim ages out. The period
+/// is clamped to [1 ms, 1 h] before the integer conversion, so no lease
+/// overflows it; an hourly refresh still keeps any longer lease fresh.
 class ClaimHeartbeat {
  public:
   ClaimHeartbeat(std::string path, std::string content, double lease_s)
       : path_(std::move(path)),
         content_(std::move(content)),
-        interval_(std::chrono::milliseconds(
-            std::max(1, static_cast<int>(lease_s * 250.0)))) {
+        interval_(static_cast<std::int64_t>(
+            std::clamp(lease_s * 250.0, 1.0, 3.6e6))) {
     thread_ = std::thread([this] { loop(); });
   }
 
@@ -199,6 +204,13 @@ SpoolView derive_spool_view(const Campaign& campaign,
 
 WorkerReport run_worker(const Campaign& campaign, const JobRegistry& registry,
                         const SpoolOptions& options) {
+  // A NaN lease fails every staleness comparison, so a dead worker's claim
+  // would never be broken and the fleet would wait forever.
+  if (!std::isfinite(options.lease_s) || options.lease_s <= 0.0) {
+    throw std::invalid_argument{"worker: lease must be a finite number of "
+                                "seconds > 0, got " +
+                                std::to_string(options.lease_s)};
+  }
   validate_job_kinds(campaign, registry);
 
   std::error_code ec;

@@ -106,7 +106,8 @@ struct SpoolOptions {
   /// Worker name recorded in claim files and logs; default "w<pid>".
   std::string worker;
   /// Claim lease in seconds: a claim untouched for longer is presumed
-  /// dead and may be stolen. The heartbeat refreshes at lease/4.
+  /// dead and may be stolen. The heartbeat refreshes at lease/4. Must be
+  /// finite and > 0 (run_worker throws std::invalid_argument otherwise).
   double lease_s = 30.0;
   /// Idle poll interval while waiting for other workers' jobs to settle.
   int poll_ms = 200;

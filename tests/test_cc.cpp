@@ -10,7 +10,7 @@
 #include "cc/bbr.hpp"
 #include "cc/cubic.hpp"
 #include "cc/link.hpp"
-#include "cc/runner.hpp"
+#include "cc/multiflow.hpp"
 #include "cc/windowed_filter.hpp"
 #include "util/rng.hpp"
 
@@ -165,48 +165,22 @@ TEST(LinkSim, ResetClearsBacklog) {
   EXPECT_DOUBLE_EQ(link.backlog_delay_s(0.0), 0.0);
 }
 
-// ---------------------------------------------------------------- runner invariants
-
-TEST(CcRunner, ConservationSentEqualsDeliveredPlusLostPlusInflight) {
-  BbrSender bbr;
-  CcRunner runner{bbr, benign_link(12.0, 30.0, 0.02), 11};
-  runner.run_until(10.0);
-  EXPECT_EQ(runner.total_sent(),
-            runner.total_delivered() + runner.total_lost() +
-                static_cast<std::uint64_t>(runner.inflight_packets()));
-}
+// ---------------------------------------------------------------- single-flow runner
 
 TEST(CcRunner, DeliveredNeverExceedsCapacity) {
   BbrSender bbr;
-  CcRunner runner{bbr, benign_link(6.0, 15.0), 13};
+  MultiFlowRunner runner{{&bbr}, benign_link(6.0, 15.0), 13};
   runner.run_until(5.0);
-  const IntervalStats stats = runner.collect();
-  EXPECT_LE(stats.delivered_bits, stats.capacity_bits * 1.05);
-  EXPECT_LE(stats.utilization(), 1.0);
-}
-
-TEST(CcRunner, CollectResetsAccumulators) {
-  BbrSender bbr;
-  CcRunner runner{bbr, benign_link(), 17};
-  runner.run_until(2.0);
-  runner.collect();
-  const IntervalStats empty_stats = runner.collect();
-  EXPECT_EQ(empty_stats.packets_sent, 0u);
-  EXPECT_DOUBLE_EQ(empty_stats.duration_s, 0.0);
-}
-
-TEST(CcRunner, RunUntilPastThrows) {
-  BbrSender bbr;
-  CcRunner runner{bbr, benign_link(), 19};
-  runner.run_until(1.0);
-  EXPECT_THROW(runner.run_until(0.5), std::invalid_argument);
+  const auto interval = runner.collect();
+  EXPECT_LE(interval.flows[0].delivered_bits, interval.capacity_bits * 1.05);
+  EXPECT_LE(interval.aggregate_utilization(), 1.0);
 }
 
 TEST(CcRunner, RttReflectsPropagationDelay) {
   BbrSender bbr;
-  CcRunner runner{bbr, benign_link(24.0, 50.0), 23};
+  MultiFlowRunner runner{{&bbr}, benign_link(24.0, 50.0), 23};
   runner.run_until(3.0);
-  const IntervalStats stats = runner.collect();
+  const FlowStats stats = runner.collect().flows[0];
   EXPECT_GE(stats.mean_rtt_s, 0.100);   // at least 2 * owd
   EXPECT_LT(stats.mean_rtt_s, 0.400);   // bounded by the 0.25 s buffer
 }
@@ -215,31 +189,31 @@ TEST(CcRunner, RttReflectsPropagationDelay) {
 
 TEST(Bbr, ReachesHighUtilizationOnStableLink) {
   BbrSender bbr;
-  CcRunner runner{bbr, benign_link(12.0, 30.0), 29};
+  MultiFlowRunner runner{{&bbr}, benign_link(12.0, 30.0), 29};
   runner.run_until(5.0);
   runner.collect();  // discard startup transient
   runner.run_until(15.0);
-  const IntervalStats stats = runner.collect();
-  EXPECT_GT(stats.utilization(), 0.8);
+  const auto interval = runner.collect();
+  EXPECT_GT(interval.aggregate_utilization(), 0.8);
 }
 
 TEST(Bbr, EstimatesBottleneckBandwidth) {
   BbrSender bbr;
-  CcRunner runner{bbr, benign_link(12.0, 30.0), 31};
+  MultiFlowRunner runner{{&bbr}, benign_link(12.0, 30.0), 31};
   runner.run_until(10.0);
   EXPECT_NEAR(bbr.bottleneck_bw_bps() / 1e6, 12.0, 3.0);
 }
 
 TEST(Bbr, EstimatesMinRtt) {
   BbrSender bbr;
-  CcRunner runner{bbr, benign_link(12.0, 40.0), 37};
+  MultiFlowRunner runner{{&bbr}, benign_link(12.0, 40.0), 37};
   runner.run_until(10.0);
   EXPECT_NEAR(bbr.min_rtt_s(), 0.080, 0.01);
 }
 
 TEST(Bbr, LeavesStartupAfterPlateau) {
   BbrSender bbr;
-  CcRunner runner{bbr, benign_link(12.0, 30.0), 41};
+  MultiFlowRunner runner{{&bbr}, benign_link(12.0, 30.0), 41};
   runner.run_until(5.0);
   EXPECT_TRUE(bbr.filled_pipe());
   EXPECT_NE(bbr.mode(), BbrSender::Mode::kStartup);
@@ -247,7 +221,7 @@ TEST(Bbr, LeavesStartupAfterPlateau) {
 
 TEST(Bbr, EntersProbeRttAboutEveryTenSeconds) {
   BbrSender bbr;
-  CcRunner runner{bbr, benign_link(12.0, 30.0), 43};
+  MultiFlowRunner runner{{&bbr}, benign_link(12.0, 30.0), 43};
   int probe_rtt_epochs = 0;
   bool was_in_probe_rtt = false;
   for (double t = 0.03; t <= 30.0; t += 0.03) {
@@ -265,7 +239,7 @@ TEST(Bbr, EntersProbeRttAboutEveryTenSeconds) {
 
 TEST(Bbr, CyclesThroughProbeBwPhases) {
   BbrSender bbr;
-  CcRunner runner{bbr, benign_link(12.0, 30.0), 47};
+  MultiFlowRunner runner{{&bbr}, benign_link(12.0, 30.0), 47};
   runner.run_until(5.0);
   ASSERT_EQ(bbr.mode(), BbrSender::Mode::kProbeBw);
   std::size_t distinct = 0;
@@ -283,7 +257,7 @@ TEST(Bbr, CyclesThroughProbeBwPhases) {
 
 TEST(Bbr, TracksBandwidthIncrease) {
   BbrSender bbr;
-  CcRunner runner{bbr, benign_link(6.0, 30.0), 53};
+  MultiFlowRunner runner{{&bbr}, benign_link(6.0, 30.0), 53};
   runner.run_until(8.0);
   const double est_low = bbr.bottleneck_bw_bps();
   runner.set_conditions({24.0, 30.0, 0.0});
@@ -295,12 +269,12 @@ TEST(Bbr, TracksBandwidthIncrease) {
 TEST(Bbr, SurvivesModerateRandomLoss) {
   // The Section 4 contrast: BBR ignores random loss by design.
   BbrSender bbr;
-  CcRunner runner{bbr, benign_link(12.0, 30.0, 0.02), 59};
+  MultiFlowRunner runner{{&bbr}, benign_link(12.0, 30.0, 0.02), 59};
   runner.run_until(5.0);
   runner.collect();
   runner.run_until(15.0);
-  const IntervalStats stats = runner.collect();
-  EXPECT_GT(stats.utilization(), 0.7);
+  const auto interval = runner.collect();
+  EXPECT_GT(interval.aggregate_utilization(), 0.7);
 }
 
 TEST(Bbr, ValidatesParams) {
@@ -316,44 +290,44 @@ TEST(Bbr, ValidatesParams) {
 
 TEST(Cubic, HighUtilizationOnCleanLink) {
   CubicSender cubic;
-  CcRunner runner{cubic, benign_link(12.0, 30.0), 61};
+  MultiFlowRunner runner{{&cubic}, benign_link(12.0, 30.0), 61};
   runner.run_until(5.0);
   runner.collect();
   runner.run_until(15.0);
-  const IntervalStats stats = runner.collect();
-  EXPECT_GT(stats.utilization(), 0.8);
+  const auto interval = runner.collect();
+  EXPECT_GT(interval.aggregate_utilization(), 0.8);
 }
 
 TEST(Cubic, CollapsesUnderOnePercentLoss) {
   // The paper: "TCP congestion control variants like Cubic, Reno and HTCP
   // all share a trivial weakness to packet loss even as low as 1%."
   CubicSender cubic;
-  CcRunner runner{cubic, benign_link(12.0, 30.0, 0.01), 67};
+  MultiFlowRunner runner{{&cubic}, benign_link(12.0, 30.0, 0.01), 67};
   runner.run_until(5.0);
   runner.collect();
   runner.run_until(20.0);
-  const IntervalStats stats = runner.collect();
-  EXPECT_LT(stats.utilization(), 0.6);
+  const auto interval = runner.collect();
+  EXPECT_LT(interval.aggregate_utilization(), 0.6);
 }
 
 TEST(Reno, CollapsesUnderOnePercentLoss) {
   RenoSender reno;
-  CcRunner runner{reno, benign_link(12.0, 30.0, 0.01), 71};
+  MultiFlowRunner runner{{&reno}, benign_link(12.0, 30.0, 0.01), 71};
   runner.run_until(5.0);
   runner.collect();
   runner.run_until(20.0);
-  const IntervalStats stats = runner.collect();
-  EXPECT_LT(stats.utilization(), 0.5);
+  const auto interval = runner.collect();
+  EXPECT_LT(interval.aggregate_utilization(), 0.5);
 }
 
 TEST(Reno, HighUtilizationOnCleanLink) {
   RenoSender reno;
-  CcRunner runner{reno, benign_link(12.0, 30.0), 73};
+  MultiFlowRunner runner{{&reno}, benign_link(12.0, 30.0), 73};
   runner.run_until(5.0);
   runner.collect();
   runner.run_until(15.0);
-  const IntervalStats stats = runner.collect();
-  EXPECT_GT(stats.utilization(), 0.8);
+  const auto interval = runner.collect();
+  EXPECT_GT(interval.aggregate_utilization(), 0.8);
 }
 
 TEST(Cubic, LossHalvesWindowOncePerRtt) {
@@ -402,13 +376,13 @@ TEST(Reno, AdditiveIncreaseIsOnePacketPerRtt) {
 
 TEST(BbrVsCubic, BbrWinsUnderRandomLoss) {
   BbrSender bbr;
-  CcRunner r1{bbr, benign_link(12.0, 30.0, 0.03), 79};
+  MultiFlowRunner r1{{&bbr}, benign_link(12.0, 30.0, 0.03), 79};
   r1.run_until(20.0);
   CubicSender cubic;
-  CcRunner r2{cubic, benign_link(12.0, 30.0, 0.03), 79};
+  MultiFlowRunner r2{{&cubic}, benign_link(12.0, 30.0, 0.03), 79};
   r2.run_until(20.0);
-  EXPECT_GT(static_cast<double>(r1.total_delivered()),
-            1.5 * static_cast<double>(r2.total_delivered()));
+  EXPECT_GT(static_cast<double>(r1.total_delivered(0)),
+            1.5 * static_cast<double>(r2.total_delivered(0)));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // End-to-end tests of the netadv_cli binary: the usage/exit-code contract
-// (0 success, 1 runtime error, 2 usage error), the gen / eval / mm-export /
-// campaign --dry-run commands, and the `info` report (including the
-// NETADV_SIMD forced-fallback note, exercised in a subprocess so the forced
+// (0 success, 1 runtime error, 2 usage error), the gen / eval / cc /
+// mm-export / campaign --dry-run commands, and the `info` report (including
+// the NETADV_SIMD forced-fallback note, exercised in a subprocess so the forced
 // env cannot disturb this process's already-resolved dispatch). The binary
 // path is injected at configure time via NETADV_CLI_PATH.
 #include <gtest/gtest.h>
@@ -118,6 +118,16 @@ TEST(Cli, EvalReportsQoeOnAGeneratedTrace) {
   EXPECT_NE(output.find("offline optimum"), std::string::npos);
 }
 
+TEST(Cli, CcReplaysATraceAgainstOneSender) {
+  const std::string prefix = out_dir() + "/cc";
+  ASSERT_EQ(run_cli("gen random 1 " + prefix), 0);
+  std::string output;
+  EXPECT_EQ(run_cli("cc bbr " + prefix + "_0.csv", &output), 0);
+  EXPECT_NE(output.find("mean throughput"), std::string::npos) << output;
+  EXPECT_NE(output.find("mean utilization"), std::string::npos) << output;
+  EXPECT_EQ(run_cli("cc no-such-sender " + prefix + "_0.csv"), 2);
+}
+
 TEST(Cli, EvalOnMissingTraceIsARuntimeError) {
   std::string output;
   EXPECT_EQ(run_cli("eval bb /tmp/netadv_no_such_trace.csv", &output), 1);
@@ -164,6 +174,22 @@ TEST(Cli, ServeValidatesNamesAndArity) {
   EXPECT_EQ(run_cli("serve bb vmaf 4 /dev/null"), 2);
   // Known names but a missing trace: runtime error, not usage.
   EXPECT_EQ(run_cli("serve bb lin 4 /tmp/netadv_no_such_trace.csv"), 1);
+}
+
+TEST(Cli, PositionalCountsMustBeUnsignedIntegers) {
+  // "2x" is not truncated to 2 and "-1" is not wrapped to 2^64 - 1: both
+  // are usage errors that name the argument.
+  const std::string prefix = out_dir() + "/badcount";
+  std::filesystem::remove(prefix + "_0.csv");
+  std::string output;
+  EXPECT_EQ(run_cli("gen fcc 2x " + prefix, &output), 2);
+  EXPECT_NE(output.find("<count>"), std::string::npos) << output;
+  EXPECT_FALSE(std::filesystem::exists(prefix + "_0.csv"));
+  EXPECT_EQ(run_cli("serve mpc lin -1 /tmp/netadv_no_such_trace.csv " +
+                        prefix + "_sessions.csv",
+                    &output),
+            2);
+  EXPECT_NE(output.find("<sessions>"), std::string::npos) << output;
 }
 
 TEST(Cli, MahimahiExportRoundTrips) {
@@ -308,6 +334,13 @@ TEST(Cli, CampaignWorkerFlagValidation) {
   EXPECT_EQ(run_cli("campaign spec --spawn-workers 0"), 2);
   EXPECT_EQ(run_cli("campaign spec --lease -1"), 2);
   EXPECT_EQ(run_cli("campaign spec --poll-ms 0"), 2);
+  // A NaN lease never expires a dead worker's claim; an infinite or huge
+  // one cannot be turned into a heartbeat period. Prefixes are not numbers.
+  EXPECT_EQ(run_cli("campaign spec --lease nan"), 2);
+  EXPECT_EQ(run_cli("campaign spec --lease inf"), 2);
+  EXPECT_EQ(run_cli("campaign spec --lease 1e10"), 2);
+  EXPECT_EQ(run_cli("campaign spec --spawn-workers 2x"), 2);
+  EXPECT_EQ(run_cli("campaign spec --poll-ms 50ms"), 2);
   EXPECT_EQ(run_cli("campaign spec --worker --spawn-workers 2"), 2);
   EXPECT_EQ(run_cli("campaign spec --worker --dry-run"), 2);
 }

@@ -228,7 +228,8 @@ TEST(CcAdversaryEnv, RewardMatchesFormula) {
   rl::StepResult r{};
   for (int i = 0; i < 10; ++i) r = env.step({0.0, 0.0, 0.0}, rng);
   const double loss = 0.05;  // midpoint of [0, 0.10]
-  EXPECT_NEAR(r.reward, 1.0 - env.last_interval().utilization() - loss, 1e-6);
+  EXPECT_NEAR(r.reward,
+              1.0 - env.last_interval().aggregate_utilization() - loss, 1e-6);
 }
 
 TEST(CcAdversaryEnv, SteadyLinkGivesLowRewardAgainstBbr) {
@@ -376,14 +377,16 @@ TEST(Recorder, CcEpisodeRecordHasConsistentSeries) {
 TEST(Recorder, ReplayCcTraceRuns) {
   trace::Trace t;
   for (int i = 0; i < 20; ++i) t.append({0.030, 12.0, 30.0, 0.0});
-  cc::BbrSender bbr;
-  const CcReplayResult result = replay_cc_trace(bbr, t, {}, 47);
-  EXPECT_EQ(result.throughput_mbps.size(), 20u);
+  const std::vector<cc::SenderFactory> bbr{[] {
+    return std::unique_ptr<cc::CcSender>(std::make_unique<cc::BbrSender>());
+  }};
+  const CcReplayResult result = replay_cc_trace(bbr, t, {}, 0.0, 47);
+  EXPECT_EQ(result.utilization.size(), 20u);
   EXPECT_GE(result.mean_utilization, 0.0);
   EXPECT_LE(result.mean_utilization, 1.0);
   const trace::Trace empty;
-  cc::BbrSender bbr2;
-  EXPECT_THROW(replay_cc_trace(bbr2, empty, {}, 47), std::invalid_argument);
+  EXPECT_THROW(replay_cc_trace(bbr, empty, {}, 0.0, 47),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- trainer configs

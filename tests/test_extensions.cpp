@@ -12,7 +12,7 @@
 #include "abr/bola.hpp"
 #include "abr/runner.hpp"
 #include "cc/copa.hpp"
-#include "cc/runner.hpp"
+#include "cc/multiflow.hpp"
 #include "core/abr_adversary.hpp"
 #include "core/cc_adversary.hpp"
 #include "trace/generators.hpp"
@@ -42,11 +42,11 @@ TEST(Copa, HighUtilizationOnCleanLink) {
   cc::CopaSender copa;
   cc::LinkSim::Params link;
   link.initial = {12.0, 30.0, 0.0};
-  cc::CcRunner runner{copa, link, 11};
+  cc::MultiFlowRunner runner{{&copa}, link, 11};
   runner.run_until(5.0);
   runner.collect();
   runner.run_until(15.0);
-  EXPECT_GT(runner.collect().utilization(), 0.75);
+  EXPECT_GT(runner.collect().aggregate_utilization(), 0.75);
 }
 
 TEST(Copa, KeepsQueueingDelayLow) {
@@ -55,11 +55,11 @@ TEST(Copa, KeepsQueueingDelayLow) {
   cc::CopaSender copa;
   cc::LinkSim::Params link;
   link.initial = {12.0, 30.0, 0.0};
-  cc::CcRunner runner{copa, link, 13};
+  cc::MultiFlowRunner runner{{&copa}, link, 13};
   runner.run_until(5.0);
   runner.collect();
   runner.run_until(15.0);
-  const cc::IntervalStats stats = runner.collect();
+  const cc::FlowStats stats = runner.collect().flows[0];
   EXPECT_LT(stats.mean_queue_delay_s, 0.05);
 }
 
@@ -67,9 +67,9 @@ TEST(Copa, LowerQueueThanBbr) {
   cc::CopaSender copa;
   cc::LinkSim::Params link;
   link.initial = {12.0, 30.0, 0.0};
-  cc::CcRunner r1{copa, link, 17};
+  cc::MultiFlowRunner r1{{&copa}, link, 17};
   r1.run_until(15.0);
-  const double copa_q = r1.collect().mean_queue_delay_s;
+  const double copa_q = r1.collect().flows[0].mean_queue_delay_s;
   EXPECT_GE(copa_q, 0.0);
   EXPECT_LT(copa_q, 0.08);
 }
@@ -79,27 +79,27 @@ TEST(Copa, SurvivesRandomLossBetterThanHalving) {
   cc::CopaSender copa;
   cc::LinkSim::Params link;
   link.initial = {12.0, 30.0, 0.02};
-  cc::CcRunner runner{copa, link, 19};
+  cc::MultiFlowRunner runner{{&copa}, link, 19};
   runner.run_until(5.0);
   runner.collect();
   runner.run_until(15.0);
-  EXPECT_GT(runner.collect().utilization(), 0.5);
+  EXPECT_GT(runner.collect().aggregate_utilization(), 0.5);
 }
 
 TEST(Copa, TracksBandwidthDrop) {
   cc::CopaSender copa;
   cc::LinkSim::Params link;
   link.initial = {24.0, 30.0, 0.0};
-  cc::CcRunner runner{copa, link, 23};
+  cc::MultiFlowRunner runner{{&copa}, link, 23};
   runner.run_until(8.0);
   runner.set_conditions({6.0, 30.0, 0.0});
   runner.run_until(16.0);
   runner.collect();
   runner.run_until(20.0);
-  const cc::IntervalStats stats = runner.collect();
+  const auto interval = runner.collect();
   // After adaptation the queue must not be persistently saturated.
-  EXPECT_LT(stats.mean_queue_delay_s, 0.2);
-  EXPECT_GT(stats.utilization(), 0.5);
+  EXPECT_LT(interval.flows[0].mean_queue_delay_s, 0.2);
+  EXPECT_GT(interval.aggregate_utilization(), 0.5);
 }
 
 TEST(Copa, VelocityResetsOnDirectionChange) {

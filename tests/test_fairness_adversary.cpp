@@ -75,7 +75,7 @@ TEST(FairnessAdversaryEnv, MixedFlowsGiveUnfairnessSignal) {
   core::FairnessAdversaryEnv::Params p;
   p.episode_duration_s = 10.0;
   p.link.max_queue_delay_s = 0.05;
-  std::vector<core::FairnessAdversaryEnv::SenderFactory> factories{
+  std::vector<cc::SenderFactory> factories{
       [] {
         return std::unique_ptr<cc::CcSender>(std::make_unique<cc::BbrSender>());
       },
@@ -112,7 +112,7 @@ TEST(FairnessAdversaryEnv, Validates) {
   core::FairnessAdversaryEnv::Params bad;
   bad.epoch_s = 0.0;
   EXPECT_THROW(core::FairnessAdversaryEnv{bad}, std::invalid_argument);
-  std::vector<core::FairnessAdversaryEnv::SenderFactory> one{
+  std::vector<cc::SenderFactory> one{
       [] {
         return std::unique_ptr<cc::CcSender>(std::make_unique<cc::BbrSender>());
       }};

@@ -162,10 +162,10 @@ TEST(ParallelReplay, CcReplayIdenticalAcrossThreadCounts) {
   auto replay_at = [&](std::size_t threads) {
     util::ThreadPool pool{threads};
     return core::replay_cc_traces(
-        []() -> std::unique_ptr<cc::CcSender> {
+        {[]() -> std::unique_ptr<cc::CcSender> {
           return std::make_unique<cc::CubicSender>();
-        },
-        traces, {}, 5, &pool);
+        }},
+        traces, {}, 0.0, 5, &pool);
   };
 
   const auto reference = replay_at(1);
@@ -174,9 +174,9 @@ TEST(ParallelReplay, CcReplayIdenticalAcrossThreadCounts) {
     ASSERT_EQ(results.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
       EXPECT_EQ(results[i].mean_utilization, reference[i].mean_utilization);
-      EXPECT_EQ(results[i].mean_throughput_mbps,
-                reference[i].mean_throughput_mbps);
-      EXPECT_EQ(results[i].throughput_mbps, reference[i].throughput_mbps);
+      EXPECT_EQ(results[i].mean_flow_throughput_mbps,
+                reference[i].mean_flow_throughput_mbps);
+      EXPECT_EQ(results[i].utilization, reference[i].utilization);
     }
   }
 }

@@ -9,7 +9,7 @@
 #include "abr/pensieve.hpp"
 #include "abr/runner.hpp"
 #include "cc/bbr.hpp"
-#include "cc/runner.hpp"
+#include "cc/multiflow.hpp"
 #include "rl/checkpoint.hpp"
 #include "trace/generators.hpp"
 #include "util/rng.hpp"
@@ -184,7 +184,7 @@ TEST(Checkpoint, ContinuousAgentRoundTrip) {
 
 TEST(BbrState, ProbeRttShrinksCwndToFour) {
   cc::BbrSender bbr;
-  cc::CcRunner runner{bbr, {}, 29};
+  cc::MultiFlowRunner runner{{&bbr}, {}, 29};
   bool saw_probe_rtt_cwnd = false;
   for (double t = 0.03; t <= 25.0; t += 0.03) {
     runner.run_until(t);
@@ -198,7 +198,7 @@ TEST(BbrState, ProbeRttShrinksCwndToFour) {
 
 TEST(BbrState, DrainUsesInverseStartupGain) {
   cc::BbrSender bbr;
-  cc::CcRunner runner{bbr, {}, 31};
+  cc::MultiFlowRunner runner{{&bbr}, {}, 31};
   bool saw_drain = false;
   for (double t = 0.01; t <= 5.0; t += 0.01) {
     runner.run_until(t);
@@ -212,7 +212,7 @@ TEST(BbrState, DrainUsesInverseStartupGain) {
 
 TEST(BbrState, ProbeBwGainCycleValues) {
   cc::BbrSender bbr;
-  cc::CcRunner runner{bbr, {}, 37};
+  cc::MultiFlowRunner runner{{&bbr}, {}, 37};
   runner.run_until(6.0);
   ASSERT_EQ(bbr.mode(), cc::BbrSender::Mode::kProbeBw);
   bool saw_high = false;
@@ -228,13 +228,13 @@ TEST(BbrState, ProbeBwGainCycleValues) {
 
 TEST(CcRunnerState, CapacityIntegralRespectsConditionChanges) {
   cc::BbrSender bbr;
-  cc::CcRunner runner{bbr, {}, 41};
+  cc::MultiFlowRunner runner{{&bbr}, {}, 41};
   runner.collect();
   runner.run_until(1.0);  // 12 Mbps for 1 s
   runner.set_conditions({24.0, 30.0, 0.0});
   runner.run_until(2.0);  // 24 Mbps for 1 s
-  const cc::IntervalStats stats = runner.collect();
-  EXPECT_NEAR(stats.capacity_bits, 36e6, 1e5);
+  const auto interval = runner.collect();
+  EXPECT_NEAR(interval.capacity_bits, 36e6, 1e5);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 #include "cc/copa.hpp"
 #include "cc/cubic.hpp"
 #include "cc/vivace.hpp"
-#include "cc/runner.hpp"
+#include "cc/multiflow.hpp"
 #include "core/abr_adversary.hpp"
 #include "core/cc_adversary.hpp"
 #include "trace/generators.hpp"
@@ -139,16 +139,17 @@ TEST_P(CcSenderProperty, FlowInvariantsHold) {
   auto sender = make_sender(kind);
   cc::LinkSim::Params link;
   link.initial = {12.0, 30.0, loss};
-  cc::CcRunner runner{*sender, link, 99};
+  cc::MultiFlowRunner runner{{sender.get()}, link, 99};
   runner.run_until(8.0);
-  const cc::IntervalStats stats = runner.collect();
+  const auto interval = runner.collect();
+  const cc::FlowStats& stats = interval.flows[0];
 
   // Conservation: everything sent is delivered, lost, or in flight.
-  EXPECT_EQ(runner.total_sent(),
-            runner.total_delivered() + runner.total_lost() +
-                static_cast<std::uint64_t>(runner.inflight_packets()));
-  EXPECT_GE(stats.utilization(), 0.0);
-  EXPECT_LE(stats.utilization(), 1.0);
+  EXPECT_EQ(runner.total_sent(0),
+            runner.total_delivered(0) + runner.total_lost(0) +
+                static_cast<std::uint64_t>(runner.inflight_packets(0)));
+  EXPECT_GE(interval.aggregate_utilization(), 0.0);
+  EXPECT_LE(interval.aggregate_utilization(), 1.0);
   if (stats.packets_delivered > 0) {
     // RTT is bounded below by the propagation delay and above by
     // propagation + max queue + detection slack.
@@ -165,11 +166,11 @@ TEST_P(CcSenderProperty, LossFractionTracksLinkLoss) {
   auto sender = make_sender(kind);
   cc::LinkSim::Params link;
   link.initial = {12.0, 30.0, loss};
-  cc::CcRunner runner{*sender, link, 101};
+  cc::MultiFlowRunner runner{{sender.get()}, link, 101};
   runner.run_until(20.0);
-  if (runner.total_sent() > 500 && loss > 0.0) {
-    const double observed = static_cast<double>(runner.total_lost()) /
-                            static_cast<double>(runner.total_sent());
+  if (runner.total_sent(0) > 500 && loss > 0.0) {
+    const double observed = static_cast<double>(runner.total_lost(0)) /
+                            static_cast<double>(runner.total_sent(0));
     // Random loss dominates tail drop here; allow generous slack.
     EXPECT_GT(observed, loss * 0.4);
     EXPECT_LT(observed, loss * 3.0 + 0.02);
@@ -194,7 +195,7 @@ TEST_P(CcVaryingLinkProperty, SurvivesAdversarialRangeSweeps) {
   // Conditions jump around Table 1's extremes every 100 ms; nothing may
   // crash, and conservation must hold throughout.
   auto sender = make_sender(GetParam());
-  cc::CcRunner runner{*sender, {}, 103};
+  cc::MultiFlowRunner runner{{sender.get()}, {}, 103};
   Rng rng{103};
   double now = 0.0;
   for (int i = 0; i < 100; ++i) {
@@ -203,10 +204,10 @@ TEST_P(CcVaryingLinkProperty, SurvivesAdversarialRangeSweeps) {
     now += 0.1;
     runner.run_until(now);
   }
-  EXPECT_EQ(runner.total_sent(),
-            runner.total_delivered() + runner.total_lost() +
-                static_cast<std::uint64_t>(runner.inflight_packets()));
-  EXPECT_GT(runner.total_delivered(), 0u);
+  EXPECT_EQ(runner.total_sent(0),
+            runner.total_delivered(0) + runner.total_lost(0) +
+                static_cast<std::uint64_t>(runner.inflight_packets(0)));
+  EXPECT_GT(runner.total_delivered(0), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Senders, CcVaryingLinkProperty,

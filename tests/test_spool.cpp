@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -360,6 +361,21 @@ TEST(Worker, BreaksStaleClaimAndRunsTheJob) {
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.reclaimed, 1u);
   EXPECT_EQ(report.executed, 3u);
+}
+
+TEST(Worker, RejectsANonFiniteOrNonPositiveLease) {
+  // A NaN lease fails every staleness check (a dead worker's claim would
+  // block the fleet forever); an infinite one has no heartbeat period.
+  const std::string dir = temp_dir("netadv_worker_badlease");
+  for (const double lease : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), 0.0,
+                             -1.0}) {
+    exp::SpoolOptions options;
+    options.lease_s = lease;
+    EXPECT_THROW(exp::run_worker(diamond(dir), stub_registry(), options),
+                 std::invalid_argument)
+        << lease;
+  }
 }
 
 TEST(Worker, FreshClaimIsRespected) {

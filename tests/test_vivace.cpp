@@ -3,7 +3,7 @@
 // integration as an adversary target.
 #include <gtest/gtest.h>
 
-#include "cc/runner.hpp"
+#include "cc/multiflow.hpp"
 #include "cc/vivace.hpp"
 #include "core/cc_adversary.hpp"
 #include "util/rng.hpp"
@@ -21,12 +21,12 @@ cc::LinkSim::Params link_with(double bw, double owd, double loss) {
 
 TEST(Vivace, ConvergesToLinkCapacity) {
   cc::VivaceSender vivace;
-  cc::CcRunner runner{vivace, link_with(12.0, 30.0, 0.0), 7};
+  cc::MultiFlowRunner runner{{&vivace}, link_with(12.0, 30.0, 0.0), 7};
   runner.run_until(5.0);
   runner.collect();
   runner.run_until(20.0);
-  const cc::IntervalStats stats = runner.collect();
-  EXPECT_GT(stats.utilization(), 0.85);
+  const auto interval = runner.collect();
+  EXPECT_GT(interval.aggregate_utilization(), 0.85);
   EXPECT_NEAR(vivace.base_rate_mbps(), 12.0, 3.0);
 }
 
@@ -34,37 +34,37 @@ TEST(Vivace, ToleratesOnePercentLoss) {
   // Vivace's loss coefficient (11.35) gives a designed random-loss
   // tolerance of several percent — the Section 4 contrast with Cubic/Reno.
   cc::VivaceSender vivace;
-  cc::CcRunner runner{vivace, link_with(12.0, 30.0, 0.01), 11};
+  cc::MultiFlowRunner runner{{&vivace}, link_with(12.0, 30.0, 0.01), 11};
   runner.run_until(5.0);
   runner.collect();
   runner.run_until(20.0);
-  EXPECT_GT(runner.collect().utilization(), 0.7);
+  EXPECT_GT(runner.collect().aggregate_utilization(), 0.7);
 }
 
 TEST(Vivace, BacksOffUnderHeavyLoss) {
   cc::VivaceSender vivace;
-  cc::CcRunner runner{vivace, link_with(12.0, 30.0, 0.10), 13};
+  cc::MultiFlowRunner runner{{&vivace}, link_with(12.0, 30.0, 0.10), 13};
   runner.run_until(5.0);
   runner.collect();
   runner.run_until(20.0);
   // At 10% the utility's loss term dominates; Vivace should not saturate.
-  EXPECT_LT(runner.collect().utilization(), 0.8);
+  EXPECT_LT(runner.collect().aggregate_utilization(), 0.8);
 }
 
 TEST(Vivace, AvoidsStandingQueues) {
   // The latency-gradient penalty keeps Vivace from filling the buffer the
   // way loss-probing protocols do.
   cc::VivaceSender vivace;
-  cc::CcRunner runner{vivace, link_with(12.0, 30.0, 0.0), 17};
+  cc::MultiFlowRunner runner{{&vivace}, link_with(12.0, 30.0, 0.0), 17};
   runner.run_until(5.0);
   runner.collect();
   runner.run_until(20.0);
-  EXPECT_LT(runner.collect().mean_queue_delay_s, 0.1);
+  EXPECT_LT(runner.collect().flows[0].mean_queue_delay_s, 0.1);
 }
 
 TEST(Vivace, TracksBandwidthChange) {
   cc::VivaceSender vivace;
-  cc::CcRunner runner{vivace, link_with(6.0, 30.0, 0.0), 19};
+  cc::MultiFlowRunner runner{{&vivace}, link_with(6.0, 30.0, 0.0), 19};
   runner.run_until(10.0);
   const double rate_low = vivace.base_rate_mbps();
   runner.set_conditions({24.0, 30.0, 0.0});
@@ -74,7 +74,7 @@ TEST(Vivace, TracksBandwidthChange) {
 
 TEST(Vivace, AmplifierGrowsWithConsistentDirection) {
   cc::VivaceSender vivace;
-  cc::CcRunner runner{vivace, link_with(24.0, 30.0, 0.0), 23};
+  cc::MultiFlowRunner runner{{&vivace}, link_with(24.0, 30.0, 0.0), 23};
   // Starting at 2 Mbps on a 24 Mbps link: a long run of "up" decisions.
   int max_amp = 1;
   for (double t = 0.1; t <= 4.0; t += 0.1) {
@@ -98,7 +98,7 @@ TEST(Vivace, ValidatesParams) {
 
 TEST(Vivace, StartResetsState) {
   cc::VivaceSender vivace;
-  cc::CcRunner runner{vivace, link_with(24.0, 30.0, 0.0), 29};
+  cc::MultiFlowRunner runner{{&vivace}, link_with(24.0, 30.0, 0.0), 29};
   runner.run_until(10.0);
   EXPECT_GT(vivace.base_rate_mbps(), 5.0);
   vivace.start(0.0);
