@@ -32,6 +32,7 @@
 
 #include "abr/bb.hpp"
 #include "abr/mpc.hpp"
+#include "abr/mpc_dp.hpp"
 #include "abr/optimal.hpp"
 #include "abr/runner.hpp"
 #include "cc/bbr.hpp"
@@ -117,6 +118,22 @@ void BM_MpcDecision(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(mpc.choose_quality(obs));
 }
 BENCHMARK(BM_MpcDecision)->Unit(benchmark::kMicrosecond);
+
+void BM_MpcDpDecision(benchmark::State& state) {
+  // One mpc-dp decision = value iteration over 5 depths x 100 buffer
+  // levels x 6^2 quality pairs, the same observation as BM_MpcDecision.
+  const abr::VideoManifest m;
+  abr::MpcDp dp;
+  dp.begin_video(m);
+  abr::AbrObservation obs;
+  obs.chunk_index = 10;
+  obs.buffer_s = 12.0;
+  obs.last_quality = 2;
+  obs.last_bitrate_mbps = 1.2;
+  obs.throughput_history_mbps = {2.0, 2.2, 1.9, 2.1, 2.0};
+  for (auto _ : state) benchmark::DoNotOptimize(dp.choose_quality(obs));
+}
+BENCHMARK(BM_MpcDpDecision)->Unit(benchmark::kMicrosecond);
 
 void BM_OfflineOptimalDp(benchmark::State& state) {
   const abr::VideoManifest m;

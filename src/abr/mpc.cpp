@@ -1,12 +1,12 @@
 #include "abr/mpc.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace netadv::abr {
 
-RobustMpc::RobustMpc(Params params) : params_(params) {
+RobustMpc::RobustMpc(Params params)
+    : params_(params), predictor_(params.throughput_window, params.robust) {
   if (params_.horizon == 0 || params_.throughput_window == 0 ||
       params_.max_buffer_s <= 0.0) {
     throw std::invalid_argument{"RobustMpc: bad parameters"};
@@ -15,80 +15,35 @@ RobustMpc::RobustMpc(Params params) : params_(params) {
 
 void RobustMpc::begin_video(const VideoManifest& manifest) {
   manifest_ = &manifest;
-  past_errors_.clear();
-  last_prediction_mbps_ = 0.0;
-  has_prediction_ = false;
+  predictor_.reset(manifest.bitrate_mbps(0));
+  const std::size_t num_q = manifest.num_qualities();
+  bitrate_.resize(num_q);
+  for (std::size_t q = 0; q < num_q; ++q) {
+    bitrate_[q] = manifest.bitrate_mbps(q);
+  }
+  dt_.resize(std::min(params_.horizon, manifest.num_chunks()) * num_q);
 }
 
-double RobustMpc::predicted_throughput_mbps(
-    const AbrObservation& observation) const {
-  if (observation.throughput_history_mbps.empty()) {
-    // Cold start: assume the lowest encoding is sustainable.
-    return manifest_ != nullptr ? manifest_->bitrate_mbps(0) : 1.0;
-  }
-  const std::size_t n = std::min(params_.throughput_window,
-                                 observation.throughput_history_mbps.size());
-  double denom = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    denom += 1.0 / observation.throughput_history_mbps[i];
-  }
-  double prediction = static_cast<double>(n) / denom;
-  if (params_.robust && !past_errors_.empty()) {
-    const double max_err =
-        *std::max_element(past_errors_.begin(), past_errors_.end());
-    prediction /= 1.0 + max_err;
-  }
-  return prediction;
-}
-
-double RobustMpc::qoe_of_plan(const AbrObservation& observation,
-                              std::size_t first_quality,
-                              double predicted_mbps) const {
-  // Exhaustive DFS over quality sequences starting with first_quality,
-  // simulating buffer evolution under the predicted throughput.
-  struct Frame {
-    double buffer = 0.0;
-    double prev_bitrate = 0.0;
-    double qoe = 0.0;
-  };
-
-  const std::size_t total = manifest_->num_chunks();
-  const std::size_t depth_limit =
-      std::min(params_.horizon, total - observation.chunk_index);
-
+double RobustMpc::search(std::size_t depth, double buffer_s,
+                         double prev_bitrate_mbps, double qoe,
+                         std::size_t* best_quality) const {
+  const std::size_t num_q = bitrate_.size();
+  const double* dt = &dt_[depth * num_q];
+  const bool leaf = depth + 1 == depth_limit_;
   double best = -1e18;
-  // Iterative stack of partial plans: (depth, state, next quality to try).
-  struct Node {
-    std::size_t depth;
-    std::size_t quality;
-    Frame frame;
-  };
-  std::vector<Node> stack;
-  stack.push_back({0, first_quality,
-                   {observation.buffer_s, observation.last_bitrate_mbps, 0.0}});
-
-  while (!stack.empty()) {
-    const Node node = stack.back();
-    stack.pop_back();
-
-    const std::size_t chunk = observation.chunk_index + node.depth;
-    const double size_bits = manifest_->chunk_size_bits(chunk, node.quality);
-    const double dt = size_bits / (predicted_mbps * 1e6);
-    const double rebuffer = std::max(0.0, dt - node.frame.buffer);
-    double buffer = std::max(0.0, node.frame.buffer - dt) +
-                    manifest_->chunk_duration_s();
-    buffer = std::min(buffer, params_.max_buffer_s);
-    const double bitrate = manifest_->bitrate_mbps(node.quality);
-    const double qoe = node.frame.qoe +
-                       chunk_qoe(bitrate, rebuffer, node.frame.prev_bitrate,
-                                 params_.qoe);
-
-    if (node.depth + 1 >= depth_limit) {
-      best = std::max(best, qoe);
-      continue;
+  for (std::size_t q = 0; q < num_q; ++q) {
+    const double rebuffer = std::max(0.0, dt[q] - buffer_s);
+    double value =
+        qoe + chunk_qoe(bitrate_[q], rebuffer, prev_bitrate_mbps, params_.qoe);
+    if (!leaf) {
+      const double next_buffer = std::min(
+          std::max(0.0, buffer_s - dt[q]) + manifest_->chunk_duration_s(),
+          params_.max_buffer_s);
+      value = search(depth + 1, next_buffer, bitrate_[q], value, nullptr);
     }
-    for (std::size_t q = 0; q < manifest_->num_qualities(); ++q) {
-      stack.push_back({node.depth + 1, q, {buffer, bitrate, qoe}});
+    if (value > best) {
+      best = value;
+      if (best_quality != nullptr) *best_quality = q;
     }
   }
   return best;
@@ -96,41 +51,23 @@ double RobustMpc::qoe_of_plan(const AbrObservation& observation,
 
 std::size_t RobustMpc::choose_quality(const AbrObservation& observation) {
   if (manifest_ == nullptr) throw std::logic_error{"RobustMpc: begin_video not called"};
-
-  // Update the error window with how the previous prediction fared.
-  if (has_prediction_ && !observation.throughput_history_mbps.empty()) {
-    const double actual = observation.throughput_history_mbps.front();
-    if (actual > 0.0) {
-      past_errors_.push_back(std::abs(last_prediction_mbps_ - actual) / actual);
-      while (past_errors_.size() > params_.throughput_window) {
-        past_errors_.pop_front();
-      }
-    }
+  const std::size_t chunk = observation.chunk_index;
+  if (chunk >= manifest_->num_chunks()) {
+    throw std::out_of_range{"RobustMpc: chunk index past the end of the video"};
   }
 
-  const double predicted = predicted_throughput_mbps(observation);
-
-  // Remember the *undiscounted* harmonic-mean prediction for error tracking.
-  if (!observation.throughput_history_mbps.empty()) {
-    const std::size_t n = std::min(params_.throughput_window,
-                                   observation.throughput_history_mbps.size());
-    double denom = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      denom += 1.0 / observation.throughput_history_mbps[i];
+  const double predicted = predictor_.predict(observation);
+  const std::size_t num_q = bitrate_.size();
+  depth_limit_ = std::min(params_.horizon, manifest_->num_chunks() - chunk);
+  for (std::size_t d = 0; d < depth_limit_; ++d) {
+    for (std::size_t q = 0; q < num_q; ++q) {
+      dt_[d * num_q + q] =
+          manifest_->chunk_size_bits(chunk + d, q) / (predicted * 1e6);
     }
-    last_prediction_mbps_ = static_cast<double>(n) / denom;
-    has_prediction_ = true;
   }
-
   std::size_t best_quality = 0;
-  double best_qoe = -1e18;
-  for (std::size_t q = 0; q < manifest_->num_qualities(); ++q) {
-    const double qoe = qoe_of_plan(observation, q, predicted);
-    if (qoe > best_qoe) {
-      best_qoe = qoe;
-      best_quality = q;
-    }
-  }
+  search(0, observation.buffer_s, observation.last_bitrate_mbps, 0.0,
+         &best_quality);
   return best_quality;
 }
 

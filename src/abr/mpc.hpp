@@ -3,10 +3,23 @@
 // last 5 samples discounted by the recent maximum prediction error, then
 // exhaustively search bitrate sequences over a lookahead horizon maximizing
 // QoE_lin under the predicted throughput, committing only the first choice.
+//
+// The search is a depth-first recursion over the lookahead that reads two
+// tables instead of the manifest: dt_[depth * Q + q], filled once per
+// decision with chunk_size_bits(chunk + depth, q) / (predicted * 1e6), and
+// the ladder's bitrate_[q]. Each plan's QoE is summed forward in depth
+// order and the maximum over leaves is kept, so the choice equals that of
+// enumerating all Q^H plans (first maximum wins ties). The tables are sized
+// from the manifest at begin_video and reused.
+//
+// At chunk 0 the smoothness term is charged against
+// observation.last_bitrate_mbps as given (the tracker reports the lowest
+// rung), unlike mpc-dp, which charges none there. This is kept on purpose:
+// changing it would move every bench_out golden.
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <vector>
 
 #include "abr/protocol.hpp"
 #include "abr/qoe.hpp"
@@ -32,18 +45,23 @@ class RobustMpc final : public AbrProtocol {
 
   /// The throughput estimate (Mbps) the controller would use now; exposed
   /// for tests and diagnostics.
-  double predicted_throughput_mbps(const AbrObservation& observation) const;
+  double predicted_throughput_mbps(const AbrObservation& observation) const {
+    return predictor_.estimate(observation);
+  }
 
  private:
-  double qoe_of_plan(const AbrObservation& observation,
-                     std::size_t first_quality, double predicted_mbps) const;
+  /// Best QoE over every plan for chunks `depth`.. of the lookahead, given
+  /// the buffer and bitrate the chunk before left and the QoE summed so
+  /// far. Writes the first quality reaching it to `best_quality` if set.
+  double search(std::size_t depth, double buffer_s, double prev_bitrate_mbps,
+                double qoe, std::size_t* best_quality) const;
 
   Params params_;
   const VideoManifest* manifest_ = nullptr;
-  // Rolling relative prediction errors for the robust discount.
-  std::deque<double> past_errors_;
-  double last_prediction_mbps_ = 0.0;
-  bool has_prediction_ = false;
+  RobustThroughputPredictor predictor_;
+  std::vector<double> dt_;       // [depth * Q + q] download time (s)
+  std::vector<double> bitrate_;  // [q] ladder (Mbps)
+  std::size_t depth_limit_ = 0;  // this decision's lookahead
 };
 
 }  // namespace netadv::abr

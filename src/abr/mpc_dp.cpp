@@ -7,7 +7,9 @@
 namespace netadv::abr {
 
 MpcDp::MpcDp(Params params, std::unique_ptr<QoeModel> qoe)
-    : params_(params), qoe_(std::move(qoe)) {
+    : params_(params),
+      qoe_(std::move(qoe)),
+      predictor_(params.throughput_window, params.robust) {
   if (params_.horizon == 0 || params_.buffer_levels < 2 ||
       params_.throughput_window == 0 || params_.max_buffer_s <= 0.0 ||
       qoe_ == nullptr) {
@@ -18,72 +20,27 @@ MpcDp::MpcDp(Params params, std::unique_ptr<QoeModel> qoe)
 void MpcDp::begin_video(const VideoManifest& manifest) {
   manifest_ = &manifest;
   qoe_->begin_video(manifest);
-  past_errors_.clear();
-  last_prediction_mbps_ = 0.0;
-  has_prediction_ = false;
+  predictor_.reset(manifest.bitrate_mbps(0));
+  const std::size_t num_q = manifest.num_qualities();
+  value_.resize(params_.buffer_levels * num_q);
+  dt_.resize(num_q);
+  score_.resize(num_q);
+  base_.resize(num_q);
+  smooth_.resize(num_q * num_q);
 }
 
-double MpcDp::predicted_throughput_mbps(
-    const AbrObservation& observation) const {
-  if (observation.throughput_history_mbps.empty()) {
-    // Cold start: assume the lowest encoding is sustainable.
-    return manifest_ != nullptr ? manifest_->bitrate_mbps(0) : 1.0;
+void MpcDp::tabulate_chunk(std::size_t chunk, double predicted_mbps) {
+  for (std::size_t q = 0; q < dt_.size(); ++q) {
+    dt_[q] = manifest_->chunk_size_bits(chunk, q) / (predicted_mbps * 1e6);
+    score_[q] = qoe_->quality_score(chunk, q);
   }
-  const std::size_t n = std::min(params_.throughput_window,
-                                 observation.throughput_history_mbps.size());
-  double denom = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    denom += 1.0 / observation.throughput_history_mbps[i];
-  }
-  double prediction = static_cast<double>(n) / denom;
-  if (params_.robust && !past_errors_.empty()) {
-    const double max_err =
-        *std::max_element(past_errors_.begin(), past_errors_.end());
-    prediction /= 1.0 + max_err;
-  }
-  return prediction;
-}
-
-double MpcDp::level_buffer(std::size_t level) const {
-  return static_cast<double>(level) * params_.max_buffer_s /
-         static_cast<double>(params_.buffer_levels - 1);
-}
-
-std::size_t MpcDp::buffer_level(double buffer_s) const {
-  const double clamped = std::clamp(buffer_s, 0.0, params_.max_buffer_s);
-  const double step =
-      params_.max_buffer_s / static_cast<double>(params_.buffer_levels - 1);
-  return static_cast<std::size_t>(std::lround(clamped / step));
 }
 
 std::size_t MpcDp::choose_quality(const AbrObservation& observation) {
   if (manifest_ == nullptr) {
     throw std::logic_error{"MpcDp: begin_video not called"};
   }
-
-  // Track how the previous (undiscounted) prediction fared, exactly like
-  // RobustMpc, so the robust discount sees the same error series.
-  if (has_prediction_ && !observation.throughput_history_mbps.empty()) {
-    const double actual = observation.throughput_history_mbps.front();
-    if (actual > 0.0) {
-      past_errors_.push_back(std::abs(last_prediction_mbps_ - actual) /
-                             actual);
-      while (past_errors_.size() > params_.throughput_window) {
-        past_errors_.pop_front();
-      }
-    }
-  }
-  const double predicted = predicted_throughput_mbps(observation);
-  if (!observation.throughput_history_mbps.empty()) {
-    const std::size_t n = std::min(params_.throughput_window,
-                                   observation.throughput_history_mbps.size());
-    double denom = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      denom += 1.0 / observation.throughput_history_mbps[i];
-    }
-    last_prediction_mbps_ = static_cast<double>(n) / denom;
-    has_prediction_ = true;
-  }
+  const double predicted = predictor_.predict(observation);
 
   const std::size_t num_q = manifest_->num_qualities();
   const std::size_t levels = params_.buffer_levels;
@@ -93,37 +50,45 @@ std::size_t MpcDp::choose_quality(const AbrObservation& observation) {
   const double rebuf_pen = qoe_->rebuffer_penalty();
   const double smooth_pen = qoe_->smoothness_penalty();
   const double chunk_dur = manifest_->chunk_duration_s();
+  const double grid = static_cast<double>(levels - 1);
+  // Grid level nearest a buffer in [0, max_buffer_s]: std::lround(buffer /
+  // step) without the libm call (`whole` is the floor and x - whole is
+  // exact, so halves round up as lround does).
+  const double step = params_.max_buffer_s / grid;
+  const auto level_of = [step](double buffer_s) {
+    const double x = buffer_s / step;
+    const auto whole = static_cast<std::size_t>(x);
+    return whole + (x - static_cast<double>(whole) >= 0.5 ? 1 : 0);
+  };
 
   // next_value_[level * Q + prev_quality] holds the optimal
   // score-to-horizon from depth d+1; zero beyond the horizon.
   next_value_.assign(levels * num_q, 0.0);
-  value_.assign(levels * num_q, 0.0);
-  std::vector<double> base(num_q);   // quality - rebuffer + continuation
-  std::vector<double> score(num_q);  // quality_score at this depth
 
   for (std::size_t d = depth_limit; d-- > 1;) {
     const std::size_t chunk = observation.chunk_index + d;
-    for (std::size_t q = 0; q < num_q; ++q) {
-      score[q] = qoe_->quality_score(chunk, q);
+    tabulate_chunk(chunk, predicted);
+    for (std::size_t p = 0; p < num_q; ++p) {
+      const double prev_score = qoe_->quality_score(chunk - 1, p);
+      for (std::size_t q = 0; q < num_q; ++q) {
+        smooth_[p * num_q + q] = smooth_pen * std::abs(score_[q] - prev_score);
+      }
     }
     for (std::size_t level = 0; level < levels; ++level) {
-      const double buffer = level_buffer(level);
+      const double buffer =
+          static_cast<double>(level) * params_.max_buffer_s / grid;
       for (std::size_t q = 0; q < num_q; ++q) {
-        const double dt =
-            manifest_->chunk_size_bits(chunk, q) / (predicted * 1e6);
-        const double rebuffer = std::max(0.0, dt - buffer);
+        const double rebuffer = std::max(0.0, dt_[q] - buffer);
         const double next_buffer = std::min(
-            std::max(0.0, buffer - dt) + chunk_dur, params_.max_buffer_s);
-        base[q] = score[q] - rebuf_pen * rebuffer +
-                  next_value_[buffer_level(next_buffer) * num_q + q];
+            std::max(0.0, buffer - dt_[q]) + chunk_dur, params_.max_buffer_s);
+        base_[q] = score_[q] - rebuf_pen * rebuffer +
+                   next_value_[level_of(next_buffer) * num_q + q];
       }
       for (std::size_t p = 0; p < num_q; ++p) {
-        const double prev_score = qoe_->quality_score(chunk - 1, p);
+        const double* smooth = &smooth_[p * num_q];
         double best = -1e18;
         for (std::size_t q = 0; q < num_q; ++q) {
-          best = std::max(best,
-                          base[q] - smooth_pen * std::abs(score[q] -
-                                                          prev_score));
+          best = std::max(best, base_[q] - smooth[q]);
         }
         value_[level * num_q + p] = best;
       }
@@ -137,20 +102,18 @@ std::size_t MpcDp::choose_quality(const AbrObservation& observation) {
   const double prev_score =
       first_chunk ? 0.0
                   : qoe_->quality_score(chunk - 1, observation.last_quality);
+  tabulate_chunk(chunk, predicted);
   std::size_t best_quality = 0;
   double best = -1e18;
   for (std::size_t q = 0; q < num_q; ++q) {
-    const double dt =
-        manifest_->chunk_size_bits(chunk, q) / (predicted * 1e6);
-    const double rebuffer = std::max(0.0, dt - observation.buffer_s);
+    const double rebuffer = std::max(0.0, dt_[q] - observation.buffer_s);
     const double next_buffer =
-        std::min(std::max(0.0, observation.buffer_s - dt) + chunk_dur,
+        std::min(std::max(0.0, observation.buffer_s - dt_[q]) + chunk_dur,
                  params_.max_buffer_s);
-    const double s = qoe_->quality_score(chunk, q);
     const double smooth =
-        first_chunk ? 0.0 : smooth_pen * std::abs(s - prev_score);
-    const double v = s - rebuf_pen * rebuffer - smooth +
-                     next_value_[buffer_level(next_buffer) * num_q + q];
+        first_chunk ? 0.0 : smooth_pen * std::abs(score_[q] - prev_score);
+    const double v = score_[q] - rebuf_pen * rebuffer - smooth +
+                     next_value_[level_of(next_buffer) * num_q + q];
     if (v > best) {
       best = v;
       best_quality = q;

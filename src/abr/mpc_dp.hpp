@@ -7,15 +7,16 @@
 // dynamic program over (depth, discretized buffer level, previous quality):
 // cost per decision is H * levels * Q^2 instead of Q^H, so deeper horizons
 // and bigger ladders stay cheap — the per-decision budget that matters when
-// one process serves thousands of sessions (serve::SessionEngine).
+// one process serves thousands of sessions (serve::SessionEngine). Per
+// depth, the download times, quality scores and the Q x Q smoothness
+// charges are tabulated once, outside the loop over buffer levels.
 //
-// The throughput predictor is RobustMpc's: harmonic mean of the last
-// `throughput_window` samples, discounted by the window's maximum relative
-// prediction error.
+// The throughput predictor is RobustMpc's (RobustThroughputPredictor):
+// harmonic mean of the last `throughput_window` samples, discounted by the
+// window's maximum relative prediction error.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -44,24 +45,26 @@ class MpcDp final : public AbrProtocol {
 
   /// The throughput estimate (Mbps) the planner would use now; exposed for
   /// tests and diagnostics, like RobustMpc's.
-  double predicted_throughput_mbps(const AbrObservation& observation) const;
+  double predicted_throughput_mbps(const AbrObservation& observation) const {
+    return predictor_.estimate(observation);
+  }
 
   const QoeModel& qoe() const noexcept { return *qoe_; }
 
  private:
-  double level_buffer(std::size_t level) const;
-  std::size_t buffer_level(double buffer_s) const;
+  /// Fill dt_ and score_ for `chunk` under the predicted throughput.
+  void tabulate_chunk(std::size_t chunk, double predicted_mbps);
 
   Params params_;
   std::unique_ptr<QoeModel> qoe_;
   const VideoManifest* manifest_ = nullptr;
-  // Rolling relative prediction errors for the robust discount.
-  std::deque<double> past_errors_;
-  double last_prediction_mbps_ = 0.0;
-  bool has_prediction_ = false;
-  // Value-iteration planes, reused across decisions to avoid per-call
-  // allocation on the serving hot path.
+  RobustThroughputPredictor predictor_;
+  // Value-iteration planes and per-depth tables, reused across decisions to
+  // avoid per-call allocation on the serving hot path: dt_[q] download
+  // time, score_[q] quality score, smooth_[p * Q + q] smoothness charge,
+  // base_[q] the level's score before the smoothness charge.
   std::vector<double> value_, next_value_;
+  std::vector<double> dt_, score_, smooth_, base_;
 };
 
 }  // namespace netadv::abr

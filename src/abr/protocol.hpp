@@ -1,10 +1,12 @@
 // The ABR protocol interface: given what a real player knows at a decision
 // point — buffer level, throughput/download history, upcoming chunk sizes —
 // pick the next chunk's quality. Implementations: BufferBased (bb.hpp),
-// RobustMpc (mpc.hpp), PensievePolicy (pensieve.hpp).
+// RobustMpc (mpc.hpp), PensievePolicy (pensieve.hpp). Also the observation
+// tracker and the throughput predictors the rate-driven protocols share.
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -64,6 +66,41 @@ class AbrObservationTracker {
   const VideoManifest* manifest_;
   std::size_t history_window_;
   AbrObservation obs_;
+};
+
+/// Harmonic mean (Mbps) of the newest `window` samples of a newest-first
+/// throughput history, the estimate of the rate-driven baselines (Yin et
+/// al., SIGCOMM 2015). Requires a non-empty history and window > 0.
+double harmonic_mean_mbps(const std::vector<double>& history_mbps,
+                          std::size_t window);
+
+/// RobustMPC's throughput predictor, shared by RobustMpc and MpcDp: the
+/// harmonic mean, divided when `robust` by one plus the largest relative
+/// error of the last `window` undiscounted predictions against the sample
+/// that followed each.
+class RobustThroughputPredictor {
+ public:
+  RobustThroughputPredictor(std::size_t window, bool robust)
+      : window_(window), robust_(robust) {}
+
+  /// New video: forget past errors; predict `cold_start_mbps` until the
+  /// first sample arrives (1 Mbps before any reset).
+  void reset(double cold_start_mbps);
+  /// The prediction for `observation` under the current error window.
+  double estimate(const AbrObservation& observation) const;
+  /// One decision: score the previous prediction against the newest
+  /// sample, then return estimate() and remember this undiscounted mean.
+  double predict(const AbrObservation& observation);
+
+ private:
+  double discounted(double mean_mbps) const;
+
+  std::size_t window_;
+  bool robust_;
+  double cold_start_mbps_ = 1.0;
+  std::deque<double> past_errors_;
+  double last_mean_mbps_ = 0.0;
+  bool has_prediction_ = false;
 };
 
 }  // namespace netadv::abr

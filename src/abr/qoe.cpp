@@ -1,16 +1,9 @@
 #include "abr/qoe.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace netadv::abr {
-
-double chunk_qoe(double bitrate_mbps, double rebuffer_s,
-                 double prev_bitrate_mbps, const QoeParams& params) {
-  return bitrate_mbps - params.rebuffer_penalty * rebuffer_s -
-         params.smoothness_penalty * std::abs(bitrate_mbps - prev_bitrate_mbps);
-}
 
 double total_qoe(std::span<const double> bitrates_mbps,
                  std::span<const double> rebuffer_s, const QoeParams& params) {

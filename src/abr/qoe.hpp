@@ -7,6 +7,7 @@
 // (seconds) incurred by chunk i.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 
@@ -20,9 +21,14 @@ struct QoeParams {
 /// Contribution of a single chunk given the previous chunk's bitrate.
 /// For the first chunk pass `prev_bitrate_mbps == bitrate_mbps` (no
 /// smoothness charge), matching the QoE_lin sum which only charges
-/// transitions between consecutive chunks.
-double chunk_qoe(double bitrate_mbps, double rebuffer_s,
-                 double prev_bitrate_mbps, const QoeParams& params = {});
+/// transitions between consecutive chunks. Inline so RobustMpc's search
+/// can inline it; -ffp-contract=off keeps every inlined copy bit-identical.
+inline double chunk_qoe(double bitrate_mbps, double rebuffer_s,
+                        double prev_bitrate_mbps,
+                        const QoeParams& params = {}) {
+  return bitrate_mbps - params.rebuffer_penalty * rebuffer_s -
+         params.smoothness_penalty * std::abs(bitrate_mbps - prev_bitrate_mbps);
+}
 
 /// QoE_lin of a whole playback from per-chunk bitrates and rebuffer times.
 /// Sizes must match and be non-empty.

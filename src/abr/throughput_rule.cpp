@@ -1,6 +1,5 @@
 #include "abr/throughput_rule.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace netadv::abr {
@@ -20,13 +19,8 @@ double ThroughputRule::estimate_mbps(const AbrObservation& observation) const {
   if (observation.throughput_history_mbps.empty()) {
     return manifest_ != nullptr ? manifest_->bitrate_mbps(0) : 0.3;
   }
-  const std::size_t n =
-      std::min(params_.window, observation.throughput_history_mbps.size());
-  double denom = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    denom += 1.0 / observation.throughput_history_mbps[i];
-  }
-  return static_cast<double>(n) / denom;
+  return harmonic_mean_mbps(observation.throughput_history_mbps,
+                            params_.window);
 }
 
 std::size_t ThroughputRule::choose_quality(const AbrObservation& observation) {

@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abr/bb.hpp"
@@ -21,6 +24,7 @@
 #include "abr/sim.hpp"
 #include "abr/video.hpp"
 #include "trace/generators.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -559,6 +563,112 @@ TEST(RobustMpc, RequiresBeginVideo) {
   EXPECT_THROW(mpc.choose_quality(obs), std::logic_error);
 }
 
+// Both planners size their lookahead from the chunks left, so a decision
+// past the last chunk must fail loudly rather than plan over nothing.
+TEST(RobustMpc, RejectsAChunkPastTheEndOfTheVideo) {
+  const VideoManifest m;
+  RobustMpc mpc;
+  MpcDp dp;
+  mpc.begin_video(m);
+  dp.begin_video(m);
+  AbrObservation obs;
+  obs.chunk_index = m.num_chunks();
+  EXPECT_THROW(mpc.choose_quality(obs), std::out_of_range);
+  EXPECT_THROW(dp.choose_quality(obs), std::out_of_range);
+}
+
+// Brute-force reference for RobustMpc's plan search: an odometer over all
+// Q^H plans in lexicographic order (last chunk fastest), each plan's QoE_lin
+// summed forward in depth order, the first strict maximum winning. Returns
+// that plan's first quality.
+std::size_t exhaustive_mpc_choice(const VideoManifest& m,
+                                  const AbrObservation& obs,
+                                  double predicted_mbps,
+                                  const RobustMpc::Params& params) {
+  const std::size_t num_q = m.num_qualities();
+  const std::size_t depth =
+      std::min(params.horizon, m.num_chunks() - obs.chunk_index);
+  std::vector<std::size_t> plan(depth, 0);
+  std::size_t best_first = 0;
+  double best = -std::numeric_limits<double>::infinity();
+  for (;;) {
+    double buffer = obs.buffer_s;
+    double prev_bitrate = obs.last_bitrate_mbps;
+    double qoe = 0.0;
+    for (std::size_t d = 0; d < depth; ++d) {
+      const double dt = m.chunk_size_bits(obs.chunk_index + d, plan[d]) /
+                        (predicted_mbps * 1e6);
+      const double rebuffer = std::max(0.0, dt - buffer);
+      buffer = std::min(std::max(0.0, buffer - dt) + m.chunk_duration_s(),
+                        params.max_buffer_s);
+      const double bitrate = m.bitrate_mbps(plan[d]);
+      qoe += chunk_qoe(bitrate, rebuffer, prev_bitrate, params.qoe);
+      prev_bitrate = bitrate;
+    }
+    if (qoe > best) {
+      best = qoe;
+      best_first = plan[0];
+    }
+    std::size_t d = depth;
+    while (d > 0 && ++plan[d - 1] == num_q) {
+      plan[d - 1] = 0;
+      --d;
+    }
+    if (d == 0) return best_first;
+  }
+}
+
+// RobustMpc's search is exact: on seeded observations it picks the same
+// first quality as enumerating every plan. The cases cycle through a cold
+// start at chunk 0, each of the last four chunks (depth limit below the
+// horizon), a full buffer, a link so slow every plan rebuffers, and random
+// mid-video states, on a 3-rung and the default 6-rung ladder.
+TEST(RobustMpc, SearchMatchesExhaustiveEnumeration) {
+  VideoManifest::Params three_rungs;
+  three_rungs.bitrates_kbps = {300, 1200, 4300};
+  const VideoManifest ladders[] = {VideoManifest{three_rungs},
+                                   VideoManifest{}};
+  Rng rng{16};
+  std::size_t checked = 0;
+  for (const VideoManifest& m : ladders) {
+    const std::size_t last_chunk = m.num_chunks() - 1;
+    for (const std::size_t horizon : {1, 3, 5}) {
+      const RobustMpc::Params params{.horizon = horizon};
+      RobustMpc mpc{params};
+      for (std::size_t i = 0; i < 88; ++i) {
+        const std::size_t kind = i % 8;
+        AbrObservation obs;
+        obs.chunk_index = kind == 0   ? 0
+                          : kind <= 4 ? last_chunk + 1 - kind
+                                      : 1 + rng.index(last_chunk);
+        obs.remaining_chunks = m.num_chunks() - obs.chunk_index;
+        obs.buffer_s = kind == 5 ? params.max_buffer_s
+                                 : rng.uniform(0.0, params.max_buffer_s);
+        if (obs.chunk_index > 0) {
+          obs.last_quality = rng.index(m.num_qualities());
+          obs.last_bitrate_mbps = m.bitrate_mbps(obs.last_quality);
+          const std::size_t samples = 1 + rng.index(8);
+          // A full buffer meets a slow link, so the cap at max_buffer_s
+          // shapes the later downloads' stalls.
+          const double lo = kind == 6 ? 0.005 : 0.2;
+          const double hi = kind == 6 ? 0.01 : kind == 5 ? 1.0 : 6.0;
+          for (std::size_t s = 0; s < samples; ++s) {
+            obs.throughput_history_mbps.push_back(rng.uniform(lo, hi));
+          }
+        }
+        mpc.begin_video(m);
+        const double predicted = mpc.predicted_throughput_mbps(obs);
+        EXPECT_EQ(mpc.choose_quality(obs),
+                  exhaustive_mpc_choice(m, obs, predicted, params))
+            << "ladder " << m.num_qualities() << ", horizon " << horizon
+            << ", chunk " << obs.chunk_index << ", buffer " << obs.buffer_s;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 500u);
+}
+
 // ---------------------------------------------------------------- mpc-dp
 
 TEST(MpcDp, PredictorMatchesRobustMpc) {
@@ -627,6 +737,44 @@ TEST(MpcDp, PlansAgainstTheConstructedQoeModel) {
   const PlaybackRecord b = run_playback(sticky_dp, m, t);
   EXPECT_LE(b.quality_switches, a.quality_switches);
   EXPECT_EQ(sticky_dp.qoe().name(), "ssim");
+}
+
+// Bit-level pin of mpc-dp's decisions: an FNV-1a hash of the quality
+// sequences of full playbacks over 20 seeded FCC-like traces (half of them
+// on a starved 0.2-2 Mbps range, where rebuffering drives the plan), once
+// per shipped QoE model. A change to the value iteration that moves a
+// single decision moves the hash.
+TEST(MpcDp, DecisionsPinnedOnSeededTraces) {
+  const VideoManifest m;
+  netadv::trace::FccLikeGenerator::Params starved;
+  starved.bandwidth_min_mbps = 0.2;
+  starved.bandwidth_max_mbps = 2.0;
+  Rng rng{2019};
+  std::vector<Trace> traces =
+      netadv::trace::FccLikeGenerator{}.generate_many(10, rng);
+  for (Trace& t :
+       netadv::trace::FccLikeGenerator{starved}.generate_many(10, rng)) {
+    traces.push_back(std::move(t));
+  }
+  const std::pair<std::string, std::string> pinned[] = {
+      {"lin", "4487de619fc82572"},
+      {"log", "56f7f2bf2790e6cc"},
+      {"ssim", "47ad667908ce8a8b"}};
+  for (const auto& [model, expected] : pinned) {
+    std::unique_ptr<QoeModel> qoe;
+    if (model == "lin") qoe = std::make_unique<LinQoe>();
+    if (model == "log") qoe = std::make_unique<LogQoe>();
+    if (model == "ssim") qoe = std::make_unique<SsimTableQoe>();
+    MpcDp dp{{}, std::move(qoe)};
+    std::uint64_t hash = netadv::util::kFnvOffsetBasis;
+    for (const Trace& t : traces) {
+      for (const DownloadResult& chunk : run_playback(dp, m, t).chunks) {
+        hash = netadv::util::fnv1a64_accumulate(
+            hash, std::string(1, static_cast<char>('0' + chunk.quality)));
+      }
+    }
+    EXPECT_EQ(netadv::util::hash_hex(hash), expected) << model;
+  }
 }
 
 TEST(MpcDp, ValidatesParamsAndRequiresBeginVideo) {
