@@ -181,23 +181,17 @@ TrainReport PpoAgent::train(Env& env, std::size_t total_steps,
       // Forward into the transition's activation cache (bit-identical to
       // the member forward — same const workspace routine) so the gradient
       // epochs can reuse these activations.
-      const Vec* head;
-      if (use_activation_cache_) {
-        head = &actor_.forward(obs, t.cache.actor);
-        t.cache.actor_version = actor_.param_version();
-        t.value = critic_.forward(obs, t.cache.critic)[0];
-        t.cache.critic_version = critic_.param_version();
-      } else {
-        head = &actor_.forward(obs);
-        t.value = critic_.forward(obs)[0];
-      }
+      const Vec& head = actor_.forward(obs, t.cache.actor);
+      t.cache.actor_version = actor_.param_version();
+      t.value = critic_.forward(obs, t.cache.critic)[0];
+      t.cache.critic_version = critic_.param_version();
       if (discrete()) {
-        const std::size_t a = Categorical::sample(*head, rng_);
+        const std::size_t a = Categorical::sample(head, rng_);
         t.action = {static_cast<double>(a)};
-        t.log_prob = Categorical::log_prob(*head, a);
+        t.log_prob = Categorical::log_prob(head, a);
       } else {
-        t.action = DiagGaussian::sample(*head, log_std_, rng_);
-        t.log_prob = DiagGaussian::log_prob(*head, log_std_, t.action);
+        t.action = DiagGaussian::sample(head, log_std_, rng_);
+        t.log_prob = DiagGaussian::log_prob(head, log_std_, t.action);
       }
 
       StepResult result = env.step(t.action, rng_);
@@ -267,8 +261,17 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
 
   // Adopt the venv's pool for the gradient step unless the caller already
   // attached one; the shadow-buffer path is bit-identical to sequential, so
-  // this only changes wall-clock.
-  util::ThreadPool* const saved_pool = pool_;
+  // this only changes wall-clock. The borrow ends on every exit, a throw
+  // from a replica's step included, so the agent never keeps a pointer to a
+  // pool it does not own.
+  struct PoolRestore {
+    explicit PoolRestore(util::ThreadPool*& s) : slot{s}, saved{s} {}
+    PoolRestore(const PoolRestore&) = delete;
+    PoolRestore& operator=(const PoolRestore&) = delete;
+    ~PoolRestore() { slot = saved; }
+    util::ThreadPool*& slot;
+    util::ThreadPool* const saved;
+  } const restore_pool{pool_};
   if (pool_ == nullptr) pool_ = venv.pool();
 
   TrainReport report;
@@ -309,10 +312,10 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
         norm_obs[i] = normalized(raw_obs[i]);
       }
 
-      const std::vector<Vec> heads = actor_.forward_batch(
-          norm_obs, use_activation_cache_ ? &actor_caches : nullptr);
-      const std::vector<Vec> values = critic_.forward_batch(
-          norm_obs, use_activation_cache_ ? &critic_caches : nullptr);
+      const std::vector<Vec> heads =
+          actor_.forward_batch(norm_obs, &actor_caches);
+      const std::vector<Vec> values =
+          critic_.forward_batch(norm_obs, &critic_caches);
 
       for (std::size_t i = 0; i < n_envs; ++i) {
         Transition t;
@@ -326,12 +329,10 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
           t.log_prob = DiagGaussian::log_prob(heads[i], log_std_, t.action);
         }
         t.value = values[i][0];
-        if (use_activation_cache_) {
-          t.cache.actor = std::move(actor_caches[i]);
-          t.cache.actor_version = actor_.param_version();
-          t.cache.critic = std::move(critic_caches[i]);
-          t.cache.critic_version = critic_.param_version();
-        }
+        t.cache.actor = std::move(actor_caches[i]);
+        t.cache.actor_version = actor_.param_version();
+        t.cache.critic = std::move(critic_caches[i]);
+        t.cache.critic_version = critic_.param_version();
         actions[i] = t.action;
         trajectories[i].push_back(std::move(t));
       }
@@ -393,7 +394,6 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
     }
   }
 
-  pool_ = saved_pool;
   finalize_report(report, steps_done, episode_rewards);
   return report;
 }
@@ -424,10 +424,9 @@ void PpoAgent::accumulate_sample(const Transition& t, double inv_batch,
   // recompute the forward into the task-private workspace. With the default
   // PPO schedule only the pre-first-optimizer-step minibatches hit, but a
   // full-batch single-epoch schedule reuses the whole rollout.
-  const bool actor_cached =
-      use_activation_cache_ && t.cache.actor_version == actor_.param_version();
-  const bool critic_cached = use_activation_cache_ &&
-                             t.cache.critic_version == critic_.param_version();
+  const bool actor_cached = t.cache.actor_version == actor_.param_version();
+  const bool critic_cached =
+      t.cache.critic_version == critic_.param_version();
   const Mlp::Workspace& actor_ws = actor_cached ? t.cache.actor : ws.actor;
   const Mlp::Workspace& critic_ws = critic_cached ? t.cache.critic : ws.critic;
   const Vec& head =

@@ -107,21 +107,15 @@ class PpoAgent {
     double entropy = 0.0;
   };
 
-  /// Record each rollout transition's forward activations and reuse them in
-  /// the gradient path while the parameters are unchanged (version-stamped,
-  /// bit-identical reuse — see ActivationCache in rl/rollout.hpp). Default
-  /// ON: it never changes results, only wall-clock and memory. Turn OFF to
-  /// drop the per-transition activation storage on memory-tight rollouts.
-  void set_activation_cache(bool on) noexcept { use_activation_cache_ = on; }
-  bool activation_cache_enabled() const noexcept {
-    return use_activation_cache_;
-  }
-
   /// The shuffled-minibatch epochs shared by both train() entry points:
   /// config().epochs passes of shuffled minibatches over `buffer`, one
-  /// optimizer step per minibatch. Public so benches and tests can drive the
-  /// gradient phase against an externally assembled rollout (e.g. to measure
-  /// the activation cache); train() is the normal entry point.
+  /// optimizer step per minibatch. Each sample reuses the forward
+  /// activations its transition recorded at rollout time while their version
+  /// stamps still match the networks (bit-identical reuse — see
+  /// ActivationCache in rl/rollout.hpp) and recomputes them otherwise.
+  /// Public so tests can drive the gradient phase against an externally
+  /// assembled rollout (e.g. one with stale stamps); train() is the normal
+  /// entry point.
   MinibatchStats run_update_epochs(const RolloutBuffer& buffer);
 
   const PpoConfig& config() const noexcept { return config_; }
@@ -183,8 +177,6 @@ class PpoAgent {
 
   RunningNormalizer obs_normalizer_;
   ReturnNormalizer return_normalizer_;
-
-  bool use_activation_cache_ = true;  // see set_activation_cache
 
   // Shadow-buffer minibatch scratch (see set_thread_pool). Not part of the
   // agent's logical state; copied agents just get fresh scratch.

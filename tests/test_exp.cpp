@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -596,25 +598,70 @@ TEST(BuiltinJobs, ServeCampaignRunsEndToEnd) {
   }
 }
 
-TEST(BuiltinJobs, ServeArtifactsAreIdenticalAcrossThreadCounts) {
-  const std::string base = temp_dir("netadv_builtin_serve_t1");
-  exp::run_campaign(campaign_from(serve_pipeline_spec(base)),
-                    exp::builtin_jobs());
+/// Every artifact a campaign left in `dir`, keyed by file name. The manifest
+/// is left out: it records wall-clock.
+std::map<std::string, std::string> artifacts_in(const std::string& dir) {
+  std::map<std::string, std::string> artifacts;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.is_regular_file() && name != exp::kManifestFilename) {
+      artifacts[name] = read_file(entry.path().string());
+    }
+  }
+  return artifacts;
+}
+
+/// The determinism contract for builtin jobs: the campaign `spec(dir)` run
+/// without a pool and on pools of 2 and 8 threads writes the same artifacts,
+/// byte for byte. `tag` names the scratch out_dirs.
+void expect_artifacts_identical_across_thread_counts(
+    const std::function<std::string(const std::string&)>& spec,
+    const std::string& tag) {
+  const std::string base = temp_dir(tag + "_t1");
+  ASSERT_TRUE(
+      exp::run_campaign(campaign_from(spec(base)), exp::builtin_jobs()).ok());
+  const auto reference = artifacts_in(base);
   for (const std::size_t threads : {2u, 8u}) {
-    const std::string dir =
-        temp_dir("netadv_builtin_serve_t" + std::to_string(threads));
+    const std::string dir = temp_dir(tag + "_t" + std::to_string(threads));
     util::ThreadPool pool{threads};
     exp::SchedulerOptions options;
     options.pool = &pool;
-    exp::run_campaign(campaign_from(serve_pipeline_spec(dir)),
-                      exp::builtin_jobs(), options);
-    for (const char* name :
-         {"sweep-bb-lin-on-corpus_sessions.csv",
-          "sweep-mpc-dp-ssim-on-corpus_sessions.csv"}) {
-      EXPECT_EQ(read_file(base + "/" + name), read_file(dir + "/" + name))
+    ASSERT_TRUE(exp::run_campaign(campaign_from(spec(dir)),
+                                  exp::builtin_jobs(), options)
+                    .ok());
+    const auto artifacts = artifacts_in(dir);
+    EXPECT_EQ(artifacts.size(), reference.size()) << "at " << threads
+                                                  << " threads";
+    for (const auto& [name, bytes] : reference) {
+      const auto it = artifacts.find(name);
+      ASSERT_NE(it, artifacts.end())
+          << name << " missing at " << threads << " threads";
+      EXPECT_TRUE(it->second == bytes)
           << name << " differs at " << threads << " threads";
     }
   }
+}
+
+TEST(BuiltinJobs, ServeArtifactsAreIdenticalAcrossThreadCounts) {
+  expect_artifacts_identical_across_thread_counts(serve_pipeline_spec,
+                                                  "netadv_builtin_serve");
+}
+
+/// Two random corpora replayed against a buffer-based and a RobustMPC
+/// client: the builtin gen-traces -> replay path of the ABR domain.
+std::string abr_replay_spec(const std::string& dir) {
+  return "[campaign]\nname = abr-replay\nseed = 5\nout_dir = " + dir + "\n"
+         "[job gen-a]\nkind = gen-traces\ngenerator = random\ncount = 12\n"
+         "[job gen-b]\nkind = gen-traces\ngenerator = random\ncount = 12\n"
+         "[job replay-a]\nkind = replay\nafter = gen-a\ntraces = gen-a\n"
+         "protocol = bb\n"
+         "[job replay-b]\nkind = replay\nafter = gen-b\ntraces = gen-b\n"
+         "protocol = mpc\n";
+}
+
+TEST(BuiltinJobs, AbrReplayArtifactsAreIdenticalAcrossThreadCounts) {
+  expect_artifacts_identical_across_thread_counts(abr_replay_spec,
+                                                  "netadv_builtin_abr_replay");
 }
 
 TEST(BuiltinJobs, ServeJobFailsWithEnumeratingErrors) {
@@ -701,23 +748,8 @@ TEST(BuiltinJobs, CcCampaignRunsEndToEnd) {
 // The determinism contract extends to the CC job kinds: every artifact in
 // the pipeline is bit-identical at NETADV_THREADS in {1, 2, 8}.
 TEST(BuiltinJobs, CcCampaignArtifactsAreIdenticalAcrossThreadCounts) {
-  const std::string base = temp_dir("netadv_builtin_cc_t1");
-  exp::run_campaign(campaign_from(cc_pipeline_spec(base)),
-                    exp::builtin_jobs());
-  for (const std::size_t threads : {2u, 8u}) {
-    const std::string dir =
-        temp_dir("netadv_builtin_cc_t" + std::to_string(threads));
-    util::ThreadPool pool{threads};
-    exp::SchedulerOptions options;
-    options.pool = &pool;
-    exp::run_campaign(campaign_from(cc_pipeline_spec(dir)),
-                      exp::builtin_jobs(), options);
-    for (const char* name : {"train_adversary.ckpt", "rec_traces.csv",
-                             "rec_summary.csv", "rep_replay.csv"}) {
-      EXPECT_EQ(read_file(base + "/" + name), read_file(dir + "/" + name))
-          << name << " differs at " << threads << " threads";
-    }
-  }
+  expect_artifacts_identical_across_thread_counts(cc_pipeline_spec,
+                                                  "netadv_builtin_cc");
 }
 
 // ------------------------------------------------- fairness campaigns
@@ -1069,23 +1101,8 @@ TEST(BuiltinJobs, GoldenAttackCampaignIsByteStableAcrossCommits) {
 }
 
 TEST(BuiltinJobs, FairnessCampaignArtifactsAreIdenticalAcrossThreadCounts) {
-  const std::string base = temp_dir("netadv_builtin_fair_t1");
-  exp::run_campaign(campaign_from(fairness_pipeline_spec(base)),
-                    exp::builtin_jobs());
-  for (const std::size_t threads : {2u, 8u}) {
-    const std::string dir =
-        temp_dir("netadv_builtin_fair_t" + std::to_string(threads));
-    util::ThreadPool pool{threads};
-    exp::SchedulerOptions options;
-    options.pool = &pool;
-    exp::run_campaign(campaign_from(fairness_pipeline_spec(dir)),
-                      exp::builtin_jobs(), options);
-    for (const char* name : {"train_adversary.ckpt", "rec_traces.csv",
-                             "rec_summary.csv", "rep_replay.csv"}) {
-      EXPECT_EQ(read_file(base + "/" + name), read_file(dir + "/" + name))
-          << name << " differs at " << threads << " threads";
-    }
-  }
+  expect_artifacts_identical_across_thread_counts(fairness_pipeline_spec,
+                                                  "netadv_builtin_fair");
 }
 
 }  // namespace

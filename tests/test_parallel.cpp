@@ -12,6 +12,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "abr/bb.hpp"
@@ -266,8 +267,7 @@ void expect_identical_agents(const rl::PpoAgent& agent,
       << "log_std differs at " << threads << " threads";
 }
 
-rl::PpoAgent train_ppo_shadow_at(util::ThreadPool* pool, bool continuous,
-                                 bool activation_cache = true) {
+rl::PpoAgent train_ppo_shadow_at(util::ThreadPool* pool, bool continuous) {
   util::set_log_level(util::LogLevel::kWarn);
   rl::PpoConfig cfg;
   cfg.hidden_sizes = {16, 8};
@@ -283,7 +283,6 @@ rl::PpoAgent train_ppo_shadow_at(util::ThreadPool* pool, bool continuous,
   }
   rl::PpoAgent agent{env->observation_size(), env->action_spec(), cfg, 31};
   agent.set_thread_pool(pool);
-  agent.set_activation_cache(activation_cache);
   agent.train(*env, 384);
   return agent;
 }
@@ -306,24 +305,6 @@ TEST(ParallelGradients, PpoContinuousShadowPathMatchesSequential) {
     util::ThreadPool pool{threads};
     const rl::PpoAgent agent = train_ppo_shadow_at(&pool, true);
     expect_identical_agents(agent, reference, threads);
-  }
-}
-
-TEST(ParallelGradients, ActivationCacheIdenticalAcrossThreadCountsAndToggle) {
-  // The rollout activation cache must be orthogonal to the shadow-gradient
-  // thread count: cached workspaces are read-only during the concurrent
-  // per-sample gradient phase, and reuse is bit-identical, so all four
-  // combinations of {cache on/off} x {sequential/pooled} train the same
-  // parameters.
-  const rl::PpoAgent reference = train_ppo_shadow_at(
-      nullptr, /*continuous=*/false, /*activation_cache=*/true);
-  for (std::size_t threads : kThreadCounts) {
-    for (bool cache : {true, false}) {
-      util::ThreadPool pool{threads};
-      const rl::PpoAgent agent =
-          train_ppo_shadow_at(&pool, /*continuous=*/false, cache);
-      expect_identical_agents(agent, reference, threads);
-    }
   }
 }
 
@@ -424,6 +405,45 @@ TEST(ParallelRecorders, CcEpisodeBatchIdenticalAcrossThreadCounts) {
           << "episode " << i << " at " << threads << " threads";
     }
   }
+}
+
+TEST(VecPpo, ThrowingReplicaLeavesNoBorrowedPoolBehind) {
+  // train(VecEnv&) borrows the venv's pool for the gradient step. A replica
+  // that throws mid-rollout must not leave the agent holding that pool
+  // after the pool is gone.
+  struct ThrowingEnv final : rl::Env {
+    rl::ContextualBanditEnv inner{2, 3, 8};
+    bool throws = false;
+    std::string name() const override { return inner.name(); }
+    std::size_t observation_size() const override {
+      return inner.observation_size();
+    }
+    rl::ActionSpec action_spec() const override { return inner.action_spec(); }
+    rl::Vec reset(util::Rng& rng) override { return inner.reset(rng); }
+    rl::StepResult step(const rl::Vec& action, util::Rng& rng) override {
+      if (throws) throw std::runtime_error{"replica step failed"};
+      return inner.step(action, rng);
+    }
+  };
+  util::set_log_level(util::LogLevel::kWarn);
+  rl::PpoConfig cfg;
+  cfg.hidden_sizes = {8};
+  cfg.n_steps = 32;
+  cfg.minibatch_size = 8;
+  const rl::ContextualBanditEnv shape{2, 3, 8};
+  rl::PpoAgent agent{shape.observation_size(), shape.action_spec(), cfg, 5};
+  ASSERT_EQ(agent.thread_pool(), nullptr);
+  {
+    util::ThreadPool pool{2};
+    rl::VecEnv venv{[](std::size_t index) {
+                      auto env = std::make_unique<ThrowingEnv>();
+                      env->throws = index == 1;
+                      return env;
+                    },
+                    /*n=*/4, /*seed=*/7, &pool};
+    EXPECT_THROW(agent.train(venv, 64), std::runtime_error);
+  }
+  EXPECT_EQ(agent.thread_pool(), nullptr);
 }
 
 TEST(VecPpo, LearnsContextualBandit) {

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -463,17 +464,33 @@ TEST(Worker, ChangedDependencyOutputInvalidatesDependentAcrossWorkers) {
             std::string::npos);
 }
 
-TEST(Worker, ThreeConcurrentWorkersPartitionTheDag) {
-  const std::string dir = temp_dir("netadv_worker_trio");
-  // A wider DAG so all three workers can actually claim something.
-  std::string spec = "[campaign]\nname = wide\nseed = 7\nout_dir = " + dir +
-                     "\n";
-  for (int i = 0; i < 6; ++i) {
-    spec += "[job root" + std::to_string(i) + "]\nkind = emit\n";
+/// Every artifact in `dir`, keyed by file name; the manifest (it records
+/// wall-clock and worker names) and the spool directory are left out.
+std::map<std::string, std::string> artifacts_in(const std::string& dir) {
+  std::map<std::string, std::string> artifacts;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.is_regular_file() && name != exp::kManifestFilename) {
+      artifacts[name] = read_file(entry.path().string());
+    }
   }
-  spec += "[job join]\nkind = concat\nafter = root0, root1, root2, root3, "
-          "root4, root5\n";
-  const exp::Campaign c = campaign_from(spec);
+  return artifacts;
+}
+
+TEST(Worker, ThreeConcurrentWorkersPartitionTheDag) {
+  // A wider DAG so all three workers can actually claim something.
+  const auto wide = [](const std::string& dir) {
+    std::string spec =
+        "[campaign]\nname = wide\nseed = 7\nout_dir = " + dir + "\n";
+    for (int i = 0; i < 6; ++i) {
+      spec += "[job root" + std::to_string(i) + "]\nkind = emit\n";
+    }
+    spec += "[job join]\nkind = concat\nafter = root0, root1, root2, root3, "
+            "root4, root5\n";
+    return campaign_from(spec);
+  };
+  const std::string dir = temp_dir("netadv_worker_trio");
+  const exp::Campaign c = wide(dir);
   exp::WorkerReport reports[3];
   std::vector<std::thread> workers;
   for (int w = 0; w < 3; ++w) {
@@ -495,6 +512,14 @@ TEST(Worker, ThreeConcurrentWorkersPartitionTheDag) {
   EXPECT_EQ(executed, 7u);
   const auto entries = exp::read_manifest(exp::manifest_path(dir));
   EXPECT_EQ(entries.size(), 7u);
+
+  // However the fleet split the DAG, it wrote what a single-process run
+  // writes, byte for byte.
+  const std::string solo_dir = temp_dir("netadv_worker_trio_solo");
+  ASSERT_TRUE(exp::run_campaign(wide(solo_dir), stub_registry()).ok());
+  const auto solo = artifacts_in(solo_dir);
+  EXPECT_EQ(solo.size(), 7u);
+  EXPECT_EQ(artifacts_in(dir), solo);
 }
 
 }  // namespace
