@@ -145,8 +145,8 @@ BENCHMARK(BM_PolicyInference);
 
 void BM_PpoUpdate(benchmark::State& state) {
   // One full PPO iteration (rollout of 256 + minibatch epochs) on a toy env,
-  // with the shadow-buffer minibatch gradients spread over state.range(0)
-  // threads.
+  // with the minibatch gradient step (per-sample deltas, then row-block
+  // weight gradients) spread over state.range(0) threads.
   util::set_log_level(util::LogLevel::kWarn);
   rl::ContextualBanditEnv env{2, 2, 32};
   rl::PpoConfig cfg;

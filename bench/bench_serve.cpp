@@ -69,23 +69,6 @@ void BM_ServeTickBb(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeTickBb)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
-void BM_MpcDpDecision(benchmark::State& state) {
-  // One mpc-dp decision = H x L x (Q + Q^2) value iteration over the
-  // discretized buffer grid.
-  const abr::VideoManifest m = bench_manifest();
-  abr::MpcDp planner;
-  planner.begin_video(m);
-  abr::AbrObservation obs;
-  obs.chunk_index = 10;
-  obs.remaining_chunks = 38;
-  obs.buffer_s = 12.0;
-  obs.last_bitrate_mbps = 1.2;
-  obs.throughput_history_mbps = {2.0, 2.2, 1.9, 2.1, 2.0};
-  obs.next_chunk_sizes_bits = m.chunk_sizes_bits(10);
-  for (auto _ : state) benchmark::DoNotOptimize(planner.choose_quality(obs));
-}
-BENCHMARK(BM_MpcDpDecision)->Unit(benchmark::kMicrosecond);
-
 // ---------------------------------------------------------------------------
 // BENCH_serve.json
 

@@ -99,18 +99,26 @@ RobustifyResult robustify_pensieve(rl::PpoAgent& pensieve,
       static_cast<double>(config.protocol_steps) * frac);
 
   // Borrow the pool for the protocol's own gradient steps for the duration
-  // of the pipeline (restored on return; bit-identical either way).
-  util::ThreadPool* const saved_pool = pensieve.thread_pool();
-  if (config.pool != nullptr) pensieve.set_thread_pool(config.pool);
+  // of the pipeline (bit-identical either way). The guard restores the
+  // caller's pool on every exit, a throw included, so `pensieve` never keeps
+  // a pointer to a pool it does not own.
+  struct PoolBorrow {
+    PoolBorrow(rl::PpoAgent& a, util::ThreadPool* pool)
+        : agent{a}, saved{a.thread_pool()} {
+      if (pool != nullptr) agent.set_thread_pool(pool);
+    }
+    PoolBorrow(const PoolBorrow&) = delete;
+    PoolBorrow& operator=(const PoolBorrow&) = delete;
+    ~PoolBorrow() { agent.set_thread_pool(saved); }
+    rl::PpoAgent& agent;
+    util::ThreadPool* const saved;
+  } const borrow{pensieve, config.pool};
 
   // (1) Train the protocol of interest.
   util::log_info("robustify: phase 1, %zu steps on %zu traces", phase1_steps,
                  env.traces().size());
   result.phase1 = pensieve.train(env, phase1_steps);
-  if (frac >= 1.0) {
-    pensieve.set_thread_pool(saved_pool);
-    return result;  // baseline: no adversarial injection
-  }
+  if (frac >= 1.0) return result;  // baseline: no adversarial injection
 
   // (2) Train an adversary against the partially trained protocol.
   abr::PensievePolicy target{pensieve};
@@ -142,7 +150,6 @@ RobustifyResult robustify_pensieve(rl::PpoAgent& pensieve,
   util::log_info("robustify: phase 2, %zu steps on %zu traces", phase2_steps,
                  env.traces().size());
   result.phase2 = pensieve.train(env, phase2_steps);
-  pensieve.set_thread_pool(saved_pool);
   return result;
 }
 

@@ -37,8 +37,8 @@ rl::PpoConfig cc_adversary_ppo_config();
 /// Train a fresh PPO adversary against any rl::Env for `steps` environment
 /// steps — the single generic trainer both domains share (the paper's
 /// protocol-agnostic recipe: only `config` differs between ABR and CC).
-/// A non-null `pool` parallelizes the gradient step via the agent's
-/// shadow-buffer path; trained parameters are bit-identical either way.
+/// A non-null `pool` parallelizes the agent's gradient step; trained
+/// parameters are bit-identical either way.
 rl::PpoAgent train_adversary(rl::Env& env, const rl::PpoConfig& config,
                              std::size_t steps, std::uint64_t seed,
                              const rl::TrainCallback& callback = nullptr,
@@ -69,9 +69,9 @@ struct AdversaryJob {
 /// job-private, and results land in the slot of their own job index — so the
 /// returned agents are bit-identical at every thread count, and identical to
 /// running the jobs back-to-back through train_adversary. While a job runs
-/// on the pool, its own gradient step degrades to the sequential path
-/// (nested parallel_for runs inline), which changes nothing: the
-/// shadow-buffer path is bit-identical to sequential by construction.
+/// on the pool, its own gradient step runs inline on that worker (a nested
+/// parallel_for does), which changes nothing: the gradient step does the
+/// same arithmetic at every thread count.
 std::vector<rl::PpoAgent> train_adversaries(
     const std::vector<AdversaryJob>& jobs, util::ThreadPool* pool = nullptr);
 

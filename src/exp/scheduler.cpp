@@ -1,5 +1,6 @@
 #include "exp/scheduler.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <sstream>
@@ -16,6 +17,23 @@ namespace {
 bool file_exists(const std::string& path) {
   std::error_code ec;
   return std::filesystem::exists(path, ec) && !ec;
+}
+
+/// The reuse test minus the inputs hash: `entry` settled (completed or
+/// skipped-cached) for (campaign, job) under `params_hash`, and every
+/// artifact it names still exists. find_reusable_entry adds the inputs-hash
+/// match; format_plan cannot know the inputs before the run, so it stops here.
+bool settled_with_artifacts(const ManifestEntry& entry,
+                            const std::string& campaign,
+                            const std::string& job,
+                            const std::string& params_hash) {
+  if (entry.campaign != campaign || entry.job != job) return false;
+  if (entry.status != "completed" && entry.status != "skipped-cached") {
+    return false;
+  }
+  if (entry.params_hash != params_hash) return false;
+  return std::all_of(entry.artifacts.begin(), entry.artifacts.end(),
+                     [](const std::string& path) { return file_exists(path); });
 }
 
 double seconds_since(
@@ -127,22 +145,10 @@ const ManifestEntry* find_reusable_entry(
     const std::string& job, const std::string& params_hash,
     const std::string& inputs_hash) {
   for (const auto& cached : prior) {
-    if (cached.campaign != campaign || cached.job != job) continue;
-    if (cached.status != "completed" && cached.status != "skipped-cached") {
-      continue;
+    if (cached.inputs_hash == inputs_hash &&
+        settled_with_artifacts(cached, campaign, job, params_hash)) {
+      return &cached;
     }
-    if (cached.params_hash != params_hash ||
-        cached.inputs_hash != inputs_hash) {
-      continue;
-    }
-    bool artifacts_present = true;
-    for (const auto& path : cached.artifacts) {
-      if (!file_exists(path)) {
-        artifacts_present = false;
-        break;
-      }
-    }
-    if (artifacts_present) return &cached;
   }
   return nullptr;
 }
@@ -297,12 +303,8 @@ CampaignReport run_campaign(const Campaign& campaign,
   };
 
   for (const auto& wave : waves) {
-    if (options.pool != nullptr && wave.size() > 1) {
-      options.pool->parallel_for(
-          wave.size(), [&](std::size_t i) { run_job(wave[i]); });
-    } else {
-      for (const std::size_t j : wave) run_job(j);
-    }
+    util::parallel_for(options.pool, wave.size(),
+                       [&](std::size_t i) { run_job(wave[i]); });
   }
 
   for (const auto& outcome : report.outcomes) {
@@ -343,22 +345,11 @@ std::string format_plan(const Campaign& campaign, bool resume) {
       if (resume) {
         const std::string params_hash =
             util::hash_hex(job_params_hash(campaign, job, seeds[j]));
-        bool cached = false;
-        for (const auto& entry : prior) {
-          if (entry.campaign != campaign.name || entry.job != job.id) continue;
-          if (entry.status != "completed" && entry.status != "skipped-cached") {
-            continue;
-          }
-          if (entry.params_hash != params_hash) continue;
-          cached = true;
-          for (const auto& path : entry.artifacts) {
-            if (!file_exists(path)) {
-              cached = false;
-              break;
-            }
-          }
-          if (cached) break;
-        }
+        const bool cached = std::any_of(
+            prior.begin(), prior.end(), [&](const ManifestEntry& entry) {
+              return settled_with_artifacts(entry, campaign.name, job.id,
+                                            params_hash);
+            });
         out << (cached ? ", cached if inputs match" : ", will run");
       }
       out << "]\n";

@@ -106,9 +106,10 @@ std::string inputs_hash_hex(const std::vector<std::string>& files);
 
 /// The first prior completed/skipped-cached entry for (campaign, job) whose
 /// params_hash and inputs_hash match and whose artifacts all still exist —
-/// the single reuse test behind --resume, the spool worker's settled check,
-/// and format_plan's "cached" annotation. Returns nullptr when the job must
-/// (re-)run.
+/// the single reuse test behind --resume and the spool worker's settled
+/// check. format_plan's "cached" annotation runs the same predicate minus
+/// the inputs-hash match (inputs are unknown before the run). Returns
+/// nullptr when the job must (re-)run.
 const ManifestEntry* find_reusable_entry(
     const std::vector<ManifestEntry>& prior, const std::string& campaign,
     const std::string& job, const std::string& params_hash,

@@ -21,11 +21,9 @@
 // bit-identical to the hardware instruction. Element-wise kernels
 // (gemv_transposed, rank1_update) have no cross-lane reduction at all —
 // each output element accumulates in the same per-element order either way
-// — so they are bit-identical by construction. rank1_update deliberately
-// uses mul-then-add (two roundings) rather than fma: the gradient buffer it
-// accumulates into is reduced across samples by plain addition in the
-// parallel shadow-slot path (DESIGN.md §7), and only separate rounding of
-// the product keeps in-place accumulation equal to slot-then-reduce.
+// — so they are bit-identical by construction. rank1_update uses
+// mul-then-add (two roundings) rather than fma because every trained
+// parameter and golden is pinned to that rounding (DESIGN.md §7).
 //
 // Wider ISAs keep the same order. A 512-bit register does NOT widen the
 // reduction (that would interleave each lane's fma chain into two partial
@@ -113,9 +111,8 @@ void gemv_transposed(std::span<const double> w, std::size_t rows,
                      std::size_t cols, std::span<const double> g,
                      std::span<double> y);
 
-/// W += g x^T. Element-wise mul-then-add (NOT fma): the two-rounding form
-/// makes in-place accumulation across samples bit-equal to the parallel
-/// shadow-slot reduce, which sums per-sample products with plain adds.
+/// W += g x^T. Element-wise mul-then-add (NOT fma): trained parameters and
+/// goldens are pinned to the two-rounding form.
 void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols,
                   std::span<const double> g, std::span<const double> x);
 

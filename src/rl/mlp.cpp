@@ -55,6 +55,8 @@ Mlp::Mlp(std::vector<std::size_t> sizes, Activation hidden_activation,
     offset += l.in * l.out;
     l.b_offset = offset;
     offset += l.out;
+    l.d_offset = delta_size_;
+    delta_size_ += l.out;
     layers_.push_back(l);
   }
   params_.assign(offset, 0.0);
@@ -76,11 +78,7 @@ Mlp::Mlp(std::vector<std::size_t> sizes, Activation hidden_activation,
   ws_.post.resize(layers_.size() + 1);
 }
 
-const Vec& Mlp::forward(const Vec& input) {
-  const Vec& out = forward(input, ws_);
-  forward_done_ = true;
-  return out;
-}
+const Vec& Mlp::forward(const Vec& input) { return forward(input, ws_); }
 
 const Vec& Mlp::forward(const Vec& input, Workspace& ws) const {
   if (input.size() != input_size()) {
@@ -162,42 +160,63 @@ std::vector<Vec> Mlp::forward_batch(const std::vector<Vec>& inputs,
   return outputs;
 }
 
-Vec Mlp::backward(const Vec& grad_output) {
-  if (!forward_done_) throw std::logic_error{"Mlp::backward before forward"};
-  return backward(grad_output, ws_, grads_);
-}
-
-Vec Mlp::backward(const Vec& grad_output, const Workspace& ws,
-                  std::span<double> grads) const {
+void Mlp::backward_deltas(const Vec& grad_output, const Workspace& ws,
+                          std::span<double> deltas) const {
   if (grad_output.size() != output_size()) {
-    throw std::invalid_argument{"Mlp::backward: wrong gradient size"};
+    throw std::invalid_argument{"Mlp::backward_deltas: wrong gradient size"};
   }
-  if (grads.size() != params_.size()) {
-    throw std::invalid_argument{"Mlp::backward: wrong gradient buffer size"};
+  if (deltas.size() != delta_size_) {
+    throw std::invalid_argument{
+        "Mlp::backward_deltas: wrong delta buffer size"};
   }
   if (ws.post.size() != layers_.size() + 1) {
-    throw std::logic_error{"Mlp::backward before forward"};
+    throw std::logic_error{"Mlp::backward_deltas before forward"};
   }
-
-  Vec delta = grad_output;  // dLoss/dPost of current layer
-  for (std::size_t idx = layers_.size(); idx-- > 0;) {
+  // The output layer is linear: its dLoss/dPre is grad_output itself. Each
+  // layer below gets W^T delta scaled by act'(pre).
+  std::copy(grad_output.begin(), grad_output.end(),
+            deltas.end() - static_cast<std::ptrdiff_t>(output_size()));
+  for (std::size_t idx = layers_.size() - 1; idx > 0; --idx) {
     const Layer& l = layers_[idx];
-    const bool last = (idx + 1 == layers_.size());
-    const Activation act = last ? Activation::kIdentity : hidden_;
-    // dLoss/dPre = dLoss/dPost * act'(pre)
-    for (std::size_t j = 0; j < l.out; ++j) {
-      delta[j] *= activate_grad(act, ws.pre[idx][j], ws.post[idx + 1][j]);
+    const std::span<double> below =
+        deltas.subspan(layers_[idx - 1].d_offset, l.in);
+    kernels::gemv_transposed(weight(l), l.out, l.in,
+                             deltas.subspan(l.d_offset, l.out), below);
+    for (std::size_t j = 0; j < l.in; ++j) {
+      below[j] *= activate_grad(hidden_, ws.pre[idx - 1][j], ws.post[idx][j]);
     }
-    kernels::rank1_update({grads.data() + l.w_offset, l.in * l.out}, l.out,
-                          l.in, delta, ws.post[idx]);
-    double* bg = grads.data() + l.b_offset;
-    for (std::size_t j = 0; j < l.out; ++j) bg[j] += delta[j];
-
-    Vec next(l.in, 0.0);
-    kernels::gemv_transposed(weight(l), l.out, l.in, delta, next);
-    delta = std::move(next);
   }
-  return delta;
+}
+
+void Mlp::accumulate_rows(std::size_t row_begin, std::size_t row_end,
+                          std::span<const double> deltas,
+                          std::span<const Workspace* const> ws,
+                          std::span<double> grads) const {
+  const auto unforwarded = [&](const Workspace* w) {
+    return w->post.size() != layers_.size() + 1;
+  };
+  if (row_begin > row_end || row_end > delta_size_ ||
+      deltas.size() != ws.size() * delta_size_ ||
+      grads.size() != params_.size() ||
+      std::any_of(ws.begin(), ws.end(), unforwarded)) {
+    throw std::invalid_argument{"Mlp::accumulate_rows: bad block"};
+  }
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const Layer& l = layers_[i];
+    const std::size_t lo = std::max(row_begin, l.d_offset);
+    const std::size_t hi = std::min(row_end, l.d_offset + l.out);
+    if (lo >= hi) continue;
+    const std::size_t rows = hi - lo;
+    const std::size_t r0 = lo - l.d_offset;
+    const std::span<double> w{grads.data() + l.w_offset + r0 * l.in,
+                              rows * l.in};
+    double* const b = grads.data() + l.b_offset + r0;
+    for (std::size_t k = 0; k < ws.size(); ++k) {
+      const double* d = deltas.data() + k * delta_size_ + lo;
+      kernels::rank1_update(w, rows, l.in, {d, rows}, ws[k]->post[i]);
+      for (std::size_t j = 0; j < rows; ++j) b[j] += d[j];
+    }
+  }
 }
 
 void Mlp::zero_grad() noexcept {

@@ -2,16 +2,16 @@
 //
 // Parameters (weights then biases, layer by layer) live in one contiguous
 // vector so the optimizer and the checkpoint code can treat the network as a
-// flat parameter array. forward() caches activations; backward() consumes
-// them and *accumulates* into the gradient array, which is what minibatch
-// training wants (call zero_grad() between minibatches).
+// flat parameter array.
 //
-// For concurrent per-sample gradient computation there is a second, const
-// entry point pair: forward(input, Workspace&) / backward(grad, Workspace&,
-// grads) run the identical arithmetic against caller-owned activation caches
-// and a caller-owned gradient buffer, so any number of threads can
-// backpropagate through one shared network at once (parameters are only
-// read). The PPO shadow-buffer minibatch path is built on this.
+// Backpropagation has two const halves that threads can run on one shared
+// network (parameters are only read): backward_deltas() writes one sample's
+// per-layer dLoss/dPre-activation record, and accumulate_rows() *adds* a
+// block of gradient rows over many samples in ascending sample order (call
+// zero_grad() between minibatches). Disjoint row blocks write disjoint
+// gradient elements, and each element gets its adds in sample order
+// whatever the split — so the gradient is bit-identical at any thread
+// count. PPO's minibatch step uses this pair.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +28,7 @@ enum class Activation { kTanh, kRelu, kIdentity };
 
 class Mlp {
  public:
-  /// Caller-owned activation caches for the const forward/backward pair.
+  /// Caller-owned activation caches for the const forward/backward halves.
   /// One Workspace per concurrent task; a Workspace may be reused across
   /// samples (buffers are resized on each forward).
   struct Workspace {
@@ -59,33 +59,39 @@ class Mlp {
 
   /// Inference-only batched forward over N inputs via the gemm kernel.
   /// Bit-identical to calling forward() per input (same accumulation order),
-  /// but does not touch the activation caches, so it is const, safe to call
-  /// between forward()/backward() pairs, and safe from several threads on
-  /// the same network at once.
+  /// but does not touch the member activation cache, so it is const and
+  /// safe from several threads on the same network at once.
   ///
   /// When `caches` is non-null it is resized to the batch and filled with
   /// each sample's full activation record — exactly what forward(input,
   /// Workspace&) would have produced, because gemm computes each output
   /// element in the same canonical order as gemv. The caches are valid for
-  /// backward(grad, ws, grads) until the parameters change (track
+  /// backward_deltas()/accumulate_rows() until the parameters change (track
   /// param_version()); PPO uses this to reuse rollout-time activations in
-  /// the shadow-gradient minibatch path instead of recomputing forwards.
+  /// the minibatch gradient step instead of recomputing forwards.
   std::vector<Vec> forward_batch(const std::vector<Vec>& inputs,
                                  std::vector<Workspace>* caches = nullptr) const;
 
-  /// Backpropagate `grad_output` (dLoss/dOutput for the *last* forward()),
-  /// accumulating parameter gradients; returns dLoss/dInput.
-  Vec backward(const Vec& grad_output);
+  /// Length of one sample's delta record: the total output rows of all
+  /// layers (layer 0's rows first).
+  std::size_t delta_size() const noexcept { return delta_size_; }
 
-  /// Backpropagate against the activations cached in `ws` by the const
-  /// forward(), *accumulating* into the caller-owned `grads` buffer (size
-  /// param_count(), same weights-then-biases layout as grads()). Const and
-  /// thread-safe for distinct (ws, grads) pairs — this is the shadow-buffer
-  /// half of the deterministic parallel minibatch: each sample's gradient is
-  /// a single accumulation term per parameter, so summing shadow buffers in
-  /// sample-index order reproduces the sequential gradient bit for bit.
-  Vec backward(const Vec& grad_output, const Workspace& ws,
-               std::span<double> grads) const;
+  /// Backpropagate `grad_output` against the activations cached in `ws` by
+  /// the const forward(), writing every layer's dLoss/dPre-activation into
+  /// `deltas` (size delta_size()). Const; thread-safe for distinct `deltas`.
+  void backward_deltas(const Vec& grad_output, const Workspace& ws,
+                       std::span<double> deltas) const;
+
+  /// Add the weight (delta x input^T, via kernels::rank1_update) and bias
+  /// gradients of rows [row_begin, row_end) of the delta record into
+  /// `grads` (the grads() layout), over samples k = 0, 1, ... in ascending
+  /// order: sample k's delta record starts at deltas[k * delta_size()] and
+  /// its activations are *ws[k]. Const; concurrent calls on disjoint row
+  /// ranges write disjoint elements of `grads`.
+  void accumulate_rows(std::size_t row_begin, std::size_t row_end,
+                       std::span<const double> deltas,
+                       std::span<const Workspace* const> ws,
+                       std::span<double> grads) const;
 
   void zero_grad() noexcept;
 
@@ -119,6 +125,7 @@ class Mlp {
     std::size_t out = 0;
     std::size_t w_offset = 0;  // rows=out, cols=in
     std::size_t b_offset = 0;
+    std::size_t d_offset = 0;  // into one sample's delta record
   };
 
   std::span<double> weight(const Layer& l) noexcept {
@@ -127,29 +134,19 @@ class Mlp {
   std::span<const double> weight(const Layer& l) const noexcept {
     return {params_.data() + l.w_offset, l.in * l.out};
   }
-  std::span<double> bias(const Layer& l) noexcept {
-    return {params_.data() + l.b_offset, l.out};
-  }
-  std::span<double> weight_grad(const Layer& l) noexcept {
-    return {grads_.data() + l.w_offset, l.in * l.out};
-  }
-  std::span<double> bias_grad(const Layer& l) noexcept {
-    return {grads_.data() + l.b_offset, l.out};
-  }
 
   std::vector<std::size_t> sizes_;
   Activation hidden_;
   std::vector<Layer> layers_;
   std::vector<double> params_;
   std::vector<double> grads_;
+  std::size_t delta_size_ = 0;
 
   // Starts at 1 so a zero-stamped cache can never accidentally match.
   std::uint64_t version_ = 1;
 
-  // Activation caches from the last member forward(); the member
-  // forward/backward pair simply runs the const workspace pair against this.
+  // Activation caches of the member forward().
   Workspace ws_;
-  bool forward_done_ = false;
 };
 
 }  // namespace netadv::rl

@@ -29,6 +29,31 @@ std::vector<std::size_t> make_critic_sizes(std::size_t obs,
   return sizes;
 }
 
+/// Delta rows per weight-gradient task of the minibatch step: enough that a
+/// block's per-sample kernel calls amortize, few enough that a 64-wide layer
+/// spreads over several threads. Any block size gives the same gradients.
+constexpr std::size_t kRowBlock = 16;
+
+/// Record one finished update in `report` and tell `callback` about it.
+void record_update(TrainReport& report, const PpoAgent::MinibatchStats& stats,
+                   std::size_t steps_done, std::size_t episodes,
+                   double episode_reward_sum, const TrainCallback& callback) {
+  ++report.updates;
+  report.final_policy_loss = stats.policy_loss;
+  report.final_value_loss = stats.value_loss;
+  report.final_entropy = stats.entropy;
+  if (!callback) return;
+  UpdateInfo info;
+  info.update_index = report.updates;
+  info.total_steps_done = steps_done;
+  info.mean_episode_reward =
+      episodes > 0 ? episode_reward_sum / static_cast<double>(episodes) : 0.0;
+  info.policy_loss = stats.policy_loss;
+  info.value_loss = stats.value_loss;
+  info.entropy = stats.entropy;
+  callback(info);
+}
+
 /// Fill the episode-statistics tail of a TrainReport.
 void finalize_report(TrainReport& report, std::size_t steps_done,
                      const std::vector<double>& episode_rewards) {
@@ -51,6 +76,19 @@ void finalize_report(TrainReport& report, std::size_t steps_done,
 }
 
 }  // namespace
+
+/// run_update_epochs owns one set for all its minibatches, so the buffers
+/// are allocated once per update and freed with it.
+struct PpoAgent::MinibatchBuffers {
+  struct Net {
+    std::vector<Mlp::Workspace> fresh;      // recomputed activations
+    std::vector<const Mlp::Workspace*> ws;  // each sample's activations
+    std::vector<double> deltas;             // each sample's delta record
+  };
+  Net actor;
+  Net critic;
+  std::vector<double> terms;  // each sample's backprop_sample terms
+};
 
 PpoAgent::PpoAgent(std::size_t observation_size, ActionSpec action_spec,
                    PpoConfig config, std::uint64_t seed)
@@ -166,7 +204,6 @@ TrainReport PpoAgent::train(Env& env, std::size_t total_steps,
   std::vector<double> episode_rewards;
 
   std::size_t steps_done = 0;
-  std::size_t update_index = 0;
   while (steps_done < total_steps) {
     buffer.clear();
     std::size_t episodes_this_update = 0;
@@ -217,28 +254,9 @@ TrainReport PpoAgent::train(Env& env, std::size_t total_steps,
     const double last_value = critic_.forward(normalized(raw_obs))[0];
     buffer.compute_advantages(last_value, config_.gamma, config_.gae_lambda);
 
-    const MinibatchStats last_stats = run_update_epochs(buffer);
-
-    ++update_index;
-    report.updates = update_index;
-    report.final_policy_loss = last_stats.policy_loss;
-    report.final_value_loss = last_stats.value_loss;
-    report.final_entropy = last_stats.entropy;
-
-    if (callback) {
-      UpdateInfo info;
-      info.update_index = update_index;
-      info.total_steps_done = steps_done;
-      info.mean_episode_reward =
-          episodes_this_update > 0
-              ? episode_reward_sum_this_update /
-                    static_cast<double>(episodes_this_update)
-              : 0.0;
-      info.policy_loss = last_stats.policy_loss;
-      info.value_loss = last_stats.value_loss;
-      info.entropy = last_stats.entropy;
-      callback(info);
-    }
+    record_update(report, run_update_epochs(buffer, pool_), steps_done,
+                  episodes_this_update, episode_reward_sum_this_update,
+                  callback);
   }
 
   finalize_report(report, steps_done, episode_rewards);
@@ -259,20 +277,9 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
         "PpoAgent::train: minibatch larger than vectorized rollout"};
   }
 
-  // Adopt the venv's pool for the gradient step unless the caller already
-  // attached one; the shadow-buffer path is bit-identical to sequential, so
-  // this only changes wall-clock. The borrow ends on every exit, a throw
-  // from a replica's step included, so the agent never keeps a pointer to a
-  // pool it does not own.
-  struct PoolRestore {
-    explicit PoolRestore(util::ThreadPool*& s) : slot{s}, saved{s} {}
-    PoolRestore(const PoolRestore&) = delete;
-    PoolRestore& operator=(const PoolRestore&) = delete;
-    ~PoolRestore() { slot = saved; }
-    util::ThreadPool*& slot;
-    util::ThreadPool* const saved;
-  } const restore_pool{pool_};
-  if (pool_ == nullptr) pool_ = venv.pool();
+  // The gradient step fans out over the venv's pool unless the caller
+  // attached one; the result is the same either way, only wall-clock moves.
+  util::ThreadPool* const pool = pool_ != nullptr ? pool_ : venv.pool();
 
   TrainReport report;
   RolloutBuffer buffer{rollout_len};
@@ -292,7 +299,6 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
   std::vector<Mlp::Workspace> critic_caches;
 
   std::size_t steps_done = 0;
-  std::size_t update_index = 0;
   while (steps_done < total_steps) {
     buffer.clear();
     for (auto& traj : trajectories) {
@@ -370,28 +376,9 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
     buffer.compute_advantages_segmented(last_values, config_.gamma,
                                         config_.gae_lambda);
 
-    const MinibatchStats last_stats = run_update_epochs(buffer);
-
-    ++update_index;
-    report.updates = update_index;
-    report.final_policy_loss = last_stats.policy_loss;
-    report.final_value_loss = last_stats.value_loss;
-    report.final_entropy = last_stats.entropy;
-
-    if (callback) {
-      UpdateInfo info;
-      info.update_index = update_index;
-      info.total_steps_done = steps_done;
-      info.mean_episode_reward =
-          episodes_this_update > 0
-              ? episode_reward_sum_this_update /
-                    static_cast<double>(episodes_this_update)
-              : 0.0;
-      info.policy_loss = last_stats.policy_loss;
-      info.value_loss = last_stats.value_loss;
-      info.entropy = last_stats.entropy;
-      callback(info);
-    }
+    record_update(report, run_update_epochs(buffer, pool), steps_done,
+                  episodes_this_update, episode_reward_sum_this_update,
+                  callback);
   }
 
   finalize_report(report, steps_done, episode_rewards);
@@ -399,40 +386,29 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
 }
 
 PpoAgent::MinibatchStats PpoAgent::run_update_epochs(
-    const RolloutBuffer& buffer) {
+    const RolloutBuffer& buffer, util::ThreadPool* pool) {
   MinibatchStats last_stats;
+  MinibatchBuffers buf;
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     const auto indices = buffer.shuffled_indices(rng_);
     for (std::size_t begin = 0; begin < indices.size();
          begin += config_.minibatch_size) {
       const std::size_t end =
           std::min(begin + config_.minibatch_size, indices.size());
-      last_stats = update_minibatch(buffer, indices, begin, end);
+      last_stats = update_minibatch(buffer, indices, begin, end, pool, buf);
     }
   }
   return last_stats;
 }
 
-void PpoAgent::accumulate_sample(const Transition& t, double inv_batch,
-                                 std::span<double> actor_grads,
-                                 std::span<double> critic_grads,
-                                 std::span<double> log_std_grads,
-                                 std::span<double> stats_terms,
-                                 GradWorkspace& ws) const {
-  // Reuse the rollout-time activations when their version stamp still
-  // matches the network (bit-identical — see ActivationCache); otherwise
-  // recompute the forward into the task-private workspace. With the default
-  // PPO schedule only the pre-first-optimizer-step minibatches hit, but a
-  // full-batch single-epoch schedule reuses the whole rollout.
-  const bool actor_cached = t.cache.actor_version == actor_.param_version();
-  const bool critic_cached =
-      t.cache.critic_version == critic_.param_version();
-  const Mlp::Workspace& actor_ws = actor_cached ? t.cache.actor : ws.actor;
-  const Mlp::Workspace& critic_ws = critic_cached ? t.cache.critic : ws.critic;
-  const Vec& head =
-      actor_cached ? t.cache.actor.post.back()
-                   : actor_.forward(t.observation, ws.actor);
-
+void PpoAgent::backprop_sample(const Transition& t,
+                               const Mlp::Workspace& actor_ws,
+                               const Mlp::Workspace& critic_ws,
+                               double inv_batch,
+                               std::span<double> actor_deltas,
+                               std::span<double> critic_deltas,
+                               std::span<double> terms) const {
+  const Vec& head = actor_ws.post.back();
   double log_prob_new = 0.0;
   if (discrete()) {
     log_prob_new =
@@ -445,7 +421,7 @@ void PpoAgent::accumulate_sample(const Transition& t, double inv_batch,
       std::clamp(ratio, 1.0 - config_.clip_range, 1.0 + config_.clip_range);
   const double surr1 = ratio * t.advantage;
   const double surr2 = clipped_ratio * t.advantage;
-  stats_terms[0] += -std::min(surr1, surr2) * inv_batch;
+  terms[0] = -std::min(surr1, surr2) * inv_batch;
 
   // Policy gradient flows only where the unclipped surrogate is active.
   const double dloss_dlogp = (surr1 <= surr2) ? -t.advantage * ratio : 0.0;
@@ -455,7 +431,7 @@ void PpoAgent::accumulate_sample(const Transition& t, double inv_batch,
     const auto a = static_cast<std::size_t>(t.action[0]);
     const Vec logp_grad = Categorical::log_prob_grad(head, a);
     const Vec ent_grad = Categorical::entropy_grad(head);
-    stats_terms[2] += Categorical::entropy(head) * inv_batch;
+    terms[2] = Categorical::entropy(head) * inv_batch;
     for (std::size_t i = 0; i < head.size(); ++i) {
       head_grad[i] = (dloss_dlogp * logp_grad[i] -
                       config_.ent_coef * ent_grad[i]) *
@@ -466,87 +442,102 @@ void PpoAgent::accumulate_sample(const Transition& t, double inv_batch,
         DiagGaussian::log_prob_grad_mean(head, log_std_, t.action);
     const Vec logp_grad_ls =
         DiagGaussian::log_prob_grad_log_std(head, log_std_, t.action);
-    stats_terms[2] += DiagGaussian::entropy(log_std_) * inv_batch;
+    terms[2] = DiagGaussian::entropy(log_std_) * inv_batch;
     for (std::size_t i = 0; i < head.size(); ++i) {
       head_grad[i] = dloss_dlogp * logp_grad_mean[i] * inv_batch;
     }
     // dH/dlog_std = 1 per dimension.
     for (std::size_t i = 0; i < log_std_.size(); ++i) {
-      log_std_grads[i] += (dloss_dlogp * logp_grad_ls[i] -
-                           config_.ent_coef * 1.0) *
-                          inv_batch;
+      terms[3 + i] = (dloss_dlogp * logp_grad_ls[i] -
+                      config_.ent_coef * 1.0) *
+                     inv_batch;
     }
   }
-  actor_.backward(head_grad, actor_ws, actor_grads);
+  actor_.backward_deltas(head_grad, actor_ws, actor_deltas);
 
-  const double v = critic_cached
-                       ? t.cache.critic.post.back()[0]
-                       : critic_.forward(t.observation, ws.critic)[0];
-  const double v_err = v - t.return_;
-  stats_terms[1] += 0.5 * v_err * v_err * inv_batch;
-  critic_.backward({config_.vf_coef * v_err * inv_batch}, critic_ws,
-                   critic_grads);
+  const double v_err = critic_ws.post.back()[0] - t.return_;
+  terms[1] = 0.5 * v_err * v_err * inv_batch;
+  critic_.backward_deltas({config_.vf_coef * v_err * inv_batch}, critic_ws,
+                          critic_deltas);
 }
 
 PpoAgent::MinibatchStats PpoAgent::update_minibatch(
     const RolloutBuffer& buffer, const std::vector<std::size_t>& indices,
-    std::size_t begin, std::size_t end) {
-  actor_.zero_grad();
-  critic_.zero_grad();
-  for (auto& g : log_std_grad_) g = 0.0;
-
-  MinibatchStats stats;
+    std::size_t begin, std::size_t end, util::ThreadPool* pool,
+    MinibatchBuffers& buf) {
   const std::size_t m = end - begin;
   const double inv_batch = 1.0 / static_cast<double>(m);
-
-  if (pool_ != nullptr && pool_->thread_count() > 1 && m > 1) {
-    // Shadow-buffer path: each sample gets a private gradient slot, computed
-    // against the shared read-only parameters, then slots are reduced here
-    // in sample-index order. Every sample contributes exactly one term per
-    // parameter (one rank-1 update per weight, one add per bias and per
-    // log_std entry), so slot_k == the sequential path's k-th addend and the
-    // ordered reduction reproduces its left-to-right accumulation exactly.
-    const std::size_t ap = actor_.param_count();
-    const std::size_t cp = critic_.param_count();
-    const std::size_t ls = log_std_.size();
-    const std::size_t stride = ap + cp + ls;
-    shadow_grads_.resize(m * stride);
-    shadow_stats_.resize(m * 3);
-    if (sample_ws_.size() < m) sample_ws_.resize(m);
-    pool_->parallel_for(m, [&](std::size_t k) {
-      double* slot = shadow_grads_.data() + k * stride;
-      std::fill(slot, slot + stride, 0.0);
-      double* st = shadow_stats_.data() + k * 3;
-      std::fill(st, st + 3, 0.0);
-      accumulate_sample(buffer[indices[begin + k]], inv_batch,
-                        {slot, ap}, {slot + ap, cp}, {slot + ap + cp, ls},
-                        {st, 3}, sample_ws_[k]);
-    });
-    auto ag = actor_.grads();
-    auto cg = critic_.grads();
-    for (std::size_t k = 0; k < m; ++k) {
-      const double* slot = shadow_grads_.data() + k * stride;
-      for (std::size_t i = 0; i < ap; ++i) ag[i] += slot[i];
-      for (std::size_t i = 0; i < cp; ++i) cg[i] += slot[ap + i];
-      for (std::size_t i = 0; i < ls; ++i) {
-        log_std_grad_[i] += slot[ap + cp + i];
-      }
-      const double* st = shadow_stats_.data() + k * 3;
-      stats.policy_loss += st[0];
-      stats.value_loss += st[1];
-      stats.entropy += st[2];
-    }
-  } else {
-    if (sample_ws_.empty()) sample_ws_.resize(1);
-    for (std::size_t k = begin; k < end; ++k) {
-      double terms[3] = {0.0, 0.0, 0.0};
-      accumulate_sample(buffer[indices[k]], inv_batch, actor_.grads(),
-                        critic_.grads(), log_std_grad_, terms, sample_ws_[0]);
-      stats.policy_loss += terms[0];
-      stats.value_loss += terms[1];
-      stats.entropy += terms[2];
-    }
+  const std::size_t ad = actor_.delta_size();
+  const std::size_t cd = critic_.delta_size();
+  const std::size_t tw = 3 + log_std_.size();
+  using Net = MinibatchBuffers::Net;
+  for (auto [nb, d] : {std::pair{&buf.actor, ad}, std::pair{&buf.critic, cd}}) {
+    nb->fresh.resize(m);
+    nb->ws.resize(m);
+    nb->deltas.resize(m * d);
   }
+  buf.terms.resize(m * tw);
+
+  // (a) Per sample, in parallel: activations, loss terms and every layer's
+  // backprop delta, each into the sample's own slots. A sample reuses the
+  // forward its transition recorded at rollout time while the version stamp
+  // still matches the network (bit-identical — see ActivationCache) and
+  // recomputes it into its own workspace otherwise.
+  const auto activations = [](const Mlp& net, Net& nb, std::size_t k,
+                              const Vec& observation,
+                              const Mlp::Workspace& cached,
+                              std::uint64_t version) -> const Mlp::Workspace& {
+    nb.ws[k] = &cached;
+    if (version != net.param_version()) {
+      net.forward(observation, nb.fresh[k]);
+      nb.ws[k] = &nb.fresh[k];
+    }
+    return *nb.ws[k];
+  };
+  util::parallel_for(pool, m, [&](std::size_t k) {
+    const Transition& t = buffer[indices[begin + k]];
+    backprop_sample(
+        t,
+        activations(actor_, buf.actor, k, t.observation, t.cache.actor,
+                    t.cache.actor_version),
+        activations(critic_, buf.critic, k, t.observation,
+                    t.cache.critic, t.cache.critic_version),
+        inv_batch, {buf.actor.deltas.data() + k * ad, ad},
+        {buf.critic.deltas.data() + k * cd, cd},
+        {buf.terms.data() + k * tw, tw});
+  });
+
+  // (b) The loss statistics and the log_std gradient, summed here in sample
+  // order.
+  MinibatchStats stats;
+  for (auto& g : log_std_grad_) g = 0.0;
+  for (std::size_t k = 0; k < m; ++k) {
+    const double* t = buf.terms.data() + k * tw;
+    stats.policy_loss += t[0];
+    stats.value_loss += t[1];
+    stats.entropy += t[2];
+    for (std::size_t i = 3; i < tw; ++i) log_std_grad_[i - 3] += t[i];
+  }
+
+  // (c) Weight gradients: one task per block of kRowBlock delta rows of
+  // either network. A block adds its rows' per-sample terms in ascending
+  // sample order, so every element gets the same adds in the same order
+  // however the blocks are scheduled.
+  actor_.zero_grad();
+  critic_.zero_grad();
+  const auto blocks = [](const Mlp& net) {
+    return (net.delta_size() + kRowBlock - 1) / kRowBlock;
+  };
+  const auto accumulate = [](Mlp& net, const Net& nb, std::size_t b) {
+    net.accumulate_rows(b * kRowBlock,
+                        std::min((b + 1) * kRowBlock, net.delta_size()),
+                        nb.deltas, nb.ws, net.grads());
+  };
+  const std::size_t actor_blocks = blocks(actor_);
+  util::parallel_for(pool, actor_blocks + blocks(critic_), [&](std::size_t b) {
+    if (b < actor_blocks) accumulate(actor_, buf.actor, b);
+    else accumulate(critic_, buf.critic, b - actor_blocks);
+  });
 
   // Global gradient-norm clip across actor, critic, and log_std.
   if (config_.max_grad_norm > 0.0) {
@@ -568,7 +559,7 @@ PpoAgent::MinibatchStats PpoAgent::update_minibatch(
     log_std_opt_.step(log_std_, log_std_grad_);
     // Keep exploration noise in a sane band; exp(-5) is effectively
     // deterministic, exp(1) spans the whole normalized action range.
-    for (auto& ls : log_std_) ls = std::clamp(ls, -5.0, 1.0);
+    for (auto& v : log_std_) v = std::clamp(v, -5.0, 1.0);
   }
   return stats;
 }

@@ -86,18 +86,18 @@ class PpoAgent {
   double evaluate(Env& env, std::size_t episodes, util::Rng& rng,
                   bool deterministic = true);
 
-  /// Attach a pool for shadow-buffer minibatch gradients (nullptr restores
-  /// the sequential path).
+  /// Attach the pool the minibatch gradient step fans out over (nullptr
+  /// runs it on the calling thread). train(VecEnv&) falls back to the
+  /// venv's pool when none is attached.
   ///
-  /// Determinism contract: with a pool attached, each minibatch sample's
-  /// gradient is computed into a private per-sample shadow buffer against
-  /// the (read-only) current parameters, then the shadow buffers are reduced
-  /// on the calling thread in sample-index order. Because every sample
-  /// contributes exactly one accumulation term per parameter, the reduction
-  /// reproduces the sequential left-to-right float accumulation bit for bit:
-  /// trained parameters are byte-identical at any pool size, including no
-  /// pool at all. The pool is borrowed, not owned — it must outlive every
-  /// train() call.
+  /// Determinism contract: the gradient step runs the same arithmetic at
+  /// every pool size. Per-sample backprop deltas land in per-sample slots;
+  /// the weight gradients are then summed by tasks that each own a block of
+  /// gradient rows and add the samples' contributions in ascending sample
+  /// order (see update_minibatch). Every gradient element therefore gets
+  /// the same adds in the same order at 1, 2 or N threads, and trained
+  /// parameters are byte-identical, including with no pool at all. The
+  /// pool is borrowed, not owned — it must outlive every train() call.
   void set_thread_pool(util::ThreadPool* pool) noexcept { pool_ = pool; }
   util::ThreadPool* thread_pool() const noexcept { return pool_; }
 
@@ -109,14 +109,16 @@ class PpoAgent {
 
   /// The shuffled-minibatch epochs shared by both train() entry points:
   /// config().epochs passes of shuffled minibatches over `buffer`, one
-  /// optimizer step per minibatch. Each sample reuses the forward
+  /// optimizer step per minibatch, each fanned out over `pool` (null runs
+  /// on the caller; the result is the same). Each sample reuses the forward
   /// activations its transition recorded at rollout time while their version
   /// stamps still match the networks (bit-identical reuse — see
   /// ActivationCache in rl/rollout.hpp) and recomputes them otherwise.
   /// Public so tests can drive the gradient phase against an externally
   /// assembled rollout (e.g. one with stale stamps); train() is the normal
   /// entry point.
-  MinibatchStats run_update_epochs(const RolloutBuffer& buffer);
+  MinibatchStats run_update_epochs(const RolloutBuffer& buffer,
+                                   util::ThreadPool* pool);
 
   const PpoConfig& config() const noexcept { return config_; }
   const ActionSpec& action_spec() const noexcept { return action_spec_; }
@@ -140,26 +142,22 @@ class PpoAgent {
     return action_spec_.type == ActionType::kDiscrete;
   }
 
-  /// Activation caches for one concurrent per-sample gradient task.
-  struct GradWorkspace {
-    Mlp::Workspace actor;
-    Mlp::Workspace critic;
-  };
-  /// One sample's loss terms and parameter gradients, *accumulated* into the
-  /// caller's buffers (actor/critic grads, log_std grad, and the three
-  /// MinibatchStats terms in stats_terms). Const — reads parameters only —
-  /// so tasks with distinct buffers can run it concurrently. Sequential and
-  /// shadow-buffer minibatches both run exactly this routine, which is what
-  /// makes them bit-identical.
-  void accumulate_sample(const Transition& t, double inv_batch,
-                         std::span<double> actor_grads,
-                         std::span<double> critic_grads,
-                         std::span<double> log_std_grads,
-                         std::span<double> stats_terms,
-                         GradWorkspace& ws) const;
+  /// One sample's loss terms and per-layer backprop deltas given its actor
+  /// and critic activations. Writes (never accumulates) the sample's own
+  /// slots: `terms` is [policy loss, value loss, entropy, log_std grad...].
+  /// Const — reads parameters only — so samples run concurrently.
+  void backprop_sample(const Transition& t, const Mlp::Workspace& actor_ws,
+                       const Mlp::Workspace& critic_ws, double inv_batch,
+                       std::span<double> actor_deltas,
+                       std::span<double> critic_deltas,
+                       std::span<double> terms) const;
+  /// update_minibatch's per-sample buffers (defined in ppo.cpp).
+  struct MinibatchBuffers;
   MinibatchStats update_minibatch(const RolloutBuffer& buffer,
                                   const std::vector<std::size_t>& indices,
-                                  std::size_t begin, std::size_t end);
+                                  std::size_t begin, std::size_t end,
+                                  util::ThreadPool* pool,
+                                  MinibatchBuffers& buf);
 
   std::size_t obs_size_;
   ActionSpec action_spec_;
@@ -178,12 +176,7 @@ class PpoAgent {
   RunningNormalizer obs_normalizer_;
   ReturnNormalizer return_normalizer_;
 
-  // Shadow-buffer minibatch scratch (see set_thread_pool). Not part of the
-  // agent's logical state; copied agents just get fresh scratch.
   util::ThreadPool* pool_ = nullptr;
-  std::vector<double> shadow_grads_;   // per-sample [actor|critic|log_std]
-  std::vector<double> shadow_stats_;   // per-sample 3 loss terms
-  std::vector<GradWorkspace> sample_ws_;
 };
 
 }  // namespace netadv::rl

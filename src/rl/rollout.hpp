@@ -6,8 +6,8 @@
 // Determinism contract: everything here runs on the calling thread. The GAE
 // passes are sequential backward scans, and shuffled_indices() derives its
 // permutation only from the caller's Rng state — so the minibatch sample
-// order (the order the shadow-gradient path reduces in, see rl/ppo.hpp) is a
-// pure function of the seed, never of the thread count.
+// order (the order every gradient element sums in, see rl/ppo.hpp) is a pure
+// function of the seed, never of the thread count.
 #pragma once
 
 #include <cstddef>

@@ -17,7 +17,7 @@
 // kernel) and stamp each replica's activation record into its transition's
 // rollout cache: gemm computes every output element in the same canonical
 // order as per-sample gemv (kernels.hpp), so the cached activations — later
-// reused by the shadow-gradient minibatch — are bit-identical to what N
+// reused by the minibatch gradient step — are bit-identical to what N
 // separate forwards would have produced.
 #pragma once
 
@@ -69,7 +69,7 @@ class VecEnv {
 
   Env& env(std::size_t i) { return *envs_.at(i); }
   /// Pool the replicas are stepped on (nullptr = sequential). PPO training
-  /// borrows it for shadow-buffer minibatch gradients too.
+  /// fans its minibatch gradient step out over it too.
   util::ThreadPool* pool() const noexcept { return pool_; }
   /// Replica i's private stream — also the right stream for sampling the
   /// action fed to replica i, keeping the whole (sample, step) pair on one

@@ -45,6 +45,33 @@ TEST(Robustify, RejectsNonPositiveFraction) {
                std::invalid_argument);
 }
 
+TEST(Robustify, ThrowAfterPhaseOneRestoresCallersPool) {
+  // robustify_pensieve borrows config.pool for the caller-owned agent. A
+  // throw after phase 1 (here: AbrAdversaryEnv rejecting an inverted
+  // bandwidth range) must hand the agent back with its original pool, not
+  // with a pointer to one that dies with the caller's scope.
+  abr::VideoManifest::Params mp;
+  mp.size_variation = 0.0;
+  const abr::VideoManifest m{mp};
+  trace::FccLikeGenerator gen{{}};
+  Rng rng{9};
+  abr::PensieveEnv env{m, gen.generate_many(3, rng)};
+  rl::PpoAgent agent = abr::make_pensieve_agent(m, 9);
+  ASSERT_EQ(agent.thread_pool(), nullptr);
+  {
+    util::ThreadPool pool{2};
+    core::RobustifyConfig cfg;
+    cfg.protocol_steps = 2;  // phase 1 rounds up to one rollout
+    cfg.inject_fraction = 0.5;
+    cfg.adversary_params.bandwidth_min_mbps = 5.0;
+    cfg.adversary_params.bandwidth_max_mbps = 1.0;
+    cfg.pool = &pool;
+    EXPECT_THROW(core::robustify_pensieve(agent, env, cfg),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(agent.thread_pool(), nullptr);
+}
+
 TEST(CcAdversaryEnv, RewardDecompositionSumsToValue) {
   core::CcAdversaryEnv::Params p;
   p.episode_duration_s = 0.6;

@@ -1,7 +1,7 @@
 // Determinism gates for the parallel execution layer: the same seed must
 // produce bit-identical results at thread counts 1, 2, and 8 — replayed QoE
 // vectors, CC replay metrics, VecEnv trajectories, trained PPO/A2C
-// parameters through the shadow-buffer gradient path, concurrently trained
+// parameters through the row-partitioned gradient step, concurrently trained
 // adversaries, and batch-recorded adversarial corpora. Also covers
 // ThreadPool semantics (coverage, ordering, exception propagation) and the
 // batched gemm forward path.
@@ -267,11 +267,15 @@ void expect_identical_agents(const rl::PpoAgent& agent,
       << "log_std differs at " << threads << " threads";
 }
 
-rl::PpoAgent train_ppo_shadow_at(util::ThreadPool* pool, bool continuous) {
+/// PPO trained on a toy env with the gradient step on `pool`. `n_steps`
+/// 128 splits into four full minibatches of 32; 100 leaves a ragged final
+/// minibatch of 4.
+rl::PpoAgent train_ppo_at(util::ThreadPool* pool, bool continuous,
+                          std::size_t n_steps = 128) {
   util::set_log_level(util::LogLevel::kWarn);
   rl::PpoConfig cfg;
   cfg.hidden_sizes = {16, 8};
-  cfg.n_steps = 128;
+  cfg.n_steps = n_steps;
   cfg.minibatch_size = 32;
   cfg.epochs = 3;
   cfg.ent_coef = 0.01;
@@ -283,28 +287,39 @@ rl::PpoAgent train_ppo_shadow_at(util::ThreadPool* pool, bool continuous) {
   }
   rl::PpoAgent agent{env->observation_size(), env->action_spec(), cfg, 31};
   agent.set_thread_pool(pool);
-  agent.train(*env, 384);
+  agent.train(*env, 3 * n_steps);
   return agent;
 }
 
-TEST(ParallelGradients, PpoDiscreteShadowPathMatchesSequential) {
-  const rl::PpoAgent reference =
-      train_ppo_shadow_at(nullptr, /*continuous=*/false);
+TEST(ParallelGradients, PpoDiscreteGradientsIdenticalAcrossThreadCounts) {
+  const rl::PpoAgent reference = train_ppo_at(nullptr, /*continuous=*/false);
   for (std::size_t threads : kThreadCounts) {
     util::ThreadPool pool{threads};
-    const rl::PpoAgent agent = train_ppo_shadow_at(&pool, false);
+    const rl::PpoAgent agent = train_ppo_at(&pool, false);
     expect_identical_agents(agent, reference, threads);
   }
 }
 
-TEST(ParallelGradients, PpoContinuousShadowPathMatchesSequential) {
-  // Continuous head also exercises the log_std shadow slots.
-  const rl::PpoAgent reference =
-      train_ppo_shadow_at(nullptr, /*continuous=*/true);
+TEST(ParallelGradients, PpoContinuousGradientsIdenticalAcrossThreadCounts) {
+  // Continuous head also exercises the per-sample log_std terms.
+  const rl::PpoAgent reference = train_ppo_at(nullptr, /*continuous=*/true);
   for (std::size_t threads : kThreadCounts) {
     util::ThreadPool pool{threads};
-    const rl::PpoAgent agent = train_ppo_shadow_at(&pool, true);
+    const rl::PpoAgent agent = train_ppo_at(&pool, true);
     expect_identical_agents(agent, reference, threads);
+  }
+}
+
+TEST(ParallelGradients, RaggedFinalMinibatchIdenticalAcrossThreadCounts) {
+  // 100 = 3 * 32 + 4: the last minibatch of every epoch has 4 samples, fewer
+  // than the larger pools have threads.
+  for (const bool continuous : {false, true}) {
+    const rl::PpoAgent reference = train_ppo_at(nullptr, continuous, 100);
+    for (std::size_t threads : kThreadCounts) {
+      util::ThreadPool pool{threads};
+      const rl::PpoAgent agent = train_ppo_at(&pool, continuous, 100);
+      expect_identical_agents(agent, reference, threads);
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "rl/adam.hpp"
@@ -92,18 +93,43 @@ TEST(Mlp, RejectsBadConstruction) {
                std::invalid_argument);
 }
 
+/// One sample's full backward through the public pair: forward into a
+/// workspace, the per-layer delta record, then every gradient row. Returns
+/// the delta record (layer 0's rows first).
+Vec backprop(Mlp& net, const Vec& x, const Vec& grad_output) {
+  Mlp::Workspace ws;
+  net.forward(x, ws);
+  Vec deltas(net.delta_size());
+  net.backward_deltas(grad_output, ws, deltas);
+  const Mlp::Workspace* const samples[] = {&ws};
+  net.accumulate_rows(0, net.delta_size(), deltas, samples, net.grads());
+  return deltas;
+}
+
 TEST(Mlp, RejectsWrongInputSize) {
   Rng rng{1};
   Mlp net{{2, 3}, Activation::kTanh, 1.0, rng};
   EXPECT_THROW(net.forward({1.0}), std::invalid_argument);
-  net.forward({1.0, 2.0});
-  EXPECT_THROW(net.backward({1.0}), std::invalid_argument);
+  Mlp::Workspace ws;
+  net.forward({1.0, 2.0}, ws);
+  Vec deltas(net.delta_size());
+  EXPECT_THROW(net.backward_deltas({1.0}, ws, deltas), std::invalid_argument);
+  Vec short_deltas(net.delta_size() - 1);
+  EXPECT_THROW(net.backward_deltas({1.0, 0.0, 0.0}, ws, short_deltas),
+               std::invalid_argument);
+  const Mlp::Workspace* const samples[] = {&ws};
+  EXPECT_THROW(net.accumulate_rows(0, net.delta_size() + 1, deltas, samples,
+                                   net.grads()),
+               std::invalid_argument);
 }
 
 TEST(Mlp, BackwardBeforeForwardThrows) {
   Rng rng{1};
   Mlp net{{2, 3}, Activation::kTanh, 1.0, rng};
-  EXPECT_THROW(net.backward({1.0, 0.0, 0.0}), std::logic_error);
+  const Mlp::Workspace empty;
+  Vec deltas(net.delta_size());
+  EXPECT_THROW(net.backward_deltas({1.0, 0.0, 0.0}, empty, deltas),
+               std::logic_error);
 }
 
 // Finite-difference check of dLoss/dParams where Loss = sum(output * coef).
@@ -114,8 +140,7 @@ void check_param_gradients(Activation act) {
   const Vec coef{1.3, -0.4};
 
   net.zero_grad();
-  net.forward(x);
-  net.backward(coef);
+  backprop(net, x, coef);
   std::vector<double> analytic{net.grads().begin(), net.grads().end()};
 
   const double eps = 1e-6;
@@ -143,13 +168,17 @@ TEST(Mlp, ParamGradientsMatchFiniteDifferenceRelu) {
 }
 
 TEST(Mlp, InputGradientMatchesFiniteDifference) {
+  // dLoss/dInput = W0^T (layer 0's delta): checks the first layer's delta,
+  // the end of the backward chain.
   Rng rng{19};
   Mlp net{{3, 6, 2}, Activation::kTanh, 1.0, rng};
   Vec x{0.5, -0.1, 0.2};
   const Vec coef{0.7, 1.1};
   net.zero_grad();
-  net.forward(x);
-  const Vec input_grad = net.backward(coef);
+  const Vec deltas = backprop(net, x, coef);
+  Vec input_grad(3);
+  gemv_transposed(net.params().subspan(0, 6 * 3), 6, 3,
+                  std::span<const double>{deltas}.subspan(0, 6), input_grad);
   const double eps = 1e-6;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double saved = x[i];
@@ -169,16 +198,49 @@ TEST(Mlp, GradientsAccumulateAcrossBackwardCalls) {
   Mlp net{{2, 3, 1}, Activation::kTanh, 1.0, rng};
   const Vec x{0.4, 0.6};
   net.zero_grad();
-  net.forward(x);
-  net.backward({1.0});
+  backprop(net, x, {1.0});
   const std::vector<double> once{net.grads().begin(), net.grads().end()};
-  net.forward(x);
-  net.backward({1.0});
+  backprop(net, x, {1.0});
   for (std::size_t i = 0; i < once.size(); ++i) {
     EXPECT_NEAR(net.grads()[i], 2.0 * once[i], 1e-12);
   }
   net.zero_grad();
   for (double g : net.grads()) EXPECT_DOUBLE_EQ(g, 0.0);
+}
+
+TEST(Mlp, RowBlocksOverManySamplesMatchOneSampleAtATime) {
+  // accumulate_rows over a batch, split into row blocks that straddle layer
+  // boundaries and run in reverse block order, must equal per-sample
+  // full-row passes bit for bit: each element gets its adds in sample order.
+  Rng rng{29};
+  Mlp net{{3, 5, 4, 2}, Activation::kTanh, 1.0, rng};
+  const std::vector<Vec> xs{
+      {0.3, -0.7, 0.9}, {-0.2, 0.4, 0.1}, {1.0, 0.0, -0.5}};
+  const std::vector<Vec> coefs{{1.3, -0.4}, {-0.6, 0.2}, {0.5, 0.9}};
+
+  net.zero_grad();
+  for (std::size_t k = 0; k < xs.size(); ++k) backprop(net, xs[k], coefs[k]);
+  const std::vector<double> per_sample{net.grads().begin(), net.grads().end()};
+
+  const std::size_t d = net.delta_size();
+  std::vector<Mlp::Workspace> ws(xs.size());
+  std::vector<const Mlp::Workspace*> ptrs;
+  Vec deltas(xs.size() * d);
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    net.forward(xs[k], ws[k]);
+    net.backward_deltas(coefs[k], ws[k],
+                        std::span<double>{deltas}.subspan(k * d, d));
+    ptrs.push_back(&ws[k]);
+  }
+  net.zero_grad();
+  for (std::size_t end = d; end > 0;) {
+    const std::size_t begin = end >= 3 ? end - 3 : 0;
+    net.accumulate_rows(begin, end, deltas, ptrs, net.grads());
+    end = begin;
+  }
+  for (std::size_t i = 0; i < per_sample.size(); ++i) {
+    ASSERT_EQ(net.grads()[i], per_sample[i]) << "param " << i;
+  }
 }
 
 TEST(Mlp, FinalGainScalesLastLayerInit) {

@@ -18,6 +18,7 @@
 #include "rl/rollout.hpp"
 #include "rl/toy_envs.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -401,8 +402,11 @@ void expect_cache_hits_match_misses(const Env& shape, const PpoConfig& cfg,
   RolloutBuffer stamped{cfg.n_steps};
   RolloutBuffer cleared{cfg.n_steps};
   fill_stamped_and_cleared(hits, cfg.n_steps, stamped, cleared);
-  hits.run_update_epochs(stamped);
-  misses.run_update_epochs(cleared);
+  // The misses recompute their forwards inside the pool's per-sample tasks;
+  // the gradient step must not care which thread does it.
+  netadv::util::ThreadPool pool{3};
+  hits.run_update_epochs(stamped, nullptr);
+  misses.run_update_epochs(cleared, &pool);
   expect_same_params(hits, misses);
   ASSERT_EQ(hits.log_std(), misses.log_std());
 }
