@@ -2,7 +2,8 @@
 //
 // Every 30 ms the agent observes (link utilization, queueing delay) and sets
 // the link's (bandwidth, latency, loss rate) within Table 1's ranges:
-// bandwidth 6-24 Mbps, latency 15-60 ms, loss 0-10%. Its reward is
+// bandwidth 6-24 Mbps, latency 15-60 ms, loss 0-10% (the control loop is
+// core::LinkControl, shared with the fairness env). Its reward is
 //
 //     r = 1 - U - L - 0.01 * S
 //
@@ -14,9 +15,9 @@
 #include <cstdint>
 #include <memory>
 
-#include "cc/link.hpp"
 #include "cc/multiflow.hpp"
 #include "cc/sender.hpp"
+#include "core/link_control.hpp"
 #include "core/reward.hpp"
 #include "rl/env.hpp"
 
@@ -31,23 +32,9 @@ class CcAdversaryEnv final : public rl::Env {
   /// amount of congestion").
   enum class Goal { kUnderutilization, kCongestion };
 
-  struct Params {
+  /// Table-1 ranges, episode shape and S settings live in the base.
+  struct Params : LinkControl::Params {
     Goal goal = Goal::kUnderutilization;
-    // Table 1 action ranges.
-    double bandwidth_min_mbps = 6.0;
-    double bandwidth_max_mbps = 24.0;
-    double latency_min_ms = 15.0;
-    double latency_max_ms = 60.0;
-    double loss_min = 0.0;
-    double loss_max = 0.10;
-
-    double epoch_s = 0.030;            ///< adversary action granularity
-    double episode_duration_s = 30.0;  ///< Figure 5's trace length
-    double smoothing_coefficient = 0.01;
-    double ewma_alpha = 0.1;           ///< EWMA used inside S
-    /// Queue-delay observation scale (seconds -> O(1) feature).
-    double queue_delay_scale_s = 0.25;
-    cc::LinkSim::Params link{};
   };
 
   /// `factory` builds a fresh target sender per episode (default: BBR).
@@ -56,7 +43,7 @@ class CcAdversaryEnv final : public rl::Env {
 
   std::string name() const override { return "cc-adversary"; }
   std::size_t observation_size() const override { return 2; }
-  rl::ActionSpec action_spec() const override;
+  rl::ActionSpec action_spec() const override { return link_.action_spec(); }
   rl::Vec reset(util::Rng& rng) override;
   rl::StepResult step(const rl::Vec& action, util::Rng& rng) override;
 
@@ -66,30 +53,21 @@ class CcAdversaryEnv final : public rl::Env {
   cc::CcSender* sender() noexcept { return sender_.get(); }
   /// The latest epoch of the one-flow runner: flows[0] is the target.
   const cc::MultiFlowRunner::Interval& last_interval() const noexcept {
-    return last_interval_;
+    return link_.last_interval();
   }
   std::size_t epochs_per_episode() const noexcept {
-    return static_cast<std::size_t>(params_.episode_duration_s /
-                                    params_.epoch_s + 0.5);
+    return link_.epochs_per_episode();
   }
 
  private:
   rl::Vec observe() const;
 
   Params params_;
+  LinkControl link_;
   cc::SenderFactory factory_;
 
   std::unique_ptr<cc::CcSender> sender_;
-  std::unique_ptr<cc::MultiFlowRunner> runner_;
-  std::size_t epoch_index_ = 0;
-  cc::MultiFlowRunner::Interval last_interval_{};
   AdversaryReward last_reward_{};
-
-  // Smoothing-factor EWMAs over *normalized* bandwidth/latency so S is
-  // dimensionless and the 0.01 coefficient is meaningful.
-  double ewma_bw_norm_ = 0.0;
-  double ewma_lat_norm_ = 0.0;
-  bool ewma_initialized_ = false;
 };
 
 }  // namespace netadv::core

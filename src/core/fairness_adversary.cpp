@@ -9,7 +9,8 @@
 namespace netadv::core {
 
 /// The cross-traffic accomplice: a non-congestion-responsive blast source
-/// the env gates on/off per epoch. During "on" stretches it paces at a fixed
+/// the env gates on/off per epoch, starting in the state `active` (the
+/// schedule's first epoch). During "on" stretches it paces at a fixed
 /// rate under a fixed window; during "off" stretches its window is zero, so
 /// the runner stops scheduling sends while in-flight packets drain normally.
 /// Deliberately deaf to ACKs and losses — real bursty cross-traffic (incast
@@ -17,11 +18,13 @@ namespace netadv::core {
 /// adversary.
 class OnOffBlastSender final : public cc::CcSender {
  public:
-  OnOffBlastSender(double rate_mbps, double cwnd_packets)
-      : rate_bps_(rate_mbps * 1e6), cwnd_packets_(cwnd_packets) {}
+  OnOffBlastSender(double rate_mbps, double cwnd_packets, bool active)
+      : rate_bps_(rate_mbps * 1e6),
+        cwnd_packets_(cwnd_packets),
+        active_(active) {}
 
   std::string name() const override { return "cross-blast"; }
-  void start(double /*now_s*/) override { active_ = true; }
+  void start(double /*now_s*/) override {}
   void on_ack(const cc::AckInfo& /*ack*/) override {}
   void on_loss(const cc::LossInfo& /*loss*/) override {}
   double pacing_rate_bps() const override { return rate_bps_; }
@@ -32,29 +35,27 @@ class OnOffBlastSender final : public cc::CcSender {
  private:
   double rate_bps_;
   double cwnd_packets_;
-  bool active_ = true;
+  bool active_;
 };
 
 FairnessAdversaryEnv::~FairnessAdversaryEnv() = default;
 
 FairnessAdversaryEnv::FairnessAdversaryEnv(
     Params params, std::vector<cc::SenderFactory> factories)
-    : params_(params), factories_(std::move(factories)) {
-  if (params_.bandwidth_min_mbps <= 0.0 ||
-      params_.bandwidth_max_mbps <= params_.bandwidth_min_mbps ||
-      params_.latency_max_ms < params_.latency_min_ms ||
-      params_.loss_min < 0.0 || params_.loss_max > 1.0 ||
-      params_.loss_max < params_.loss_min || params_.epoch_s <= 0.0 ||
-      // NaN fails every comparison and inf overflows the epoch count.
-      !std::isfinite(params_.epoch_s) ||
-      !std::isfinite(params_.episode_duration_s) ||
-      params_.episode_duration_s < params_.epoch_s ||
-      params_.stagger_s < 0.0 || params_.cross_rate_mbps <= 0.0 ||
-      params_.cross_cwnd_packets <= 0.0 || params_.cross_period_s <= 0.0 ||
-      params_.late_join_min_s < 0.0 ||
-      params_.late_join_max_s < params_.late_join_min_s) {
-    throw std::invalid_argument{"FairnessAdversaryEnv: bad parameters"};
-  }
+    : params_(params),
+      link_(params_, "FairnessAdversaryEnv"),
+      factories_(std::move(factories)) {
+  const Params& p = params_;
+  const ParamCheck check{"FairnessAdversaryEnv"};
+  check(p.stagger_s >= 0.0 && std::isfinite(p.stagger_s), "stagger_s",
+        p.stagger_s, "is not a finite number >= 0");
+  check(p.cross_rate_mbps > 0.0, "cross_rate_mbps", p.cross_rate_mbps, "<= 0");
+  check(p.cross_cwnd_packets > 0.0, "cross_cwnd_packets", p.cross_cwnd_packets,
+        "<= 0");
+  check(p.cross_period_s > 0.0, "cross_period_s", p.cross_period_s, "<= 0");
+  check(p.late_join_min_s >= 0.0, "late_join_min_s", p.late_join_min_s, "< 0");
+  check(p.late_join_max_s >= p.late_join_min_s, "late_join_max_s",
+        p.late_join_max_s, "<", "late_join_min_s", p.late_join_min_s);
   if (factories_.empty()) {
     const auto make_bbr = [] {
       return std::unique_ptr<cc::CcSender>(std::make_unique<cc::BbrSender>());
@@ -81,54 +82,32 @@ std::string FairnessAdversaryEnv::name() const {
   return "fairness-adversary";
 }
 
-rl::ActionSpec FairnessAdversaryEnv::action_spec() const {
-  return rl::ActionSpec::continuous(
-      {params_.bandwidth_min_mbps, params_.latency_min_ms, params_.loss_min},
-      {params_.bandwidth_max_mbps, params_.latency_max_ms, params_.loss_max});
-}
-
 std::vector<double> FairnessAdversaryEnv::mix_throughputs() const {
-  std::vector<double> tput;
-  const std::size_t n =
-      std::min(factories_.size(), last_interval_.flows.size());
-  tput.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    tput.push_back(
-        last_interval_.flows[i].throughput_mbps(last_interval_.duration_s));
-  }
+  std::vector<double> tput = link_.last_interval().throughputs_mbps();
+  tput.resize(std::min(tput.size(), factories_.size()));
   return tput;
 }
 
 rl::Vec FairnessAdversaryEnv::observe() const {
+  const cc::MultiFlowRunner::Interval& interval = link_.last_interval();
   const std::vector<double> tput = mix_throughputs();
   double total = 0.0;
   for (double t : tput) total += t;
   // A starved interval has no meaningful share; 0/0 must not reach the
   // policy network. Define it as the fair share 1/n.
-  const double share0 =
-      total > 0.0 && !tput.empty()
-          ? tput[0] / total
-          : 1.0 / static_cast<double>(std::max<std::size_t>(
-                1, factories_.size()));
-  double qdelay = 0.0;
+  const double share0 = total > 0.0
+                            ? tput[0] / total
+                            : 1.0 / static_cast<double>(factories_.size());
   // Approximate path queueing from the mix flows' mean RTT above the base
   // RTT. mean_rtt_s is always meaningful (delivery-free intervals carry the
   // previous value, never 0 ms), so every flow contributes.
-  if (!last_interval_.flows.empty()) {
-    const double base_rtt =
-        2.0 * params_.link.initial.one_way_delay_ms / 1000.0;
-    double rtt_sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = 0;
-         i < std::min(factories_.size(), last_interval_.flows.size()); ++i) {
-      rtt_sum += last_interval_.flows[i].mean_rtt_s;
-      ++n;
-    }
-    if (n > 0) {
-      qdelay = std::max(0.0, rtt_sum / static_cast<double>(n) - base_rtt);
-    }
-  }
-  return {share0, last_interval_.aggregate_utilization(),
+  const std::size_t n = tput.size();
+  double rtt_sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) rtt_sum += interval.flows[i].mean_rtt_s;
+  const double base_rtt = 2.0 * params_.link.initial.one_way_delay_ms / 1000.0;
+  const double qdelay =
+      n > 0 ? std::max(0.0, rtt_sum / static_cast<double>(n) - base_rtt) : 0.0;
+  return {share0, interval.aggregate_utilization(),
           std::min(1.0, qdelay / params_.queue_delay_scale_s)};
 }
 
@@ -156,10 +135,6 @@ rl::Vec FairnessAdversaryEnv::reset(util::Rng& rng) {
     starts.back() = late_join_time_s_;
   }
   if (params_.scenario == Scenario::kCrossTraffic) {
-    cross_sender_ = std::make_unique<OnOffBlastSender>(
-        params_.cross_rate_mbps, params_.cross_cwnd_packets);
-    raw.push_back(cross_sender_.get());
-    starts.push_back(0.0);
     // Draw the whole on/off schedule up front (episode-deterministic): each
     // stretch lasts [0.5, 1.5] x period, starting from a random phase.
     const std::size_t epochs = epochs_per_episode();
@@ -174,66 +149,31 @@ rl::Vec FairnessAdversaryEnv::reset(util::Rng& rng) {
       }
       cross_active_[e] = on ? 1 : 0;
     }
+    cross_sender_ = std::make_unique<OnOffBlastSender>(
+        params_.cross_rate_mbps, params_.cross_cwnd_packets,
+        cross_active_[0] != 0);
+    raw.push_back(cross_sender_.get());
+    starts.push_back(0.0);
   }
   all_started_at_s_ = 0.0;
   for (std::size_t i = 0; i < factories_.size(); ++i) {
     all_started_at_s_ = std::max(all_started_at_s_, starts[i]);
   }
 
-  cc::LinkSim::Params link = params_.link;
-  link.initial.bandwidth_mbps =
-      0.5 * (params_.bandwidth_min_mbps + params_.bandwidth_max_mbps);
-  link.initial.one_way_delay_ms =
-      0.5 * (params_.latency_min_ms + params_.latency_max_ms);
-  link.initial.loss_rate = 0.0;
-  runner_ = std::make_unique<cc::MultiFlowRunner>(raw, link, rng(), starts);
-  epoch_index_ = 0;
+  link_.reset(std::move(raw), rng(), std::move(starts));
   last_reward_ = AdversaryReward{};
   last_jain_ = 1.0;
   last_victim_util_ = 0.0;
-  ewma_initialized_ = false;
-
-  if (cross_sender_) cross_sender_->set_active(cross_active_[0] != 0);
-  runner_->run_until(params_.epoch_s);
-  last_interval_ = runner_->collect();
-  ++epoch_index_;
   return observe();
 }
 
 rl::StepResult FairnessAdversaryEnv::step(const rl::Vec& action,
                                           util::Rng& /*rng*/) {
-  if (!runner_) throw std::logic_error{"FairnessAdversaryEnv: step before reset"};
-
-  const rl::Vec physical = action_spec().to_physical(action);
-  const double bandwidth = physical[0];
-  const double latency = physical[1];
-  const double loss = physical[2];
-
-  if (cross_sender_ && epoch_index_ < cross_active_.size()) {
-    cross_sender_->set_active(cross_active_[epoch_index_] != 0);
+  if (cross_sender_ && link_.epoch_index() < cross_active_.size()) {
+    cross_sender_->set_active(cross_active_[link_.epoch_index()] != 0);
   }
-  runner_->set_conditions({bandwidth, latency, loss});
-  const double t_end = static_cast<double>(epoch_index_ + 1) * params_.epoch_s;
-  runner_->run_until(t_end);
-  last_interval_ = runner_->collect();
-  ++epoch_index_;
-
-  const double bw_norm = (bandwidth - params_.bandwidth_min_mbps) /
-                         (params_.bandwidth_max_mbps - params_.bandwidth_min_mbps);
-  const double lat_norm =
-      params_.latency_max_ms > params_.latency_min_ms
-          ? (latency - params_.latency_min_ms) /
-                (params_.latency_max_ms - params_.latency_min_ms)
-          : 0.0;
-  if (!ewma_initialized_) {
-    ewma_bw_norm_ = bw_norm;
-    ewma_lat_norm_ = lat_norm;
-    ewma_initialized_ = true;
-  }
-  const double smoothing_raw =
-      std::abs(bw_norm - ewma_bw_norm_) + std::abs(lat_norm - ewma_lat_norm_);
-  ewma_bw_norm_ += params_.ewma_alpha * (bw_norm - ewma_bw_norm_);
-  ewma_lat_norm_ += params_.ewma_alpha * (lat_norm - ewma_lat_norm_);
+  const double loss = link_.step(action)[2];
+  const cc::MultiFlowRunner::Interval& interval = link_.last_interval();
 
   // Unfairness of 0 is attainable (fair sharing); the adversary is paid for
   // the gap it opens, Equation-1 style. Before the last mix flow has started
@@ -242,14 +182,13 @@ rl::StepResult FairnessAdversaryEnv::step(const rl::Vec& action,
   // pay term to its fair value.
   const std::size_t n = factories_.size();
   last_jain_ = cc::jain_fairness_index(mix_throughputs());
-  last_victim_util_ = last_interval_.utilization(0);
+  last_victim_util_ = interval.utilization(0);
   // Victim pay term: 1 at the victim's fair share (or above), 0 when fully
   // starved — same scale as the Jain term.
   double victim_term =
       std::min(1.0, static_cast<double>(n) * last_victim_util_);
-  if (last_interval_.flows.empty() ||
-      last_interval_.aggregate_utilization() <= 0.0 ||
-      runner_->now_s() <= all_started_at_s_ + params_.epoch_s) {
+  if (interval.flows.empty() || interval.aggregate_utilization() <= 0.0 ||
+      link_.now_s() <= all_started_at_s_ + params_.epoch_s) {
     last_jain_ = 1.0;  // nothing earned yet
     victim_term = 1.0;
   }
@@ -257,11 +196,11 @@ rl::StepResult FairnessAdversaryEnv::step(const rl::Vec& action,
   last_reward_.protocol =
       (params_.reward == RewardKind::kVictim ? victim_term : last_jain_) +
       loss;
-  last_reward_.smoothing = params_.smoothing_coefficient * smoothing_raw;
+  last_reward_.smoothing = link_.smoothing_penalty();
 
   rl::StepResult result;
   result.reward = last_reward_.value();
-  result.done = epoch_index_ >= epochs_per_episode();
+  result.done = link_.done();
   result.observation = observe();
   return result;
 }

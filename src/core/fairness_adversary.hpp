@@ -1,8 +1,9 @@
 // The fairness adversary — a Section-5 direction made concrete: learn link
 // conditions under which flows sharing the bottleneck diverge, even though
-// fair sharing is attainable. Every knob and constraint mirrors the paper's
-// CC adversary (Table 1 ranges, 30-ms epochs, smoothing via EWMAs); only the
-// objective changes:
+// fair sharing is attainable. Every knob and constraint is the paper's CC
+// adversary's (Table 1 ranges, 30-ms epochs, smoothing via EWMAs — the one
+// core::LinkControl both envs drive); only the observation and the
+// objective change:
 //
 //     r = unfairness - L - 0.01 * S
 //
@@ -29,9 +30,9 @@
 #include <string>
 #include <vector>
 
-#include "cc/link.hpp"
 #include "cc/multiflow.hpp"
 #include "cc/sender.hpp"
+#include "core/link_control.hpp"
 #include "core/reward.hpp"
 #include "rl/env.hpp"
 
@@ -48,26 +49,13 @@ class FairnessAdversaryEnv final : public rl::Env {
   /// suppression of the victim flow (mix flow 0) below its fair share.
   enum class RewardKind { kJain, kVictim };
 
-  struct Params {
-    // Table 1 action ranges (same as CcAdversaryEnv).
-    double bandwidth_min_mbps = 6.0;
-    double bandwidth_max_mbps = 24.0;
-    double latency_min_ms = 15.0;
-    double latency_max_ms = 60.0;
-    double loss_min = 0.0;
-    double loss_max = 0.10;
-
-    double epoch_s = 0.030;
-    double episode_duration_s = 30.0;
+  /// Table-1 ranges, episode shape and S settings live in the base.
+  struct Params : LinkControl::Params {
     /// Flow i starts at i * stagger_s: identical flows on a shared link are
     /// symmetric, so without an offset a single-knob adversary has nothing
     /// to grab; staggering desynchronizes their probing schedules. Reward is
     /// gated to epochs where every flow has started.
     double stagger_s = 5.0;
-    double smoothing_coefficient = 0.01;
-    double ewma_alpha = 0.1;
-    double queue_delay_scale_s = 0.25;
-    cc::LinkSim::Params link{};
 
     Scenario scenario = Scenario::kFairness;
     RewardKind reward = RewardKind::kJain;
@@ -97,7 +85,7 @@ class FairnessAdversaryEnv final : public rl::Env {
   /// utilization, queueing delay) — what an on-path observer can measure.
   /// Always finite: a starved interval's share is defined as 1/n.
   std::size_t observation_size() const override { return 3; }
-  rl::ActionSpec action_spec() const override;
+  rl::ActionSpec action_spec() const override { return link_.action_spec(); }
   rl::Vec reset(util::Rng& rng) override;
   rl::StepResult step(const rl::Vec& action, util::Rng& rng) override;
 
@@ -108,7 +96,7 @@ class FairnessAdversaryEnv final : public rl::Env {
   /// The whole last interval (per-flow stats include any cross-traffic
   /// accomplice after the first mix_flow_count() entries).
   const cc::MultiFlowRunner::Interval& last_interval() const noexcept {
-    return last_interval_;
+    return link_.last_interval();
   }
   /// Flows that belong to the competing mix (excludes the accomplice).
   std::size_t mix_flow_count() const noexcept { return factories_.size(); }
@@ -119,8 +107,7 @@ class FairnessAdversaryEnv final : public rl::Env {
   double all_started_at_s() const noexcept { return all_started_at_s_; }
   const Params& params() const noexcept { return params_; }
   std::size_t epochs_per_episode() const noexcept {
-    return static_cast<std::size_t>(params_.episode_duration_s /
-                                    params_.epoch_s + 0.5);
+    return link_.epochs_per_episode();
   }
 
  private:
@@ -129,24 +116,18 @@ class FairnessAdversaryEnv final : public rl::Env {
   std::vector<double> mix_throughputs() const;
 
   Params params_;
+  LinkControl link_;
   std::vector<cc::SenderFactory> factories_;
 
   std::vector<std::unique_ptr<cc::CcSender>> senders_;
   std::unique_ptr<OnOffBlastSender> cross_sender_;
   /// Accomplice on/off state at the start of each epoch, drawn at reset.
   std::vector<char> cross_active_;
-  std::unique_ptr<cc::MultiFlowRunner> runner_;
-  std::size_t epoch_index_ = 0;
   double all_started_at_s_ = 0.0;
   double late_join_time_s_ = 0.0;
-  cc::MultiFlowRunner::Interval last_interval_{};
   AdversaryReward last_reward_{};
   double last_jain_ = 1.0;
   double last_victim_util_ = 0.0;
-
-  double ewma_bw_norm_ = 0.0;
-  double ewma_lat_norm_ = 0.0;
-  bool ewma_initialized_ = false;
 };
 
 /// Scenario for a registry adversary-kind name ("fairness", "cross-traffic",

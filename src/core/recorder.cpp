@@ -1,28 +1,37 @@
 #include "core/recorder.hpp"
 
 #include "cc/bbr.hpp"
+#include "core/link_control.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace netadv::core {
 
 namespace {
 
-/// Drive one episode, collecting raw actions; returns them per step.
-std::vector<rl::Vec> run_episode(rl::PpoAgent& agent, rl::Env& env,
-                                 util::Rng& rng, bool deterministic) {
-  std::vector<rl::Vec> actions;
+/// Drive one episode; `after_step(action)` runs after each env step.
+template <typename AfterStep>
+void run_episode(rl::PpoAgent& agent, rl::Env& env, util::Rng& rng,
+                 bool deterministic, const AfterStep& after_step) {
   rl::Vec obs = env.reset(rng);
   while (true) {
-    rl::Vec action = deterministic ? agent.act_deterministic(obs)
-                                   : agent.act_stochastic(obs, rng);
-    actions.push_back(action);
+    const rl::Vec action = deterministic ? agent.act_deterministic(obs)
+                                         : agent.act_stochastic(obs, rng);
     rl::StepResult result = env.step(action, rng);
+    after_step(action);
     if (result.done) break;
     obs = std::move(result.observation);
   }
-  return actions;
+}
+
+/// The env's last episode as a replayable Trace, one segment per chunk.
+trace::Trace abr_episode_trace(const AbrAdversaryEnv& env) {
+  trace::Trace t;
+  for (double bw : env.episode_bandwidths()) {
+    t.append({env.chunk_duration_s(), bw, 80.0, 0.0});
+  }
+  return t;
 }
 
 /// The fan-out every batch function below shares: one child seed per task,
@@ -41,6 +50,25 @@ auto fan_out(std::size_t count, std::uint64_t seed, util::ThreadPool* pool,
   });
 }
 
+/// The per-epoch loop of every link-adversary recorder: after each step,
+/// record the physical conditions and the trace segment, then let
+/// `columns(raw)` append the recorder's own columns for that epoch.
+template <typename Env, typename Columns>
+void record_link_episode(rl::PpoAgent& agent, Env& env, util::Rng& rng,
+                         bool deterministic, LinkEpisodeRecord& record,
+                         const Columns& columns) {
+  const rl::ActionSpec spec = env.action_spec();
+  run_episode(agent, env, rng, deterministic, [&](const rl::Vec& raw) {
+    const rl::Vec physical = spec.to_physical(raw);
+    record.bandwidth_mbps.push_back(physical[0]);
+    record.latency_ms.push_back(physical[1]);
+    record.loss_rate.push_back(physical[2]);
+    record.trace.append({env.params().epoch_s, physical[0], physical[1],
+                         physical[2]});
+    columns(raw);
+  });
+}
+
 }  // namespace
 
 std::vector<trace::Trace> record_abr_traces(rl::PpoAgent& agent,
@@ -50,12 +78,8 @@ std::vector<trace::Trace> record_abr_traces(rl::PpoAgent& agent,
   std::vector<trace::Trace> traces;
   traces.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    run_episode(agent, env, rng, deterministic);
-    trace::Trace t;
-    for (double bw : env.episode_bandwidths()) {
-      t.append({env.chunk_duration_s(), bw, 80.0, 0.0});
-    }
-    traces.push_back(std::move(t));
+    run_episode(agent, env, rng, deterministic, [](const rl::Vec&) {});
+    traces.push_back(abr_episode_trace(env));
   }
   return traces;
 }
@@ -74,28 +98,15 @@ std::vector<trace::Trace> record_abr_traces(
     AbrAdversaryEnv env{manifest, *protocol, params};
     rl::PpoAgent clone = agent;
     util::Rng rng{s};
-    run_episode(clone, env, rng, deterministic);
-    trace::Trace t;
-    for (double bw : env.episode_bandwidths()) {
-      t.append({env.chunk_duration_s(), bw, 80.0, 0.0});
-    }
-    return t;
+    run_episode(clone, env, rng, deterministic, [](const rl::Vec&) {});
+    return abr_episode_trace(env);
   });
 }
 
 AbrEpisodeRecord record_abr_episode(rl::PpoAgent& agent, AbrAdversaryEnv& env,
                                     util::Rng& rng, bool deterministic) {
   AbrEpisodeRecord record;
-  rl::Vec obs = env.reset(rng);
-  double qoe = 0.0;
-  while (true) {
-    const rl::Vec action = deterministic ? agent.act_deterministic(obs)
-                                         : agent.act_stochastic(obs, rng);
-    rl::StepResult result = env.step(action, rng);
-    qoe += env.last_reward().protocol;  // per-window protocol QoE (diagnostic)
-    if (result.done) break;
-    obs = std::move(result.observation);
-  }
+  run_episode(agent, env, rng, deterministic, [](const rl::Vec&) {});
   record.bandwidth_mbps = env.episode_bandwidths();
   for (std::size_t q : env.episode_qualities()) {
     record.bitrate_kbps.push_back(env.manifest().bitrate_kbps(q));
@@ -108,34 +119,19 @@ AbrEpisodeRecord record_abr_episode(rl::PpoAgent& agent, AbrAdversaryEnv& env,
   for (double kbps : record.bitrate_kbps) bitrates_mbps.push_back(kbps / 1000.0);
   record.total_qoe =
       abr::total_qoe(bitrates_mbps, record.rebuffer_s, env.params().qoe);
-
-  for (double bw : record.bandwidth_mbps) {
-    record.trace.append({env.chunk_duration_s(), bw, 80.0, 0.0});
-  }
+  record.trace = abr_episode_trace(env);
   return record;
 }
 
 CcEpisodeRecord record_cc_episode(rl::PpoAgent& agent, CcAdversaryEnv& env,
                                   util::Rng& rng, bool deterministic) {
   CcEpisodeRecord record;
-  const rl::ActionSpec spec = env.action_spec();
-
-  rl::Vec obs = env.reset(rng);
   double util_sum = 0.0;
-  std::size_t epochs = 0;
-  while (true) {
-    const rl::Vec raw = deterministic ? agent.act_deterministic(obs)
-                                      : agent.act_stochastic(obs, rng);
-    const rl::Vec physical = spec.to_physical(raw);
-
+  record_link_episode(agent, env, rng, deterministic, record,
+                      [&](const rl::Vec& raw) {
     record.raw_bandwidth.push_back(raw[0]);
     record.raw_latency.push_back(raw[1]);
     record.raw_loss.push_back(raw[2]);
-    record.bandwidth_mbps.push_back(physical[0]);
-    record.latency_ms.push_back(physical[1]);
-    record.loss_rate.push_back(physical[2]);
-
-    rl::StepResult result = env.step(raw, rng);
     if (const auto* bbr = dynamic_cast<const cc::BbrSender*>(env.sender())) {
       record.bbr_mode.push_back(static_cast<int>(bbr->mode()));
     } else {
@@ -148,15 +144,9 @@ CcEpisodeRecord record_cc_episode(rl::PpoAgent& agent, CcAdversaryEnv& env,
     record.utilization.push_back(utilization);
     record.queue_delay_s.push_back(flow.mean_queue_delay_s);
     util_sum += utilization;
-    ++epochs;
-
-    record.trace.append({env.params().epoch_s, physical[0], physical[1],
-                         physical[2]});
-    if (result.done) break;
-    obs = std::move(result.observation);
-  }
-  record.mean_utilization = epochs > 0 ? util_sum / static_cast<double>(epochs)
-                                       : 0.0;
+  });
+  record.mean_utilization =
+      util_sum / static_cast<double>(record.utilization.size());
   return record;
 }
 
@@ -172,59 +162,6 @@ std::vector<CcEpisodeRecord> record_cc_episodes(
   });
 }
 
-FairnessEpisodeRecord record_fairness_episode(rl::PpoAgent& agent,
-                                              FairnessAdversaryEnv& env,
-                                              util::Rng& rng,
-                                              bool deterministic) {
-  FairnessEpisodeRecord record;
-  const rl::ActionSpec spec = env.action_spec();
-
-  rl::Vec obs = env.reset(rng);
-  record.flow_throughput_mbps.resize(env.mix_flow_count());
-  record.late_join_time_s = env.late_join_time_s();
-  double jain_sum = 0.0;
-  double victim_sum = 0.0;
-  double util_sum = 0.0;
-  std::size_t epochs = 0;
-  while (true) {
-    const rl::Vec raw = deterministic ? agent.act_deterministic(obs)
-                                      : agent.act_stochastic(obs, rng);
-    const rl::Vec physical = spec.to_physical(raw);
-
-    record.bandwidth_mbps.push_back(physical[0]);
-    record.latency_ms.push_back(physical[1]);
-    record.loss_rate.push_back(physical[2]);
-
-    rl::StepResult result = env.step(raw, rng);
-    const cc::MultiFlowRunner::Interval& interval = env.last_interval();
-    for (std::size_t f = 0; f < env.mix_flow_count(); ++f) {
-      record.flow_throughput_mbps[f].push_back(
-          f < interval.flows.size()
-              ? interval.flows[f].throughput_mbps(interval.duration_s)
-              : 0.0);
-    }
-    record.jain.push_back(env.last_jain());
-    record.victim_utilization.push_back(env.last_victim_utilization());
-    record.aggregate_utilization.push_back(interval.aggregate_utilization());
-    jain_sum += env.last_jain();
-    victim_sum += env.last_victim_utilization();
-    util_sum += interval.aggregate_utilization();
-    ++epochs;
-
-    record.trace.append({env.params().epoch_s, physical[0], physical[1],
-                         physical[2]});
-    if (result.done) break;
-    obs = std::move(result.observation);
-  }
-  if (epochs > 0) {
-    const auto n = static_cast<double>(epochs);
-    record.mean_jain = jain_sum / n;
-    record.mean_victim_utilization = victim_sum / n;
-    record.mean_aggregate_utilization = util_sum / n;
-  }
-  return record;
-}
-
 std::vector<FairnessEpisodeRecord> record_fairness_episodes(
     const rl::PpoAgent& agent, const FairnessAdversaryEnv::Params& params,
     std::vector<cc::SenderFactory> factories,
@@ -234,7 +171,33 @@ std::vector<FairnessEpisodeRecord> record_fairness_episodes(
     FairnessAdversaryEnv env{params, factories};
     rl::PpoAgent clone = agent;
     util::Rng rng{s};
-    return record_fairness_episode(clone, env, rng, deterministic);
+    FairnessEpisodeRecord record;
+    record.flow_throughput_mbps.resize(env.mix_flow_count());
+    double jain_sum = 0.0;
+    double victim_sum = 0.0;
+    double util_sum = 0.0;
+    record_link_episode(clone, env, rng, deterministic, record,
+                        [&](const rl::Vec& /*raw*/) {
+      const cc::MultiFlowRunner::Interval& interval = env.last_interval();
+      for (std::size_t f = 0; f < env.mix_flow_count(); ++f) {
+        record.flow_throughput_mbps[f].push_back(
+            f < interval.flows.size()
+                ? interval.flows[f].throughput_mbps(interval.duration_s)
+                : 0.0);
+      }
+      record.jain.push_back(env.last_jain());
+      record.victim_utilization.push_back(env.last_victim_utilization());
+      record.aggregate_utilization.push_back(interval.aggregate_utilization());
+      jain_sum += env.last_jain();
+      victim_sum += env.last_victim_utilization();
+      util_sum += interval.aggregate_utilization();
+    });
+    record.late_join_time_s = env.late_join_time_s();
+    const auto n = static_cast<double>(record.jain.size());
+    record.mean_jain = jain_sum / n;
+    record.mean_victim_utilization = victim_sum / n;
+    record.mean_aggregate_utilization = util_sum / n;
+    return record;
   });
 }
 
@@ -243,6 +206,10 @@ CcReplayResult replay_cc_trace(const std::vector<cc::SenderFactory>& mix,
                                const cc::LinkSim::Params& link_params,
                                double stagger_s, std::uint64_t seed) {
   if (t.empty()) throw std::invalid_argument{"replay_cc_trace: empty trace"};
+  // Flow i starts at i * stagger_s, so it must not precede t = 0.
+  ParamCheck{"replay_cc_trace"}(stagger_s >= 0.0 && std::isfinite(stagger_s),
+                                "stagger_s", stagger_s,
+                                "is not a finite number >= 0");
   std::vector<std::unique_ptr<cc::CcSender>> senders;
   std::vector<cc::CcSender*> raw;
   std::vector<double> starts;

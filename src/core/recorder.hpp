@@ -63,12 +63,18 @@ AbrEpisodeRecord record_abr_episode(rl::PpoAgent& agent, AbrAdversaryEnv& env,
                                     util::Rng& rng,
                                     bool deterministic = true);
 
-/// Per-epoch timeline of one CC adversarial episode.
-struct CcEpisodeRecord {
-  // Physical link conditions applied per epoch.
+/// What every per-epoch record of a link adversary (core::LinkControl)
+/// holds: the physical conditions applied per epoch, and the same episode
+/// as a Trace.
+struct LinkEpisodeRecord {
   std::vector<double> bandwidth_mbps;
   std::vector<double> latency_ms;
   std::vector<double> loss_rate;
+  trace::Trace trace;  ///< per-epoch segments, replayable
+};
+
+/// Per-epoch timeline of one CC adversarial episode.
+struct CcEpisodeRecord : LinkEpisodeRecord {
   // Raw policy outputs before clipping (Figure 6 plots these).
   std::vector<double> raw_bandwidth;
   std::vector<double> raw_latency;
@@ -81,7 +87,6 @@ struct CcEpisodeRecord {
   /// BBR) — lets Figure 6 align adversary actions with probing phases.
   std::vector<int> bbr_mode;
   double mean_utilization = 0.0;
-  trace::Trace trace;  ///< per-epoch segments, replayable
 };
 
 CcEpisodeRecord record_cc_episode(rl::PpoAgent& agent, CcAdversaryEnv& env,
@@ -99,11 +104,7 @@ std::vector<CcEpisodeRecord> record_cc_episodes(
 /// Per-epoch timeline of one fairness adversarial episode (a flow mix on
 /// the shared bottleneck, optionally with a cross-traffic accomplice or a
 /// late-joining flow — whichever scenario the env encodes).
-struct FairnessEpisodeRecord {
-  // Physical link conditions applied per epoch.
-  std::vector<double> bandwidth_mbps;
-  std::vector<double> latency_ms;
-  std::vector<double> loss_rate;
+struct FairnessEpisodeRecord : LinkEpisodeRecord {
   /// Per-epoch mix-flow throughputs: flow_throughput_mbps[f][epoch]
   /// (accomplice traffic excluded — it's the attack, not the subject).
   std::vector<std::vector<double>> flow_throughput_mbps;
@@ -114,16 +115,10 @@ struct FairnessEpisodeRecord {
   double mean_victim_utilization = 0.0;
   double mean_aggregate_utilization = 0.0;
   double late_join_time_s = 0.0;  ///< kLateJoin: this episode's drawn arrival
-  trace::Trace trace;             ///< per-epoch segments, replayable
 };
 
-FairnessEpisodeRecord record_fairness_episode(rl::PpoAgent& agent,
-                                              FairnessAdversaryEnv& env,
-                                              util::Rng& rng,
-                                              bool deterministic = true);
-
-/// Batch variant: one fresh (cloned agent, fresh env with fresh mix senders)
-/// pair per task.
+/// `count` fairness episodes, one fresh (cloned agent, fresh env with fresh
+/// mix senders) pair per task.
 std::vector<FairnessEpisodeRecord> record_fairness_episodes(
     const rl::PpoAgent& agent, const FairnessAdversaryEnv::Params& params,
     std::vector<cc::SenderFactory> factories,
@@ -135,6 +130,7 @@ std::vector<FairnessEpisodeRecord> record_fairness_episodes(
 /// recorded traces reproduce the damage without re-running the adversary
 /// (Section 2.1). Flow i starts at i * `stagger_s`, like the fairness env's
 /// staggered arrivals; a one-flow mix replays the Section-4 single sender.
+/// A negative or non-finite `stagger_s` throws std::invalid_argument.
 struct CcReplayResult {
   double mean_utilization = 0.0;         ///< all flows' capacity share
   double mean_victim_utilization = 0.0;  ///< flow 0's capacity share

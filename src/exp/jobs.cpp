@@ -179,16 +179,6 @@ std::function<std::unique_ptr<T>()> target_factory(
   });
 }
 
-/// `duration = <seconds>` shortens the CC and fairness envs' 30-s episodes
-/// (Figure 5's 1000 epochs) — campaigns and tests use it to bound work.
-double duration_param(const JobContext& ctx, double fallback) {
-  const double duration = double_param(ctx, "duration", fallback);
-  if (duration <= 0.0) {
-    job_fail(ctx, "duration must be a positive number of episode seconds");
-  }
-  return duration;
-}
-
 /// The trace set a replay or serve job reads: `traces = <job>` or
 /// `trace_file = <path>`.
 std::vector<trace::Trace> trace_set_param(const JobContext& ctx) {
@@ -389,8 +379,10 @@ class CcAttack final : public AttackSetup {
                     "only — CEM searches chunk-bandwidth traces, an ABR "
                     "formulation");
     }
+    // `duration =` shortens the 30-s episodes (Figure 5's 1000 epochs) to
+    // bound work; the env's validator checks it against epoch_s.
     params_.episode_duration_s =
-        duration_param(ctx, params_.episode_duration_s);
+        double_param(ctx, "duration", params_.episode_duration_s);
     subject = "adversary vs " + make_sender_()->name();
     summary_header = {"trace", "mean_utilization"};
     replay_header = {"trace", "utilization", "throughput_mbps"};
@@ -458,7 +450,7 @@ class FairnessAttack final : public AttackSetup {
       return core::parse_fairness_reward(ctx.job->value_or("reward", "jain"));
     });
     params_.episode_duration_s =
-        duration_param(ctx, params_.episode_duration_s);
+        double_param(ctx, "duration", params_.episode_duration_s);
     // Short test/smoke episodes must still see every flow start: shrink the
     // stagger (and the late-join window) with the episode so the reward
     // gate opens while there are epochs left to pay for.
@@ -655,10 +647,9 @@ JobResult run_serve(const JobContext& ctx) {
   serve::SessionEngine engine{job_manifest(), std::move(traces)};
   serve::ServeStats stats;
   std::vector<serve::SessionSummary> summaries;
-  if (protocol == "pensieve" && ctx.job->value_or("batch", "on") != "off") {
-    // Batched inference: one act_deterministic_batch per tick. Decisions are
-    // bit-identical to the per-session path, so `batch = off` changes only
-    // throughput, never the artifact.
+  if (protocol == "pensieve") {
+    // Batched inference: one act_deterministic_batch per tick, bit-identical
+    // to per-session forwards (ParallelServe pins that at the engine).
     const core::FactoryArgs args = target_args(ctx);
     const std::string* checkpoint = args.find("checkpoint");
     if (checkpoint == nullptr) {

@@ -29,7 +29,6 @@
 //                    -> <id>_replay.csv (utilization + throughput per trace)
 //   serve            protocol=<abr_protocols()>  qoe=<qoe_models()>
 //                    sessions=N  traces=<trace-set job> (or trace_file=)
-//                    [batch=off to force per-session pensieve forwards]
 //                    -> <id>_sessions.csv (per-session summaries via
 //                       serve::SessionEngine; deterministic — throughput
 //                       numbers only appear in the job note)

@@ -389,6 +389,29 @@ TEST(Recorder, ReplayCcTraceRuns) {
                std::invalid_argument);
 }
 
+// Flow i of the replayed mix starts at i * stagger_s: a negative or
+// non-finite stagger would start flows before t = 0 (or never), so both the
+// single-trace and the corpus entry points reject it by name.
+TEST(Recorder, ReplayCcTraceRejectsBadStagger) {
+  trace::Trace t;
+  for (int i = 0; i < 4; ++i) t.append({0.030, 12.0, 30.0, 0.0});
+  const cc::SenderFactory bbr = [] {
+    return std::unique_ptr<cc::CcSender>(std::make_unique<cc::BbrSender>());
+  };
+  for (const double bad : {-1.0, std::nan(""), HUGE_VAL}) {
+    try {
+      replay_cc_trace({bbr, bbr}, t, {}, bad, 47);
+      ADD_FAILURE() << "replay_cc_trace accepted stagger_s = " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("stagger_s"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(replay_cc_traces({bbr, bbr}, {t}, {}, bad, 47),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
 // ---------------------------------------------------------------- trainer configs
 
 TEST(TrainerConfig, PaperArchitectures) {

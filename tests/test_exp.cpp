@@ -745,6 +745,26 @@ TEST(BuiltinJobs, CcCampaignRunsEndToEnd) {
             std::string::npos);
 }
 
+// A replay's `stagger =` offsets flow i's start by i * stagger: a negative
+// one would start flows before t = 0, so the job fails naming the param
+// (the strict number parser refuses the sign before core::replay_cc_traces
+// would refuse the value) and writes nothing.
+TEST(BuiltinJobs, ReplayRejectsANegativeStagger) {
+  const std::string dir = temp_dir("netadv_builtin_replay_stagger");
+  const exp::CampaignReport report = exp::run_campaign(
+      campaign_from("[campaign]\nname = stagger\nout_dir = " + dir + "\n"
+                    "[job corpus]\nkind = gen-traces\ngenerator = random\n"
+                    "count = 2\n"
+                    "[job rep]\nkind = replay\nafter = corpus\n"
+                    "traces = corpus\ndomain = cc\nflows = bbr,cubic\n"
+                    "stagger = -1\n"),
+      exp::builtin_jobs());
+  EXPECT_FALSE(report.ok());
+  const std::string& error = report.outcome_of("rep").error;
+  EXPECT_NE(error.find("stagger"), std::string::npos) << error;
+  EXPECT_FALSE(std::filesystem::exists(dir + "/rep_replay.csv"));
+}
+
 // The determinism contract extends to the CC job kinds: every artifact in
 // the pipeline is bit-identical at NETADV_THREADS in {1, 2, 8}.
 TEST(BuiltinJobs, CcCampaignArtifactsAreIdenticalAcrossThreadCounts) {
@@ -910,6 +930,13 @@ TEST(BuiltinJobs, FairnessJobsFailWithEnumeratingErrors) {
            {"kind = train-adversary\ndomain = cc\nprotocol = bbr\n"
             "duration = 2s\n",
             "duration is not a number: '2s'"},
+           // Shorter than one 30-ms epoch: the env's validator names the
+           // field and both values, not a bare "bad parameters".
+           {"kind = train-adversary\ndomain = cc\nprotocol = cubic\n"
+            "steps = 256\nduration = 0.01\n",
+            "CcAdversaryEnv: episode_duration_s 0.01 < epoch_s 0.03"},
+           {"kind = train-adversary\n" + fair_job + "duration = 0.01\n",
+            "FairnessAdversaryEnv: episode_duration_s 0.01 < epoch_s 0.03"},
            {"kind = train-adversary\ndomain = cc\nprotocol = bbr\n"
             "steps = 256\nduration = 2\nstore_name = a\n"
             "store_version = -1\n",
@@ -949,7 +976,7 @@ TEST(BuiltinJobs, ReplayRejectsAFlowMixOutsideTheCcDomain) {
 //
 // Cross-commit identity oracle for the attack job kinds: one tiny campaign
 // covering train-adversary / record-traces / replay for ABR-PPO, ABR-CEM,
-// CC and two fairness scenarios, pinned to the FNV-1a hash of every
+// CC and all three fairness scenarios, pinned to the FNV-1a hash of every
 // artifact, every job note and every manifest params_hash. The thread-count
 // gates above only prove identity *within* a build; this one fails when a
 // refactor changes a single byte any of these jobs write. Every budget sits
@@ -993,7 +1020,13 @@ std::string golden_campaign_spec(const std::string& dir) {
          "steps = 256\nduration = 2\n"
          "[job late-rec]\nkind = record-traces\nafter = late-train\n"
          "from = late-train\ndomain = cc\nadversary = late-join\n"
-         "reward = victim\nflows = cubic,bbr\ncount = 2\nduration = 2\n";
+         "reward = victim\nflows = cubic,bbr\ncount = 2\nduration = 2\n"
+         "[job cross-train]\nkind = train-adversary\ndomain = cc\n"
+         "adversary = cross-traffic\nflows = bbr,cubic\nsteps = 256\n"
+         "duration = 2\n"
+         "[job cross-rec]\nkind = record-traces\nafter = cross-train\n"
+         "from = cross-train\ndomain = cc\nadversary = cross-traffic\n"
+         "flows = bbr,cubic\ncount = 2\nduration = 2\n";
 }
 
 struct GoldenArtifact {
@@ -1026,6 +1059,9 @@ constexpr GoldenArtifact kGoldenArtifacts[] = {
     {"late-train_adversary.ckpt", "3a6f515d8e7c58c0"},
     {"late-rec_traces.csv", "c2768bdfbe23cdc6"},
     {"late-rec_summary.csv", "899173647e1f94ac"},
+    {"cross-train_adversary.ckpt", "2e8dd56a6d1d15e6"},
+    {"cross-rec_traces.csv", "c98c46e20bf3a6b0"},
+    {"cross-rec_summary.csv", "99fb97870beeef89"},
 };
 
 constexpr GoldenJob kGoldenJobs[] = {
@@ -1057,6 +1093,11 @@ constexpr GoldenJob kGoldenJobs[] = {
     {"late-rec", "0120938e91216435",
      "2 late-join episodes vs cubic,bbr, mean Jain 0.859, "
      "victim util 9.5%"},
+    {"cross-train", "1ad489fd815f7f7e",
+     "PPO cross-traffic adversary vs bbr,cubic, 256 steps"},
+    {"cross-rec", "3be22445a8f5a3f6",
+     "2 cross-traffic episodes vs bbr,cubic, mean Jain 0.682, "
+     "victim util 44.0%"},
 };
 
 TEST(BuiltinJobs, GoldenAttackCampaignIsByteStableAcrossCommits) {

@@ -122,6 +122,23 @@ TEST(FairnessAdversaryEnv, Validates) {
   EXPECT_THROW(env.step({0.0, 0.0, 0.0}, rng), std::logic_error);
 }
 
+// The Table-1 validator is the CC env's: a negative latency floor fails at
+// construction, naming the field, instead of passing here and throwing
+// "LinkSim: bad conditions" mid-episode once the policy picks the low end.
+TEST(FairnessAdversaryEnv, RejectsNegativeLatencyFloorNamingTheField) {
+  core::FairnessAdversaryEnv::Params p;
+  p.latency_min_ms = -5.0;
+  try {
+    core::FairnessAdversaryEnv env{p};
+    FAIL() << "accepted latency_min_ms = -5";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(
+                  "FairnessAdversaryEnv: latency_min_ms -5 < 0"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FairnessAdversaryEnv, RejectsNonFiniteEpisodeShape) {
   for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
     core::FairnessAdversaryEnv::Params duration;
