@@ -3,7 +3,7 @@
 // optimum, PPO inference/updates, and one adversary-environment step. These
 // quantify why paper-scale training budgets (600k steps) run in seconds.
 //
-// The suites taking a thread-count argument (BM_PpoUpdate,
+// The suites taking a thread-count argument (BM_PpoUpdate, BM_PpoUpdateCc,
 // BM_ParallelAbrReplay, BM_VecEnvRollout) run at 1, 2 and the default pool
 // size and report wall-clock (UseRealTime: the pool's workers do not show in
 // the calling thread's CPU time), so the scaling of the parallel layer reads
@@ -26,7 +26,9 @@
 #include "core/abr_adversary.hpp"
 #include "core/cc_adversary.hpp"
 #include "core/trainer.hpp"
+#include "rl/distributions.hpp"
 #include "rl/ppo.hpp"
+#include "rl/rollout.hpp"
 #include "rl/toy_envs.hpp"
 #include "rl/vec_env.hpp"
 #include "trace/generators.hpp"
@@ -164,6 +166,42 @@ void BM_PpoUpdate(benchmark::State& state) {
                           static_cast<std::int64_t>(cfg.n_steps));
 }
 BENCHMARK(BM_PpoUpdate)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(static_cast<int>(util::ThreadPool::default_thread_count()))
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PpoUpdateCc(benchmark::State& state) {
+  // The update epochs alone of the Section-4 CC adversary (a 2->4->3
+  // continuous actor, 10 epochs of 128-sample minibatches over a 2048-step
+  // rollout scored once on random observations), spread over state.range(0)
+  // threads. Items are per-sample gradient evaluations.
+  util::set_log_level(util::LogLevel::kWarn);
+  const core::CcAdversaryEnv env;
+  const rl::PpoConfig cfg = core::cc_adversary_ppo_config();
+  rl::PpoAgent agent{env.observation_size(), env.action_spec(), cfg, 5};
+  util::Rng rng{9};
+  rl::RolloutBuffer rollout{cfg.n_steps};
+  while (!rollout.full()) {
+    rl::Transition t;
+    t.observation = {rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
+    const rl::Vec head = agent.actor().forward(t.observation);
+    t.action = rl::DiagGaussian::sample(head, agent.log_std(), rng);
+    t.log_prob = rl::DiagGaussian::log_prob(head, agent.log_std(), t.action);
+    t.value = agent.critic().forward(t.observation)[0];
+    t.advantage = rng.uniform(-1.0, 1.0);
+    t.return_ = t.value + t.advantage;
+    rollout.add(std::move(t));
+  }
+  util::ThreadPool pool{static_cast<std::size_t>(state.range(0))};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(agent.run_update_epochs(rollout, &pool));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cfg.n_steps * cfg.epochs));
+}
+BENCHMARK(BM_PpoUpdateCc)
     ->Arg(1)
     ->Arg(2)
     ->Arg(static_cast<int>(util::ThreadPool::default_thread_count()))

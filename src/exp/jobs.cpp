@@ -39,16 +39,24 @@ namespace netadv::exp {
 
 namespace {
 
+/// A job's failure, its message already prefixed with "job 'id' (kind): ".
+struct JobFailure : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 [[noreturn]] void job_fail(const JobContext& ctx, const std::string& what) {
-  throw std::runtime_error{"job '" + ctx.job->id + "' (" + ctx.job->kind +
-                           "): " + what};
+  throw JobFailure{"job '" + ctx.job->id + "' (" + ctx.job->kind + "): " +
+                   what};
 }
 
-/// `fn()`, with any exception it throws rethrown as this job's failure.
+/// `fn()`, with any exception it throws rethrown as this job's failure. A
+/// JobFailure passes through as it is, so no message gets the prefix twice.
 template <typename Fn>
 auto or_fail(const JobContext& ctx, const Fn& fn) -> decltype(fn()) {
   try {
     return fn();
+  } catch (const JobFailure&) {
+    throw;
   } catch (const std::exception& e) {
     job_fail(ctx, e.what());
   }
@@ -82,7 +90,10 @@ double double_param(const JobContext& ctx, const std::string& key,
   const std::string* value = ctx.job->find(key);
   if (value == nullptr) return fallback;
   const std::optional<double> parsed = util::parse_finite(*value);
-  if (!parsed) job_fail(ctx, key + " is not a number: '" + *value + "'");
+  if (!parsed) {
+    job_fail(ctx, key + " must be a finite number without a sign: '" +
+                      *value + "'");
+  }
   return *parsed;
 }
 
@@ -380,9 +391,11 @@ class CcAttack final : public AttackSetup {
                     "formulation");
     }
     // `duration =` shortens the 30-s episodes (Figure 5's 1000 epochs) to
-    // bound work; the env's validator checks it against epoch_s.
+    // bound work; the env's validator checks it against epoch_s — here, so
+    // its error carries the job's prefix.
     params_.episode_duration_s =
         double_param(ctx, "duration", params_.episode_duration_s);
+    or_fail(ctx, [&] { core::CcAdversaryEnv{params_, make_sender_}; });
     subject = "adversary vs " + make_sender_()->name();
     summary_header = {"trace", "mean_utilization"};
     replay_header = {"trace", "utilization", "throughput_mbps"};
@@ -462,6 +475,7 @@ class FairnessAttack final : public AttackSetup {
         std::min(params_.late_join_max_s, params_.episode_duration_s / 3.0);
     params_.late_join_min_s =
         std::min(params_.late_join_min_s, params_.late_join_max_s);
+    or_fail(ctx, [&] { core::FairnessAdversaryEnv{params_, mix_}; });
     subject = adversary + " adversary vs " + mix_names_;
     adversary_ = adversary;
     const auto header = [&](const char* first) {

@@ -1,9 +1,9 @@
 #include "rl/mlp.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "rl/kernels.hpp"
 
@@ -74,131 +74,124 @@ Mlp::Mlp(std::vector<std::size_t> sizes, Activation hidden_activation,
     // Biases start at zero (already the case from assign()).
   }
 
-  ws_.pre.resize(layers_.size());
-  ws_.post.resize(layers_.size() + 1);
+  act_.resize(layers_.size() + 1);
 }
 
-const Vec& Mlp::forward(const Vec& input) { return forward(input, ws_); }
+void Mlp::Arena::reset(const Mlp& net, std::size_t rows) {
+  sizes_ = net.sizes_;
+  rows_ = rows;
+  in_.clear();
+  pre_.clear();
+  std::size_t offset = 0;
+  for (const Layer& l : net.layers_) {
+    in_.push_back(offset);
+    offset += rows * l.in;
+    pre_.push_back(offset);
+    offset += rows * l.out;
+  }
+  data_.resize(offset);
+}
 
-const Vec& Mlp::forward(const Vec& input, Workspace& ws) const {
+void Mlp::Arena::set_input(std::size_t k, std::span<const double> input) {
+  if (k >= rows_ || input.size() != sizes_.front()) {
+    throw std::invalid_argument{
+        "Mlp::Arena::set_input: row out of range or wrong input size"};
+  }
+  std::copy(input.begin(), input.end(),
+            row(in_.front(), k, input.size()).begin());
+}
+
+void Mlp::check_arena(const Arena& arena, const char* where) const {
+  if (arena.sizes_ != sizes_) {
+    throw std::invalid_argument{std::string{"Mlp::"} + where +
+                                ": arena not laid out for this network"};
+  }
+}
+
+const Vec& Mlp::forward(const Vec& input) {
   if (input.size() != input_size()) {
     throw std::invalid_argument{"Mlp::forward: wrong input size"};
   }
-  ws.pre.resize(layers_.size());
-  ws.post.resize(layers_.size() + 1);
-  ws.post[0] = input;
+  act_[0] = input;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const Layer& l = layers_[i];
-    ws.pre[i].assign(l.out, 0.0);
-    kernels::gemv(weight(l), l.out, l.in, ws.post[i],
-         {params_.data() + l.b_offset, l.out}, ws.pre[i]);
-    const bool last = (i + 1 == layers_.size());
-    const Activation act = last ? Activation::kIdentity : hidden_;
-    ws.post[i + 1].resize(l.out);
-    for (std::size_t j = 0; j < l.out; ++j) {
-      ws.post[i + 1][j] = activate(act, ws.pre[i][j]);
+    Vec& z = act_[i + 1];
+    z.resize(l.out);
+    kernels::gemv(weight(l), l.out, l.in, act_[i], bias(l), z);
+    if (i + 1 < layers_.size()) {
+      for (double& v : z) v = activate(hidden_, v);
     }
   }
-  return ws.post.back();
+  return act_.back();
 }
 
-std::vector<Vec> Mlp::forward_batch(const std::vector<Vec>& inputs,
-                                    std::vector<Workspace>* caches) const {
-  const std::size_t batch = inputs.size();
-  Vec current(batch * input_size());
-  for (std::size_t n = 0; n < batch; ++n) {
-    if (inputs[n].size() != input_size()) {
-      throw std::invalid_argument{"Mlp::forward_batch: wrong input size"};
-    }
-    std::copy(inputs[n].begin(), inputs[n].end(),
-              current.begin() + static_cast<std::ptrdiff_t>(n * input_size()));
-  }
-  if (caches != nullptr) {
-    caches->resize(batch);
-    for (std::size_t n = 0; n < batch; ++n) {
-      Workspace& ws = (*caches)[n];
-      ws.pre.resize(layers_.size());
-      ws.post.resize(layers_.size() + 1);
-      ws.post[0] = inputs[n];
-    }
-  }
-
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const Layer& l = layers_[i];
-    Vec next(batch * l.out);
-    kernels::gemm(weight(l), l.out, l.in, current, batch,
-         {params_.data() + l.b_offset, l.out}, next);
-    if (caches != nullptr) {
-      // Record pre-activations before the in-place activation overwrite.
-      for (std::size_t n = 0; n < batch; ++n) {
-        (*caches)[n].pre[i].assign(
-            next.begin() + static_cast<std::ptrdiff_t>(n * l.out),
-            next.begin() + static_cast<std::ptrdiff_t>((n + 1) * l.out));
-      }
-    }
-    const bool last = (i + 1 == layers_.size());
-    const Activation act = last ? Activation::kIdentity : hidden_;
-    if (act != Activation::kIdentity) {
-      for (auto& z : next) z = activate(act, z);
-    }
-    if (caches != nullptr) {
-      for (std::size_t n = 0; n < batch; ++n) {
-        (*caches)[n].post[i + 1].assign(
-            next.begin() + static_cast<std::ptrdiff_t>(n * l.out),
-            next.begin() + static_cast<std::ptrdiff_t>((n + 1) * l.out));
-      }
-    }
-    current = std::move(next);
-  }
-
-  std::vector<Vec> outputs(batch);
-  for (std::size_t n = 0; n < batch; ++n) {
-    outputs[n].assign(
-        current.begin() + static_cast<std::ptrdiff_t>(n * output_size()),
-        current.begin() + static_cast<std::ptrdiff_t>((n + 1) * output_size()));
+std::vector<Vec> Mlp::forward_batch(const std::vector<Vec>& inputs) const {
+  Arena arena;
+  arena.reset(*this, inputs.size());
+  for (std::size_t n = 0; n < inputs.size(); ++n) arena.set_input(n, inputs[n]);
+  forward_rows(arena, 0, inputs.size());
+  std::vector<Vec> outputs;
+  outputs.reserve(inputs.size());
+  for (std::size_t n = 0; n < inputs.size(); ++n) {
+    const auto out = arena.output(n);
+    outputs.emplace_back(out.begin(), out.end());
   }
   return outputs;
 }
 
-void Mlp::backward_deltas(const Vec& grad_output, const Workspace& ws,
+void Mlp::forward_rows(Arena& arena, std::size_t begin, std::size_t end) const {
+  check_arena(arena, "forward_rows");
+  if (begin > end || end > arena.rows_) {
+    throw std::invalid_argument{"Mlp::forward_rows: rows out of range"};
+  }
+  const std::size_t n = end - begin;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const Layer& l = layers_[i];
+    const std::span<double> z{arena.row(arena.pre_[i], begin, l.out).data(),
+                              n * l.out};
+    kernels::gemm(weight(l), l.out, l.in,
+                  {arena.row(arena.in_[i], begin, l.in).data(), n * l.in}, n,
+                  bias(l), z);
+    if (i + 1 < layers_.size()) {
+      double* const a = arena.row(arena.in_[i + 1], begin, l.out).data();
+      for (std::size_t j = 0; j < z.size(); ++j) a[j] = activate(hidden_, z[j]);
+    }
+  }
+}
+
+void Mlp::backward_deltas(const Arena& arena, std::size_t k,
                           std::span<double> deltas) const {
-  if (grad_output.size() != output_size()) {
-    throw std::invalid_argument{"Mlp::backward_deltas: wrong gradient size"};
+  check_arena(arena, "backward_deltas");
+  if (k >= arena.rows_) {
+    throw std::logic_error{"Mlp::backward_deltas: sample not in the arena"};
   }
   if (deltas.size() != delta_size_) {
     throw std::invalid_argument{
         "Mlp::backward_deltas: wrong delta buffer size"};
   }
-  if (ws.post.size() != layers_.size() + 1) {
-    throw std::logic_error{"Mlp::backward_deltas before forward"};
-  }
-  // The output layer is linear: its dLoss/dPre is grad_output itself. Each
-  // layer below gets W^T delta scaled by act'(pre).
-  std::copy(grad_output.begin(), grad_output.end(),
-            deltas.end() - static_cast<std::ptrdiff_t>(output_size()));
+  // The output layer is linear: its dLoss/dPre is the caller's dLoss/dOutput,
+  // already in the tail. Each layer below gets W^T delta scaled by act'(pre).
   for (std::size_t idx = layers_.size() - 1; idx > 0; --idx) {
     const Layer& l = layers_[idx];
     const std::span<double> below =
         deltas.subspan(layers_[idx - 1].d_offset, l.in);
     kernels::gemv_transposed(weight(l), l.out, l.in,
                              deltas.subspan(l.d_offset, l.out), below);
+    const auto pre = arena.row(arena.pre_[idx - 1], k, l.in);
+    const auto post = arena.row(arena.in_[idx], k, l.in);
     for (std::size_t j = 0; j < l.in; ++j) {
-      below[j] *= activate_grad(hidden_, ws.pre[idx - 1][j], ws.post[idx][j]);
+      below[j] *= activate_grad(hidden_, pre[j], post[j]);
     }
   }
 }
 
 void Mlp::accumulate_rows(std::size_t row_begin, std::size_t row_end,
-                          std::span<const double> deltas,
-                          std::span<const Workspace* const> ws,
+                          std::span<const double> deltas, const Arena& arena,
                           std::span<double> grads) const {
-  const auto unforwarded = [&](const Workspace* w) {
-    return w->post.size() != layers_.size() + 1;
-  };
+  check_arena(arena, "accumulate_rows");
   if (row_begin > row_end || row_end > delta_size_ ||
-      deltas.size() != ws.size() * delta_size_ ||
-      grads.size() != params_.size() ||
-      std::any_of(ws.begin(), ws.end(), unforwarded)) {
+      deltas.size() != arena.rows_ * delta_size_ ||
+      grads.size() != params_.size()) {
     throw std::invalid_argument{"Mlp::accumulate_rows: bad block"};
   }
   for (std::size_t i = 0; i < layers_.size(); ++i) {
@@ -211,9 +204,10 @@ void Mlp::accumulate_rows(std::size_t row_begin, std::size_t row_end,
     const std::span<double> w{grads.data() + l.w_offset + r0 * l.in,
                               rows * l.in};
     double* const b = grads.data() + l.b_offset + r0;
-    for (std::size_t k = 0; k < ws.size(); ++k) {
+    for (std::size_t k = 0; k < arena.rows_; ++k) {
       const double* d = deltas.data() + k * delta_size_ + lo;
-      kernels::rank1_update(w, rows, l.in, {d, rows}, ws[k]->post[i]);
+      kernels::rank1_update(w, rows, l.in, {d, rows},
+                            arena.row(arena.in_[i], k, l.in));
       for (std::size_t j = 0; j < rows; ++j) b[j] += d[j];
     }
   }

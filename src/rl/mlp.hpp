@@ -4,18 +4,20 @@
 // vector so the optimizer and the checkpoint code can treat the network as a
 // flat parameter array.
 //
-// Backpropagation has two const halves that threads can run on one shared
-// network (parameters are only read): backward_deltas() writes one sample's
-// per-layer dLoss/dPre-activation record, and accumulate_rows() *adds* a
-// block of gradient rows over many samples in ascending sample order (call
-// zero_grad() between minibatches). Disjoint row blocks write disjoint
-// gradient elements, and each element gets its adds in sample order
-// whatever the split — so the gradient is bit-identical at any thread
-// count. PPO's minibatch step uses this pair.
+// Training runs over an Arena: a flat, row-major activation record of a
+// batch of samples (per layer, the pre-activations and the layer's inputs as
+// m x width matrices). Every method that touches an arena is const, so
+// threads share one network and work on disjoint rows. forward_rows() runs
+// one kernels::gemm per layer over a block of rows; backward_deltas() writes
+// one sample's per-layer dLoss/dPre-activation record; accumulate_rows()
+// *adds* a block of gradient rows over all the arena's samples in ascending
+// sample order (call zero_grad() between minibatches). Disjoint row blocks
+// write disjoint gradient elements, and each element gets its adds in sample
+// order whatever the split — so the gradient is bit-identical at any thread
+// count. PPO's minibatch step uses this trio.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -28,12 +30,41 @@ enum class Activation { kTanh, kRelu, kIdentity };
 
 class Mlp {
  public:
-  /// Caller-owned activation caches for the const forward/backward halves.
-  /// One Workspace per concurrent task; a Workspace may be reused across
-  /// samples (buffers are resized on each forward).
-  struct Workspace {
-    std::vector<Vec> pre;   ///< per-layer pre-activations z
-    std::vector<Vec> post;  ///< per-layer post-activations a (post[0] = input)
+  /// Activations of a batch of samples, one row per sample: for each layer,
+  /// its input rows (layer 0's are the samples' inputs) and its
+  /// pre-activation rows, each a row-major rows x width matrix in one flat
+  /// buffer. The last layer is linear, so its pre-activations are the
+  /// network outputs. Size it with reset(), write the inputs with
+  /// set_input(), then fill it with Mlp::forward_rows().
+  class Arena {
+   public:
+    /// Lay out `rows` samples of `net`, reusing the allocation.
+    void reset(const Mlp& net, std::size_t rows);
+
+    /// Copy sample k's input row; throws on a row out of range or a wrong
+    /// input size.
+    void set_input(std::size_t k, std::span<const double> input);
+    /// Sample k's network output (valid after forward_rows covered row k).
+    std::span<const double> output(std::size_t k) const noexcept {
+      return row(pre_.back(), k, sizes_.back());
+    }
+
+   private:
+    friend class Mlp;
+    std::span<double> row(std::size_t offset, std::size_t k,
+                          std::size_t width) noexcept {
+      return {data_.data() + offset + k * width, width};
+    }
+    std::span<const double> row(std::size_t offset, std::size_t k,
+                                std::size_t width) const noexcept {
+      return {data_.data() + offset + k * width, width};
+    }
+
+    std::vector<std::size_t> sizes_;  // the network's layer sizes
+    std::vector<std::size_t> in_;     // per layer: offset of its input rows
+    std::vector<std::size_t> pre_;    // per layer: offset of its pre rows
+    std::vector<double> data_;
+    std::size_t rows_ = 0;
   };
 
   /// `sizes` is {input, hidden..., output}; at least {in, out}.
@@ -51,70 +82,45 @@ class Mlp {
   /// Forward pass; the returned reference is valid until the next forward().
   const Vec& forward(const Vec& input);
 
-  /// Forward pass into a caller-owned workspace. Const and safe to call from
-  /// several threads on the same network at once; the arithmetic (and hence
-  /// the result, bit for bit) is identical to the member-cache forward().
-  /// The returned reference aliases ws.post.back().
-  const Vec& forward(const Vec& input, Workspace& ws) const;
-
   /// Inference-only batched forward over N inputs via the gemm kernel.
-  /// Bit-identical to calling forward() per input (same accumulation order),
-  /// but does not touch the member activation cache, so it is const and
-  /// safe from several threads on the same network at once.
-  ///
-  /// When `caches` is non-null it is resized to the batch and filled with
-  /// each sample's full activation record — exactly what forward(input,
-  /// Workspace&) would have produced, because gemm computes each output
-  /// element in the same canonical order as gemv. The caches are valid for
-  /// backward_deltas()/accumulate_rows() until the parameters change (track
-  /// param_version()); PPO uses this to reuse rollout-time activations in
-  /// the minibatch gradient step instead of recomputing forwards.
-  std::vector<Vec> forward_batch(const std::vector<Vec>& inputs,
-                                 std::vector<Workspace>* caches = nullptr) const;
+  /// Bit-identical to calling forward() per input (same accumulation order).
+  /// Const and safe from several threads on the same network at once.
+  std::vector<Vec> forward_batch(const std::vector<Vec>& inputs) const;
+
+  /// Forward rows [begin, end) of `arena` (inputs already set) with one
+  /// kernels::gemm per layer. Each row is bit-identical to forward() of its
+  /// input, because gemm computes every element in gemv's canonical order.
+  /// Const; concurrent calls on disjoint row ranges are safe.
+  void forward_rows(Arena& arena, std::size_t begin, std::size_t end) const;
 
   /// Length of one sample's delta record: the total output rows of all
   /// layers (layer 0's rows first).
   std::size_t delta_size() const noexcept { return delta_size_; }
 
-  /// Backpropagate `grad_output` against the activations cached in `ws` by
-  /// the const forward(), writing every layer's dLoss/dPre-activation into
-  /// `deltas` (size delta_size()). Const; thread-safe for distinct `deltas`.
-  void backward_deltas(const Vec& grad_output, const Workspace& ws,
+  /// Backpropagate sample k of `arena`. On entry the last output_size()
+  /// entries of `deltas` (size delta_size()) hold dLoss/dOutput — the linear
+  /// output layer's delta; every layer below gets its dLoss/dPre-activation
+  /// written in front of it. Const; thread-safe for distinct `deltas`.
+  void backward_deltas(const Arena& arena, std::size_t k,
                        std::span<double> deltas) const;
 
   /// Add the weight (delta x input^T, via kernels::rank1_update) and bias
   /// gradients of rows [row_begin, row_end) of the delta record into
-  /// `grads` (the grads() layout), over samples k = 0, 1, ... in ascending
-  /// order: sample k's delta record starts at deltas[k * delta_size()] and
-  /// its activations are *ws[k]. Const; concurrent calls on disjoint row
-  /// ranges write disjoint elements of `grads`.
+  /// `grads` (the grads() layout), over the arena's samples k = 0, 1, ... in
+  /// ascending order: sample k's delta record starts at
+  /// deltas[k * delta_size()] and its layer inputs are the arena's row k.
+  /// Const; concurrent calls on disjoint row ranges write disjoint elements
+  /// of `grads`.
   void accumulate_rows(std::size_t row_begin, std::size_t row_end,
-                       std::span<const double> deltas,
-                       std::span<const Workspace* const> ws,
+                       std::span<const double> deltas, const Arena& arena,
                        std::span<double> grads) const;
 
   void zero_grad() noexcept;
 
-  /// Mutable parameter access. Handing out a writable view means the
-  /// parameters MAY change, so this conservatively bumps param_version() —
-  /// that one rule keeps every mutation site (optimizer steps, checkpoint
-  /// restore, perturbation search) invalidating version-stamped activation
-  /// caches without each caller remembering to. Over-invalidation is
-  /// harmless: a spurious bump costs one recomputed forward, never a wrong
-  /// result.
-  std::span<double> params() noexcept {
-    ++version_;
-    return params_;
-  }
+  std::span<double> params() noexcept { return params_; }
   std::span<const double> params() const noexcept { return params_; }
   std::span<double> grads() noexcept { return grads_; }
   std::span<const double> grads() const noexcept { return grads_; }
-
-  /// Monotone counter identifying the current parameter values; bumped by
-  /// every mutable params() access. Cached results stamped with this value
-  /// (rollout activation caches) are reusable exactly while the stamp still
-  /// matches.
-  std::uint64_t param_version() const noexcept { return version_; }
 
   const std::vector<std::size_t>& layer_sizes() const noexcept { return sizes_; }
   Activation hidden_activation() const noexcept { return hidden_; }
@@ -134,6 +140,11 @@ class Mlp {
   std::span<const double> weight(const Layer& l) const noexcept {
     return {params_.data() + l.w_offset, l.in * l.out};
   }
+  std::span<const double> bias(const Layer& l) const noexcept {
+    return {params_.data() + l.b_offset, l.out};
+  }
+  /// Throws unless `arena` was laid out for this network's sizes.
+  void check_arena(const Arena& arena, const char* where) const;
 
   std::vector<std::size_t> sizes_;
   Activation hidden_;
@@ -142,11 +153,8 @@ class Mlp {
   std::vector<double> grads_;
   std::size_t delta_size_ = 0;
 
-  // Starts at 1 so a zero-stamped cache can never accidentally match.
-  std::uint64_t version_ = 1;
-
-  // Activation caches of the member forward().
-  Workspace ws_;
+  // Per-layer post-activations of the member forward() (act_[0] = input).
+  std::vector<Vec> act_;
 };
 
 }  // namespace netadv::rl

@@ -29,6 +29,11 @@ std::vector<std::size_t> make_critic_sizes(std::size_t obs,
   return sizes;
 }
 
+/// Samples per forward-and-backprop task of the minibatch step: enough rows
+/// that a block's gemm per layer amortizes, few enough that a minibatch of
+/// 64 spreads over several threads. Any block size gives the same results.
+constexpr std::size_t kSampleBlock = 8;
+
 /// Delta rows per weight-gradient task of the minibatch step: enough that a
 /// block's per-sample kernel calls amortize, few enough that a 64-wide layer
 /// spreads over several threads. Any block size gives the same gradients.
@@ -81,13 +86,13 @@ void finalize_report(TrainReport& report, std::size_t steps_done,
 /// are allocated once per update and freed with it.
 struct PpoAgent::MinibatchBuffers {
   struct Net {
-    std::vector<Mlp::Workspace> fresh;      // recomputed activations
-    std::vector<const Mlp::Workspace*> ws;  // each sample's activations
-    std::vector<double> deltas;             // each sample's delta record
+    Mlp::Arena arena;            // the minibatch's activations, by sample
+    std::vector<double> deltas;  // each sample's delta record
   };
   Net actor;
   Net critic;
   std::vector<double> terms;  // each sample's backprop_sample terms
+  GaussianHead gaussian;      // the minibatch's log_std constants
 };
 
 PpoAgent::PpoAgent(std::size_t observation_size, ActionSpec action_spec,
@@ -215,13 +220,8 @@ TrainReport PpoAgent::train(Env& env, std::size_t total_steps,
 
       Transition t;
       t.observation = obs;
-      // Forward into the transition's activation cache (bit-identical to
-      // the member forward — same const workspace routine) so the gradient
-      // epochs can reuse these activations.
-      const Vec& head = actor_.forward(obs, t.cache.actor);
-      t.cache.actor_version = actor_.param_version();
-      t.value = critic_.forward(obs, t.cache.critic)[0];
-      t.cache.critic_version = critic_.param_version();
+      const Vec& head = actor_.forward(obs);
+      t.value = critic_.forward(obs)[0];
       if (discrete()) {
         const std::size_t a = Categorical::sample(head, rng_);
         t.action = {static_cast<double>(a)};
@@ -295,8 +295,6 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
   std::vector<std::vector<Transition>> trajectories(n_envs);
   std::vector<Vec> norm_obs(n_envs);
   std::vector<Vec> actions(n_envs);
-  std::vector<Mlp::Workspace> actor_caches;
-  std::vector<Mlp::Workspace> critic_caches;
 
   std::size_t steps_done = 0;
   while (steps_done < total_steps) {
@@ -318,10 +316,8 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
         norm_obs[i] = normalized(raw_obs[i]);
       }
 
-      const std::vector<Vec> heads =
-          actor_.forward_batch(norm_obs, &actor_caches);
-      const std::vector<Vec> values =
-          critic_.forward_batch(norm_obs, &critic_caches);
+      const std::vector<Vec> heads = actor_.forward_batch(norm_obs);
+      const std::vector<Vec> values = critic_.forward_batch(norm_obs);
 
       for (std::size_t i = 0; i < n_envs; ++i) {
         Transition t;
@@ -335,10 +331,6 @@ TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
           t.log_prob = DiagGaussian::log_prob(heads[i], log_std_, t.action);
         }
         t.value = values[i][0];
-        t.cache.actor = std::move(actor_caches[i]);
-        t.cache.actor_version = actor_.param_version();
-        t.cache.critic = std::move(critic_caches[i]);
-        t.cache.critic_version = critic_.param_version();
         actions[i] = t.action;
         trajectories[i].push_back(std::move(t));
       }
@@ -401,20 +393,31 @@ PpoAgent::MinibatchStats PpoAgent::run_update_epochs(
   return last_stats;
 }
 
-void PpoAgent::backprop_sample(const Transition& t,
-                               const Mlp::Workspace& actor_ws,
-                               const Mlp::Workspace& critic_ws,
-                               double inv_batch,
-                               std::span<double> actor_deltas,
-                               std::span<double> critic_deltas,
-                               std::span<double> terms) const {
-  const Vec& head = actor_ws.post.back();
+void PpoAgent::backprop_sample(const Transition& t, std::size_t k,
+                               double inv_batch, MinibatchBuffers& buf) const {
+  const std::size_t ad = actor_.delta_size();
+  const std::size_t cd = critic_.delta_size();
+  const std::size_t tw = 3 + log_std_.size();
+  const std::span<double> actor_deltas{buf.actor.deltas.data() + k * ad, ad};
+  const std::span<double> critic_deltas{buf.critic.deltas.data() + k * cd, cd};
+  const std::span<double> terms{buf.terms.data() + k * tw, tw};
+  // The head gradient is built in place in the tail of the actor's delta
+  // record, where backward_deltas() expects it. The log-prob pass leaves its
+  // intermediates there (and, for the Gaussian, in the log_std slots of
+  // `terms`); the gradient pass turns them into the gradients.
+  const std::span<double> head_grad = actor_deltas.last(actor_.output_size());
+  const std::span<double> log_std_grad = terms.subspan(3);
+  const std::span<const double> head = buf.actor.arena.output(k);
+  const std::size_t action =
+      discrete() ? static_cast<std::size_t>(t.action[0]) : 0;
+  double entropy = 0.0;
   double log_prob_new = 0.0;
   if (discrete()) {
-    log_prob_new =
-        Categorical::log_prob(head, static_cast<std::size_t>(t.action[0]));
+    log_prob_new = Categorical::head_log_prob(head, action, head_grad, entropy);
   } else {
-    log_prob_new = DiagGaussian::log_prob(head, log_std_, t.action);
+    log_prob_new =
+        buf.gaussian.log_prob(head, t.action, head_grad, log_std_grad);
+    entropy = buf.gaussian.entropy();
   }
   const double ratio = std::exp(log_prob_new - t.log_prob);
   const double clipped_ratio =
@@ -422,43 +425,23 @@ void PpoAgent::backprop_sample(const Transition& t,
   const double surr1 = ratio * t.advantage;
   const double surr2 = clipped_ratio * t.advantage;
   terms[0] = -std::min(surr1, surr2) * inv_batch;
+  terms[2] = entropy * inv_batch;
 
   // Policy gradient flows only where the unclipped surrogate is active.
   const double dloss_dlogp = (surr1 <= surr2) ? -t.advantage * ratio : 0.0;
-
-  Vec head_grad(head.size(), 0.0);
   if (discrete()) {
-    const auto a = static_cast<std::size_t>(t.action[0]);
-    const Vec logp_grad = Categorical::log_prob_grad(head, a);
-    const Vec ent_grad = Categorical::entropy_grad(head);
-    terms[2] = Categorical::entropy(head) * inv_batch;
-    for (std::size_t i = 0; i < head.size(); ++i) {
-      head_grad[i] = (dloss_dlogp * logp_grad[i] -
-                      config_.ent_coef * ent_grad[i]) *
-                     inv_batch;
-    }
+    Categorical::head_grad(head_grad, action, entropy, dloss_dlogp,
+                           config_.ent_coef, inv_batch);
   } else {
-    const Vec logp_grad_mean =
-        DiagGaussian::log_prob_grad_mean(head, log_std_, t.action);
-    const Vec logp_grad_ls =
-        DiagGaussian::log_prob_grad_log_std(head, log_std_, t.action);
-    terms[2] = DiagGaussian::entropy(log_std_) * inv_batch;
-    for (std::size_t i = 0; i < head.size(); ++i) {
-      head_grad[i] = dloss_dlogp * logp_grad_mean[i] * inv_batch;
-    }
-    // dH/dlog_std = 1 per dimension.
-    for (std::size_t i = 0; i < log_std_.size(); ++i) {
-      terms[3 + i] = (dloss_dlogp * logp_grad_ls[i] -
-                      config_.ent_coef * 1.0) *
-                     inv_batch;
-    }
+    buf.gaussian.head_grad(head_grad, log_std_grad, dloss_dlogp,
+                           config_.ent_coef, inv_batch);
   }
-  actor_.backward_deltas(head_grad, actor_ws, actor_deltas);
+  actor_.backward_deltas(buf.actor.arena, k, actor_deltas);
 
-  const double v_err = critic_ws.post.back()[0] - t.return_;
+  const double v_err = buf.critic.arena.output(k)[0] - t.return_;
   terms[1] = 0.5 * v_err * v_err * inv_batch;
-  critic_.backward_deltas({config_.vf_coef * v_err * inv_batch}, critic_ws,
-                          critic_deltas);
+  critic_deltas.back() = config_.vf_coef * v_err * inv_batch;
+  critic_.backward_deltas(buf.critic.arena, k, critic_deltas);
 }
 
 PpoAgent::MinibatchStats PpoAgent::update_minibatch(
@@ -467,44 +450,34 @@ PpoAgent::MinibatchStats PpoAgent::update_minibatch(
     MinibatchBuffers& buf) {
   const std::size_t m = end - begin;
   const double inv_batch = 1.0 / static_cast<double>(m);
-  const std::size_t ad = actor_.delta_size();
-  const std::size_t cd = critic_.delta_size();
   const std::size_t tw = 3 + log_std_.size();
   using Net = MinibatchBuffers::Net;
-  for (auto [nb, d] : {std::pair{&buf.actor, ad}, std::pair{&buf.critic, cd}}) {
-    nb->fresh.resize(m);
-    nb->ws.resize(m);
-    nb->deltas.resize(m * d);
+  for (auto [nb, net] : {std::pair{&buf.actor, &actor_},
+                         std::pair{&buf.critic, &critic_}}) {
+    nb->arena.reset(*net, m);
+    nb->deltas.resize(m * net->delta_size());
   }
   buf.terms.resize(m * tw);
+  if (!discrete()) buf.gaussian.set_log_std(log_std_);
 
-  // (a) Per sample, in parallel: activations, loss terms and every layer's
-  // backprop delta, each into the sample's own slots. A sample reuses the
-  // forward its transition recorded at rollout time while the version stamp
-  // still matches the network (bit-identical — see ActivationCache) and
-  // recomputes it into its own workspace otherwise.
-  const auto activations = [](const Mlp& net, Net& nb, std::size_t k,
-                              const Vec& observation,
-                              const Mlp::Workspace& cached,
-                              std::uint64_t version) -> const Mlp::Workspace& {
-    nb.ws[k] = &cached;
-    if (version != net.param_version()) {
-      net.forward(observation, nb.fresh[k]);
-      nb.ws[k] = &nb.fresh[k];
+  // (a) Per block of kSampleBlock samples, in parallel: gather the
+  // observations into the block's arena rows, run the actor and critic
+  // forward over them (one gemm per layer), then each sample's loss terms
+  // and every layer's backprop delta into the sample's own slots.
+  const std::size_t sample_blocks = (m + kSampleBlock - 1) / kSampleBlock;
+  util::parallel_for(pool, sample_blocks, [&](std::size_t b) {
+    const std::size_t lo = b * kSampleBlock;
+    const std::size_t hi = std::min(m, lo + kSampleBlock);
+    for (std::size_t k = lo; k < hi; ++k) {
+      const Vec& observation = buffer[indices[begin + k]].observation;
+      buf.actor.arena.set_input(k, observation);
+      buf.critic.arena.set_input(k, observation);
     }
-    return *nb.ws[k];
-  };
-  util::parallel_for(pool, m, [&](std::size_t k) {
-    const Transition& t = buffer[indices[begin + k]];
-    backprop_sample(
-        t,
-        activations(actor_, buf.actor, k, t.observation, t.cache.actor,
-                    t.cache.actor_version),
-        activations(critic_, buf.critic, k, t.observation,
-                    t.cache.critic, t.cache.critic_version),
-        inv_batch, {buf.actor.deltas.data() + k * ad, ad},
-        {buf.critic.deltas.data() + k * cd, cd},
-        {buf.terms.data() + k * tw, tw});
+    actor_.forward_rows(buf.actor.arena, lo, hi);
+    critic_.forward_rows(buf.critic.arena, lo, hi);
+    for (std::size_t k = lo; k < hi; ++k) {
+      backprop_sample(buffer[indices[begin + k]], k, inv_batch, buf);
+    }
   });
 
   // (b) The loss statistics and the log_std gradient, summed here in sample
@@ -531,7 +504,7 @@ PpoAgent::MinibatchStats PpoAgent::update_minibatch(
   const auto accumulate = [](Mlp& net, const Net& nb, std::size_t b) {
     net.accumulate_rows(b * kRowBlock,
                         std::min((b + 1) * kRowBlock, net.delta_size()),
-                        nb.deltas, nb.ws, net.grads());
+                        nb.deltas, nb.arena, net.grads());
   };
   const std::size_t actor_blocks = blocks(actor_);
   util::parallel_for(pool, actor_blocks + blocks(critic_), [&](std::size_t b) {

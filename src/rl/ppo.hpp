@@ -110,13 +110,9 @@ class PpoAgent {
   /// The shuffled-minibatch epochs shared by both train() entry points:
   /// config().epochs passes of shuffled minibatches over `buffer`, one
   /// optimizer step per minibatch, each fanned out over `pool` (null runs
-  /// on the caller; the result is the same). Each sample reuses the forward
-  /// activations its transition recorded at rollout time while their version
-  /// stamps still match the networks (bit-identical reuse — see
-  /// ActivationCache in rl/rollout.hpp) and recomputes them otherwise.
-  /// Public so tests can drive the gradient phase against an externally
-  /// assembled rollout (e.g. one with stale stamps); train() is the normal
-  /// entry point.
+  /// on the caller; the result is the same). Public so tests and benches
+  /// can drive the gradient phase against an externally assembled rollout;
+  /// train() is the normal entry point.
   MinibatchStats run_update_epochs(const RolloutBuffer& buffer,
                                    util::ThreadPool* pool);
 
@@ -142,17 +138,15 @@ class PpoAgent {
     return action_spec_.type == ActionType::kDiscrete;
   }
 
-  /// One sample's loss terms and per-layer backprop deltas given its actor
-  /// and critic activations. Writes (never accumulates) the sample's own
-  /// slots: `terms` is [policy loss, value loss, entropy, log_std grad...].
-  /// Const — reads parameters only — so samples run concurrently.
-  void backprop_sample(const Transition& t, const Mlp::Workspace& actor_ws,
-                       const Mlp::Workspace& critic_ws, double inv_batch,
-                       std::span<double> actor_deltas,
-                       std::span<double> critic_deltas,
-                       std::span<double> terms) const;
-  /// update_minibatch's per-sample buffers (defined in ppo.cpp).
+  /// update_minibatch's buffers (defined in ppo.cpp).
   struct MinibatchBuffers;
+  /// Sample k's loss terms and per-layer backprop deltas, read from row k of
+  /// the minibatch's activation arenas. Writes (never accumulates) the
+  /// sample's own slots: its two delta records and its terms row, [policy
+  /// loss, value loss, entropy, log_std grad...]. Const — reads parameters
+  /// only — so samples run concurrently.
+  void backprop_sample(const Transition& t, std::size_t k, double inv_batch,
+                       MinibatchBuffers& buf) const;
   MinibatchStats update_minibatch(const RolloutBuffer& buffer,
                                   const std::vector<std::size_t>& indices,
                                   std::size_t begin, std::size_t end,

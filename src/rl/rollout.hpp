@@ -11,30 +11,12 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "rl/matrix.hpp"
-#include "rl/mlp.hpp"
 #include "util/rng.hpp"
 
 namespace netadv::rl {
-
-/// Rollout-time activation record for the networks that scored a transition,
-/// stamped with the Mlp::param_version() the activations were computed
-/// under. The gradient path may reuse a workspace in place of recomputing
-/// the forward pass exactly while its stamp still matches the network —
-/// activations are a pure function of (parameters, observation), and the
-/// batched rollout forward computes every element in the same canonical
-/// kernel order as the per-sample forward, so reuse is bit-identical, never
-/// approximate. A zero stamp means "not recorded" and can never match (live
-/// versions start at 1).
-struct ActivationCache {
-  Mlp::Workspace actor;
-  Mlp::Workspace critic;
-  std::uint64_t actor_version = 0;
-  std::uint64_t critic_version = 0;
-};
 
 struct Transition {
   Vec observation;   // normalized observation fed to the nets
@@ -45,7 +27,6 @@ struct Transition {
   bool done = false;      // episode terminated at this step
   double advantage = 0.0; // filled by compute_advantages
   double return_ = 0.0;   // advantage + value (TD(lambda) return target)
-  ActivationCache cache;  // rollout activations (see ActivationCache)
 };
 
 class RolloutBuffer {

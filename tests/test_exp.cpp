@@ -761,7 +761,10 @@ TEST(BuiltinJobs, ReplayRejectsANegativeStagger) {
       exp::builtin_jobs());
   EXPECT_FALSE(report.ok());
   const std::string& error = report.outcome_of("rep").error;
-  EXPECT_NE(error.find("stagger"), std::string::npos) << error;
+  EXPECT_NE(error.find("job 'rep' (replay): stagger must be a finite number "
+                       "without a sign: '-1'"),
+            std::string::npos)
+      << error;
   EXPECT_FALSE(std::filesystem::exists(dir + "/rep_replay.csv"));
 }
 
@@ -923,13 +926,13 @@ TEST(BuiltinJobs, FairnessJobsFailWithEnumeratingErrors) {
            {"kind = record-traces\n" + fair_job + "count = -1\n",
             "count is not an integer: '-1'"},
            {"kind = train-adversary\n" + fair_job + "duration = nan\n",
-            "duration is not a number: 'nan'"},
+            "duration must be a finite number without a sign: 'nan'"},
            {"kind = train-adversary\ndomain = cc\nprotocol = bbr\n"
             "duration = inf\n",
-            "duration is not a number: 'inf'"},
+            "duration must be a finite number without a sign: 'inf'"},
            {"kind = train-adversary\ndomain = cc\nprotocol = bbr\n"
             "duration = 2s\n",
-            "duration is not a number: '2s'"},
+            "duration must be a finite number without a sign: '2s'"},
            // Shorter than one 30-ms epoch: the env's validator names the
            // field and both values, not a bare "bad parameters".
            {"kind = train-adversary\ndomain = cc\nprotocol = cubic\n"
@@ -949,6 +952,40 @@ TEST(BuiltinJobs, FairnessJobsFailWithEnumeratingErrors) {
     EXPECT_FALSE(bad.ok()) << job;
     EXPECT_NE(bad.outcome_of("j").error.find(needle), std::string::npos)
         << bad.outcome_of("j").error;
+  }
+}
+
+/// Occurrences of `needle` in `text`.
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+// A link env's validator runs when the job resolves its attack, so its error
+// reaches the outcome with the job's prefix — exactly once.
+TEST(BuiltinJobs, LinkEnvValidationErrorsCarryTheJobPrefixOnce) {
+  const std::string dir = temp_dir("netadv_builtin_env_prefix");
+  for (const auto& [job, env] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"domain = cc\nprotocol = cubic\n", "CcAdversaryEnv"},
+           {"domain = cc\nadversary = fairness\nflows = bbr,bbr\n",
+            "FairnessAdversaryEnv"}}) {
+    const exp::CampaignReport report = exp::run_campaign(
+        campaign_from("[campaign]\nname = short\nout_dir = " + dir +
+                      "\n[job j]\nkind = train-adversary\n" + job +
+                      "steps = 256\nduration = 0.01\n"),
+        exp::builtin_jobs());
+    EXPECT_FALSE(report.ok()) << job;
+    const std::string& error = report.outcome_of("j").error;
+    EXPECT_NE(error.find("job 'j' (train-adversary): " + env +
+                         ": episode_duration_s 0.01 < epoch_s 0.03"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(count_of(error, "job 'j' (train-adversary): "), 1u) << error;
   }
 }
 

@@ -21,8 +21,10 @@
 #include "cc/cubic.hpp"
 #include "core/recorder.hpp"
 #include "core/trainer.hpp"
+#include "rl/distributions.hpp"
 #include "rl/mlp.hpp"
 #include "rl/ppo.hpp"
+#include "rl/rollout.hpp"
 #include "rl/toy_envs.hpp"
 #include "rl/vec_env.hpp"
 #include "trace/generators.hpp"
@@ -112,6 +114,37 @@ TEST(BatchedForward, MatchesPerSampleForwardBitExactly) {
     ASSERT_EQ(batched[n].size(), single.size());
     for (std::size_t j = 0; j < single.size(); ++j) {
       EXPECT_EQ(batched[n][j], single[j]);  // bit-identical, not just close
+    }
+  }
+}
+
+TEST(ParallelArena, BlockForwardsOnAPoolMatchPerSampleForward) {
+  // The PPO update's phase-(a) pattern: tasks on a pool each forward their
+  // own block of rows of one shared arena. Every row must equal the member
+  // forward of its input bit for bit, and the tasks must not race.
+  util::Rng rng{11};
+  rl::Mlp net{{7, 13, 6, 3}, rl::Activation::kTanh, 0.5, rng};
+  const std::size_t rows = 37;
+  const std::size_t block = 8;
+  std::vector<rl::Vec> inputs(rows, rl::Vec(7));
+  for (auto& x : inputs) {
+    for (auto& v : x) v = rng.uniform(-2.0, 2.0);
+  }
+  rl::Mlp::Arena arena;
+  arena.reset(net, rows);
+  util::ThreadPool pool{3};
+  pool.parallel_for((rows + block - 1) / block, [&](std::size_t b) {
+    const std::size_t lo = b * block;
+    const std::size_t hi = std::min(rows, lo + block);
+    for (std::size_t k = lo; k < hi; ++k) arena.set_input(k, inputs[k]);
+    net.forward_rows(arena, lo, hi);
+  });
+  for (std::size_t k = 0; k < rows; ++k) {
+    const rl::Vec& single = net.forward(inputs[k]);
+    const auto row = arena.output(k);
+    ASSERT_EQ(row.size(), single.size());
+    for (std::size_t j = 0; j < single.size(); ++j) {
+      ASSERT_EQ(row[j], single[j]) << "row " << k;
     }
   }
 }
@@ -319,6 +352,63 @@ TEST(ParallelGradients, RaggedFinalMinibatchIdenticalAcrossThreadCounts) {
       util::ThreadPool pool{threads};
       const rl::PpoAgent agent = train_ppo_at(&pool, continuous, 100);
       expect_identical_agents(agent, reference, threads);
+    }
+  }
+}
+
+/// One rollout of random observations scored by `agent` as train() scores
+/// them, with random advantages: input for run_update_epochs alone.
+rl::RolloutBuffer scored_rollout(rl::PpoAgent& agent, std::size_t steps) {
+  util::Rng rng{2025};
+  rl::RolloutBuffer buffer{steps};
+  for (std::size_t i = 0; i < steps; ++i) {
+    rl::Transition t;
+    t.observation.resize(agent.observation_size());
+    for (auto& v : t.observation) v = rng.uniform(-1.0, 1.0);
+    const rl::Vec head = agent.actor().forward(t.observation);
+    t.value = agent.critic().forward(t.observation)[0];
+    if (agent.action_spec().type == rl::ActionType::kDiscrete) {
+      const std::size_t a = rl::Categorical::sample(head, rng);
+      t.action = {static_cast<double>(a)};
+      t.log_prob = rl::Categorical::log_prob(head, a);
+    } else {
+      t.action = rl::DiagGaussian::sample(head, agent.log_std(), rng);
+      t.log_prob = rl::DiagGaussian::log_prob(head, agent.log_std(), t.action);
+    }
+    t.advantage = rng.uniform(-1.0, 1.0);
+    t.return_ = t.value + t.advantage;
+    buffer.add(std::move(t));
+  }
+  return buffer;
+}
+
+TEST(ParallelGradients, RunUpdateEpochsIdenticalOnPoolsOf1To3Threads) {
+  // The update epochs alone, on one rollout: minibatches of 36 split into
+  // sample blocks with a ragged last block, and the final minibatch of each
+  // epoch (100 = 2 * 36 + 28) is ragged too. Pools of 1, 2 and 3 threads
+  // schedule the blocks differently and must train identical parameters.
+  util::set_log_level(util::LogLevel::kWarn);
+  rl::PpoConfig cfg;
+  cfg.hidden_sizes = {16, 8};
+  cfg.n_steps = 100;
+  cfg.minibatch_size = 36;
+  cfg.epochs = 3;
+  cfg.ent_coef = 0.01;
+  const rl::ContextualBanditEnv bandit{2, 3, 8};
+  const rl::TargetChaseEnv chase{16};
+  for (const rl::Env* shape : {static_cast<const rl::Env*>(&bandit),
+                               static_cast<const rl::Env*>(&chase)}) {
+    const auto updated_on = [&](std::size_t threads) {
+      rl::PpoAgent agent{shape->observation_size(), shape->action_spec(), cfg,
+                         43};
+      const rl::RolloutBuffer rollout = scored_rollout(agent, cfg.n_steps);
+      util::ThreadPool pool{threads};
+      agent.run_update_epochs(rollout, &pool);
+      return agent;
+    };
+    const rl::PpoAgent reference = updated_on(1);
+    for (const std::size_t threads : {2, 3}) {
+      expect_identical_agents(updated_on(threads), reference, threads);
     }
   }
 }

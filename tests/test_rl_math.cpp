@@ -3,12 +3,15 @@
 // heads, normalizers, and GAE.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 #include <span>
 #include <vector>
 
 #include "rl/adam.hpp"
 #include "rl/distributions.hpp"
+#include "rl/kernels.hpp"
 #include "rl/matrix.hpp"
 #include "rl/mlp.hpp"
 #include "rl/normalizer.hpp"
@@ -93,16 +96,28 @@ TEST(Mlp, RejectsBadConstruction) {
                std::invalid_argument);
 }
 
-/// One sample's full backward through the public pair: forward into a
-/// workspace, the per-layer delta record, then every gradient row. Returns
+/// Sample k's delta record in a flat buffer of records, with `grad_output`
+/// (dLoss/dOutput) written into its tail as backward_deltas() expects.
+std::span<double> seeded_record(const Mlp& net, Vec& deltas, std::size_t k,
+                                const Vec& grad_output) {
+  const std::span<double> record =
+      std::span<double>{deltas}.subspan(k * net.delta_size(), net.delta_size());
+  std::copy(grad_output.begin(), grad_output.end(),
+            record.end() - static_cast<std::ptrdiff_t>(grad_output.size()));
+  return record;
+}
+
+/// One sample's full backward through the public trio: a one-row arena's
+/// forward, the per-layer delta record, then every gradient row. Returns
 /// the delta record (layer 0's rows first).
 Vec backprop(Mlp& net, const Vec& x, const Vec& grad_output) {
-  Mlp::Workspace ws;
-  net.forward(x, ws);
+  Mlp::Arena arena;
+  arena.reset(net, 1);
+  arena.set_input(0, x);
+  net.forward_rows(arena, 0, 1);
   Vec deltas(net.delta_size());
-  net.backward_deltas(grad_output, ws, deltas);
-  const Mlp::Workspace* const samples[] = {&ws};
-  net.accumulate_rows(0, net.delta_size(), deltas, samples, net.grads());
+  net.backward_deltas(arena, 0, seeded_record(net, deltas, 0, grad_output));
+  net.accumulate_rows(0, net.delta_size(), deltas, arena, net.grads());
   return deltas;
 }
 
@@ -110,26 +125,38 @@ TEST(Mlp, RejectsWrongInputSize) {
   Rng rng{1};
   Mlp net{{2, 3}, Activation::kTanh, 1.0, rng};
   EXPECT_THROW(net.forward({1.0}), std::invalid_argument);
-  Mlp::Workspace ws;
-  net.forward({1.0, 2.0}, ws);
-  Vec deltas(net.delta_size());
-  EXPECT_THROW(net.backward_deltas({1.0}, ws, deltas), std::invalid_argument);
+  EXPECT_THROW(net.forward_batch({{1.0, 2.0}, {1.0}}), std::invalid_argument);
+  Mlp::Arena arena;
+  arena.reset(net, 1);
+  EXPECT_THROW(arena.set_input(0, Vec{1.0}), std::invalid_argument);
+  EXPECT_THROW(arena.set_input(1, Vec{1.0, 2.0}), std::invalid_argument);
+  arena.set_input(0, Vec{1.0, 2.0});
+  EXPECT_THROW(net.forward_rows(arena, 0, 2), std::invalid_argument);
+  net.forward_rows(arena, 0, 1);
   Vec short_deltas(net.delta_size() - 1);
-  EXPECT_THROW(net.backward_deltas({1.0, 0.0, 0.0}, ws, short_deltas),
+  EXPECT_THROW(net.backward_deltas(arena, 0, short_deltas),
                std::invalid_argument);
-  const Mlp::Workspace* const samples[] = {&ws};
-  EXPECT_THROW(net.accumulate_rows(0, net.delta_size() + 1, deltas, samples,
+  Vec deltas(net.delta_size());
+  EXPECT_THROW(net.accumulate_rows(0, net.delta_size() + 1, deltas, arena,
                                    net.grads()),
+               std::invalid_argument);
+  // An arena laid out for another network's shape is refused outright.
+  Mlp wider{{2, 4}, Activation::kTanh, 1.0, rng};
+  EXPECT_THROW(wider.forward_rows(arena, 0, 1), std::invalid_argument);
+  Vec wider_deltas(wider.delta_size());
+  EXPECT_THROW(wider.backward_deltas(arena, 0, wider_deltas),
                std::invalid_argument);
 }
 
 TEST(Mlp, BackwardBeforeForwardThrows) {
   Rng rng{1};
   Mlp net{{2, 3}, Activation::kTanh, 1.0, rng};
-  const Mlp::Workspace empty;
+  const Mlp::Arena empty;
   Vec deltas(net.delta_size());
-  EXPECT_THROW(net.backward_deltas({1.0, 0.0, 0.0}, empty, deltas),
-               std::logic_error);
+  EXPECT_THROW(net.backward_deltas(empty, 0, deltas), std::logic_error);
+  Mlp::Arena one_row;
+  one_row.reset(net, 1);
+  EXPECT_THROW(net.backward_deltas(one_row, 1, deltas), std::logic_error);
 }
 
 // Finite-difference check of dLoss/dParams where Loss = sum(output * coef).
@@ -223,24 +250,67 @@ TEST(Mlp, RowBlocksOverManySamplesMatchOneSampleAtATime) {
   const std::vector<double> per_sample{net.grads().begin(), net.grads().end()};
 
   const std::size_t d = net.delta_size();
-  std::vector<Mlp::Workspace> ws(xs.size());
-  std::vector<const Mlp::Workspace*> ptrs;
+  Mlp::Arena arena;
+  arena.reset(net, xs.size());
+  for (std::size_t k = 0; k < xs.size(); ++k) arena.set_input(k, xs[k]);
+  net.forward_rows(arena, 0, xs.size());
   Vec deltas(xs.size() * d);
   for (std::size_t k = 0; k < xs.size(); ++k) {
-    net.forward(xs[k], ws[k]);
-    net.backward_deltas(coefs[k], ws[k],
-                        std::span<double>{deltas}.subspan(k * d, d));
-    ptrs.push_back(&ws[k]);
+    net.backward_deltas(arena, k, seeded_record(net, deltas, k, coefs[k]));
   }
   net.zero_grad();
   for (std::size_t end = d; end > 0;) {
     const std::size_t begin = end >= 3 ? end - 3 : 0;
-    net.accumulate_rows(begin, end, deltas, ptrs, net.grads());
+    net.accumulate_rows(begin, end, deltas, arena, net.grads());
     end = begin;
   }
   for (std::size_t i = 0; i < per_sample.size(); ++i) {
     ASSERT_EQ(net.grads()[i], per_sample[i]) << "param " << i;
   }
+}
+
+TEST(MlpArena, BlockForwardsMatchPerSampleForwardOnEveryBackend) {
+  // forward_rows over uneven row blocks of one arena must reproduce the
+  // member forward() of each input bit for bit — for both hidden
+  // activations, widths that are not multiples of the 4-lane kernel width,
+  // a 1-wide output, and every kernel backend this host can run.
+  const kernels::Backend original = kernels::active_backend();
+  const std::vector<std::vector<std::size_t>> shapes{
+      {5, 7, 3}, {6, 13, 1}, {3, 4, 9, 2}};
+  for (const kernels::Backend backend :
+       {kernels::Backend::kScalar, kernels::Backend::kAvx2,
+        kernels::Backend::kAvx512, kernels::Backend::kNeon}) {
+    if (!kernels::backend_available(backend)) continue;
+    kernels::set_backend(backend);
+    for (const Activation act : {Activation::kTanh, Activation::kRelu}) {
+      for (const auto& shape : shapes) {
+        Rng rng{61};
+        Mlp net{shape, act, 1.0, rng};
+        const std::size_t rows = 11;
+        Mlp::Arena arena;
+        arena.reset(net, rows);
+        std::vector<Vec> xs(rows, Vec(net.input_size()));
+        for (std::size_t k = 0; k < rows; ++k) {
+          for (double& v : xs[k]) v = rng.uniform(-2.0, 2.0);
+          arena.set_input(k, xs[k]);
+        }
+        for (const auto& [lo, hi] :
+             {std::pair<std::size_t, std::size_t>{5, 11}, {0, 4}, {4, 5}}) {
+          net.forward_rows(arena, lo, hi);
+        }
+        for (std::size_t k = 0; k < rows; ++k) {
+          const Vec& single = net.forward(xs[k]);
+          const auto row = arena.output(k);
+          ASSERT_EQ(row.size(), single.size());
+          for (std::size_t j = 0; j < single.size(); ++j) {
+            ASSERT_EQ(row[j], single[j])
+                << kernels::backend_name(backend) << " row " << k;
+          }
+        }
+      }
+    }
+  }
+  kernels::set_backend(original);
 }
 
 TEST(Mlp, FinalGainScalesLastLayerInit) {
@@ -350,13 +420,33 @@ TEST(Categorical, ModePicksArgmax) {
 
 TEST(Categorical, EntropyUniformIsLogN) {
   const std::vector<double> logits{0.7, 0.7, 0.7, 0.7};
-  EXPECT_NEAR(Categorical::entropy(logits), std::log(4.0), 1e-12);
+  std::vector<double> probs(4);
+  double entropy = 0.0;
+  Categorical::head_log_prob(logits, 0, probs, entropy);
+  EXPECT_NEAR(entropy, std::log(4.0), 1e-12);
+}
+
+/// The fused head's gradient for loss = dloss_dlogp * log p - ent_coef * H.
+Vec categorical_head_grad(std::span<const double> logits, std::size_t action,
+                          double dloss_dlogp, double ent_coef) {
+  Vec grad(logits.size());
+  double entropy = 0.0;
+  Categorical::head_log_prob(logits, action, grad, entropy);
+  Categorical::head_grad(grad, action, entropy, dloss_dlogp, ent_coef, 1.0);
+  return grad;
+}
+
+double categorical_entropy(std::span<const double> logits) {
+  Vec probs(logits.size());
+  double entropy = 0.0;
+  Categorical::head_log_prob(logits, 0, probs, entropy);
+  return entropy;
 }
 
 TEST(Categorical, LogProbGradMatchesFiniteDifference) {
   std::vector<double> logits{0.3, -0.5, 1.2};
   const std::size_t action = 2;
-  const Vec grad = Categorical::log_prob_grad(logits, action);
+  const Vec grad = categorical_head_grad(logits, action, 1.0, 0.0);
   const double eps = 1e-6;
   for (std::size_t j = 0; j < logits.size(); ++j) {
     const double saved = logits[j];
@@ -371,14 +461,15 @@ TEST(Categorical, LogProbGradMatchesFiniteDifference) {
 
 TEST(Categorical, EntropyGradMatchesFiniteDifference) {
   std::vector<double> logits{0.3, -0.5, 1.2};
-  const Vec grad = Categorical::entropy_grad(logits);
+  // ent_coef = -1 with no log-prob term leaves exactly dH/dlogits.
+  const Vec grad = categorical_head_grad(logits, 0, 0.0, -1.0);
   const double eps = 1e-6;
   for (std::size_t j = 0; j < logits.size(); ++j) {
     const double saved = logits[j];
     logits[j] = saved + eps;
-    const double hp = Categorical::entropy(logits);
+    const double hp = categorical_entropy(logits);
     logits[j] = saved - eps;
-    const double hm = Categorical::entropy(logits);
+    const double hm = categorical_entropy(logits);
     logits[j] = saved;
     EXPECT_NEAR(grad[j], (hp - hm) / (2 * eps), 1e-6);
   }
@@ -409,11 +500,24 @@ TEST(DiagGaussian, SampleMomentsMatch) {
   EXPECT_NEAR(s1.stddev(), 2.0, 0.05);
 }
 
+/// The fused Gaussian head's mean and log_std gradients of log p.
+std::pair<Vec, Vec> gaussian_head_grads(std::span<const double> mean,
+                                        std::span<const double> log_std,
+                                        std::span<const double> action) {
+  GaussianHead head;
+  head.set_log_std(log_std);
+  Vec grad_mean(mean.size());
+  Vec grad_log_std(mean.size());
+  head.log_prob(mean, action, grad_mean, grad_log_std);
+  head.head_grad(grad_mean, grad_log_std, 1.0, 0.0, 1.0);
+  return {grad_mean, grad_log_std};
+}
+
 TEST(DiagGaussian, GradMeanMatchesFiniteDifference) {
   std::vector<double> mean{0.4, -0.3};
   const std::vector<double> log_std{0.2, -0.1};
   const std::vector<double> action{0.9, 0.1};
-  const Vec grad = DiagGaussian::log_prob_grad_mean(mean, log_std, action);
+  const Vec grad = gaussian_head_grads(mean, log_std, action).first;
   const double eps = 1e-6;
   for (std::size_t j = 0; j < mean.size(); ++j) {
     const double saved = mean[j];
@@ -430,7 +534,7 @@ TEST(DiagGaussian, GradLogStdMatchesFiniteDifference) {
   const std::vector<double> mean{0.4, -0.3};
   std::vector<double> log_std{0.2, -0.1};
   const std::vector<double> action{0.9, 0.1};
-  const Vec grad = DiagGaussian::log_prob_grad_log_std(mean, log_std, action);
+  const Vec grad = gaussian_head_grads(mean, log_std, action).second;
   const double eps = 1e-6;
   for (std::size_t j = 0; j < log_std.size(); ++j) {
     const double saved = log_std[j];
@@ -446,6 +550,105 @@ TEST(DiagGaussian, GradLogStdMatchesFiniteDifference) {
 TEST(DiagGaussian, EntropyIncreasesWithLogStd) {
   EXPECT_LT(DiagGaussian::entropy(std::vector<double>{0.0}),
             DiagGaussian::entropy(std::vector<double>{1.0}));
+}
+
+// The unfused head formulas the PPO update used before the fused heads, kept
+// verbatim as the reference the heads must match bit for bit.
+Vec unfused_softmax(std::span<const double> logits) {
+  Vec probs(logits.size());
+  softmax(logits, probs);
+  return probs;
+}
+
+double unfused_entropy(std::span<const double> logits) {
+  double h = 0.0;
+  for (double p : unfused_softmax(logits)) {
+    if (p > 0.0) h -= p * std::log(p);
+  }
+  return h;
+}
+
+Vec unfused_log_prob_grad(std::span<const double> logits, std::size_t action) {
+  Vec grad = unfused_softmax(logits);
+  for (auto& g : grad) g = -g;
+  grad[action] += 1.0;
+  return grad;
+}
+
+Vec unfused_entropy_grad(std::span<const double> logits) {
+  const Vec probs = unfused_softmax(logits);
+  const double h = unfused_entropy(logits);
+  Vec grad(logits.size(), 0.0);
+  for (std::size_t j = 0; j < probs.size(); ++j) {
+    const double log_p = probs[j] > 0.0 ? std::log(probs[j]) : 0.0;
+    grad[j] = -probs[j] * (log_p + h);
+  }
+  return grad;
+}
+
+TEST(PpoLossHead, CategoricalMatchesUnfusedFormulasBitExactly) {
+  Rng rng{67};
+  std::vector<Vec> heads;
+  for (int trial = 0; trial < 300; ++trial) {
+    Vec logits(2 + rng.index(7));
+    for (double& l : logits) l = rng.uniform(-6.0, 6.0);
+    heads.push_back(std::move(logits));
+  }
+  // exp(-800 - 1) underflows: a probability of exactly 0 takes the p > 0
+  // guards of the entropy and its gradient.
+  heads.push_back({0.0, -800.0, 1.0, 0.5});
+  for (const Vec& logits : heads) {
+    const std::size_t action = rng.index(logits.size());
+    const double dloss_dlogp = rng.uniform(-2.0, 2.0);
+    const double ent_coef = rng.uniform(0.0, 0.05);
+    const double scale = 1.0 / 64.0;
+    Vec grad(logits.size());
+    double entropy = 0.0;
+    const double log_prob =
+        Categorical::head_log_prob(logits, action, grad, entropy);
+    ASSERT_EQ(log_prob, Categorical::log_prob(logits, action));
+    ASSERT_EQ(entropy, unfused_entropy(logits));
+    Categorical::head_grad(grad, action, entropy, dloss_dlogp, ent_coef, scale);
+    const Vec logp_grad = unfused_log_prob_grad(logits, action);
+    const Vec ent_grad = unfused_entropy_grad(logits);
+    for (std::size_t i = 0; i < logits.size(); ++i) {
+      ASSERT_EQ(grad[i],
+                (dloss_dlogp * logp_grad[i] - ent_coef * ent_grad[i]) * scale)
+          << "logit " << i;
+    }
+  }
+  EXPECT_EQ(unfused_softmax(heads.back())[1], 0.0);
+}
+
+TEST(PpoLossHead, GaussianMatchesUnfusedFormulasBitExactly) {
+  Rng rng{71};
+  GaussianHead head;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t d = 1 + rng.index(4);
+    Vec mean(d), log_std(d), action(d);
+    for (std::size_t i = 0; i < d; ++i) {
+      mean[i] = rng.uniform(-2.0, 2.0);
+      log_std[i] = rng.uniform(-5.0, 1.0);
+      action[i] = mean[i] + rng.uniform(-3.0, 3.0);
+    }
+    const double dloss_dlogp = rng.uniform(-2.0, 2.0);
+    const double ent_coef = rng.uniform(0.0, 0.05);
+    const double scale = 1.0 / 128.0;
+    head.set_log_std(log_std);
+    ASSERT_EQ(head.entropy(), DiagGaussian::entropy(log_std));
+    Vec grad_mean(d), grad_log_std(d);
+    ASSERT_EQ(head.log_prob(mean, action, grad_mean, grad_log_std),
+              DiagGaussian::log_prob(mean, log_std, action));
+    head.head_grad(grad_mean, grad_log_std, dloss_dlogp, ent_coef, scale);
+    for (std::size_t i = 0; i < d; ++i) {
+      const double var = std::exp(2.0 * log_std[i]);
+      const double z = (action[i] - mean[i]) / std::exp(log_std[i]);
+      ASSERT_EQ(grad_mean[i],
+                dloss_dlogp * ((action[i] - mean[i]) / var) * scale);
+      ASSERT_EQ(grad_log_std[i],
+                (dloss_dlogp * (z * z - 1.0) - ent_coef * 1.0) * scale);
+    }
+  }
 }
 
 // ---------------------------------------------------------------- normalizers

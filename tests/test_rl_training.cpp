@@ -3,22 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "rl/checkpoint.hpp"
-#include "rl/distributions.hpp"
 #include "rl/ppo.hpp"
-#include "rl/rollout.hpp"
 #include "rl/toy_envs.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -309,131 +304,6 @@ TEST(Checkpoint, MissingFileThrows) {
   PpoAgent agent{env.observation_size(), env.action_spec(), small_config(), 37};
   EXPECT_THROW(load_checkpoint(agent, "/nonexistent/ckpt.txt"),
                std::runtime_error);
-}
-
-// --- rollout activation cache ---------------------------------------------
-
-void expect_same_params(const PpoAgent& a, const PpoAgent& b) {
-  const auto pa = a.actor().params();
-  const auto pb = b.actor().params();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    ASSERT_EQ(pa[i], pb[i]) << "actor param " << i;
-  }
-  const auto ca = a.critic().params();
-  const auto cb = b.critic().params();
-  ASSERT_EQ(ca.size(), cb.size());
-  for (std::size_t i = 0; i < ca.size(); ++i) {
-    ASSERT_EQ(ca[i], cb[i]) << "critic param " << i;
-  }
-}
-
-TEST(ActivationCache, MutableParamsAccessBumpsVersion) {
-  // The cache's invalidation rule: every mutable params() access (what
-  // optimizer steps and checkpoint loads go through) bumps param_version(),
-  // so a stamped cache can never be reused after the parameters may have
-  // changed. A const access must not bump it, or reuse would never hit.
-  Rng rng{6};
-  Mlp net{{3, 8, 2}, Activation::kTanh, 1.0, rng};
-  const std::uint64_t v0 = net.param_version();
-  const Mlp& view = net;
-  EXPECT_EQ(view.params().size(), net.param_count());
-  EXPECT_EQ(net.param_version(), v0);
-  net.params();
-  const std::uint64_t v1 = net.param_version();
-  EXPECT_GT(v1, v0);
-  net.params()[0] += 0.25;
-  EXPECT_GT(net.param_version(), v1);
-}
-
-/// One rollout on random observations, scored by `agent` the way train()
-/// records it: every transition carries its forward activations, stamped
-/// with the networks' current versions. `cleared` gets the same transitions
-/// with both stamps at 0, which no network ever has (versions start at 1),
-/// so every sample of that copy recomputes its forwards. The copy's recorded
-/// activations are overwritten with NaN, so a sample that reused them
-/// anyway would poison the trained parameters.
-void fill_stamped_and_cleared(const PpoAgent& agent, std::size_t steps,
-                              RolloutBuffer& stamped, RolloutBuffer& cleared) {
-  Rng rng{2025};
-  for (std::size_t i = 0; i < steps; ++i) {
-    Transition t;
-    t.observation.resize(agent.observation_size());
-    for (auto& v : t.observation) v = rng.uniform(-1.0, 1.0);
-    const Vec& head = agent.actor().forward(t.observation, t.cache.actor);
-    t.cache.actor_version = agent.actor().param_version();
-    t.value = agent.critic().forward(t.observation, t.cache.critic)[0];
-    t.cache.critic_version = agent.critic().param_version();
-    if (agent.action_spec().type == ActionType::kDiscrete) {
-      const std::size_t a = Categorical::sample(head, rng);
-      t.action = {static_cast<double>(a)};
-      t.log_prob = Categorical::log_prob(head, a);
-    } else {
-      t.action = DiagGaussian::sample(head, agent.log_std(), rng);
-      t.log_prob = DiagGaussian::log_prob(head, agent.log_std(), t.action);
-    }
-    t.advantage = rng.uniform(-1.0, 1.0);
-    t.return_ = t.value + t.advantage;
-
-    Transition miss = t;
-    miss.cache.actor_version = 0;
-    miss.cache.critic_version = 0;
-    for (Mlp::Workspace* ws : {&miss.cache.actor, &miss.cache.critic}) {
-      for (auto* layers : {&ws->pre, &ws->post}) {
-        for (Vec& layer : *layers) {
-          std::fill(layer.begin(), layer.end(),
-                    std::numeric_limits<double>::quiet_NaN());
-        }
-      }
-    }
-    stamped.add(std::move(t));
-    cleared.add(std::move(miss));
-  }
-}
-
-/// The cache must be a pure wall-clock optimization: version-stamped reuse
-/// of rollout activations yields the exact forwards the gradient pass would
-/// recompute. Two identically seeded agents run the update epochs, one on a
-/// stamped rollout and one on its cleared copy, and must end bit-identical.
-void expect_cache_hits_match_misses(const Env& shape, const PpoConfig& cfg,
-                                    std::uint64_t seed) {
-  PpoAgent hits{shape.observation_size(), shape.action_spec(), cfg, seed};
-  PpoAgent misses{shape.observation_size(), shape.action_spec(), cfg, seed};
-  RolloutBuffer stamped{cfg.n_steps};
-  RolloutBuffer cleared{cfg.n_steps};
-  fill_stamped_and_cleared(hits, cfg.n_steps, stamped, cleared);
-  // The misses recompute their forwards inside the pool's per-sample tasks;
-  // the gradient step must not care which thread does it.
-  netadv::util::ThreadPool pool{3};
-  hits.run_update_epochs(stamped, nullptr);
-  misses.run_update_epochs(cleared, &pool);
-  expect_same_params(hits, misses);
-  ASSERT_EQ(hits.log_std(), misses.log_std());
-}
-
-/// One full-batch epoch: no optimizer step lands before any sample is
-/// scored, so every stamped sample reuses its rollout activations.
-PpoConfig full_batch_config() {
-  PpoConfig cfg = small_config();
-  cfg.minibatch_size = cfg.n_steps;
-  cfg.epochs = 1;
-  return cfg;
-}
-
-// small_config() runs several minibatches per epoch: the first minibatch's
-// stamped samples hit, and every later one misses because the optimizer step
-// bumped the versions. A stale hit there would change the parameters.
-
-TEST(ActivationCache, TrainedParametersBitIdenticalCacheOnOrOff) {
-  const ContextualBanditEnv shape{2, 3, 16};
-  expect_cache_hits_match_misses(shape, full_batch_config(), 53);
-  expect_cache_hits_match_misses(shape, small_config(), 53);
-}
-
-TEST(ActivationCache, ContinuousActionTrainingBitIdenticalCacheOnOrOff) {
-  const TargetChaseEnv shape{16};
-  expect_cache_hits_match_misses(shape, full_batch_config(), 59);
-  expect_cache_hits_match_misses(shape, small_config(), 59);
 }
 
 TEST(ActionSpec, PhysicalMappingClipsAndScales) {
