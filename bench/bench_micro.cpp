@@ -27,6 +27,7 @@
 #include "core/cc_adversary.hpp"
 #include "core/trainer.hpp"
 #include "rl/distributions.hpp"
+#include "rl/kernels.hpp"
 #include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
 #include "rl/toy_envs.hpp"
@@ -257,6 +258,86 @@ void BM_PolicyInferenceBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_PolicyInferenceBatch)->Arg(1)->Arg(8)->Arg(32);
+
+// The minibatch kernels at the layer shapes the paper's agents train, one
+// layer per registration (rows = outputs, cols = inputs): Pensieve
+// 25->64->32->6, the ABR adversary 110->32->16->1 and the CC adversary
+// 2->4->3. gemm and gemm_transposed run on a block of 8 samples, the PPO
+// update's forward/backward block; rank_k_update runs over a minibatch of
+// 128, the weight-gradient sum. gemm_transposed skips each network's first
+// layer, whose input gradient the update never needs. Items are samples.
+std::vector<double> kernel_operand(std::size_t n, std::uint64_t seed) {
+  util::Rng rng{seed};
+  std::vector<double> v(n);
+  for (double& x : v) x = rng.uniform(-1.0, 1.0);
+  return v;
+}
+
+void BM_KernelGemm(benchmark::State& state, std::size_t rows,
+                   std::size_t cols) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const auto w = kernel_operand(rows * cols, 1);
+  const auto b = kernel_operand(rows, 2);
+  const auto x = kernel_operand(batch * cols, 3);
+  std::vector<double> y(batch * rows);
+  for (auto _ : state) {
+    rl::kernels::gemm(w, rows, cols, x, batch, b, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+
+void BM_KernelGemmTransposed(benchmark::State& state, std::size_t rows,
+                             std::size_t cols) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const auto w = kernel_operand(rows * cols, 1);
+  const auto g = kernel_operand(batch * rows, 2);
+  std::vector<double> y(batch * cols);
+  for (auto _ : state) {
+    rl::kernels::gemm_transposed(w, rows, cols, g, rows, batch, y, cols);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+
+void BM_KernelRankK(benchmark::State& state, std::size_t rows,
+                    std::size_t cols) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto g = kernel_operand(m * rows, 2);
+  const auto x = kernel_operand(m * cols, 3);
+  std::vector<double> w(rows * cols, 0.0);
+  for (auto _ : state) {
+    rl::kernels::rank_k_update(w, rows, cols, g, rows, x, cols, m);
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(m));
+}
+
+#define NETADV_KERNEL_LAYER(name, rows, cols)                      \
+  BENCHMARK_CAPTURE(BM_KernelGemm, name, rows, cols)->Arg(8);      \
+  BENCHMARK_CAPTURE(BM_KernelRankK, name, rows, cols)->Arg(128)
+NETADV_KERNEL_LAYER(pensieve_25to64, 64, 25);
+NETADV_KERNEL_LAYER(pensieve_64to32, 32, 64);
+NETADV_KERNEL_LAYER(pensieve_32to6, 6, 32);
+NETADV_KERNEL_LAYER(abr_adversary_110to32, 32, 110);
+NETADV_KERNEL_LAYER(abr_adversary_32to16, 16, 32);
+NETADV_KERNEL_LAYER(abr_adversary_16to1, 1, 16);
+NETADV_KERNEL_LAYER(cc_adversary_2to4, 4, 2);
+NETADV_KERNEL_LAYER(cc_adversary_4to3, 3, 4);
+#undef NETADV_KERNEL_LAYER
+BENCHMARK_CAPTURE(BM_KernelGemmTransposed, pensieve_64to32, 32, 64)->Arg(8);
+BENCHMARK_CAPTURE(BM_KernelGemmTransposed, pensieve_32to6, 6, 32)->Arg(8);
+BENCHMARK_CAPTURE(BM_KernelGemmTransposed, abr_adversary_32to16, 16, 32)
+    ->Arg(8);
+BENCHMARK_CAPTURE(BM_KernelGemmTransposed, abr_adversary_16to1, 1, 16)
+    ->Arg(8);
+BENCHMARK_CAPTURE(BM_KernelGemmTransposed, cc_adversary_4to3, 3, 4)->Arg(8);
 
 void BM_ParallelAbrReplay(benchmark::State& state) {
   // Figure-1 style corpus replay (MPC over 32 traces) across a pool of

@@ -62,33 +62,44 @@ void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
   }
 }
 
-void gemv_transposed(std::span<const double> w, std::size_t rows,
+void gemm_transposed(std::span<const double> w, std::size_t rows,
                      std::size_t cols, std::span<const double> g,
-                     std::span<double> y) {
+                     std::size_t ldg, std::size_t batch, std::span<double> y,
+                     std::size_t ldy) {
   assert(w.size() == rows * cols);
-  assert(g.size() == rows);
-  assert(y.size() == cols);
-  for (std::size_t c = 0; c < cols; ++c) y[c] = 0.0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = w.data() + r * cols;
-    const double gr = g[r];
-    for (std::size_t c = 0; c < cols; ++c) {
-      y[c] = std::fma(row[c], gr, y[c]);
+  assert(batch == 0 || (ldg >= rows && g.size() >= (batch - 1) * ldg + rows));
+  assert(batch == 0 || (ldy >= cols && y.size() >= (batch - 1) * ldy + cols));
+  for (std::size_t s = 0; s < batch; ++s) {
+    const double* gs = g.data() + s * ldg;
+    double* ys = y.data() + s * ldy;
+    for (std::size_t c = 0; c < cols; ++c) ys[c] = 0.0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* row = w.data() + r * cols;
+      const double gr = gs[r];
+      for (std::size_t c = 0; c < cols; ++c) {
+        ys[c] = std::fma(row[c], gr, ys[c]);
+      }
     }
   }
 }
 
-void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols,
-                  std::span<const double> g, std::span<const double> x) {
+void rank_k_update(std::span<double> w, std::size_t rows, std::size_t cols,
+                   std::span<const double> g, std::size_t ldg,
+                   std::span<const double> x, std::size_t ldx, std::size_t m) {
   assert(w.size() == rows * cols);
-  assert(g.size() == rows);
-  assert(x.size() == cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* row = w.data() + r * cols;
-    const double gr = g[r];
-    // Mul-then-add on purpose — see the rank1_update contract in kernels.hpp.
-    for (std::size_t c = 0; c < cols; ++c) {
-      row[c] += gr * x[c];
+  assert(m == 0 || (ldg >= rows && g.size() >= (m - 1) * ldg + rows));
+  assert(m == 0 || (ldx >= cols && x.size() >= (m - 1) * ldx + cols));
+  for (std::size_t k = 0; k < m; ++k) {
+    const double* gk = g.data() + k * ldg;
+    const double* xk = x.data() + k * ldx;
+    for (std::size_t r = 0; r < rows; ++r) {
+      double* row = w.data() + r * cols;
+      const double gr = gk[r];
+      // Mul-then-add on purpose — see the rank_k_update contract in
+      // kernels.hpp.
+      for (std::size_t c = 0; c < cols; ++c) {
+        row[c] += gr * xk[c];
+      }
     }
   }
 }
@@ -114,14 +125,17 @@ double dot(std::span<const double> a, std::span<const double> b) {
             std::span<const double> b, std::span<double> y) {                 \
     scalar::gemm(w, rows, cols, x, batch, b, y);                              \
   }                                                                           \
-  void gemv_transposed(std::span<const double> w, std::size_t rows,           \
+  void gemm_transposed(std::span<const double> w, std::size_t rows,           \
                        std::size_t cols, std::span<const double> g,           \
-                       std::span<double> y) {                                 \
-    scalar::gemv_transposed(w, rows, cols, g, y);                             \
+                       std::size_t ldg, std::size_t batch,                    \
+                       std::span<double> y, std::size_t ldy) {                \
+    scalar::gemm_transposed(w, rows, cols, g, ldg, batch, y, ldy);            \
   }                                                                           \
-  void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols,  \
-                    std::span<const double> g, std::span<const double> x) {   \
-    scalar::rank1_update(w, rows, cols, g, x);                                \
+  void rank_k_update(std::span<double> w, std::size_t rows, std::size_t cols, \
+                     std::span<const double> g, std::size_t ldg,              \
+                     std::span<const double> x, std::size_t ldx,              \
+                     std::size_t m) {                                         \
+    scalar::rank_k_update(w, rows, cols, g, ldg, x, ldx, m);                  \
   }                                                                           \
   double dot(std::span<const double> a, std::span<const double> b) {          \
     return scalar::dot(a, b);                                                 \
@@ -335,32 +349,34 @@ void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
   }
 }
 
-void gemv_transposed(std::span<const double> w, std::size_t rows,
+void gemm_transposed(std::span<const double> w, std::size_t rows,
                      std::size_t cols, std::span<const double> g,
-                     std::span<double> y) {
+                     std::size_t ldg, std::size_t batch, std::span<double> y,
+                     std::size_t ldy) {
   switch (active_backend()) {
     case Backend::kAvx512:
-      return avx512::gemv_transposed(w, rows, cols, g, y);
+      return avx512::gemm_transposed(w, rows, cols, g, ldg, batch, y, ldy);
     case Backend::kAvx2:
-      return avx2::gemv_transposed(w, rows, cols, g, y);
+      return avx2::gemm_transposed(w, rows, cols, g, ldg, batch, y, ldy);
     case Backend::kNeon:
-      return neon::gemv_transposed(w, rows, cols, g, y);
+      return neon::gemm_transposed(w, rows, cols, g, ldg, batch, y, ldy);
     case Backend::kScalar:
-      return scalar::gemv_transposed(w, rows, cols, g, y);
+      return scalar::gemm_transposed(w, rows, cols, g, ldg, batch, y, ldy);
   }
 }
 
-void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols,
-                  std::span<const double> g, std::span<const double> x) {
+void rank_k_update(std::span<double> w, std::size_t rows, std::size_t cols,
+                   std::span<const double> g, std::size_t ldg,
+                   std::span<const double> x, std::size_t ldx, std::size_t m) {
   switch (active_backend()) {
     case Backend::kAvx512:
-      return avx512::rank1_update(w, rows, cols, g, x);
+      return avx512::rank_k_update(w, rows, cols, g, ldg, x, ldx, m);
     case Backend::kAvx2:
-      return avx2::rank1_update(w, rows, cols, g, x);
+      return avx2::rank_k_update(w, rows, cols, g, ldg, x, ldx, m);
     case Backend::kNeon:
-      return neon::rank1_update(w, rows, cols, g, x);
+      return neon::rank_k_update(w, rows, cols, g, ldg, x, ldx, m);
     case Backend::kScalar:
-      return scalar::rank1_update(w, rows, cols, g, x);
+      return scalar::rank_k_update(w, rows, cols, g, ldg, x, ldx, m);
   }
 }
 

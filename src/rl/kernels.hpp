@@ -1,6 +1,6 @@
-// Vectorized math kernels for the MLP core (gemv, gemm, transposed gemv,
-// rank-1 update, dot) behind runtime CPU dispatch, preserving the repo's
-// bit-exactness contract. Everything is fp64 (DESIGN.md §7).
+// Vectorized math kernels for the MLP core (gemv, gemm, batched transposed
+// product, rank-k update, dot) behind runtime CPU dispatch, preserving the
+// repo's bit-exactness contract. Everything is fp64 (DESIGN.md §7).
 //
 // The canonical accumulation order
 // --------------------------------
@@ -19,9 +19,9 @@
 // that is what AVX2 FMA hardware executes; the scalar fallback uses
 // std::fma, which is correctly rounded by IEEE 754 and therefore
 // bit-identical to the hardware instruction. Element-wise kernels
-// (gemv_transposed, rank1_update) have no cross-lane reduction at all —
+// (gemm_transposed, rank_k_update) have no cross-lane reduction at all —
 // each output element accumulates in the same per-element order either way
-// — so they are bit-identical by construction. rank1_update uses
+// — so they are bit-identical by construction. rank_k_update uses
 // mul-then-add (two roundings) rather than fma because every trained
 // parameter and golden is pinned to that rounding (DESIGN.md §7).
 //
@@ -33,6 +33,28 @@
 // chain. NEON (128-bit) splits the 4 lanes across two q registers: lanes
 // {0,1} in one accumulator, lanes {2,3} in the other, fma'd in the same
 // element order. Both are bit-identical to the scalar reference.
+//
+// Register tiles
+// --------------
+// The batched kernels are where the PPO minibatch step spends its time, so
+// the AVX-512 backend tiles them; every tile keeps each output element's
+// operation sequence, so it stays canonical:
+//
+//  * gemm, batch >= 4 and cols >= 8: four samples x one weight-row pair per
+//    4-element step. The pair [row0 | row1] is loaded once and fmadded
+//    against each sample's broadcast x slice into that sample's own
+//    two-row accumulator — per half, exactly gemv's chain for that row.
+//    Narrower layers and the last batch % 4 samples use the gemv loop.
+//  * gemm_transposed: up to 4 samples x 16 columns of y held in registers
+//    across all W rows; each element is the fma chain over r = 0, 1, ...
+//    from 0.0, which is what the scalar loop computes element by element.
+//  * rank_k_update: a 4-row x 16-column tile of W held in registers across
+//    all m samples; each element gets its m mul-then-add steps in
+//    ascending k — the same as m successive rank-1 updates.
+//
+// Column tails are masked: lanes past a row are neither read nor written.
+// The scalar backend defines the order; AVX2 and NEON run the batched
+// kernels as loops over their one-sample bodies.
 //
 // Backends are always available by name (`kernels::scalar`, `kernels::avx2`,
 // `kernels::avx512`, `kernels::neon`); names whose TU was compiled out (or
@@ -106,15 +128,24 @@ void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::size_t batch,
           std::span<const double> b, std::span<double> y);
 
-/// y = W^T g. Element-wise fma accumulation over rows (no lane reduction).
-void gemv_transposed(std::span<const double> w, std::size_t rows,
+/// Batched transposed product: y_s = W^T g_s for s = 0 .. batch-1, where
+/// g_s is the `rows` doubles at g[s * ldg] and y_s the `cols` doubles at
+/// y[s * ldy] (ldg >= rows, ldy >= cols; the stride gaps are neither read
+/// nor written). Each element is one fma chain over r = 0, 1, ... starting
+/// from 0.0: y_s[c] = fma(W[r][c], g_s[r], y_s[c]). No lane reduction.
+void gemm_transposed(std::span<const double> w, std::size_t rows,
                      std::size_t cols, std::span<const double> g,
-                     std::span<double> y);
+                     std::size_t ldg, std::size_t batch, std::span<double> y,
+                     std::size_t ldy);
 
-/// W += g x^T. Element-wise mul-then-add (NOT fma): trained parameters and
-/// goldens are pinned to the two-rounding form.
-void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols,
-                  std::span<const double> g, std::span<const double> x);
+/// W += sum_k g_k x_k^T as m rank-1 steps in ascending k, where g_k is the
+/// `rows` doubles at g[k * ldg] and x_k the `cols` doubles at x[k * ldx].
+/// Each element is mul-then-add (NOT fma), W[r][c] += g_k[r] * x_k[c], in
+/// ascending k: trained parameters and goldens are pinned to the
+/// two-rounding form.
+void rank_k_update(std::span<double> w, std::size_t rows, std::size_t cols,
+                   std::span<const double> g, std::size_t ldg,
+                   std::span<const double> x, std::size_t ldx, std::size_t m);
 
 /// Canonical 4-lane dot; requires equal sizes.
 double dot(std::span<const double> a, std::span<const double> b);
@@ -131,11 +162,14 @@ double dot(std::span<const double> a, std::span<const double> b);
   void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,   \
             std::span<const double> x, std::size_t batch,                    \
             std::span<const double> b, std::span<double> y);                 \
-  void gemv_transposed(std::span<const double> w, std::size_t rows,          \
+  void gemm_transposed(std::span<const double> w, std::size_t rows,          \
                        std::size_t cols, std::span<const double> g,          \
-                       std::span<double> y);                                 \
-  void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols, \
-                    std::span<const double> g, std::span<const double> x);   \
+                       std::size_t ldg, std::size_t batch,                   \
+                       std::span<double> y, std::size_t ldy);                \
+  void rank_k_update(std::span<double> w, std::size_t rows, std::size_t cols, \
+                     std::span<const double> g, std::size_t ldg,             \
+                     std::span<const double> x, std::size_t ldx,             \
+                     std::size_t m);                                         \
   double dot(std::span<const double> a, std::span<const double> b);
 
 namespace scalar {

@@ -10,7 +10,8 @@
 //    lanes combined as (l0 + l1) + (l2 + l3);
 //  * element-wise kernels: same per-element operation and order as the
 //    scalar loop (vectorization only batches independent elements) — vfmadd
-//    for gemv_transposed, mul-then-add for rank1_update (see kernels.hpp).
+//    for gemm_transposed, mul-then-add for rank_k_update (see kernels.hpp);
+//    both loop over samples one at a time.
 #include "rl/kernels.hpp"
 
 #ifdef NETADV_HAVE_AVX2
@@ -71,49 +72,59 @@ void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
   }
 }
 
-void gemv_transposed(std::span<const double> w, std::size_t rows,
+void gemm_transposed(std::span<const double> w, std::size_t rows,
                      std::size_t cols, std::span<const double> g,
-                     std::span<double> y) {
+                     std::size_t ldg, std::size_t batch, std::span<double> y,
+                     std::size_t ldy) {
   assert(w.size() == rows * cols);
-  assert(g.size() == rows);
-  assert(y.size() == cols);
-  for (std::size_t c = 0; c < cols; ++c) y[c] = 0.0;
+  assert(batch == 0 || (ldg >= rows && g.size() >= (batch - 1) * ldg + rows));
+  assert(batch == 0 || (ldy >= cols && y.size() >= (batch - 1) * ldy + cols));
   const std::size_t c4 = cols & ~static_cast<std::size_t>(3);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = w.data() + r * cols;
-    const double gr = g[r];
-    const __m256d grv = _mm256_set1_pd(gr);
-    for (std::size_t c = 0; c < c4; c += 4) {
-      const __m256d yv = _mm256_loadu_pd(y.data() + c);
-      _mm256_storeu_pd(y.data() + c,
-                       _mm256_fmadd_pd(_mm256_loadu_pd(row + c), grv, yv));
-    }
-    for (std::size_t c = c4; c < cols; ++c) {
-      y[c] = std::fma(row[c], gr, y[c]);
+  for (std::size_t s = 0; s < batch; ++s) {
+    const double* gs = g.data() + s * ldg;
+    double* ys = y.data() + s * ldy;
+    for (std::size_t c = 0; c < cols; ++c) ys[c] = 0.0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* row = w.data() + r * cols;
+      const double gr = gs[r];
+      const __m256d grv = _mm256_set1_pd(gr);
+      for (std::size_t c = 0; c < c4; c += 4) {
+        const __m256d yv = _mm256_loadu_pd(ys + c);
+        _mm256_storeu_pd(ys + c,
+                         _mm256_fmadd_pd(_mm256_loadu_pd(row + c), grv, yv));
+      }
+      for (std::size_t c = c4; c < cols; ++c) {
+        ys[c] = std::fma(row[c], gr, ys[c]);
+      }
     }
   }
 }
 
-void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols,
-                  std::span<const double> g, std::span<const double> x) {
+void rank_k_update(std::span<double> w, std::size_t rows, std::size_t cols,
+                   std::span<const double> g, std::size_t ldg,
+                   std::span<const double> x, std::size_t ldx, std::size_t m) {
   assert(w.size() == rows * cols);
-  assert(g.size() == rows);
-  assert(x.size() == cols);
+  assert(m == 0 || (ldg >= rows && g.size() >= (m - 1) * ldg + rows));
+  assert(m == 0 || (ldx >= cols && x.size() >= (m - 1) * ldx + cols));
   const std::size_t c4 = cols & ~static_cast<std::size_t>(3);
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* row = w.data() + r * cols;
-    const double gr = g[r];
-    const __m256d grv = _mm256_set1_pd(gr);
-    // Mul-then-add on purpose (not vfmadd) — see the rank1_update contract
-    // in kernels.hpp.
-    for (std::size_t c = 0; c < c4; c += 4) {
-      const __m256d rowv = _mm256_loadu_pd(row + c);
-      _mm256_storeu_pd(
-          row + c,
-          _mm256_add_pd(rowv, _mm256_mul_pd(grv, _mm256_loadu_pd(x.data() + c))));
-    }
-    for (std::size_t c = c4; c < cols; ++c) {
-      row[c] += gr * x[c];
+  for (std::size_t k = 0; k < m; ++k) {
+    const double* gk = g.data() + k * ldg;
+    const double* xk = x.data() + k * ldx;
+    for (std::size_t r = 0; r < rows; ++r) {
+      double* row = w.data() + r * cols;
+      const double gr = gk[r];
+      const __m256d grv = _mm256_set1_pd(gr);
+      // Mul-then-add on purpose (not vfmadd) — see the rank_k_update
+      // contract in kernels.hpp.
+      for (std::size_t c = 0; c < c4; c += 4) {
+        const __m256d rowv = _mm256_loadu_pd(row + c);
+        _mm256_storeu_pd(
+            row + c,
+            _mm256_add_pd(rowv, _mm256_mul_pd(grv, _mm256_loadu_pd(xk + c))));
+      }
+      for (std::size_t c = c4; c < cols; ++c) {
+        row[c] += gr * xk[c];
+      }
     }
   }
 }

@@ -11,9 +11,10 @@
 //
 // Tails fold into the lane array by std::fma and the lanes combine in the
 // fixed tree from kernels.hpp, so results are bit-identical to the scalar
-// reference (vfmaq is a fused multiply-add, one rounding, same as std::fma). Element-wise kernels have no cross-lane reduction:
-// vfmaq for gemv_transposed, mul-then-add for rank1_update (see the
-// rank1_update contract in kernels.hpp).
+// reference (vfmaq is a fused multiply-add, one rounding, same as
+// std::fma). Element-wise kernels have no cross-lane reduction and loop over
+// samples one at a time: vfmaq for gemm_transposed, mul-then-add for
+// rank_k_update (see the rank_k_update contract in kernels.hpp).
 #include "rl/kernels.hpp"
 
 #ifdef NETADV_HAVE_NEON
@@ -74,47 +75,56 @@ void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
   }
 }
 
-void gemv_transposed(std::span<const double> w, std::size_t rows,
+void gemm_transposed(std::span<const double> w, std::size_t rows,
                      std::size_t cols, std::span<const double> g,
-                     std::span<double> y) {
+                     std::size_t ldg, std::size_t batch, std::span<double> y,
+                     std::size_t ldy) {
   assert(w.size() == rows * cols);
-  assert(g.size() == rows);
-  assert(y.size() == cols);
-  for (std::size_t c = 0; c < cols; ++c) y[c] = 0.0;
+  assert(batch == 0 || (ldg >= rows && g.size() >= (batch - 1) * ldg + rows));
+  assert(batch == 0 || (ldy >= cols && y.size() >= (batch - 1) * ldy + cols));
   const std::size_t c2 = cols & ~static_cast<std::size_t>(1);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = w.data() + r * cols;
-    const double gr = g[r];
-    const float64x2_t grv = vdupq_n_f64(gr);
-    for (std::size_t c = 0; c < c2; c += 2) {
-      vst1q_f64(y.data() + c,
-                vfmaq_f64(vld1q_f64(y.data() + c), vld1q_f64(row + c), grv));
-    }
-    for (std::size_t c = c2; c < cols; ++c) {
-      y[c] = std::fma(row[c], gr, y[c]);
+  for (std::size_t s = 0; s < batch; ++s) {
+    const double* gs = g.data() + s * ldg;
+    double* ys = y.data() + s * ldy;
+    for (std::size_t c = 0; c < cols; ++c) ys[c] = 0.0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* row = w.data() + r * cols;
+      const double gr = gs[r];
+      const float64x2_t grv = vdupq_n_f64(gr);
+      for (std::size_t c = 0; c < c2; c += 2) {
+        vst1q_f64(ys + c,
+                  vfmaq_f64(vld1q_f64(ys + c), vld1q_f64(row + c), grv));
+      }
+      for (std::size_t c = c2; c < cols; ++c) {
+        ys[c] = std::fma(row[c], gr, ys[c]);
+      }
     }
   }
 }
 
-void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols,
-                  std::span<const double> g, std::span<const double> x) {
+void rank_k_update(std::span<double> w, std::size_t rows, std::size_t cols,
+                   std::span<const double> g, std::size_t ldg,
+                   std::span<const double> x, std::size_t ldx, std::size_t m) {
   assert(w.size() == rows * cols);
-  assert(g.size() == rows);
-  assert(x.size() == cols);
+  assert(m == 0 || (ldg >= rows && g.size() >= (m - 1) * ldg + rows));
+  assert(m == 0 || (ldx >= cols && x.size() >= (m - 1) * ldx + cols));
   const std::size_t c2 = cols & ~static_cast<std::size_t>(1);
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* row = w.data() + r * cols;
-    const double gr = g[r];
-    const float64x2_t grv = vdupq_n_f64(gr);
-    // Mul-then-add on purpose (not vfmaq) — see the rank1_update contract
-    // in kernels.hpp.
-    for (std::size_t c = 0; c < c2; c += 2) {
-      vst1q_f64(row + c,
-                vaddq_f64(vld1q_f64(row + c),
-                          vmulq_f64(grv, vld1q_f64(x.data() + c))));
-    }
-    for (std::size_t c = c2; c < cols; ++c) {
-      row[c] += gr * x[c];
+  for (std::size_t k = 0; k < m; ++k) {
+    const double* gk = g.data() + k * ldg;
+    const double* xk = x.data() + k * ldx;
+    for (std::size_t r = 0; r < rows; ++r) {
+      double* row = w.data() + r * cols;
+      const double gr = gk[r];
+      const float64x2_t grv = vdupq_n_f64(gr);
+      // Mul-then-add on purpose (not vfmaq) — see the rank_k_update
+      // contract in kernels.hpp.
+      for (std::size_t c = 0; c < c2; c += 2) {
+        vst1q_f64(row + c, vaddq_f64(vld1q_f64(row + c),
+                                     vmulq_f64(grv, vld1q_f64(xk + c))));
+      }
+      for (std::size_t c = c2; c < cols; ++c) {
+        row[c] += gr * xk[c];
+      }
     }
   }
 }

@@ -159,28 +159,35 @@ void Mlp::forward_rows(Arena& arena, std::size_t begin, std::size_t end) const {
   }
 }
 
-void Mlp::backward_deltas(const Arena& arena, std::size_t k,
-                          std::span<double> deltas) const {
-  check_arena(arena, "backward_deltas");
-  if (k >= arena.rows_) {
-    throw std::logic_error{"Mlp::backward_deltas: sample not in the arena"};
+void Mlp::backward_rows(const Arena& arena, std::size_t lo, std::size_t hi,
+                        std::span<double> deltas) const {
+  check_arena(arena, "backward_rows");
+  if (lo > hi || hi > arena.rows_) {
+    throw std::logic_error{"Mlp::backward_rows: rows not in the arena"};
   }
-  if (deltas.size() != delta_size_) {
-    throw std::invalid_argument{
-        "Mlp::backward_deltas: wrong delta buffer size"};
+  if (deltas.size() != arena.rows_ * delta_size_) {
+    throw std::invalid_argument{"Mlp::backward_rows: wrong delta buffer size"};
   }
+  if (lo == hi) return;
   // The output layer is linear: its dLoss/dPre is the caller's dLoss/dOutput,
-  // already in the tail. Each layer below gets W^T delta scaled by act'(pre).
+  // already in each record's tail. Each layer below gets W^T delta (one
+  // gemm_transposed over the block's records) scaled by act'(pre).
+  const std::size_t n = hi - lo;
+  double* const records = deltas.data() + lo * delta_size_;
+  const std::size_t last = (n - 1) * delta_size_;  // the last record's start
   for (std::size_t idx = layers_.size() - 1; idx > 0; --idx) {
     const Layer& l = layers_[idx];
-    const std::span<double> below =
-        deltas.subspan(layers_[idx - 1].d_offset, l.in);
-    kernels::gemv_transposed(weight(l), l.out, l.in,
-                             deltas.subspan(l.d_offset, l.out), below);
-    const auto pre = arena.row(arena.pre_[idx - 1], k, l.in);
-    const auto post = arena.row(arena.in_[idx], k, l.in);
-    for (std::size_t j = 0; j < l.in; ++j) {
-      below[j] *= activate_grad(hidden_, pre[j], post[j]);
+    const std::size_t below = layers_[idx - 1].d_offset;
+    kernels::gemm_transposed(weight(l), l.out, l.in,
+                             {records + l.d_offset, last + l.out}, delta_size_,
+                             n, {records + below, last + l.in}, delta_size_);
+    for (std::size_t k = lo; k < hi; ++k) {
+      double* const d = deltas.data() + k * delta_size_ + below;
+      const auto pre = arena.row(arena.pre_[idx - 1], k, l.in);
+      const auto post = arena.row(arena.in_[idx], k, l.in);
+      for (std::size_t j = 0; j < l.in; ++j) {
+        d[j] *= activate_grad(hidden_, pre[j], post[j]);
+      }
     }
   }
 }
@@ -194,6 +201,8 @@ void Mlp::accumulate_rows(std::size_t row_begin, std::size_t row_end,
       grads.size() != params_.size()) {
     throw std::invalid_argument{"Mlp::accumulate_rows: bad block"};
   }
+  const std::size_t m = arena.rows_;
+  if (m == 0) return;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const Layer& l = layers_[i];
     const std::size_t lo = std::max(row_begin, l.d_offset);
@@ -201,14 +210,16 @@ void Mlp::accumulate_rows(std::size_t row_begin, std::size_t row_end,
     if (lo >= hi) continue;
     const std::size_t rows = hi - lo;
     const std::size_t r0 = lo - l.d_offset;
-    const std::span<double> w{grads.data() + l.w_offset + r0 * l.in,
-                              rows * l.in};
+    const std::span<const double> d = deltas.subspan(lo);
+    kernels::rank_k_update(
+        {grads.data() + l.w_offset + r0 * l.in, rows * l.in}, rows, l.in, d,
+        delta_size_, {arena.row(arena.in_[i], 0, l.in).data(), m * l.in},
+        l.in, m);
     double* const b = grads.data() + l.b_offset + r0;
-    for (std::size_t k = 0; k < arena.rows_; ++k) {
-      const double* d = deltas.data() + k * delta_size_ + lo;
-      kernels::rank1_update(w, rows, l.in, {d, rows},
-                            arena.row(arena.in_[i], k, l.in));
-      for (std::size_t j = 0; j < rows; ++j) b[j] += d[j];
+    for (std::size_t j = 0; j < rows; ++j) {
+      double sum = b[j];
+      for (std::size_t k = 0; k < m; ++k) sum += d[k * delta_size_ + j];
+      b[j] = sum;
     }
   }
 }

@@ -8,13 +8,15 @@
 // batch of samples (per layer, the pre-activations and the layer's inputs as
 // m x width matrices). Every method that touches an arena is const, so
 // threads share one network and work on disjoint rows. forward_rows() runs
-// one kernels::gemm per layer over a block of rows; backward_deltas() writes
-// one sample's per-layer dLoss/dPre-activation record; accumulate_rows()
-// *adds* a block of gradient rows over all the arena's samples in ascending
-// sample order (call zero_grad() between minibatches). Disjoint row blocks
-// write disjoint gradient elements, and each element gets its adds in sample
-// order whatever the split — so the gradient is bit-identical at any thread
-// count. PPO's minibatch step uses this trio.
+// one kernels::gemm per layer over a block of rows; backward_rows() writes a
+// block of samples' per-layer dLoss/dPre-activation records with one
+// kernels::gemm_transposed per layer; accumulate_rows() *adds* a block of
+// gradient rows over all the arena's samples in ascending sample order, one
+// kernels::rank_k_update per layer slice (call zero_grad() between
+// minibatches). Disjoint row blocks write disjoint gradient elements, and
+// each element gets its adds in sample order whatever the split — so the
+// gradient is bit-identical at any thread count. PPO's minibatch step uses
+// this trio.
 #pragma once
 
 #include <cstddef>
@@ -97,20 +99,26 @@ class Mlp {
   /// layers (layer 0's rows first).
   std::size_t delta_size() const noexcept { return delta_size_; }
 
-  /// Backpropagate sample k of `arena`. On entry the last output_size()
-  /// entries of `deltas` (size delta_size()) hold dLoss/dOutput — the linear
+  /// Backpropagate rows [lo, hi) of `arena`. `deltas` holds one delta
+  /// record per arena row (size arena rows x delta_size()); row k's record
+  /// starts at deltas[k * delta_size()]. On entry the last output_size()
+  /// entries of each record in the block hold dLoss/dOutput — the linear
   /// output layer's delta; every layer below gets its dLoss/dPre-activation
-  /// written in front of it. Const; thread-safe for distinct `deltas`.
-  void backward_deltas(const Arena& arena, std::size_t k,
-                       std::span<double> deltas) const;
+  /// written in front of it, by one kernels::gemm_transposed per layer over
+  /// the whole block. Each element is the same fma chain as one sample's
+  /// W^T delta. Const; concurrent calls on disjoint row ranges are safe.
+  void backward_rows(const Arena& arena, std::size_t lo, std::size_t hi,
+                     std::span<double> deltas) const;
 
-  /// Add the weight (delta x input^T, via kernels::rank1_update) and bias
-  /// gradients of rows [row_begin, row_end) of the delta record into
-  /// `grads` (the grads() layout), over the arena's samples k = 0, 1, ... in
-  /// ascending order: sample k's delta record starts at
-  /// deltas[k * delta_size()] and its layer inputs are the arena's row k.
-  /// Const; concurrent calls on disjoint row ranges write disjoint elements
-  /// of `grads`.
+  /// Add the weight (delta x input^T) and bias gradients of rows
+  /// [row_begin, row_end) of the delta record into `grads` (the grads()
+  /// layout), over all the arena's samples k = 0, 1, ... in ascending order:
+  /// sample k's delta record starts at deltas[k * delta_size()] and its
+  /// layer inputs are the arena's row k. Each layer's slice of the block is
+  /// one kernels::rank_k_update (m mul-then-add steps per element, ascending
+  /// k); each bias element sums its k terms in the same order. Const;
+  /// concurrent calls on disjoint row ranges write disjoint elements of
+  /// `grads`.
   void accumulate_rows(std::size_t row_begin, std::size_t row_end,
                        std::span<const double> deltas, const Arena& arena,
                        std::span<double> grads) const;

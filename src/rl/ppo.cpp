@@ -30,13 +30,15 @@ std::vector<std::size_t> make_critic_sizes(std::size_t obs,
 }
 
 /// Samples per forward-and-backprop task of the minibatch step: enough rows
-/// that a block's gemm per layer amortizes, few enough that a minibatch of
-/// 64 spreads over several threads. Any block size gives the same results.
+/// that a block's gemm and gemm_transposed per layer amortize, few enough
+/// that a minibatch of 64 spreads over several threads. Any block size gives
+/// the same results.
 constexpr std::size_t kSampleBlock = 8;
 
 /// Delta rows per weight-gradient task of the minibatch step: enough that a
-/// block's per-sample kernel calls amortize, few enough that a 64-wide layer
-/// spreads over several threads. Any block size gives the same gradients.
+/// block's rank_k_update per layer slice amortizes, few enough that a
+/// 64-wide layer spreads over several threads. Any block size gives the same
+/// gradients.
 constexpr std::size_t kRowBlock = 16;
 
 /// Record one finished update in `report` and tell `callback` about it.
@@ -91,7 +93,7 @@ struct PpoAgent::MinibatchBuffers {
   };
   Net actor;
   Net critic;
-  std::vector<double> terms;  // each sample's backprop_sample terms
+  std::vector<double> terms;  // each sample's loss_head_sample terms
   GaussianHead gaussian;      // the minibatch's log_std constants
 };
 
@@ -393,8 +395,9 @@ PpoAgent::MinibatchStats PpoAgent::run_update_epochs(
   return last_stats;
 }
 
-void PpoAgent::backprop_sample(const Transition& t, std::size_t k,
-                               double inv_batch, MinibatchBuffers& buf) const {
+void PpoAgent::loss_head_sample(const Transition& t, std::size_t k,
+                                double inv_batch,
+                                MinibatchBuffers& buf) const {
   const std::size_t ad = actor_.delta_size();
   const std::size_t cd = critic_.delta_size();
   const std::size_t tw = 3 + log_std_.size();
@@ -402,7 +405,7 @@ void PpoAgent::backprop_sample(const Transition& t, std::size_t k,
   const std::span<double> critic_deltas{buf.critic.deltas.data() + k * cd, cd};
   const std::span<double> terms{buf.terms.data() + k * tw, tw};
   // The head gradient is built in place in the tail of the actor's delta
-  // record, where backward_deltas() expects it. The log-prob pass leaves its
+  // record, where backward_rows() expects it. The log-prob pass leaves its
   // intermediates there (and, for the Gaussian, in the log_std slots of
   // `terms`); the gradient pass turns them into the gradients.
   const std::span<double> head_grad = actor_deltas.last(actor_.output_size());
@@ -436,12 +439,10 @@ void PpoAgent::backprop_sample(const Transition& t, std::size_t k,
     buf.gaussian.head_grad(head_grad, log_std_grad, dloss_dlogp,
                            config_.ent_coef, inv_batch);
   }
-  actor_.backward_deltas(buf.actor.arena, k, actor_deltas);
 
   const double v_err = buf.critic.arena.output(k)[0] - t.return_;
   terms[1] = 0.5 * v_err * v_err * inv_batch;
   critic_deltas.back() = config_.vf_coef * v_err * inv_batch;
-  critic_.backward_deltas(buf.critic.arena, k, critic_deltas);
 }
 
 PpoAgent::MinibatchStats PpoAgent::update_minibatch(
@@ -462,8 +463,9 @@ PpoAgent::MinibatchStats PpoAgent::update_minibatch(
 
   // (a) Per block of kSampleBlock samples, in parallel: gather the
   // observations into the block's arena rows, run the actor and critic
-  // forward over them (one gemm per layer), then each sample's loss terms
-  // and every layer's backprop delta into the sample's own slots.
+  // forward over them (one gemm per layer), then each sample's loss head
+  // into its own slots, then each network's backward over the block (one
+  // gemm_transposed per layer) into the block's delta records.
   const std::size_t sample_blocks = (m + kSampleBlock - 1) / kSampleBlock;
   util::parallel_for(pool, sample_blocks, [&](std::size_t b) {
     const std::size_t lo = b * kSampleBlock;
@@ -476,8 +478,10 @@ PpoAgent::MinibatchStats PpoAgent::update_minibatch(
     actor_.forward_rows(buf.actor.arena, lo, hi);
     critic_.forward_rows(buf.critic.arena, lo, hi);
     for (std::size_t k = lo; k < hi; ++k) {
-      backprop_sample(buffer[indices[begin + k]], k, inv_batch, buf);
+      loss_head_sample(buffer[indices[begin + k]], k, inv_batch, buf);
     }
+    actor_.backward_rows(buf.actor.arena, lo, hi, buf.actor.deltas);
+    critic_.backward_rows(buf.critic.arena, lo, hi, buf.critic.deltas);
   });
 
   // (b) The loss statistics and the log_std gradient, summed here in sample

@@ -140,13 +140,14 @@ class PpoAgent {
 
   /// update_minibatch's buffers (defined in ppo.cpp).
   struct MinibatchBuffers;
-  /// Sample k's loss terms and per-layer backprop deltas, read from row k of
-  /// the minibatch's activation arenas. Writes (never accumulates) the
-  /// sample's own slots: its two delta records and its terms row, [policy
-  /// loss, value loss, entropy, log_std grad...]. Const — reads parameters
-  /// only — so samples run concurrently.
-  void backprop_sample(const Transition& t, std::size_t k, double inv_batch,
-                       MinibatchBuffers& buf) const;
+  /// Sample k's loss terms and loss-head gradients, read from row k of the
+  /// minibatch's activation arenas. Writes (never accumulates) the sample's
+  /// own slots: dLoss/dOutput into the tails of its two delta records (where
+  /// Mlp::backward_rows reads them) and its terms row, [policy loss, value
+  /// loss, entropy, log_std grad...]. Const — reads parameters only — so
+  /// samples run concurrently.
+  void loss_head_sample(const Transition& t, std::size_t k, double inv_batch,
+                        MinibatchBuffers& buf) const;
   MinibatchStats update_minibatch(const RolloutBuffer& buffer,
                                   const std::vector<std::size_t>& indices,
                                   std::size_t begin, std::size_t end,

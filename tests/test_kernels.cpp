@@ -10,7 +10,10 @@
 // TSan CI lane picks it up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,6 +43,65 @@ Vec random_vec(util::Rng& rng, std::size_t n) {
   return v;
 }
 
+// Shapes for the batched kernels: batches below, at and across the
+// 4-sample tiles; column counts below and above gemm's 8-column tile
+// threshold, with every tail length of the 8-wide chunks.
+const std::size_t kBatches[] = {1, 3, 4, 5, 8, 9};
+const std::size_t kRows[] = {1, 2, 3, 8, 16};
+const std::size_t kTileCols[] = {1, 2, 4, 7, 8, 9, 25, 33, 64};
+
+/// Sentinels after every padded operand.
+constexpr std::size_t kPad = 9;
+
+/// A quiet NaN with a payload: fills stride gaps and the space after every
+/// operand, so a kernel that reads one poisons its result and a kernel that
+/// writes one changes its bits.
+double sentinel() { return std::bit_cast<double>(0x7ff80000deadbeefULL); }
+
+/// Doubles spanned by `count` rows of `width` at stride `ld`.
+std::size_t operand_size(std::size_t count, std::size_t width,
+                         std::size_t ld) {
+  return count == 0 ? 0 : (count - 1) * ld + width;
+}
+
+/// `count` random rows of `width` at stride `ld`, the gaps and kPad
+/// trailing doubles holding sentinel().
+Vec padded(util::Rng& rng, std::size_t count, std::size_t width,
+           std::size_t ld) {
+  Vec v(operand_size(count, width, ld) + kPad, sentinel());
+  for (std::size_t k = 0; k < count; ++k) {
+    for (std::size_t j = 0; j < width; ++j) {
+      v[k * ld + j] = rng.uniform(-2.0, 2.0);
+    }
+  }
+  return v;
+}
+
+/// The operand a padded buffer holds, without its trailing sentinels.
+std::span<double> operand(Vec& v, std::size_t count, std::size_t width,
+                          std::size_t ld) {
+  return std::span<double>{v}.first(operand_size(count, width, ld));
+}
+std::span<const double> operand(const Vec& v, std::size_t count,
+                                std::size_t width, std::size_t ld) {
+  return std::span<const double>{v}.first(operand_size(count, width, ld));
+}
+
+/// Bit-for-bit equality: tells -0.0 from 0.0 and compares NaN payloads.
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+bool same_bits(double a, double b) { return same_bits({&a, 1}, {&b, 1}); }
+
+/// Whether none of `v` is NaN or infinite (stride gaps included: call it on
+/// dense results only).
+bool all_finite(std::span<const double> v) {
+  return std::all_of(v.begin(), v.end(),
+                     [](double d) { return std::isfinite(d); });
+}
+
 /// The full kernel surface of one named backend, so identity tests can run
 /// the same body against avx2/avx512/neon.
 struct BackendFns {
@@ -50,22 +112,24 @@ struct BackendFns {
   void (*gemm)(std::span<const double>, std::size_t, std::size_t,
                std::span<const double>, std::size_t, std::span<const double>,
                std::span<double>);
-  void (*gemv_transposed)(std::span<const double>, std::size_t, std::size_t,
-                          std::span<const double>, std::span<double>);
-  void (*rank1_update)(std::span<double>, std::size_t, std::size_t,
-                       std::span<const double>, std::span<const double>);
+  void (*gemm_transposed)(std::span<const double>, std::size_t, std::size_t,
+                          std::span<const double>, std::size_t, std::size_t,
+                          std::span<double>, std::size_t);
+  void (*rank_k_update)(std::span<double>, std::size_t, std::size_t,
+                        std::span<const double>, std::size_t,
+                        std::span<const double>, std::size_t, std::size_t);
   double (*dot)(std::span<const double>, std::span<const double>);
 };
 
 const BackendFns kBackendFns[] = {
     {kernels::Backend::kAvx2, kernels::avx2::gemv, kernels::avx2::gemm,
-     kernels::avx2::gemv_transposed, kernels::avx2::rank1_update,
+     kernels::avx2::gemm_transposed, kernels::avx2::rank_k_update,
      kernels::avx2::dot},
     {kernels::Backend::kAvx512, kernels::avx512::gemv, kernels::avx512::gemm,
-     kernels::avx512::gemv_transposed, kernels::avx512::rank1_update,
+     kernels::avx512::gemm_transposed, kernels::avx512::rank_k_update,
      kernels::avx512::dot},
     {kernels::Backend::kNeon, kernels::neon::gemv, kernels::neon::gemm,
-     kernels::neon::gemv_transposed, kernels::neon::rank1_update,
+     kernels::neon::gemm_transposed, kernels::neon::rank_k_update,
      kernels::neon::dot},
 };
 
@@ -86,6 +150,30 @@ std::vector<kernels::Backend> available_simd_backends() {
                              kernels::Backend::kNeon}) {
     if (kernels::backend_available(b)) out.push_back(b);
   }
+  return out;
+}
+
+/// Restores the dispatched backend on scope exit so a failing assertion in
+/// one test cannot leak a forced backend into the next.
+class BackendGuard {
+ public:
+  explicit BackendGuard(kernels::Backend backend)
+      : original_(kernels::active_backend()) {
+    kernels::set_backend(backend);
+  }
+  ~BackendGuard() { kernels::set_backend(original_); }
+  BackendGuard(const BackendGuard&) = delete;
+  BackendGuard& operator=(const BackendGuard&) = delete;
+
+ private:
+  kernels::Backend original_;
+};
+
+/// Scalar plus every SIMD backend this host can run.
+std::vector<kernels::Backend> available_backends() {
+  std::vector<kernels::Backend> out{kernels::Backend::kScalar};
+  const std::vector<kernels::Backend> simd = available_simd_backends();
+  out.insert(out.end(), simd.begin(), simd.end());
   return out;
 }
 
@@ -119,6 +207,78 @@ TEST(KernelCanonicalOrder, GemvIsBiasPlusCanonicalDotPerRow) {
   }
 }
 
+TEST(KernelCanonicalOrder, GemmTransposedIsOneFmaChainPerSample) {
+  // Every backend's y_s = W^T g_s equals, bit for bit, the one-sample
+  // reference: y_s[c] = fma(W[r][c], g_s[r], y_s[c]) over r = 0, 1, ...
+  // from 0.0 — whatever the batch and however the backend tiles it.
+  for (const kernels::Backend backend : available_backends()) {
+    const BackendGuard guard{backend};
+    util::Rng rng{606};
+    for (std::size_t batch : kBatches) {
+      for (std::size_t rows : kRows) {
+        for (std::size_t cols : kTileCols) {
+          const std::size_t ldg = rows + 1;
+          const std::size_t ldy = cols + 3;
+          const Vec w = random_vec(rng, rows * cols);
+          const Vec g = padded(rng, batch, rows, ldg);
+          Vec y(operand_size(batch, cols, ldy) + kPad, sentinel());
+          kernels::gemm_transposed(w, rows, cols, operand(g, batch, rows, ldg),
+                                   ldg, batch, operand(y, batch, cols, ldy),
+                                   ldy);
+          Vec expected(y.size(), sentinel());
+          for (std::size_t s = 0; s < batch; ++s) {
+            double* ys = expected.data() + s * ldy;
+            for (std::size_t c = 0; c < cols; ++c) ys[c] = 0.0;
+            for (std::size_t r = 0; r < rows; ++r) {
+              for (std::size_t c = 0; c < cols; ++c) {
+                ys[c] = std::fma(w[r * cols + c], g[s * ldg + r], ys[c]);
+              }
+            }
+          }
+          EXPECT_TRUE(same_bits(y, expected))
+              << kernels::backend_name(backend) << " " << batch << " x "
+              << rows << "x" << cols;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelCanonicalOrder, RankKUpdateIsMSuccessiveRank1Steps) {
+  // Every backend's rank-k update equals, bit for bit, m rank-1 steps in
+  // ascending k, each element a mul-then-add: W[r][c] += g_k[r] * x_k[c].
+  for (const kernels::Backend backend : available_backends()) {
+    const BackendGuard guard{backend};
+    util::Rng rng{707};
+    for (std::size_t m : kBatches) {
+      for (std::size_t rows : kRows) {
+        for (std::size_t cols : kTileCols) {
+          const std::size_t ldg = rows + 2;
+          const std::size_t ldx = cols + 1;
+          const Vec g = padded(rng, m, rows, ldg);
+          const Vec x = padded(rng, m, cols, ldx);
+          Vec w = padded(rng, rows, cols, cols);
+          Vec expected = w;
+          kernels::rank_k_update(operand(w, rows, cols, cols), rows, cols,
+                                 operand(g, m, rows, ldg), ldg,
+                                 operand(x, m, cols, ldx), ldx, m);
+          for (std::size_t k = 0; k < m; ++k) {
+            for (std::size_t r = 0; r < rows; ++r) {
+              for (std::size_t c = 0; c < cols; ++c) {
+                const double step = g[k * ldg + r] * x[k * ldx + c];
+                expected[r * cols + c] += step;
+              }
+            }
+          }
+          EXPECT_TRUE(same_bits(w, expected))
+              << kernels::backend_name(backend) << " " << m << " x " << rows
+              << "x" << cols;
+        }
+      }
+    }
+  }
+}
+
 /// Value-parameterized scalar-vs-backend identity: one instantiation per
 /// SIMD backend, each skipping explicitly when this host cannot run it.
 class KernelBitIdentityP
@@ -137,39 +297,77 @@ TEST_P(KernelBitIdentityP, ScalarAndSimdAgreeOnEveryKernel) {
   util::Rng rng{303};
   // Odd and even row counts both matter: the AVX-512 gemv pairs rows two
   // per register and handles a trailing odd row separately.
-  for (std::size_t rows : {std::size_t{1}, std::size_t{2}, std::size_t{3},
-                           std::size_t{8}, std::size_t{16}}) {
+  for (std::size_t rows : kRows) {
     for (std::size_t cols : kSizes) {
       const Vec w = random_vec(rng, rows * cols);
       const Vec x = random_vec(rng, cols);
       const Vec b = random_vec(rng, rows);
-      const Vec g = random_vec(rng, rows);
 
       Vec ys(rows, 0.0), yv(rows, 0.0);
       kernels::scalar::gemv(w, rows, cols, x, b, ys);
       fns.gemv(w, rows, cols, x, b, yv);
-      EXPECT_EQ(ys, yv) << "gemv " << rows << "x" << cols;
-
-      const std::size_t batch = 3;
-      const Vec xb = random_vec(rng, batch * cols);
-      Vec zs(batch * rows, 0.0), zv(batch * rows, 0.0);
-      kernels::scalar::gemm(w, rows, cols, xb, batch, b, zs);
-      fns.gemm(w, rows, cols, xb, batch, b, zv);
-      EXPECT_EQ(zs, zv) << "gemm " << rows << "x" << cols;
-
-      Vec ts(cols, 0.0), tv(cols, 0.0);
-      kernels::scalar::gemv_transposed(w, rows, cols, g, ts);
-      fns.gemv_transposed(w, rows, cols, g, tv);
-      EXPECT_EQ(ts, tv) << "gemv_transposed " << rows << "x" << cols;
-
-      Vec ws = w, wv = w;
-      kernels::scalar::rank1_update(ws, rows, cols, g, x);
-      fns.rank1_update(wv, rows, cols, g, x);
-      EXPECT_EQ(ws, wv) << "rank1_update " << rows << "x" << cols;
+      EXPECT_TRUE(same_bits(ys, yv)) << "gemv " << rows << "x" << cols;
 
       const Vec a2 = random_vec(rng, cols);
-      EXPECT_EQ(kernels::scalar::dot(x, a2), fns.dot(x, a2))
+      EXPECT_TRUE(same_bits(kernels::scalar::dot(x, a2), fns.dot(x, a2)))
           << "dot n=" << cols;
+    }
+  }
+  // The batched kernels over batches below, at and across the 4-sample
+  // tiles, with stride gaps and trailing operand space full of sentinels:
+  // a masked tail that read past a row would turn a result into NaN, and
+  // one that wrote past a row would overwrite a sentinel.
+  for (std::size_t batch : kBatches) {
+    for (std::size_t rows : kRows) {
+      for (std::size_t cols : kTileCols) {
+        const std::string shape = std::to_string(batch) + " x " +
+                                  std::to_string(rows) + "x" +
+                                  std::to_string(cols);
+        const std::size_t ldg = rows + 3;
+        const std::size_t ldx = cols + 2;
+        const std::size_t ldy = cols + 5;
+        const Vec w = padded(rng, rows, cols, cols);
+        const Vec b = padded(rng, 1, rows, rows);
+        const Vec x = padded(rng, batch, cols, cols);
+        const Vec g = padded(rng, batch, rows, ldg);
+        const Vec xs = padded(rng, batch, cols, ldx);
+
+        Vec zs(operand_size(batch, rows, rows) + kPad, sentinel());
+        Vec zv = zs;
+        kernels::scalar::gemm(operand(w, rows, cols, cols), rows, cols,
+                              operand(x, batch, cols, cols), batch,
+                              operand(b, 1, rows, rows),
+                              operand(zs, batch, rows, rows));
+        fns.gemm(operand(w, rows, cols, cols), rows, cols,
+                 operand(x, batch, cols, cols), batch,
+                 operand(b, 1, rows, rows), operand(zv, batch, rows, rows));
+        EXPECT_TRUE(same_bits(zs, zv)) << "gemm " << shape;
+        EXPECT_TRUE(all_finite(operand(zs, batch, rows, rows)))
+            << "gemm " << shape;
+
+        Vec ts(operand_size(batch, cols, ldy) + kPad, sentinel());
+        Vec tv = ts;
+        kernels::scalar::gemm_transposed(
+            operand(w, rows, cols, cols), rows, cols,
+            operand(g, batch, rows, ldg), ldg, batch,
+            operand(ts, batch, cols, ldy), ldy);
+        fns.gemm_transposed(operand(w, rows, cols, cols), rows, cols,
+                            operand(g, batch, rows, ldg), ldg, batch,
+                            operand(tv, batch, cols, ldy), ldy);
+        EXPECT_TRUE(same_bits(ts, tv)) << "gemm_transposed " << shape;
+
+        Vec ws = w, wv = w;
+        kernels::scalar::rank_k_update(operand(ws, rows, cols, cols), rows,
+                                       cols, operand(g, batch, rows, ldg), ldg,
+                                       operand(xs, batch, cols, ldx), ldx,
+                                       batch);
+        fns.rank_k_update(operand(wv, rows, cols, cols), rows, cols,
+                          operand(g, batch, rows, ldg), ldg,
+                          operand(xs, batch, cols, ldx), ldx, batch);
+        EXPECT_TRUE(same_bits(ws, wv)) << "rank_k_update " << shape;
+        EXPECT_TRUE(all_finite(operand(ws, rows, cols, cols)))
+            << "rank_k_update " << shape;
+      }
     }
   }
 }
@@ -183,20 +381,32 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(KernelBitIdentity, GemmEqualsRepeatedGemv) {
-  util::Rng rng{404};
-  const std::size_t rows = 5, cols = 11, batch = 4;
-  const Vec w = random_vec(rng, rows * cols);
-  const Vec b = random_vec(rng, rows);
-  const Vec xb = random_vec(rng, batch * cols);
-  Vec batched(batch * rows, 0.0);
-  kernels::gemm(w, rows, cols, xb, batch, b, batched);
-  for (std::size_t n = 0; n < batch; ++n) {
-    const Vec x(xb.begin() + static_cast<std::ptrdiff_t>(n * cols),
-                xb.begin() + static_cast<std::ptrdiff_t>((n + 1) * cols));
-    Vec y(rows, 0.0);
-    kernels::gemv(w, rows, cols, x, b, y);
-    for (std::size_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(batched[n * rows + r], y[r]) << "sample " << n << " row " << r;
+  // gemm tiles four samples at a time from 8 columns up; each of its
+  // outputs must still equal gemv's, below, at and across the tiles.
+  for (const kernels::Backend backend : available_backends()) {
+    const BackendGuard guard{backend};
+    util::Rng rng{404};
+    for (std::size_t batch : kBatches) {
+      for (std::size_t rows : {std::size_t{5}, std::size_t{6}}) {
+        for (std::size_t cols : {std::size_t{4}, std::size_t{11},
+                                 std::size_t{25}}) {
+          const Vec w = random_vec(rng, rows * cols);
+          const Vec b = random_vec(rng, rows);
+          const Vec xb = random_vec(rng, batch * cols);
+          Vec batched(batch * rows, 0.0);
+          kernels::gemm(w, rows, cols, xb, batch, b, batched);
+          for (std::size_t n = 0; n < batch; ++n) {
+            Vec y(rows, 0.0);
+            kernels::gemv(w, rows, cols,
+                          std::span<const double>{xb}.subspan(n * cols, cols),
+                          b, y);
+            EXPECT_TRUE(same_bits(
+                std::span<const double>{batched}.subspan(n * rows, rows), y))
+                << kernels::backend_name(backend) << " sample " << n << " of "
+                << batch << ", " << rows << "x" << cols;
+          }
+        }
+      }
     }
   }
 }
@@ -253,22 +463,6 @@ TEST(KernelDispatch, UnavailableNamedBackendsForwardToScalar) {
         << kernels::backend_name(fns.backend) << " stub";
   }
 }
-
-/// Restores the dispatched backend on scope exit so a failing assertion in
-/// one test cannot leak a forced backend into the next.
-class BackendGuard {
- public:
-  explicit BackendGuard(kernels::Backend backend)
-      : original_(kernels::active_backend()) {
-    kernels::set_backend(backend);
-  }
-  ~BackendGuard() { kernels::set_backend(original_); }
-  BackendGuard(const BackendGuard&) = delete;
-  BackendGuard& operator=(const BackendGuard&) = delete;
-
- private:
-  kernels::Backend original_;
-};
 
 PpoAgent train_ppo_with(kernels::Backend backend, std::size_t threads,
                         bool continuous) {

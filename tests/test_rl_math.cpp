@@ -32,30 +32,37 @@ TEST(MatrixKernels, GemvMatchesHandComputation) {
   const std::vector<double> x{5, 6};
   const std::vector<double> b{0.5, -0.5};
   std::vector<double> y(2);
-  gemv(w, 2, 2, x, b, y);
+  kernels::gemv(w, 2, 2, x, b, y);
   EXPECT_DOUBLE_EQ(y[0], 17.5);
   EXPECT_DOUBLE_EQ(y[1], 38.5);
 }
 
-TEST(MatrixKernels, GemvTransposedMatchesHandComputation) {
+TEST(MatrixKernels, GemmTransposedMatchesHandComputation) {
   const std::vector<double> w{1, 2, 3, 4};  // 2x2
-  const std::vector<double> g{1, -1};
-  std::vector<double> y(2);
-  gemv_transposed(w, 2, 2, g, y);
+  // Two samples' g at stride 3 (the third slot is a gap) and their y at
+  // stride 2.
+  const std::vector<double> g{1, -1, 99, 2, 0.5};
+  std::vector<double> y(4);
+  kernels::gemm_transposed(w, 2, 2, g, 3, 2, y, 2);
   EXPECT_DOUBLE_EQ(y[0], -2.0);  // 1*1 + 3*(-1)
   EXPECT_DOUBLE_EQ(y[1], -2.0);  // 2*1 + 4*(-1)
+  EXPECT_DOUBLE_EQ(y[2], 3.5);   // 1*2 + 3*0.5
+  EXPECT_DOUBLE_EQ(y[3], 6.0);   // 2*2 + 4*0.5
 }
 
-TEST(MatrixKernels, Rank1UpdateAccumulates) {
+TEST(MatrixKernels, RankKUpdateAccumulates) {
   std::vector<double> w{0, 0, 0, 0};
-  const std::vector<double> g{1, 2};
-  const std::vector<double> x{3, 4};
-  rank1_update(w, 2, 2, g, x);
-  rank1_update(w, 2, 2, g, x);
+  // Two rank-1 steps with the same g and x, at strides 2.
+  const std::vector<double> g{1, 2, 1, 2};
+  const std::vector<double> x{3, 4, 3, 4};
+  kernels::rank_k_update(w, 2, 2, g, 2, x, 2, 2);
   EXPECT_DOUBLE_EQ(w[0], 6.0);
   EXPECT_DOUBLE_EQ(w[1], 8.0);
   EXPECT_DOUBLE_EQ(w[2], 12.0);
   EXPECT_DOUBLE_EQ(w[3], 16.0);
+  kernels::rank_k_update(w, 2, 2, g, 2, x, 2, 1);
+  EXPECT_DOUBLE_EQ(w[0], 9.0);
+  EXPECT_DOUBLE_EQ(w[3], 24.0);
 }
 
 TEST(MatrixKernels, DotAndNorm) {
@@ -97,7 +104,7 @@ TEST(Mlp, RejectsBadConstruction) {
 }
 
 /// Sample k's delta record in a flat buffer of records, with `grad_output`
-/// (dLoss/dOutput) written into its tail as backward_deltas() expects.
+/// (dLoss/dOutput) written into its tail as backward_rows() expects.
 std::span<double> seeded_record(const Mlp& net, Vec& deltas, std::size_t k,
                                 const Vec& grad_output) {
   const std::span<double> record =
@@ -107,18 +114,36 @@ std::span<double> seeded_record(const Mlp& net, Vec& deltas, std::size_t k,
   return record;
 }
 
-/// One sample's full backward through the public trio: a one-row arena's
-/// forward, the per-layer delta record, then every gradient row. Returns
-/// the delta record (layer 0's rows first).
+/// One sample's full backward through the public trio, run on a sub-block
+/// of a 4-row arena: the sample sits at row 1 of block [1, 3), whose row 2
+/// is a decoy with dLoss/dOutput = 0; rows 0 and 3 lie outside the block.
+/// Checks that backward_rows leaves the records outside the block alone,
+/// then clears them and adds every gradient row. Returns the sample's delta
+/// record (layer 0's rows first).
 Vec backprop(Mlp& net, const Vec& x, const Vec& grad_output) {
+  const std::size_t d = net.delta_size();
   Mlp::Arena arena;
-  arena.reset(net, 1);
-  arena.set_input(0, x);
-  net.forward_rows(arena, 0, 1);
-  Vec deltas(net.delta_size());
-  net.backward_deltas(arena, 0, seeded_record(net, deltas, 0, grad_output));
-  net.accumulate_rows(0, net.delta_size(), deltas, arena, net.grads());
-  return deltas;
+  arena.reset(net, 4);
+  for (std::size_t k = 0; k < 4; ++k) {
+    Vec input = x;
+    for (double& v : input) v += 0.25 * static_cast<double>(k) - 0.25;
+    arena.set_input(k, k == 1 ? x : input);
+  }
+  net.forward_rows(arena, 0, 4);
+  Vec deltas(4 * d, 7.5);
+  seeded_record(net, deltas, 1, grad_output);
+  seeded_record(net, deltas, 2, Vec(net.output_size(), 0.0));
+  net.backward_rows(arena, 1, 3, deltas);
+  for (const std::size_t outside : {std::size_t{0}, std::size_t{3}}) {
+    for (std::size_t j = 0; j < d; ++j) {
+      EXPECT_EQ(deltas[outside * d + j], 7.5) << "row " << outside;
+      deltas[outside * d + j] = 0.0;
+    }
+  }
+  for (std::size_t j = 0; j < d; ++j) EXPECT_EQ(deltas[2 * d + j], 0.0);
+  net.accumulate_rows(0, d, deltas, arena, net.grads());
+  return {deltas.begin() + static_cast<std::ptrdiff_t>(d),
+          deltas.begin() + static_cast<std::ptrdiff_t>(2 * d)};
 }
 
 TEST(Mlp, RejectsWrongInputSize) {
@@ -134,7 +159,7 @@ TEST(Mlp, RejectsWrongInputSize) {
   EXPECT_THROW(net.forward_rows(arena, 0, 2), std::invalid_argument);
   net.forward_rows(arena, 0, 1);
   Vec short_deltas(net.delta_size() - 1);
-  EXPECT_THROW(net.backward_deltas(arena, 0, short_deltas),
+  EXPECT_THROW(net.backward_rows(arena, 0, 1, short_deltas),
                std::invalid_argument);
   Vec deltas(net.delta_size());
   EXPECT_THROW(net.accumulate_rows(0, net.delta_size() + 1, deltas, arena,
@@ -144,7 +169,7 @@ TEST(Mlp, RejectsWrongInputSize) {
   Mlp wider{{2, 4}, Activation::kTanh, 1.0, rng};
   EXPECT_THROW(wider.forward_rows(arena, 0, 1), std::invalid_argument);
   Vec wider_deltas(wider.delta_size());
-  EXPECT_THROW(wider.backward_deltas(arena, 0, wider_deltas),
+  EXPECT_THROW(wider.backward_rows(arena, 0, 1, wider_deltas),
                std::invalid_argument);
 }
 
@@ -153,10 +178,12 @@ TEST(Mlp, BackwardBeforeForwardThrows) {
   Mlp net{{2, 3}, Activation::kTanh, 1.0, rng};
   const Mlp::Arena empty;
   Vec deltas(net.delta_size());
-  EXPECT_THROW(net.backward_deltas(empty, 0, deltas), std::logic_error);
+  EXPECT_THROW(net.backward_rows(empty, 0, 1, deltas), std::logic_error);
   Mlp::Arena one_row;
   one_row.reset(net, 1);
-  EXPECT_THROW(net.backward_deltas(one_row, 1, deltas), std::logic_error);
+  EXPECT_THROW(net.backward_rows(one_row, 1, 2, deltas), std::logic_error);
+  EXPECT_THROW(net.backward_rows(one_row, 0, 2, deltas), std::logic_error);
+  EXPECT_THROW(net.backward_rows(one_row, 1, 0, deltas), std::logic_error);
 }
 
 // Finite-difference check of dLoss/dParams where Loss = sum(output * coef).
@@ -204,8 +231,9 @@ TEST(Mlp, InputGradientMatchesFiniteDifference) {
   net.zero_grad();
   const Vec deltas = backprop(net, x, coef);
   Vec input_grad(3);
-  gemv_transposed(net.params().subspan(0, 6 * 3), 6, 3,
-                  std::span<const double>{deltas}.subspan(0, 6), input_grad);
+  kernels::gemm_transposed(net.params().subspan(0, 6 * 3), 6, 3,
+                           std::span<const double>{deltas}.subspan(0, 6), 6, 1,
+                           input_grad, 3);
   const double eps = 1e-6;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double saved = x[i];
@@ -236,28 +264,34 @@ TEST(Mlp, GradientsAccumulateAcrossBackwardCalls) {
 }
 
 TEST(Mlp, RowBlocksOverManySamplesMatchOneSampleAtATime) {
-  // accumulate_rows over a batch, split into row blocks that straddle layer
-  // boundaries and run in reverse block order, must equal per-sample
-  // full-row passes bit for bit: each element gets its adds in sample order.
+  // backward_rows over uneven sample blocks (one reaching a 4-sample tile)
+  // and accumulate_rows split into row blocks that straddle layer
+  // boundaries and run in reverse block order must equal per-sample
+  // full-row passes bit for bit: each delta is the same fma chain whatever
+  // the block, and each gradient element gets its adds in sample order.
   Rng rng{29};
   Mlp net{{3, 5, 4, 2}, Activation::kTanh, 1.0, rng};
-  const std::vector<Vec> xs{
-      {0.3, -0.7, 0.9}, {-0.2, 0.4, 0.1}, {1.0, 0.0, -0.5}};
-  const std::vector<Vec> coefs{{1.3, -0.4}, {-0.6, 0.2}, {0.5, 0.9}};
+  const std::size_t m = 7;
+  std::vector<Vec> xs(m, Vec(3));
+  std::vector<Vec> coefs(m, Vec(2));
+  for (std::size_t k = 0; k < m; ++k) {
+    for (double& v : xs[k]) v = rng.uniform(-1.0, 1.0);
+    for (double& v : coefs[k]) v = rng.uniform(-1.0, 1.0);
+  }
 
   net.zero_grad();
-  for (std::size_t k = 0; k < xs.size(); ++k) backprop(net, xs[k], coefs[k]);
+  for (std::size_t k = 0; k < m; ++k) backprop(net, xs[k], coefs[k]);
   const std::vector<double> per_sample{net.grads().begin(), net.grads().end()};
 
   const std::size_t d = net.delta_size();
   Mlp::Arena arena;
-  arena.reset(net, xs.size());
-  for (std::size_t k = 0; k < xs.size(); ++k) arena.set_input(k, xs[k]);
-  net.forward_rows(arena, 0, xs.size());
-  Vec deltas(xs.size() * d);
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    net.backward_deltas(arena, k, seeded_record(net, deltas, k, coefs[k]));
-  }
+  arena.reset(net, m);
+  for (std::size_t k = 0; k < m; ++k) arena.set_input(k, xs[k]);
+  net.forward_rows(arena, 0, m);
+  Vec deltas(m * d);
+  for (std::size_t k = 0; k < m; ++k) seeded_record(net, deltas, k, coefs[k]);
+  net.backward_rows(arena, 5, m, deltas);
+  net.backward_rows(arena, 0, 5, deltas);
   net.zero_grad();
   for (std::size_t end = d; end > 0;) {
     const std::size_t begin = end >= 3 ? end - 3 : 0;
