@@ -4,16 +4,15 @@
 // quantify why paper-scale training budgets (600k steps) run in seconds.
 //
 // The suites taking a thread-count argument (BM_PpoUpdate, BM_PpoUpdateCc,
-// BM_ParallelAbrReplay, BM_VecEnvRollout) run at 1, 2 and the default pool
-// size and report wall-clock (UseRealTime: the pool's workers do not show in
-// the calling thread's CPU time), so the scaling of the parallel layer reads
-// off one table. They time only; the bit-identity of results across thread
-// counts is asserted by the Parallel*, VecPpo and BuiltinJobs ctest suites.
+// BM_ParallelAbrReplay) run at 1, 2 and the default pool size and report
+// wall-clock (UseRealTime: the pool's workers do not show in the calling
+// thread's CPU time), so the scaling of the parallel layer reads off one
+// table. They time only; the bit-identity of results across thread counts
+// is asserted by the Parallel* and BuiltinJobs ctest suites.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "abr/bb.hpp"
@@ -31,7 +30,6 @@
 #include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
 #include "rl/toy_envs.hpp"
-#include "rl/vec_env.hpp"
 #include "trace/generators.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
@@ -363,41 +361,6 @@ BENCHMARK(BM_ParallelAbrReplay)
     ->Arg(static_cast<int>(util::ThreadPool::default_thread_count()))
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-void BM_VecEnvRollout(benchmark::State& state) {
-  // 8 ABR-adversary replicas stepped as a batch across state.range(0)
-  // threads — the PPO experience-collection hot loop.
-  util::ThreadPool pool{static_cast<std::size_t>(state.range(0))};
-  struct ReplicaEnv final : rl::Env {
-    abr::VideoManifest manifest;
-    abr::BufferBased bb;
-    core::AbrAdversaryEnv env{manifest, bb};
-    std::string name() const override { return env.name(); }
-    std::size_t observation_size() const override {
-      return env.observation_size();
-    }
-    rl::ActionSpec action_spec() const override { return env.action_spec(); }
-    rl::Vec reset(util::Rng& rng) override { return env.reset(rng); }
-    rl::StepResult step(const rl::Vec& action, util::Rng& rng) override {
-      return env.step(action, rng);
-    }
-  };
-  rl::VecEnv venv{[](std::size_t) { return std::make_unique<ReplicaEnv>(); },
-                  /*n=*/8, /*seed=*/21, &pool};
-  venv.reset_all();
-  const std::vector<rl::Vec> actions(venv.size(), rl::Vec{0.1});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(venv.step(actions));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(venv.size()));
-}
-BENCHMARK(BM_VecEnvRollout)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(static_cast<int>(util::ThreadPool::default_thread_count()))
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

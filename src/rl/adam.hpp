@@ -23,7 +23,6 @@ class Adam {
   /// `params` and `grads` must both have exactly `param_count` elements.
   void step(std::span<double> params, std::span<const double> grads);
 
-  void set_learning_rate(double lr) noexcept { config_.learning_rate = lr; }
   double learning_rate() const noexcept { return config_.learning_rate; }
   std::size_t step_count() const noexcept { return t_; }
   void reset() noexcept;

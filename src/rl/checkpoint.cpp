@@ -1,6 +1,7 @@
 #include "rl/checkpoint.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -42,6 +43,25 @@ std::vector<double> read_vector(std::istream& in, const std::string& expected_ke
     }
   }
   return values;
+}
+
+/// Read `obs_count <n>`. n must be a plain run of decimal digits: `>>` into
+/// a size_t would wrap a sign (-1 reads as 2^64 - 1) and stop silently at
+/// trailing junk (12abc reads as 12).
+std::size_t read_obs_count(std::istream& in, const std::string& path) {
+  std::string key;
+  std::string token;
+  if (!(in >> key >> token) || key != "obs_count") {
+    throw std::runtime_error{"load_checkpoint: missing obs_count in " + path};
+  }
+  std::size_t count = 0;
+  const char* const end = token.data() + token.size();
+  const auto [last, error] = std::from_chars(token.data(), end, count);
+  if (error != std::errc{} || last != end) {
+    throw std::runtime_error{"load_checkpoint: bad obs_count '" + token +
+                             "' in " + path};
+  }
+  return count;
 }
 
 /// Parse the v3 `meta <n>` block at the stream's position: n whole lines of
@@ -137,38 +157,38 @@ void load_checkpoint(PpoAgent& agent, const std::string& path) {
   std::size_t obs_size = 0;
   if (!(in >> key >> obs_size) || key != "obs_size" ||
       obs_size != agent.observation_size()) {
-    throw std::runtime_error{"load_checkpoint: observation size mismatch"};
+    throw std::runtime_error{"load_checkpoint: observation size mismatch in " +
+                             path};
   }
 
   std::string action_kind;
   std::size_t action_n = 0;
   if (!(in >> key >> action_kind >> action_n) || key != "action") {
-    throw std::runtime_error{"load_checkpoint: missing action spec"};
+    throw std::runtime_error{"load_checkpoint: missing action spec in " + path};
   }
   const auto& spec = agent.action_spec();
   const bool discrete = spec.type == ActionType::kDiscrete;
   if ((discrete && (action_kind != "discrete" || action_n != spec.num_actions)) ||
       (!discrete && (action_kind != "continuous" || action_n != spec.low.size()))) {
-    throw std::runtime_error{"load_checkpoint: action space mismatch"};
+    throw std::runtime_error{"load_checkpoint: action space mismatch in " +
+                             path};
   }
 
+  // Parse and check every field before touching the agent, so a torn or
+  // corrupt file leaves it exactly as it was.
   const auto actor =
       read_vector(in, "actor", agent.actor().param_count(), path);
-  std::copy(actor.begin(), actor.end(), agent.actor().params().begin());
-
   const auto critic =
       read_vector(in, "critic", agent.critic().param_count(), path);
-  std::copy(critic.begin(), critic.end(), agent.critic().params().begin());
-
-  agent.log_std() = read_vector(in, "log_std", agent.log_std().size(), path);
-
+  auto log_std = read_vector(in, "log_std", agent.log_std().size(), path);
   auto obs_mean = read_vector(in, "obs_mean", obs_size, path);
   auto obs_second = read_vector(in, version == "v1" ? "obs_var" : "obs_m2",
                                 obs_size, path);
-  std::size_t obs_count = 0;
-  if (!(in >> key >> obs_count) || key != "obs_count") {
-    throw std::runtime_error{"load_checkpoint: missing obs_count"};
-  }
+  const std::size_t obs_count = read_obs_count(in, path);
+
+  std::copy(actor.begin(), actor.end(), agent.actor().params().begin());
+  std::copy(critic.begin(), critic.end(), agent.critic().params().begin());
+  agent.log_std() = std::move(log_std);
   if (version == "v1") {
     agent.obs_normalizer().restore(std::move(obs_mean), std::move(obs_second),
                                    obs_count);

@@ -41,47 +41,6 @@ constexpr std::size_t kSampleBlock = 8;
 /// gradients.
 constexpr std::size_t kRowBlock = 16;
 
-/// Record one finished update in `report` and tell `callback` about it.
-void record_update(TrainReport& report, const PpoAgent::MinibatchStats& stats,
-                   std::size_t steps_done, std::size_t episodes,
-                   double episode_reward_sum, const TrainCallback& callback) {
-  ++report.updates;
-  report.final_policy_loss = stats.policy_loss;
-  report.final_value_loss = stats.value_loss;
-  report.final_entropy = stats.entropy;
-  if (!callback) return;
-  UpdateInfo info;
-  info.update_index = report.updates;
-  info.total_steps_done = steps_done;
-  info.mean_episode_reward =
-      episodes > 0 ? episode_reward_sum / static_cast<double>(episodes) : 0.0;
-  info.policy_loss = stats.policy_loss;
-  info.value_loss = stats.value_loss;
-  info.entropy = stats.entropy;
-  callback(info);
-}
-
-/// Fill the episode-statistics tail of a TrainReport.
-void finalize_report(TrainReport& report, std::size_t steps_done,
-                     const std::vector<double>& episode_rewards) {
-  report.steps = steps_done;
-  report.episodes = episode_rewards.size();
-  if (!episode_rewards.empty()) {
-    double sum = 0.0;
-    for (double r : episode_rewards) sum += r;
-    report.mean_episode_reward =
-        sum / static_cast<double>(episode_rewards.size());
-    const std::size_t tail =
-        std::max<std::size_t>(1, episode_rewards.size() / 10);
-    double tail_sum = 0.0;
-    for (std::size_t i = episode_rewards.size() - tail;
-         i < episode_rewards.size(); ++i) {
-      tail_sum += episode_rewards[i];
-    }
-    report.final_mean_episode_reward = tail_sum / static_cast<double>(tail);
-  }
-}
-
 }  // namespace
 
 /// run_update_epochs owns one set for all its minibatches, so the buffers
@@ -256,126 +215,43 @@ TrainReport PpoAgent::train(Env& env, std::size_t total_steps,
     const double last_value = critic_.forward(normalized(raw_obs))[0];
     buffer.compute_advantages(last_value, config_.gamma, config_.gae_lambda);
 
-    record_update(report, run_update_epochs(buffer, pool_), steps_done,
-                  episodes_this_update, episode_reward_sum_this_update,
-                  callback);
+    const MinibatchStats stats = run_update_epochs(buffer, pool_);
+    ++report.updates;
+    report.final_policy_loss = stats.policy_loss;
+    report.final_value_loss = stats.value_loss;
+    report.final_entropy = stats.entropy;
+    if (callback) {
+      UpdateInfo info;
+      info.update_index = report.updates;
+      info.total_steps_done = steps_done;
+      info.mean_episode_reward =
+          episodes_this_update > 0
+              ? episode_reward_sum_this_update /
+                    static_cast<double>(episodes_this_update)
+              : 0.0;
+      info.policy_loss = stats.policy_loss;
+      info.value_loss = stats.value_loss;
+      info.entropy = stats.entropy;
+      callback(info);
+    }
   }
 
-  finalize_report(report, steps_done, episode_rewards);
-  return report;
-}
-
-TrainReport PpoAgent::train(VecEnv& venv, std::size_t total_steps,
-                            const TrainCallback& callback) {
-  if (venv.observation_size() != obs_size_) {
-    throw std::invalid_argument{"PpoAgent::train: env observation size mismatch"};
+  report.steps = steps_done;
+  report.episodes = episode_rewards.size();
+  if (!episode_rewards.empty()) {
+    double sum = 0.0;
+    for (double r : episode_rewards) sum += r;
+    report.mean_episode_reward =
+        sum / static_cast<double>(episode_rewards.size());
+    const std::size_t tail =
+        std::max<std::size_t>(1, episode_rewards.size() / 10);
+    double tail_sum = 0.0;
+    for (std::size_t i = episode_rewards.size() - tail;
+         i < episode_rewards.size(); ++i) {
+      tail_sum += episode_rewards[i];
+    }
+    report.final_mean_episode_reward = tail_sum / static_cast<double>(tail);
   }
-  const std::size_t n_envs = venv.size();
-  const std::size_t steps_per_env =
-      std::max<std::size_t>(1, config_.n_steps / n_envs);
-  const std::size_t rollout_len = steps_per_env * n_envs;
-  if (config_.minibatch_size > rollout_len) {
-    throw std::invalid_argument{
-        "PpoAgent::train: minibatch larger than vectorized rollout"};
-  }
-
-  // The gradient step fans out over the venv's pool unless the caller
-  // attached one; the result is the same either way, only wall-clock moves.
-  util::ThreadPool* const pool = pool_ != nullptr ? pool_ : venv.pool();
-
-  TrainReport report;
-  RolloutBuffer buffer{rollout_len};
-
-  // The running-return accumulator inside ReturnNormalizer is a temporal
-  // filter over one reward stream, so each replica gets its own instance.
-  std::vector<ReturnNormalizer> return_norms(
-      n_envs, ReturnNormalizer{config_.gamma});
-
-  std::vector<Vec> raw_obs = venv.reset_all();
-  std::vector<double> episode_reward(n_envs, 0.0);
-  std::vector<double> episode_rewards;
-  std::vector<std::vector<Transition>> trajectories(n_envs);
-  std::vector<Vec> norm_obs(n_envs);
-  std::vector<Vec> actions(n_envs);
-
-  std::size_t steps_done = 0;
-  while (steps_done < total_steps) {
-    buffer.clear();
-    for (auto& traj : trajectories) {
-      traj.clear();
-      traj.reserve(steps_per_env);
-    }
-    std::size_t episodes_this_update = 0;
-    double episode_reward_sum_this_update = 0.0;
-
-    for (std::size_t step = 0; step < steps_per_env; ++step) {
-      // Normalizer statistics fold in replica-index order — a fixed
-      // sequence regardless of how many threads step the replicas.
-      if (config_.normalize_observations) {
-        for (const Vec& obs : raw_obs) obs_normalizer_.update(obs);
-      }
-      for (std::size_t i = 0; i < n_envs; ++i) {
-        norm_obs[i] = normalized(raw_obs[i]);
-      }
-
-      const std::vector<Vec> heads = actor_.forward_batch(norm_obs);
-      const std::vector<Vec> values = critic_.forward_batch(norm_obs);
-
-      for (std::size_t i = 0; i < n_envs; ++i) {
-        Transition t;
-        t.observation = norm_obs[i];
-        if (discrete()) {
-          const std::size_t a = Categorical::sample(heads[i], venv.rng(i));
-          t.action = {static_cast<double>(a)};
-          t.log_prob = Categorical::log_prob(heads[i], a);
-        } else {
-          t.action = DiagGaussian::sample(heads[i], log_std_, venv.rng(i));
-          t.log_prob = DiagGaussian::log_prob(heads[i], log_std_, t.action);
-        }
-        t.value = values[i][0];
-        actions[i] = t.action;
-        trajectories[i].push_back(std::move(t));
-      }
-
-      const VecEnv::StepBatch& result = venv.step(actions);
-      for (std::size_t i = 0; i < n_envs; ++i) {
-        Transition& t = trajectories[i].back();
-        const bool done = result.dones[i] != 0;
-        episode_reward[i] += result.rewards[i];
-        t.reward = config_.normalize_rewards
-                       ? return_norms[i].normalize(result.rewards[i], done)
-                       : result.rewards[i];
-        t.done = done;
-        if (done) {
-          episode_rewards.push_back(episode_reward[i]);
-          episode_reward_sum_this_update += episode_reward[i];
-          ++episodes_this_update;
-          episode_reward[i] = 0.0;
-        }
-        raw_obs[i] = result.observations[i];
-      }
-      steps_done += n_envs;
-    }
-
-    for (std::size_t i = 0; i < n_envs; ++i) {
-      norm_obs[i] = normalized(raw_obs[i]);
-    }
-    const std::vector<Vec> bootstrap = critic_.forward_batch(norm_obs);
-    std::vector<double> last_values(n_envs);
-    for (std::size_t i = 0; i < n_envs; ++i) last_values[i] = bootstrap[i][0];
-
-    for (auto& traj : trajectories) {
-      for (auto& t : traj) buffer.add(std::move(t));
-    }
-    buffer.compute_advantages_segmented(last_values, config_.gamma,
-                                        config_.gae_lambda);
-
-    record_update(report, run_update_epochs(buffer, pool), steps_done,
-                  episodes_this_update, episode_reward_sum_this_update,
-                  callback);
-  }
-
-  finalize_report(report, steps_done, episode_rewards);
   return report;
 }
 

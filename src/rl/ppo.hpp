@@ -24,7 +24,6 @@
 #include "rl/mlp.hpp"
 #include "rl/normalizer.hpp"
 #include "rl/rollout.hpp"
-#include "rl/vec_env.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -73,22 +72,12 @@ class PpoAgent {
   TrainReport train(Env& env, std::size_t total_steps,
                     const TrainCallback& callback = nullptr);
 
-  /// Vectorized PPO: each update's rollout is collected from venv.size()
-  /// replicas stepped concurrently (n_steps / size() steps per replica,
-  /// batched policy/critic inference, per-segment GAE). Action sampling and
-  /// every replica's dynamics run on the replica's private RNG stream, so
-  /// the trained parameters depend only on the seed and replica count —
-  /// never on the pool's thread count.
-  TrainReport train(VecEnv& venv, std::size_t total_steps,
-                    const TrainCallback& callback = nullptr);
-
   /// Mean raw episode reward over `episodes` fresh episodes.
   double evaluate(Env& env, std::size_t episodes, util::Rng& rng,
                   bool deterministic = true);
 
-  /// Attach the pool the minibatch gradient step fans out over (nullptr
-  /// runs it on the calling thread). train(VecEnv&) falls back to the
-  /// venv's pool when none is attached.
+  /// Attach the pool train()'s minibatch gradient step fans out over
+  /// (nullptr runs it on the calling thread).
   ///
   /// Determinism contract: the gradient step runs the same arithmetic at
   /// every pool size. Per-sample backprop deltas land in per-sample slots;
@@ -107,7 +96,7 @@ class PpoAgent {
     double entropy = 0.0;
   };
 
-  /// The shuffled-minibatch epochs shared by both train() entry points:
+  /// The shuffled-minibatch epochs of one train() update:
   /// config().epochs passes of shuffled minibatches over `buffer`, one
   /// optimizer step per minibatch, each fanned out over `pool` (null runs
   /// on the caller; the result is the same). Public so tests and benches

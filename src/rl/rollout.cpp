@@ -17,13 +17,14 @@ void RolloutBuffer::add(Transition t) {
   data_.push_back(std::move(t));
 }
 
-void RolloutBuffer::gae_backward(std::size_t begin, std::size_t end,
-                                 double last_value, double gamma,
-                                 double lambda) {
+void RolloutBuffer::compute_advantages(double last_value, double gamma,
+                                       double lambda) {
+  if (data_.empty()) throw std::logic_error{"compute_advantages on empty buffer"};
   double gae = 0.0;
-  for (std::size_t i = end; i-- > begin;) {
+  for (std::size_t i = data_.size(); i-- > 0;) {
     Transition& t = data_[i];
-    const double next_value = (i + 1 < end) ? data_[i + 1].value : last_value;
+    const double next_value =
+        (i + 1 < data_.size()) ? data_[i + 1].value : last_value;
     const double next_non_terminal = t.done ? 0.0 : 1.0;
     const double delta =
         t.reward + gamma * next_value * next_non_terminal - t.value;
@@ -31,9 +32,7 @@ void RolloutBuffer::gae_backward(std::size_t begin, std::size_t end,
     t.advantage = gae;
     t.return_ = t.advantage + t.value;
   }
-}
 
-void RolloutBuffer::standardize_advantages() {
   // Standardize advantages (not the return targets).
   double mean = 0.0;
   for (const auto& t : data_) mean += t.advantage;
@@ -46,27 +45,6 @@ void RolloutBuffer::standardize_advantages() {
   var /= static_cast<double>(data_.size());
   const double std = std::sqrt(var) + 1e-8;
   for (auto& t : data_) t.advantage = (t.advantage - mean) / std;
-}
-
-void RolloutBuffer::compute_advantages(double last_value, double gamma,
-                                       double lambda) {
-  if (data_.empty()) throw std::logic_error{"compute_advantages on empty buffer"};
-  gae_backward(0, data_.size(), last_value, gamma, lambda);
-  standardize_advantages();
-}
-
-void RolloutBuffer::compute_advantages_segmented(
-    const std::vector<double>& last_values, double gamma, double lambda) {
-  if (data_.empty()) throw std::logic_error{"compute_advantages on empty buffer"};
-  if (last_values.empty() || data_.size() % last_values.size() != 0) {
-    throw std::invalid_argument{
-        "compute_advantages_segmented: buffer not divisible into segments"};
-  }
-  const std::size_t segment = data_.size() / last_values.size();
-  for (std::size_t s = 0; s < last_values.size(); ++s) {
-    gae_backward(s * segment, (s + 1) * segment, last_values[s], gamma, lambda);
-  }
-  standardize_advantages();
 }
 
 std::vector<std::size_t> RolloutBuffer::shuffled_indices(util::Rng& rng) const {

@@ -4,7 +4,7 @@
 // shuffled minibatches for several epochs.
 //
 // Determinism contract: everything here runs on the calling thread. The GAE
-// passes are sequential backward scans, and shuffled_indices() derives its
+// pass is a sequential backward scan, and shuffled_indices() derives its
 // permutation only from the caller's Rng state — so the minibatch sample
 // order (the order every gradient element sums in, see rl/ppo.hpp) is a pure
 // function of the seed, never of the thread count.
@@ -45,25 +45,12 @@ class RolloutBuffer {
   /// buffer (mean 0, std 1), the usual PPO normalization.
   void compute_advantages(double last_value, double gamma, double lambda);
 
-  /// GAE for a buffer holding the trajectories of N environment replicas
-  /// laid out replica-major (replica 0's steps, then replica 1's, ...), all
-  /// of equal length size() / last_values.size(). Each segment runs its own
-  /// backward pass bootstrapped by its replica's last_values entry; the
-  /// final standardization is global across the whole buffer, matching the
-  /// single-env normalization.
-  void compute_advantages_segmented(const std::vector<double>& last_values,
-                                    double gamma, double lambda);
-
   /// A random permutation of [0, size()) for minibatching. Fisher–Yates on
   /// the caller's rng: the permutation depends only on the rng state, so
   /// every epoch's minibatch composition is reproducible from the seed.
   std::vector<std::size_t> shuffled_indices(util::Rng& rng) const;
 
  private:
-  void gae_backward(std::size_t begin, std::size_t end, double last_value,
-                    double gamma, double lambda);
-  void standardize_advantages();
-
   std::size_t capacity_;
   std::vector<Transition> data_;
 };

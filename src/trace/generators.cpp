@@ -105,53 +105,4 @@ Trace Hsdpa3gLikeGenerator::generate(util::Rng& rng) const {
   return trace;
 }
 
-MarkovGenerator::MarkovGenerator(std::vector<State> states,
-                                 std::vector<std::vector<double>> transition,
-                                 std::size_t segments,
-                                 double segment_duration_s)
-    : states_(std::move(states)),
-      transition_(std::move(transition)),
-      segments_(segments),
-      segment_duration_s_(segment_duration_s) {
-  if (states_.empty() || transition_.size() != states_.size() ||
-      segments_ == 0 || segment_duration_s_ <= 0.0) {
-    throw std::invalid_argument{"MarkovGenerator: bad parameters"};
-  }
-  for (const auto& row : transition_) {
-    if (row.size() != states_.size()) {
-      throw std::invalid_argument{"MarkovGenerator: ragged transition matrix"};
-    }
-    double sum = 0.0;
-    for (double p : row) {
-      if (p < 0.0) throw std::invalid_argument{"MarkovGenerator: negative prob"};
-      sum += p;
-    }
-    if (std::abs(sum - 1.0) > 1e-6) {
-      throw std::invalid_argument{"MarkovGenerator: row must sum to 1"};
-    }
-  }
-}
-
-Trace MarkovGenerator::generate(util::Rng& rng) const {
-  Trace trace;
-  std::size_t state = rng.index(states_.size());
-  for (std::size_t i = 0; i < segments_; ++i) {
-    const State& s = states_[state];
-    trace.append({segment_duration_s_, s.bandwidth_mbps, s.latency_ms,
-                  s.loss_rate});
-    const double u = rng.uniform();
-    double acc = 0.0;
-    std::size_t next = states_.size() - 1;
-    for (std::size_t j = 0; j < states_.size(); ++j) {
-      acc += transition_[state][j];
-      if (u < acc) {
-        next = j;
-        break;
-      }
-    }
-    state = next;
-  }
-  return trace;
-}
-
 }  // namespace netadv::trace

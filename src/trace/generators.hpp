@@ -114,29 +114,4 @@ class Hsdpa3gLikeGenerator final : public TraceGenerator {
   Params params_;
 };
 
-/// General Markov-modulated generator over a fixed set of condition states;
-/// used by tests and by ablations that need controllable burstiness.
-class MarkovGenerator final : public TraceGenerator {
- public:
-  struct State {
-    double bandwidth_mbps = 1.0;
-    double latency_ms = 80.0;
-    double loss_rate = 0.0;
-  };
-
-  /// `transition[i][j]` is P(next = j | current = i); rows must sum to ~1.
-  MarkovGenerator(std::vector<State> states,
-                  std::vector<std::vector<double>> transition,
-                  std::size_t segments, double segment_duration_s);
-
-  std::string name() const override { return "markov"; }
-  Trace generate(util::Rng& rng) const override;
-
- private:
-  std::vector<State> states_;
-  std::vector<std::vector<double>> transition_;
-  std::size_t segments_;
-  double segment_duration_s_;
-};
-
 }  // namespace netadv::trace

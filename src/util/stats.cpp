@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 namespace netadv::util {
 
@@ -26,36 +27,6 @@ double RunningStat::variance() const noexcept {
 }
 
 double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
-
-SlidingWindow::SlidingWindow(std::size_t capacity) : capacity_(capacity) {
-  if (capacity == 0) throw std::invalid_argument{"SlidingWindow capacity must be > 0"};
-}
-
-void SlidingWindow::push(double x) {
-  if (buf_.size() == capacity_) buf_.pop_front();
-  buf_.push_back(x);
-}
-
-double SlidingWindow::mean() const noexcept {
-  if (buf_.empty()) return 0.0;
-  return std::accumulate(buf_.begin(), buf_.end(), 0.0) /
-         static_cast<double>(buf_.size());
-}
-
-double SlidingWindow::min() const noexcept {
-  return buf_.empty() ? 0.0 : *std::min_element(buf_.begin(), buf_.end());
-}
-
-double SlidingWindow::max() const noexcept {
-  return buf_.empty() ? 0.0 : *std::max_element(buf_.begin(), buf_.end());
-}
-
-double SlidingWindow::harmonic_mean() const noexcept {
-  if (buf_.empty()) return 0.0;
-  double denom = 0.0;
-  for (double x : buf_) denom += 1.0 / std::max(x, kMinHarmonicSample);
-  return static_cast<double>(buf_.size()) / denom;
-}
 
 double percentile(std::span<const double> xs, double p) {
   if (xs.empty()) throw std::invalid_argument{"percentile of empty sample"};

@@ -1,12 +1,10 @@
 // Small statistics toolkit used across the simulators, the RL substrate and
-// the benchmark harnesses: streaming moments (Welford), EWMA smoothing,
-// percentiles / empirical CDFs, and a fixed-capacity sliding window.
+// the benchmark harnesses: streaming moments (Welford), percentiles and
+// empirical CDFs.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 namespace netadv::util {
@@ -34,68 +32,6 @@ class RunningStat {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Exponentially weighted moving average. `alpha` is the weight of the new
-/// sample: value = alpha * x + (1 - alpha) * value. The first sample
-/// initializes the average directly.
-class Ewma {
- public:
-  explicit Ewma(double alpha) : alpha_(alpha) {
-    if (alpha <= 0.0 || alpha > 1.0) {
-      throw std::invalid_argument{"Ewma alpha must be in (0, 1]"};
-    }
-  }
-
-  void add(double x) noexcept {
-    value_ = initialized_ ? alpha_ * x + (1.0 - alpha_) * value_ : x;
-    initialized_ = true;
-  }
-
-  bool initialized() const noexcept { return initialized_; }
-  double value() const noexcept { return value_; }
-  void reset() noexcept {
-    value_ = 0.0;
-    initialized_ = false;
-  }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-};
-
-/// Fixed-capacity FIFO of doubles with O(1) push and aggregate queries;
-/// used for throughput/download-time histories in protocol state.
-class SlidingWindow {
- public:
-  explicit SlidingWindow(std::size_t capacity);
-
-  void push(double x);
-  std::size_t size() const noexcept { return buf_.size(); }
-  std::size_t capacity() const noexcept { return capacity_; }
-  bool full() const noexcept { return buf_.size() == capacity_; }
-  double operator[](std::size_t i) const { return buf_.at(i); }
-  double back() const { return buf_.back(); }
-  double front() const { return buf_.front(); }
-  double mean() const noexcept;
-  double min() const noexcept;
-  double max() const noexcept;
-  /// Smallest value a sample contributes to the harmonic mean as. Samples
-  /// below it (zero or negative — e.g. a download that reported 0 Mbps)
-  /// would otherwise zero out or flip the sign of the reciprocal sum.
-  static constexpr double kMinHarmonicSample = 1e-9;
-
-  /// Harmonic mean over max(sample, kMinHarmonicSample), so a non-positive
-  /// sample drags the mean toward ~0 instead of dividing by zero.
-  /// Returns 0 on empty window.
-  double harmonic_mean() const noexcept;
-  void clear() noexcept { buf_.clear(); }
-  const std::deque<double>& values() const noexcept { return buf_; }
-
- private:
-  std::size_t capacity_;
-  std::deque<double> buf_;
 };
 
 /// Percentile of a sample set with linear interpolation between order

@@ -1,10 +1,10 @@
 // Determinism gates for the parallel execution layer: the same seed must
 // produce bit-identical results at thread counts 1, 2, and 8 — replayed QoE
-// vectors, CC replay metrics, VecEnv trajectories, trained PPO/A2C
-// parameters through the row-partitioned gradient step, concurrently trained
-// adversaries, and batch-recorded adversarial corpora. Also covers
-// ThreadPool semantics (coverage, ordering, exception propagation) and the
-// batched gemm forward path.
+// vectors, CC replay metrics, trained PPO parameters through the
+// row-partitioned gradient step, concurrently trained adversaries, and
+// batch-recorded adversarial corpora. Also covers ThreadPool semantics
+// (coverage, ordering, exception propagation) and the batched gemm forward
+// path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "abr/bb.hpp"
@@ -26,7 +25,6 @@
 #include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
 #include "rl/toy_envs.hpp"
-#include "rl/vec_env.hpp"
 #include "trace/generators.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -212,69 +210,6 @@ TEST(ParallelReplay, CcReplayIdenticalAcrossThreadCounts) {
                 reference[i].mean_flow_throughput_mbps);
       EXPECT_EQ(results[i].utilization, reference[i].utilization);
     }
-  }
-}
-
-rl::VecEnv::StepBatch roll_vecenv_at(std::size_t threads) {
-  util::ThreadPool pool{threads};
-  rl::VecEnv venv{[](std::size_t) { return std::make_unique<rl::ContextualBanditEnv>(3, 4, 5); },
-                  /*n=*/6, /*seed=*/17, &pool};
-  venv.reset_all();
-  rl::VecEnv::StepBatch last;
-  for (int step = 0; step < 20; ++step) {
-    std::vector<rl::Vec> actions(venv.size(),
-                                 rl::Vec{static_cast<double>(step % 4)});
-    last = venv.step(actions);
-  }
-  return last;
-}
-
-TEST(VecEnv, TrajectoriesIdenticalAcrossThreadCounts) {
-  const auto reference = roll_vecenv_at(1);
-  for (std::size_t threads : kThreadCounts) {
-    const auto batch = roll_vecenv_at(threads);
-    EXPECT_EQ(batch.observations, reference.observations);
-    EXPECT_EQ(batch.rewards, reference.rewards);
-    EXPECT_EQ(batch.dones, reference.dones);
-  }
-}
-
-rl::PpoAgent train_vec_ppo_at(std::size_t threads) {
-  util::set_log_level(util::LogLevel::kWarn);
-  util::ThreadPool pool{threads};
-  rl::VecEnv venv{[](std::size_t) { return std::make_unique<rl::ContextualBanditEnv>(2, 3, 8); },
-                  /*n=*/4, /*seed=*/23, &pool};
-  rl::PpoConfig cfg;
-  cfg.hidden_sizes = {16, 8};
-  cfg.n_steps = 128;
-  cfg.minibatch_size = 32;
-  cfg.epochs = 3;
-  rl::PpoAgent agent{venv.observation_size(), venv.action_spec(), cfg, 31};
-  agent.train(venv, 512);
-  return agent;
-}
-
-TEST(VecPpo, TrainedParametersIdenticalAcrossThreadCounts) {
-  const rl::PpoAgent reference = train_vec_ppo_at(1);
-  for (std::size_t threads : kThreadCounts) {
-    rl::PpoAgent agent = train_vec_ppo_at(threads);
-    const auto ref_actor = reference.actor().params();
-    const auto actor = agent.actor().params();
-    ASSERT_EQ(actor.size(), ref_actor.size());
-    for (std::size_t i = 0; i < actor.size(); ++i) {
-      ASSERT_EQ(actor[i], ref_actor[i])
-          << "actor param " << i << " differs at " << threads << " threads";
-    }
-    const auto ref_critic = reference.critic().params();
-    const auto critic = agent.critic().params();
-    ASSERT_EQ(critic.size(), ref_critic.size());
-    for (std::size_t i = 0; i < critic.size(); ++i) {
-      ASSERT_EQ(critic[i], ref_critic[i])
-          << "critic param " << i << " differs at " << threads << " threads";
-    }
-    EXPECT_EQ(agent.obs_normalizer().mean(), reference.obs_normalizer().mean());
-    EXPECT_EQ(agent.obs_normalizer().count(),
-              reference.obs_normalizer().count());
   }
 }
 
@@ -510,78 +445,6 @@ TEST(ParallelRecorders, CcEpisodeBatchIdenticalAcrossThreadCounts) {
           << "episode " << i << " at " << threads << " threads";
     }
   }
-}
-
-TEST(VecPpo, ThrowingReplicaLeavesNoBorrowedPoolBehind) {
-  // train(VecEnv&) borrows the venv's pool for the gradient step. A replica
-  // that throws mid-rollout must not leave the agent holding that pool
-  // after the pool is gone.
-  struct ThrowingEnv final : rl::Env {
-    rl::ContextualBanditEnv inner{2, 3, 8};
-    bool throws = false;
-    std::string name() const override { return inner.name(); }
-    std::size_t observation_size() const override {
-      return inner.observation_size();
-    }
-    rl::ActionSpec action_spec() const override { return inner.action_spec(); }
-    rl::Vec reset(util::Rng& rng) override { return inner.reset(rng); }
-    rl::StepResult step(const rl::Vec& action, util::Rng& rng) override {
-      if (throws) throw std::runtime_error{"replica step failed"};
-      return inner.step(action, rng);
-    }
-  };
-  util::set_log_level(util::LogLevel::kWarn);
-  rl::PpoConfig cfg;
-  cfg.hidden_sizes = {8};
-  cfg.n_steps = 32;
-  cfg.minibatch_size = 8;
-  const rl::ContextualBanditEnv shape{2, 3, 8};
-  rl::PpoAgent agent{shape.observation_size(), shape.action_spec(), cfg, 5};
-  ASSERT_EQ(agent.thread_pool(), nullptr);
-  {
-    util::ThreadPool pool{2};
-    rl::VecEnv venv{[](std::size_t index) {
-                      auto env = std::make_unique<ThrowingEnv>();
-                      env->throws = index == 1;
-                      return env;
-                    },
-                    /*n=*/4, /*seed=*/7, &pool};
-    EXPECT_THROW(agent.train(venv, 64), std::runtime_error);
-  }
-  EXPECT_EQ(agent.thread_pool(), nullptr);
-}
-
-TEST(VecPpo, LearnsContextualBandit) {
-  util::ThreadPool pool{4};
-  rl::VecEnv venv{[](std::size_t) { return std::make_unique<rl::ContextualBanditEnv>(2, 2, 16); },
-                  /*n=*/4, /*seed=*/3, &pool};
-  rl::PpoConfig cfg;
-  cfg.hidden_sizes = {16};
-  cfg.n_steps = 256;
-  cfg.minibatch_size = 64;
-  cfg.epochs = 4;
-  cfg.ent_coef = 0.01;
-  util::set_log_level(util::LogLevel::kWarn);
-  rl::PpoAgent agent{venv.observation_size(), venv.action_spec(), cfg, 9};
-  agent.train(venv, 12000);
-
-  // The greedy policy should pick the rewarded arm in both contexts.
-  rl::ContextualBanditEnv probe{2, 2, 16};
-  util::Rng rng{1};
-  std::size_t correct = 0;
-  const std::size_t trials = 32;
-  for (std::size_t k = 0; k < trials; ++k) {
-    const rl::Vec obs = probe.reset(rng);
-    std::size_t context = 0;
-    for (std::size_t i = 0; i < obs.size(); ++i) {
-      if (obs[i] > 0.5) context = i;
-    }
-    const rl::Vec action = agent.act_deterministic(obs);
-    if (static_cast<std::size_t>(action[0]) == probe.correct_arm(context)) {
-      ++correct;
-    }
-  }
-  EXPECT_GE(correct, trials - trials / 8);
 }
 
 }  // namespace

@@ -72,15 +72,6 @@ TEST(MatrixKernels, DotAndNorm) {
   EXPECT_DOUBLE_EQ(l2_norm(a), 5.0);
 }
 
-TEST(MatrixClass, IndexingAndAt) {
-  Matrix m{2, 3};
-  m(1, 2) = 7.0;
-  EXPECT_DOUBLE_EQ(m(1, 2), 7.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 2), 7.0);
-  EXPECT_THROW(m.at(2, 0), std::out_of_range);
-  EXPECT_EQ(m.size(), 6u);
-}
-
 // ---------------------------------------------------------------- mlp
 
 TEST(Mlp, OutputShapeAndDeterminism) {

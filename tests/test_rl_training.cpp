@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -168,6 +169,51 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out{path, std::ios::binary};
+  out << text;
+}
+
+/// The text save_checkpoint writes for `agent`.
+std::string checkpoint_text(const PpoAgent& agent) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "netadv_ckpt_text.txt")
+          .string();
+  save_checkpoint(agent, path);
+  const std::string text = read_file(path);
+  std::remove(path.c_str());
+  return text;
+}
+
+/// Every field load_checkpoint writes must be bit-equal in both agents.
+void expect_same_loaded_state(const PpoAgent& agent,
+                              const PpoAgent& reference) {
+  const auto as_vec = [](std::span<const double> xs) {
+    return std::vector<double>(xs.begin(), xs.end());
+  };
+  EXPECT_EQ(as_vec(agent.actor().params()), as_vec(reference.actor().params()));
+  EXPECT_EQ(as_vec(agent.critic().params()),
+            as_vec(reference.critic().params()));
+  EXPECT_EQ(agent.log_std(), reference.log_std());
+  EXPECT_EQ(agent.obs_normalizer().mean(), reference.obs_normalizer().mean());
+  EXPECT_EQ(agent.obs_normalizer().m2(), reference.obs_normalizer().m2());
+  EXPECT_EQ(agent.obs_normalizer().count(),
+            reference.obs_normalizer().count());
+}
+
+/// Runs load_checkpoint on `path` and returns the runtime_error message (or
+/// a note saying what else happened, so the caller's expectations fail).
+std::string load_error(PpoAgent& agent, const std::string& path) {
+  try {
+    load_checkpoint(agent, path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  } catch (const std::exception& e) {
+    return std::string{"non-runtime_error: "} + e.what();
+  }
+  return "no error";
+}
+
 /// save -> load -> save must reproduce the file byte for byte: parameters
 /// are printed with round-trip precision and the v2 format stores the
 /// normalizer's raw second moment, so nothing is lost to re-derivation.
@@ -248,24 +294,17 @@ TEST(Checkpoint, TopologyMismatchThrows) {
   save_checkpoint(agent, path);
 
   PpoAgent wrong_obs{3, env.action_spec(), small_config(), 31};
-  EXPECT_THROW(load_checkpoint(wrong_obs, path), std::runtime_error);
+  const std::string obs_error = load_error(wrong_obs, path);
+  EXPECT_NE(obs_error.find("observation size mismatch in " + path),
+            std::string::npos)
+      << obs_error;
 
   PpoAgent wrong_actions{2, ActionSpec::discrete(4), small_config(), 31};
-  EXPECT_THROW(load_checkpoint(wrong_actions, path), std::runtime_error);
+  const std::string action_error = load_error(wrong_actions, path);
+  EXPECT_NE(action_error.find("action space mismatch in " + path),
+            std::string::npos)
+      << action_error;
   std::remove(path.c_str());
-}
-
-/// Runs load_checkpoint on `path` and returns the runtime_error message (or
-/// a note saying what else happened, so the caller's expectations fail).
-std::string load_error(PpoAgent& agent, const std::string& path) {
-  try {
-    load_checkpoint(agent, path);
-  } catch (const std::runtime_error& e) {
-    return e.what();
-  } catch (const std::exception& e) {
-    return std::string{"non-runtime_error: "} + e.what();
-  }
-  return "no error";
 }
 
 TEST(Checkpoint, DeclaredCountsAreCheckedBeforeAllocating) {
@@ -295,8 +334,55 @@ TEST(Checkpoint, DeclaredCountsAreCheckedBeforeAllocating) {
   EXPECT_NE(meta_error.find(huge_meta), std::string::npos) << meta_error;
   EXPECT_THROW(read_checkpoint_meta(huge_meta), std::runtime_error);
 
+  // obs_count is a declared count too. `>>` into a size_t would read -1 as
+  // 2^64 - 1 and 12abc as 12; both must fail, naming the key and the file.
+  const std::string saved = checkpoint_text(agent);
+  const std::string bad_count = (dir / "netadv_ckpt_bad_count.txt").string();
+  for (const std::string count : {"-1", "12abc", "+3"}) {
+    write_file(bad_count,
+               saved.substr(0, saved.rfind("obs_count ")) + "obs_count " +
+                   count + "\n");
+    const std::string count_error = load_error(agent, bad_count);
+    EXPECT_NE(count_error.find("obs_count '" + count + "'"), std::string::npos)
+        << count_error;
+    EXPECT_NE(count_error.find(bad_count), std::string::npos) << count_error;
+  }
+
   std::remove(huge_vector.c_str());
   std::remove(huge_meta.c_str());
+  std::remove(bad_count.c_str());
+}
+
+TEST(Checkpoint, TornFileLeavesTheAgentUntouched) {
+  // A file cut short after any line (or with a bad obs_count) must throw an
+  // error naming the file and leave every loaded field as it was: the
+  // loader checks all of them before it assigns any, so a caller that
+  // catches the error never trains on a half-loaded actor.
+  TargetChaseEnv env{16};
+  PpoAgent trained{env.observation_size(), env.action_spec(), small_config(),
+                   29};
+  trained.train(env, 512);
+  const std::string text = checkpoint_text(trained);
+  std::vector<std::string> torn;
+  for (std::size_t end = text.find('\n'); end + 1 < text.size();
+       end = text.find('\n', end + 1)) {
+    torn.push_back(text.substr(0, end + 1));
+  }
+  torn.push_back(text.substr(0, text.rfind("obs_count ")) + "obs_count -1\n");
+
+  const PpoAgent fresh{env.observation_size(), env.action_spec(),
+                       small_config(), 509};
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "netadv_ckpt_torn.txt")
+          .string();
+  for (const std::string& body : torn) {
+    write_file(path, body);
+    PpoAgent agent = fresh;
+    const std::string error = load_error(agent, path);
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+    expect_same_loaded_state(agent, fresh);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, MissingFileThrows) {

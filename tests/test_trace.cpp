@@ -163,47 +163,6 @@ TEST(Hsdpa3gLikeGenerator, StaysInBounds) {
   }
 }
 
-TEST(MarkovGenerator, VisitsAllStates) {
-  std::vector<MarkovGenerator::State> states{
-      {1.0, 50.0, 0.0}, {3.0, 50.0, 0.0}};
-  std::vector<std::vector<double>> transition{{0.5, 0.5}, {0.5, 0.5}};
-  MarkovGenerator gen{states, transition, 500, 1.0};
-  Rng rng{89};
-  const Trace t = gen.generate(rng);
-  int low = 0;
-  int high = 0;
-  for (const auto& s : t.segments()) {
-    if (s.bandwidth_mbps < 2.0) ++low;
-    else ++high;
-  }
-  EXPECT_GT(low, 100);
-  EXPECT_GT(high, 100);
-}
-
-TEST(MarkovGenerator, ValidatesTransitionMatrix) {
-  std::vector<MarkovGenerator::State> states{{1.0, 50.0, 0.0}};
-  EXPECT_THROW(
-      (MarkovGenerator{states, {{0.5}}, 10, 1.0}),  // row sums to 0.5
-      std::invalid_argument);
-  EXPECT_THROW((MarkovGenerator{states, {{1.0}, {1.0}}, 10, 1.0}),
-               std::invalid_argument);
-  EXPECT_THROW((MarkovGenerator{{}, {}, 10, 1.0}), std::invalid_argument);
-}
-
-TEST(MarkovGenerator, StickyChainHoldsState) {
-  std::vector<MarkovGenerator::State> states{
-      {1.0, 50.0, 0.0}, {3.0, 50.0, 0.0}};
-  std::vector<std::vector<double>> transition{{0.99, 0.01}, {0.01, 0.99}};
-  MarkovGenerator gen{states, transition, 300, 1.0};
-  Rng rng{97};
-  const Trace t = gen.generate(rng);
-  int switches = 0;
-  for (std::size_t i = 1; i < t.size(); ++i) {
-    if (t[i].bandwidth_mbps != t[i - 1].bandwidth_mbps) ++switches;
-  }
-  EXPECT_LT(switches, 30);
-}
-
 TEST(TraceGenerator, GenerateManyProducesDistinctTraces) {
   UniformRandomGenerator gen{{}};
   Rng rng{101};

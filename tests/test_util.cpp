@@ -1,5 +1,5 @@
 // Unit tests for netadv::util — RNG determinism and distributional sanity,
-// streaming statistics, sliding windows, percentiles/CDFs, and CSV I/O.
+// streaming statistics, percentiles/CDFs, and CSV I/O.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -149,88 +149,6 @@ TEST(RunningStat, ResetClears) {
   s.reset();
   EXPECT_TRUE(s.empty());
   EXPECT_EQ(s.count(), 0u);
-}
-
-// ---------------------------------------------------------------- Ewma
-
-TEST(Ewma, FirstSampleInitializes) {
-  Ewma e{0.5};
-  e.add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-}
-
-TEST(Ewma, ConvergesTowardConstant) {
-  Ewma e{0.5};
-  e.add(0.0);
-  for (int i = 0; i < 50; ++i) e.add(1.0);
-  EXPECT_NEAR(e.value(), 1.0, 1e-9);
-}
-
-TEST(Ewma, WeightsNewSample) {
-  Ewma e{0.25};
-  e.add(0.0);
-  e.add(8.0);
-  EXPECT_DOUBLE_EQ(e.value(), 2.0);
-}
-
-TEST(Ewma, RejectsBadAlpha) {
-  EXPECT_THROW(Ewma{0.0}, std::invalid_argument);
-  EXPECT_THROW(Ewma{1.5}, std::invalid_argument);
-}
-
-// ---------------------------------------------------------------- SlidingWindow
-
-TEST(SlidingWindow, EvictsOldest) {
-  SlidingWindow w{3};
-  w.push(1.0);
-  w.push(2.0);
-  w.push(3.0);
-  w.push(4.0);
-  EXPECT_EQ(w.size(), 3u);
-  EXPECT_DOUBLE_EQ(w.front(), 2.0);
-  EXPECT_DOUBLE_EQ(w.back(), 4.0);
-  EXPECT_DOUBLE_EQ(w.mean(), 3.0);
-}
-
-TEST(SlidingWindow, HarmonicMean) {
-  SlidingWindow w{4};
-  w.push(1.0);
-  w.push(2.0);
-  w.push(4.0);
-  // 3 / (1 + 0.5 + 0.25) = 12/7
-  EXPECT_NEAR(w.harmonic_mean(), 12.0 / 7.0, 1e-12);
-}
-
-TEST(SlidingWindow, HarmonicMeanGuardsNonPositiveSamples) {
-  // A 0 sample used to divide by zero (denom = inf, mean = 0 at best, NaN
-  // once a second infinity or a negative sample entered the window). It now
-  // contributes 1/kMinHarmonicSample, dragging the mean toward ~0.
-  SlidingWindow w{4};
-  w.push(0.0);
-  const double with_zero = w.harmonic_mean();
-  EXPECT_TRUE(std::isfinite(with_zero));
-  EXPECT_NEAR(with_zero, SlidingWindow::kMinHarmonicSample, 1e-18);
-
-  w.push(10.0);
-  EXPECT_TRUE(std::isfinite(w.harmonic_mean()));
-  EXPECT_LT(w.harmonic_mean(), 10.0);
-
-  SlidingWindow neg{4};
-  neg.push(-2.0);
-  neg.push(5.0);
-  EXPECT_TRUE(std::isfinite(neg.harmonic_mean()));
-  EXPECT_GT(neg.harmonic_mean(), 0.0);
-}
-
-TEST(SlidingWindow, MinMax) {
-  SlidingWindow w{5};
-  for (double x : {3.0, 1.0, 4.0, 1.5}) w.push(x);
-  EXPECT_DOUBLE_EQ(w.min(), 1.0);
-  EXPECT_DOUBLE_EQ(w.max(), 4.0);
-}
-
-TEST(SlidingWindow, RejectsZeroCapacity) {
-  EXPECT_THROW(SlidingWindow{0}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- percentile / cdf
