@@ -518,39 +518,14 @@ int cmd_campaign(const std::string& exe,
 
 int cmd_info(const std::vector<std::string>& args) {
   if (!args.empty()) return usage();
-  // Reading active_backend() runs the dispatch resolution, so a forced but
-  // unavailable NETADV_SIMD value emits its fallback note (to stderr, via
-  // util::log) before the report prints.
   namespace kr = rl::kernels;
-  const kr::Backend active = kr::active_backend();
-
-  const char* simd_env = std::getenv("NETADV_SIMD");
   const char* threads_env = std::getenv("NETADV_THREADS");
   const char* scale_env = std::getenv("NETADV_SCALE");
-  std::printf("kernel backends (compiled / cpu / usable):\n");
-  const struct {
-    const char* name;
-    bool compiled;
-    bool cpu;
-    kr::Backend backend;
-  } rows[] = {
-      {"scalar", true, true, kr::Backend::kScalar},
-      {"avx2", kr::avx2_compiled(), kr::avx2_runtime_supported(),
-       kr::Backend::kAvx2},
-      {"avx512", kr::avx512_compiled(), kr::avx512_runtime_supported(),
-       kr::Backend::kAvx512},
-      {"neon", kr::neon_compiled(), kr::neon_runtime_supported(),
-       kr::Backend::kNeon},
-  };
-  for (const auto& row : rows) {
-    std::printf("  %-8s %-3s / %-3s / %-3s%s\n", row.name,
-                row.compiled ? "yes" : "no", row.cpu ? "yes" : "no",
-                kr::backend_available(row.backend) ? "yes" : "no",
-                row.backend == active ? "   <- active" : "");
+  std::printf("kernel backends (available on this CPU):\n");
+  for (const kr::Backend* backend : kr::available_backends()) {
+    std::printf("  %s%s\n", backend->name,
+                backend == &kr::active_backend() ? "   <- active" : "");
   }
-  std::printf("NETADV_SIMD      %s -> %s (auto would pick %s)\n",
-              simd_env ? simd_env : "(unset, auto)", kr::backend_name(active),
-              kr::backend_name(kr::best_backend()));
   std::printf("NETADV_THREADS   %s -> %zu lanes\n",
               threads_env ? threads_env : "(unset, hardware)",
               util::ThreadPool::default_thread_count());

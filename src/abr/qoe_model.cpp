@@ -79,7 +79,8 @@ void save_ssim_table(const SsimTable& table, const std::string& path) {
   util::CsvWriter writer{path};
   std::vector<std::string> header{"chunk"};
   for (std::size_t q = 0; q < table.front().size(); ++q) {
-    header.push_back("q" + std::to_string(q));
+    header.push_back("q");
+    header.back() += std::to_string(q);
   }
   writer.write_row(header);
   for (std::size_t i = 0; i < table.size(); ++i) {

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "rl/matrix.hpp"
+#include "rl/kernels.hpp"
 
 namespace netadv::rl {
 
@@ -37,7 +37,7 @@ void Adam::reset() noexcept {
 }
 
 double clip_grad_norm(std::span<double> grads, double max_norm) {
-  const double norm = l2_norm(grads);
+  const double norm = std::sqrt(kernels::dot(grads, grads));
   if (max_norm <= 0.0 || norm <= max_norm || norm == 0.0) return norm;
   const double scale = max_norm / norm;
   for (auto& g : grads) g *= scale;

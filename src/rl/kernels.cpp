@@ -1,17 +1,14 @@
 // Scalar reference implementation of the canonical accumulation order
-// (see kernels.hpp) plus the runtime backend dispatch. This TU is compiled
-// without ISA-specific flags so the binary runs on any x86-64 (or non-x86)
-// host; std::fma is correctly rounded everywhere, which is what makes the
+// (see kernels.hpp) plus the backend list and the dispatch through it. This
+// TU is compiled without ISA-specific flags so the binary runs on any x86-64
+// (or non-x86) host; std::fma is correctly rounded everywhere, which is what makes the
 // scalar path bit-identical to the fused-multiply-add hardware backends.
 #include "rl/kernels.hpp"
 
 #include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-
-#include "util/log.hpp"
+#include <vector>
 
 namespace netadv::rl::kernels {
 
@@ -109,289 +106,99 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return dot_canonical(a.data(), b.data(), a.size());
 }
 
+const Backend backend{"scalar", gemv, gemm, gemm_transposed, rank_k_update,
+                      dot};
+
 }  // namespace scalar
 
-// Builds that compile a backend TU out keep its namespace linkable so tests
-// and benches can always call it by name; the stubs degrade to the
-// (bit-identical) scalar kernels.
-#define NETADV_KERNEL_SCALAR_FORWARDS                                         \
-  void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,    \
-            std::span<const double> x, std::span<const double> b,             \
-            std::span<double> y) {                                            \
-    scalar::gemv(w, rows, cols, x, b, y);                                     \
-  }                                                                           \
-  void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,    \
-            std::span<const double> x, std::size_t batch,                     \
-            std::span<const double> b, std::span<double> y) {                 \
-    scalar::gemm(w, rows, cols, x, batch, b, y);                              \
-  }                                                                           \
-  void gemm_transposed(std::span<const double> w, std::size_t rows,           \
-                       std::size_t cols, std::span<const double> g,           \
-                       std::size_t ldg, std::size_t batch,                    \
-                       std::span<double> y, std::size_t ldy) {                \
-    scalar::gemm_transposed(w, rows, cols, g, ldg, batch, y, ldy);            \
-  }                                                                           \
-  void rank_k_update(std::span<double> w, std::size_t rows, std::size_t cols, \
-                     std::span<const double> g, std::size_t ldg,              \
-                     std::span<const double> x, std::size_t ldx,              \
-                     std::size_t m) {                                         \
-    scalar::rank_k_update(w, rows, cols, g, ldg, x, ldx, m);                  \
-  }                                                                           \
-  double dot(std::span<const double> a, std::span<const double> b) {          \
-    return scalar::dot(a, b);                                                 \
-  }
-
-#ifndef NETADV_HAVE_AVX2
-namespace avx2 {
-NETADV_KERNEL_SCALAR_FORWARDS
-}  // namespace avx2
-#endif  // !NETADV_HAVE_AVX2
-
-#ifndef NETADV_HAVE_AVX512
-namespace avx512 {
-NETADV_KERNEL_SCALAR_FORWARDS
-}  // namespace avx512
-#endif  // !NETADV_HAVE_AVX512
-
-#ifndef NETADV_HAVE_NEON
-namespace neon {
-NETADV_KERNEL_SCALAR_FORWARDS
-}  // namespace neon
-#endif  // !NETADV_HAVE_NEON
-
-#undef NETADV_KERNEL_SCALAR_FORWARDS
-
-bool avx2_compiled() noexcept {
+// The ISA backends, defined in kernels_<name>.cpp when the build compiles
+// that TU (src/rl/CMakeLists.txt).
 #ifdef NETADV_HAVE_AVX2
-  return true;
-#else
-  return false;
+namespace avx2 {
+extern const Backend backend;
+}  // namespace avx2
 #endif
-}
-
-bool avx512_compiled() noexcept {
 #ifdef NETADV_HAVE_AVX512
-  return true;
-#else
-  return false;
+namespace avx512 {
+extern const Backend backend;
+}  // namespace avx512
 #endif
-}
-
-bool neon_compiled() noexcept {
 #ifdef NETADV_HAVE_NEON
-  return true;
-#else
-  return false;
+namespace neon {
+extern const Backend backend;
+}  // namespace neon
 #endif
-}
 
-bool avx2_runtime_supported() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
+std::span<const Backend* const> available_backends() noexcept {
+  static const std::vector<const Backend*> list = [] {
+    std::vector<const Backend*> out{&scalar::backend};
+#ifdef NETADV_HAVE_NEON
+    out.push_back(&neon::backend);  // Advanced SIMD is baseline on AArch64.
 #endif
-}
-
-bool avx512_runtime_supported() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  // The backend TU is built with -mavx512f only, but its odd-row tails use
-  // 256-bit FMA, so require the AVX2+FMA baseline too.
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
+#ifdef NETADV_HAVE_AVX2
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+      out.push_back(&avx2::backend);
+    }
 #endif
-}
-
-bool neon_runtime_supported() noexcept {
-#if defined(__aarch64__)
-  return true;  // Advanced SIMD is baseline on AArch64.
-#else
-  return false;
+#ifdef NETADV_HAVE_AVX512
+    // The TU is built with -mavx512f, but its odd-row tails use 256-bit FMA,
+    // so it needs the AVX2+FMA baseline too.
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx2") &&
+        __builtin_cpu_supports("fma")) {
+      out.push_back(&avx512::backend);
+    }
 #endif
-}
-
-bool backend_available(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::kScalar:
-      return true;
-    case Backend::kAvx2:
-      return avx2_compiled() && avx2_runtime_supported();
-    case Backend::kAvx512:
-      return avx512_compiled() && avx512_runtime_supported();
-    case Backend::kNeon:
-      return neon_compiled() && neon_runtime_supported();
-  }
-  return false;
-}
-
-Backend best_backend() noexcept {
-  if (backend_available(Backend::kAvx512)) return Backend::kAvx512;
-  if (backend_available(Backend::kAvx2)) return Backend::kAvx2;
-  if (backend_available(Backend::kNeon)) return Backend::kNeon;
-  return Backend::kScalar;
-}
-
-const char* backend_name(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::kScalar:
-      return "scalar";
-    case Backend::kAvx2:
-      return "avx2";
-    case Backend::kAvx512:
-      return "avx512";
-    case Backend::kNeon:
-      return "neon";
-  }
-  return "scalar";
+    return out;
+  }();
+  return list;
 }
 
 namespace {
 
-Backend resolve_initial_backend() noexcept {
-  const char* env = std::getenv("NETADV_SIMD");
-  if (env != nullptr && std::strcmp(env, "off") == 0) return Backend::kScalar;
-  const struct {
-    const char* name;
-    Backend backend;
-  } forced[] = {{"avx2", Backend::kAvx2},
-                {"avx512", Backend::kAvx512},
-                {"neon", Backend::kNeon}};
-  for (const auto& f : forced) {
-    if (env == nullptr || std::strcmp(env, f.name) != 0) continue;
-    if (!backend_available(f.backend)) {
-      bool compiled = false, cpu_ok = false;
-      switch (f.backend) {
-        case Backend::kAvx2:
-          compiled = avx2_compiled();
-          cpu_ok = avx2_runtime_supported();
-          break;
-        case Backend::kAvx512:
-          compiled = avx512_compiled();
-          cpu_ok = avx512_runtime_supported();
-          break;
-        case Backend::kNeon:
-          compiled = neon_compiled();
-          cpu_ok = neon_runtime_supported();
-          break;
-        case Backend::kScalar:
-          break;
-      }
-      const Backend fallback = best_backend();
-      util::log_warn(
-          "NETADV_SIMD=%s requested but %s; falling back to %s kernels",
-          f.name,
-          !compiled ? "that backend was compiled out"
-          : !cpu_ok ? "the CPU does not support that ISA"
-                    : "that backend is unavailable",
-          backend_name(fallback));
-      return fallback;
-    }
-    return f.backend;
-  }
-  if (env != nullptr && std::strcmp(env, "auto") != 0 &&
-      std::strcmp(env, "") != 0) {
-    util::log_warn(
-        "NETADV_SIMD='%s' not recognized (off | avx2 | avx512 | neon | "
-        "auto); using auto",
-        env);
-  }
-  return best_backend();
-}
-
-std::atomic<Backend>& backend_slot() noexcept {
-  static std::atomic<Backend> slot{resolve_initial_backend()};
+std::atomic<const Backend*>& active_slot() noexcept {
+  static std::atomic<const Backend*> slot{available_backends().back()};
   return slot;
 }
 
 }  // namespace
 
-Backend active_backend() noexcept {
-  return backend_slot().load(std::memory_order_relaxed);
+const Backend& active_backend() noexcept {
+  return *active_slot().load(std::memory_order_relaxed);
 }
 
-const char* backend_name() noexcept { return backend_name(active_backend()); }
+const char* backend_name() noexcept { return active_backend().name; }
 
-Backend set_backend(Backend backend) noexcept {
-  if (!backend_available(backend)) backend = Backend::kScalar;
-  backend_slot().store(backend, std::memory_order_relaxed);
-  return backend;
+void set_backend(const Backend& backend) noexcept {
+  active_slot().store(&backend, std::memory_order_relaxed);
 }
 
 void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::span<const double> b,
           std::span<double> y) {
-  switch (active_backend()) {
-    case Backend::kAvx512:
-      return avx512::gemv(w, rows, cols, x, b, y);
-    case Backend::kAvx2:
-      return avx2::gemv(w, rows, cols, x, b, y);
-    case Backend::kNeon:
-      return neon::gemv(w, rows, cols, x, b, y);
-    case Backend::kScalar:
-      return scalar::gemv(w, rows, cols, x, b, y);
-  }
+  active_backend().gemv(w, rows, cols, x, b, y);
 }
 
 void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::size_t batch,
           std::span<const double> b, std::span<double> y) {
-  switch (active_backend()) {
-    case Backend::kAvx512:
-      return avx512::gemm(w, rows, cols, x, batch, b, y);
-    case Backend::kAvx2:
-      return avx2::gemm(w, rows, cols, x, batch, b, y);
-    case Backend::kNeon:
-      return neon::gemm(w, rows, cols, x, batch, b, y);
-    case Backend::kScalar:
-      return scalar::gemm(w, rows, cols, x, batch, b, y);
-  }
+  active_backend().gemm(w, rows, cols, x, batch, b, y);
 }
 
 void gemm_transposed(std::span<const double> w, std::size_t rows,
                      std::size_t cols, std::span<const double> g,
                      std::size_t ldg, std::size_t batch, std::span<double> y,
                      std::size_t ldy) {
-  switch (active_backend()) {
-    case Backend::kAvx512:
-      return avx512::gemm_transposed(w, rows, cols, g, ldg, batch, y, ldy);
-    case Backend::kAvx2:
-      return avx2::gemm_transposed(w, rows, cols, g, ldg, batch, y, ldy);
-    case Backend::kNeon:
-      return neon::gemm_transposed(w, rows, cols, g, ldg, batch, y, ldy);
-    case Backend::kScalar:
-      return scalar::gemm_transposed(w, rows, cols, g, ldg, batch, y, ldy);
-  }
+  active_backend().gemm_transposed(w, rows, cols, g, ldg, batch, y, ldy);
 }
 
 void rank_k_update(std::span<double> w, std::size_t rows, std::size_t cols,
                    std::span<const double> g, std::size_t ldg,
                    std::span<const double> x, std::size_t ldx, std::size_t m) {
-  switch (active_backend()) {
-    case Backend::kAvx512:
-      return avx512::rank_k_update(w, rows, cols, g, ldg, x, ldx, m);
-    case Backend::kAvx2:
-      return avx2::rank_k_update(w, rows, cols, g, ldg, x, ldx, m);
-    case Backend::kNeon:
-      return neon::rank_k_update(w, rows, cols, g, ldg, x, ldx, m);
-    case Backend::kScalar:
-      return scalar::rank_k_update(w, rows, cols, g, ldg, x, ldx, m);
-  }
+  active_backend().rank_k_update(w, rows, cols, g, ldg, x, ldx, m);
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {
-  switch (active_backend()) {
-    case Backend::kAvx512:
-      return avx512::dot(a, b);
-    case Backend::kAvx2:
-      return avx2::dot(a, b);
-    case Backend::kNeon:
-      return neon::dot(a, b);
-    case Backend::kScalar:
-      return scalar::dot(a, b);
-  }
-  return scalar::dot(a, b);
+  return active_backend().dot(a, b);
 }
 
 }  // namespace netadv::rl::kernels

@@ -56,15 +56,11 @@
 // The scalar backend defines the order; AVX2 and NEON run the batched
 // kernels as loops over their one-sample bodies.
 //
-// Backends are always available by name (`kernels::scalar`, `kernels::avx2`,
-// `kernels::avx512`, `kernels::neon`); names whose TU was compiled out (or
-// whose ISA the CPU lacks) forward to the scalar implementation, so callers
-// never need to guard. The unqualified entry points dispatch through the
-// active backend, chosen at first use from (a) which backend TUs were
-// compiled in (CMake knob NETADV_SIMD), (b) what the CPU supports, and
-// (c) the NETADV_SIMD environment variable (off | avx2 | avx512 | neon |
-// auto). Forcing a backend the host cannot run logs a note and falls back
-// to the best supported one instead of crashing.
+// Each backend is one `Backend` table: its name and its five kernels.
+// Which backends exist is fixed by the build (every one the target
+// architecture and compiler can express) and by the CPU (a host never runs
+// an ISA it lacks); available_backends() lists them, and the unqualified
+// entry points call through the active one — at startup the widest.
 //
 // One-time break: adopting this canonical order changed the results of every
 // accumulation-based kernel relative to the pre-SIMD serial order, so golden
@@ -80,42 +76,46 @@ namespace netadv::rl::kernels {
 /// order (the AVX2 register width in doubles).
 inline constexpr std::size_t kLanes = 4;
 
-enum class Backend { kScalar, kAvx2, kAvx512, kNeon };
+/// One kernel backend: its name and its implementation of every kernel
+/// below. Semantics and bit-exact results are identical across backends;
+/// only wall-clock differs.
+struct Backend {
+  const char* name;  // "scalar", "avx2", "avx512" or "neon"
+  void (*gemv)(std::span<const double> w, std::size_t rows, std::size_t cols,
+               std::span<const double> x, std::span<const double> b,
+               std::span<double> y);
+  void (*gemm)(std::span<const double> w, std::size_t rows, std::size_t cols,
+               std::span<const double> x, std::size_t batch,
+               std::span<const double> b, std::span<double> y);
+  void (*gemm_transposed)(std::span<const double> w, std::size_t rows,
+                          std::size_t cols, std::span<const double> g,
+                          std::size_t ldg, std::size_t batch,
+                          std::span<double> y, std::size_t ldy);
+  void (*rank_k_update)(std::span<double> w, std::size_t rows,
+                        std::size_t cols, std::span<const double> g,
+                        std::size_t ldg, std::span<const double> x,
+                        std::size_t ldx, std::size_t m);
+  double (*dot)(std::span<const double> a, std::span<const double> b);
+};
 
-/// True if the backend's translation unit was compiled in (CMake NETADV_SIMD).
-bool avx2_compiled() noexcept;
-bool avx512_compiled() noexcept;
-bool neon_compiled() noexcept;
+/// The backends this build compiled and this CPU can run: scalar first,
+/// widest last.
+std::span<const Backend* const> available_backends() noexcept;
 
-/// True if the running CPU supports the backend's ISA.
-bool avx2_runtime_supported() noexcept;
-bool avx512_runtime_supported() noexcept;
-bool neon_runtime_supported() noexcept;
+/// The backend the unqualified kernels call; at startup the last entry of
+/// available_backends().
+const Backend& active_backend() noexcept;
 
-/// True if `backend` is both compiled in and supported by this CPU (kScalar
-/// is always available).
-bool backend_available(Backend backend) noexcept;
-
-/// The widest available backend — what NETADV_SIMD=auto resolves to:
-/// avx512 > avx2 > neon > scalar.
-Backend best_backend() noexcept;
-
-/// The backend the unqualified kernels currently dispatch to.
-Backend active_backend() noexcept;
-
-/// Human-readable backend names ("scalar", "avx2", "avx512", "neon").
+/// The active backend's name.
 const char* backend_name() noexcept;
-const char* backend_name(Backend backend) noexcept;
 
-/// Force a backend (tests and benches). Requesting a backend that is not
-/// compiled in or not supported by the CPU selects kScalar instead; returns
-/// the backend actually activated. Safe to call between parallel regions;
-/// the active backend is read atomically by the kernels.
-Backend set_backend(Backend backend) noexcept;
+/// Make `backend`, an entry of available_backends(), the active one (tests).
+/// Safe to call between parallel regions; the kernels read the active
+/// backend atomically.
+void set_backend(const Backend& backend) noexcept;
 
 // ---------------------------------------------------------------------------
-// Dispatched entry points. Semantics and bit-exact results are identical
-// across backends; only wall-clock differs.
+// Dispatched entry points: one call through the active backend.
 
 /// y = W x + b, W row-major (rows x cols). Per row: bias + canonical dot.
 void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
@@ -149,45 +149,5 @@ void rank_k_update(std::span<double> w, std::size_t rows, std::size_t cols,
 
 /// Canonical 4-lane dot; requires equal sizes.
 double dot(std::span<const double> a, std::span<const double> b);
-
-// ---------------------------------------------------------------------------
-// Named backends, for bit-identity tests and the kernel micro-bench. Every
-// backend exports the same overload set; a backend that is unavailable on
-// this build/host forwards to scalar.
-
-#define NETADV_KERNEL_BACKEND_DECLS                                          \
-  void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,   \
-            std::span<const double> x, std::span<const double> b,            \
-            std::span<double> y);                                            \
-  void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,   \
-            std::span<const double> x, std::size_t batch,                    \
-            std::span<const double> b, std::span<double> y);                 \
-  void gemm_transposed(std::span<const double> w, std::size_t rows,          \
-                       std::size_t cols, std::span<const double> g,          \
-                       std::size_t ldg, std::size_t batch,                   \
-                       std::span<double> y, std::size_t ldy);                \
-  void rank_k_update(std::span<double> w, std::size_t rows, std::size_t cols, \
-                     std::span<const double> g, std::size_t ldg,             \
-                     std::span<const double> x, std::size_t ldx,             \
-                     std::size_t m);                                         \
-  double dot(std::span<const double> a, std::span<const double> b);
-
-namespace scalar {
-NETADV_KERNEL_BACKEND_DECLS
-}  // namespace scalar
-
-namespace avx2 {
-NETADV_KERNEL_BACKEND_DECLS
-}  // namespace avx2
-
-namespace avx512 {
-NETADV_KERNEL_BACKEND_DECLS
-}  // namespace avx512
-
-namespace neon {
-NETADV_KERNEL_BACKEND_DECLS
-}  // namespace neon
-
-#undef NETADV_KERNEL_BACKEND_DECLS
 
 }  // namespace netadv::rl::kernels

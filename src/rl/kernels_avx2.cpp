@@ -14,8 +14,6 @@
 //    both loop over samples one at a time.
 #include "rl/kernels.hpp"
 
-#ifdef NETADV_HAVE_AVX2
-
 #include <immintrin.h>
 
 #include <cassert>
@@ -134,6 +132,7 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return dot_canonical_avx2(a.data(), b.data(), a.size());
 }
 
-}  // namespace netadv::rl::kernels::avx2
+extern const Backend backend{"avx2", gemv, gemm, gemm_transposed,
+                             rank_k_update, dot};
 
-#endif  // NETADV_HAVE_AVX2
+}  // namespace netadv::rl::kernels::avx2

@@ -32,8 +32,6 @@
 // or written; the identity tests put NaN sentinels there to prove it.
 #include "rl/kernels.hpp"
 
-#ifdef NETADV_HAVE_AVX512
-
 // GCC implements the unmasked AVX-512 insert/broadcast/permute/shuffle/
 // extract intrinsics as masked builtins whose merge source is
 // _mm512_undefined_pd(); with -Wextra that trips -Wmaybe-uninitialized and
@@ -500,6 +498,7 @@ double dot(std::span<const double> a, std::span<const double> b) {
 
 #undef NETADV_UNROLL
 
-}  // namespace netadv::rl::kernels::avx512
+extern const Backend backend{"avx512", gemv, gemm, gemm_transposed,
+                             rank_k_update, dot};
 
-#endif  // NETADV_HAVE_AVX512
+}  // namespace netadv::rl::kernels::avx512

@@ -1,7 +1,7 @@
 // NEON (AArch64 Advanced SIMD) implementation of the canonical accumulation
 // order (kernels.hpp). Advanced SIMD is baseline on AArch64, so this TU
-// needs no extra ISA flags; it is compiled only on aarch64 targets (CMake
-// NETADV_SIMD=neon/auto).
+// needs no extra ISA flags; it is compiled on every aarch64 target and only
+// there (src/rl/CMakeLists.txt).
 //
 // NEON registers are 128-bit, half the canonical lane count in doubles, so
 // the canonical order maps onto a PAIR of q-register accumulators instead of
@@ -16,8 +16,6 @@
 // samples one at a time: vfmaq for gemm_transposed, mul-then-add for
 // rank_k_update (see the rank_k_update contract in kernels.hpp).
 #include "rl/kernels.hpp"
-
-#ifdef NETADV_HAVE_NEON
 
 #include <arm_neon.h>
 
@@ -134,6 +132,7 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return dot_canonical_neon(a.data(), b.data(), a.size());
 }
 
-}  // namespace netadv::rl::kernels::neon
+extern const Backend backend{"neon", gemv, gemm, gemm_transposed,
+                             rank_k_update, dot};
 
-#endif  // NETADV_HAVE_NEON
+}  // namespace netadv::rl::kernels::neon

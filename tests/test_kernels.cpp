@@ -3,16 +3,17 @@
 // AVX-512, NEON) compute the same canonical accumulation order — 4 fma
 // lanes — so every kernel agrees bit for bit between backends, and
 // therefore end-to-end PPO training produces byte-identical parameters
-// whichever backend (and thread count) computed it. Identity
-// suites for backends this host cannot run skip explicitly (GTEST_SKIP), so
-// an unsupported host reports "skipped", never a silent pass. The
-// ParallelKernels suite deliberately matches the Parallel* naming so the
-// TSan CI lane picks it up.
+// whichever backend (and thread count) computed it. Every suite runs over
+// kernels::available_backends(), the backends this host can run; on a
+// scalar-only host the cross-backend suites skip explicitly (GTEST_SKIP), or
+// have no instance, rather than pass silently. The ParallelKernels suite
+// deliberately matches the Parallel* naming so the TSan CI lane picks it up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -102,62 +103,14 @@ bool all_finite(std::span<const double> v) {
                      [](double d) { return std::isfinite(d); });
 }
 
-/// The full kernel surface of one named backend, so identity tests can run
-/// the same body against avx2/avx512/neon.
-struct BackendFns {
-  kernels::Backend backend;
-  void (*gemv)(std::span<const double>, std::size_t, std::size_t,
-               std::span<const double>, std::span<const double>,
-               std::span<double>);
-  void (*gemm)(std::span<const double>, std::size_t, std::size_t,
-               std::span<const double>, std::size_t, std::span<const double>,
-               std::span<double>);
-  void (*gemm_transposed)(std::span<const double>, std::size_t, std::size_t,
-                          std::span<const double>, std::size_t, std::size_t,
-                          std::span<double>, std::size_t);
-  void (*rank_k_update)(std::span<double>, std::size_t, std::size_t,
-                        std::span<const double>, std::size_t,
-                        std::span<const double>, std::size_t, std::size_t);
-  double (*dot)(std::span<const double>, std::span<const double>);
-};
-
-const BackendFns kBackendFns[] = {
-    {kernels::Backend::kAvx2, kernels::avx2::gemv, kernels::avx2::gemm,
-     kernels::avx2::gemm_transposed, kernels::avx2::rank_k_update,
-     kernels::avx2::dot},
-    {kernels::Backend::kAvx512, kernels::avx512::gemv, kernels::avx512::gemm,
-     kernels::avx512::gemm_transposed, kernels::avx512::rank_k_update,
-     kernels::avx512::dot},
-    {kernels::Backend::kNeon, kernels::neon::gemv, kernels::neon::gemm,
-     kernels::neon::gemm_transposed, kernels::neon::rank_k_update,
-     kernels::neon::dot},
-};
-
-const BackendFns& backend_fns(kernels::Backend backend) {
-  for (const auto& fns : kBackendFns) {
-    if (fns.backend == backend) return fns;
-  }
-  ADD_FAILURE() << "no named-backend table entry for "
-                << kernels::backend_name(backend);
-  return kBackendFns[0];
-}
-
-/// SIMD backends with a hardware implementation to compare against scalar.
-std::vector<kernels::Backend> available_simd_backends() {
-  std::vector<kernels::Backend> out;
-  for (kernels::Backend b : {kernels::Backend::kAvx2,
-                             kernels::Backend::kAvx512,
-                             kernels::Backend::kNeon}) {
-    if (kernels::backend_available(b)) out.push_back(b);
-  }
-  return out;
-}
+/// The scalar reference backend, first in every backend list.
+const kernels::Backend& scalar() { return *kernels::available_backends()[0]; }
 
 /// Restores the dispatched backend on scope exit so a failing assertion in
 /// one test cannot leak a forced backend into the next.
 class BackendGuard {
  public:
-  explicit BackendGuard(kernels::Backend backend)
+  explicit BackendGuard(const kernels::Backend& backend)
       : original_(kernels::active_backend()) {
     kernels::set_backend(backend);
   }
@@ -166,16 +119,8 @@ class BackendGuard {
   BackendGuard& operator=(const BackendGuard&) = delete;
 
  private:
-  kernels::Backend original_;
+  const kernels::Backend& original_;
 };
-
-/// Scalar plus every SIMD backend this host can run.
-std::vector<kernels::Backend> available_backends() {
-  std::vector<kernels::Backend> out{kernels::Backend::kScalar};
-  const std::vector<kernels::Backend> simd = available_simd_backends();
-  out.insert(out.end(), simd.begin(), simd.end());
-  return out;
-}
 
 TEST(KernelCanonicalOrder, DotMatchesFourLaneFmaReference) {
   util::Rng rng{101};
@@ -187,7 +132,7 @@ TEST(KernelCanonicalOrder, DotMatchesFourLaneFmaReference) {
       lane[i % kernels::kLanes] = std::fma(a[i], b[i], lane[i % kernels::kLanes]);
     }
     const double expected = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-    EXPECT_EQ(kernels::scalar::dot(a, b), expected) << "n=" << n;
+    EXPECT_EQ(scalar().dot(a, b), expected) << "n=" << n;
     EXPECT_EQ(kernels::dot(a, b), expected) << "n=" << n;
   }
 }
@@ -199,11 +144,11 @@ TEST(KernelCanonicalOrder, GemvIsBiasPlusCanonicalDotPerRow) {
   const Vec x = random_vec(rng, cols);
   const Vec b = random_vec(rng, rows);
   Vec y(rows, 0.0);
-  kernels::scalar::gemv(w, rows, cols, x, b, y);
+  scalar().gemv(w, rows, cols, x, b, y);
   for (std::size_t r = 0; r < rows; ++r) {
     const Vec row(w.begin() + static_cast<std::ptrdiff_t>(r * cols),
                   w.begin() + static_cast<std::ptrdiff_t>((r + 1) * cols));
-    EXPECT_EQ(y[r], b[r] + kernels::scalar::dot(row, x)) << "row " << r;
+    EXPECT_EQ(y[r], b[r] + scalar().dot(row, x)) << "row " << r;
   }
 }
 
@@ -211,8 +156,8 @@ TEST(KernelCanonicalOrder, GemmTransposedIsOneFmaChainPerSample) {
   // Every backend's y_s = W^T g_s equals, bit for bit, the one-sample
   // reference: y_s[c] = fma(W[r][c], g_s[r], y_s[c]) over r = 0, 1, ...
   // from 0.0 — whatever the batch and however the backend tiles it.
-  for (const kernels::Backend backend : available_backends()) {
-    const BackendGuard guard{backend};
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    const BackendGuard guard{*backend};
     util::Rng rng{606};
     for (std::size_t batch : kBatches) {
       for (std::size_t rows : kRows) {
@@ -236,7 +181,7 @@ TEST(KernelCanonicalOrder, GemmTransposedIsOneFmaChainPerSample) {
             }
           }
           EXPECT_TRUE(same_bits(y, expected))
-              << kernels::backend_name(backend) << " " << batch << " x "
+              << backend->name << " " << batch << " x "
               << rows << "x" << cols;
         }
       }
@@ -247,8 +192,8 @@ TEST(KernelCanonicalOrder, GemmTransposedIsOneFmaChainPerSample) {
 TEST(KernelCanonicalOrder, RankKUpdateIsMSuccessiveRank1Steps) {
   // Every backend's rank-k update equals, bit for bit, m rank-1 steps in
   // ascending k, each element a mul-then-add: W[r][c] += g_k[r] * x_k[c].
-  for (const kernels::Backend backend : available_backends()) {
-    const BackendGuard guard{backend};
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    const BackendGuard guard{*backend};
     util::Rng rng{707};
     for (std::size_t m : kBatches) {
       for (std::size_t rows : kRows) {
@@ -271,7 +216,7 @@ TEST(KernelCanonicalOrder, RankKUpdateIsMSuccessiveRank1Steps) {
             }
           }
           EXPECT_TRUE(same_bits(w, expected))
-              << kernels::backend_name(backend) << " " << m << " x " << rows
+              << backend->name << " " << m << " x " << rows
               << "x" << cols;
         }
       }
@@ -279,21 +224,30 @@ TEST(KernelCanonicalOrder, RankKUpdateIsMSuccessiveRank1Steps) {
   }
 }
 
-/// Value-parameterized scalar-vs-backend identity: one instantiation per
-/// SIMD backend, each skipping explicitly when this host cannot run it.
-class KernelBitIdentityP
-    : public ::testing::TestWithParam<kernels::Backend> {
- protected:
-  void SetUp() override {
-    if (!kernels::backend_available(GetParam())) {
-      GTEST_SKIP() << kernels::backend_name(GetParam())
-                   << " backend not available on this host";
-    }
-  }
+/// Position of a SIMD backend in kernels::available_backends(). A plain
+/// 4-byte struct keeps the IDs ctest prints stable
+/// (".../avx2  # GetParam() = 4-byte object <01-00 00-00>").
+struct SimdBackend {
+  std::uint32_t index;
 };
 
+/// Every SIMD backend this host can run, one instance each; none on a
+/// scalar-only host.
+std::vector<SimdBackend> simd_backends() {
+  std::vector<SimdBackend> out;
+  for (std::uint32_t i = 1; i < kernels::available_backends().size(); ++i) {
+    out.push_back({i});
+  }
+  return out;
+}
+
+/// Value-parameterized scalar-vs-backend identity: one instantiation per
+/// SIMD backend this host can run.
+class KernelBitIdentityP : public ::testing::TestWithParam<SimdBackend> {};
+
 TEST_P(KernelBitIdentityP, ScalarAndSimdAgreeOnEveryKernel) {
-  const BackendFns& fns = backend_fns(GetParam());
+  const kernels::Backend& simd =
+      *kernels::available_backends()[GetParam().index];
   util::Rng rng{303};
   // Odd and even row counts both matter: the AVX-512 gemv pairs rows two
   // per register and handles a trailing odd row separately.
@@ -304,12 +258,12 @@ TEST_P(KernelBitIdentityP, ScalarAndSimdAgreeOnEveryKernel) {
       const Vec b = random_vec(rng, rows);
 
       Vec ys(rows, 0.0), yv(rows, 0.0);
-      kernels::scalar::gemv(w, rows, cols, x, b, ys);
-      fns.gemv(w, rows, cols, x, b, yv);
+      scalar().gemv(w, rows, cols, x, b, ys);
+      simd.gemv(w, rows, cols, x, b, yv);
       EXPECT_TRUE(same_bits(ys, yv)) << "gemv " << rows << "x" << cols;
 
       const Vec a2 = random_vec(rng, cols);
-      EXPECT_TRUE(same_bits(kernels::scalar::dot(x, a2), fns.dot(x, a2)))
+      EXPECT_TRUE(same_bits(scalar().dot(x, a2), simd.dot(x, a2)))
           << "dot n=" << cols;
     }
   }
@@ -334,11 +288,11 @@ TEST_P(KernelBitIdentityP, ScalarAndSimdAgreeOnEveryKernel) {
 
         Vec zs(operand_size(batch, rows, rows) + kPad, sentinel());
         Vec zv = zs;
-        kernels::scalar::gemm(operand(w, rows, cols, cols), rows, cols,
+        scalar().gemm(operand(w, rows, cols, cols), rows, cols,
                               operand(x, batch, cols, cols), batch,
                               operand(b, 1, rows, rows),
                               operand(zs, batch, rows, rows));
-        fns.gemm(operand(w, rows, cols, cols), rows, cols,
+        simd.gemm(operand(w, rows, cols, cols), rows, cols,
                  operand(x, batch, cols, cols), batch,
                  operand(b, 1, rows, rows), operand(zv, batch, rows, rows));
         EXPECT_TRUE(same_bits(zs, zv)) << "gemm " << shape;
@@ -347,21 +301,21 @@ TEST_P(KernelBitIdentityP, ScalarAndSimdAgreeOnEveryKernel) {
 
         Vec ts(operand_size(batch, cols, ldy) + kPad, sentinel());
         Vec tv = ts;
-        kernels::scalar::gemm_transposed(
+        scalar().gemm_transposed(
             operand(w, rows, cols, cols), rows, cols,
             operand(g, batch, rows, ldg), ldg, batch,
             operand(ts, batch, cols, ldy), ldy);
-        fns.gemm_transposed(operand(w, rows, cols, cols), rows, cols,
+        simd.gemm_transposed(operand(w, rows, cols, cols), rows, cols,
                             operand(g, batch, rows, ldg), ldg, batch,
                             operand(tv, batch, cols, ldy), ldy);
         EXPECT_TRUE(same_bits(ts, tv)) << "gemm_transposed " << shape;
 
         Vec ws = w, wv = w;
-        kernels::scalar::rank_k_update(operand(ws, rows, cols, cols), rows,
+        scalar().rank_k_update(operand(ws, rows, cols, cols), rows,
                                        cols, operand(g, batch, rows, ldg), ldg,
                                        operand(xs, batch, cols, ldx), ldx,
                                        batch);
-        fns.rank_k_update(operand(wv, rows, cols, cols), rows, cols,
+        simd.rank_k_update(operand(wv, rows, cols, cols), rows, cols,
                           operand(g, batch, rows, ldg), ldg,
                           operand(xs, batch, cols, ldx), ldx, batch);
         EXPECT_TRUE(same_bits(ws, wv)) << "rank_k_update " << shape;
@@ -373,18 +327,17 @@ TEST_P(KernelBitIdentityP, ScalarAndSimdAgreeOnEveryKernel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllSimdBackends, KernelBitIdentityP,
-    ::testing::Values(kernels::Backend::kAvx2, kernels::Backend::kAvx512,
-                      kernels::Backend::kNeon),
-    [](const ::testing::TestParamInfo<kernels::Backend>& info) {
-      return std::string(kernels::backend_name(info.param));
+    AllSimdBackends, KernelBitIdentityP, ::testing::ValuesIn(simd_backends()),
+    [](const ::testing::TestParamInfo<SimdBackend>& info) {
+      return std::string(kernels::available_backends()[info.param.index]->name);
     });
+GTEST_ALLOW_UNINSTANTIATED_PARAMETERIZED_TEST(KernelBitIdentityP);
 
 TEST(KernelBitIdentity, GemmEqualsRepeatedGemv) {
   // gemm tiles four samples at a time from 8 columns up; each of its
   // outputs must still equal gemv's, below, at and across the tiles.
-  for (const kernels::Backend backend : available_backends()) {
-    const BackendGuard guard{backend};
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    const BackendGuard guard{*backend};
     util::Rng rng{404};
     for (std::size_t batch : kBatches) {
       for (std::size_t rows : {std::size_t{5}, std::size_t{6}}) {
@@ -402,7 +355,7 @@ TEST(KernelBitIdentity, GemmEqualsRepeatedGemv) {
                           b, y);
             EXPECT_TRUE(same_bits(
                 std::span<const double>{batched}.subspan(n * rows, rows), y))
-                << kernels::backend_name(backend) << " sample " << n << " of "
+                << backend->name << " sample " << n << " of "
                 << batch << ", " << rows << "x" << cols;
           }
         }
@@ -412,59 +365,34 @@ TEST(KernelBitIdentity, GemmEqualsRepeatedGemv) {
 }
 
 TEST(KernelDispatch, SetBackendRespectsAvailability) {
-  const kernels::Backend original = kernels::active_backend();
-  for (kernels::Backend requested : {kernels::Backend::kAvx2,
-                                     kernels::Backend::kAvx512,
-                                     kernels::Backend::kNeon}) {
-    const kernels::Backend got = kernels::set_backend(requested);
-    if (kernels::backend_available(requested)) {
-      EXPECT_EQ(got, requested);
-      EXPECT_STREQ(kernels::backend_name(),
-                   kernels::backend_name(requested));
-    } else {
-      // An unavailable request must degrade to scalar, never crash on an
-      // illegal instruction.
-      EXPECT_EQ(got, kernels::Backend::kScalar);
-      EXPECT_STREQ(kernels::backend_name(), "scalar");
-    }
-    // The dispatched kernels must be callable whatever was selected.
-    const Vec a{1.0, 2.0, 3.0, 4.0, 5.0};
-    EXPECT_EQ(kernels::dot(a, a), kernels::scalar::dot(a, a));
+  // set_backend accepts exactly the tables in available_backends(), so every
+  // entry round-trips and its kernels are callable on this host.
+  const kernels::Backend& original = kernels::active_backend();
+  const Vec a{1.0, 2.0, 3.0, 4.0, 5.0};
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    kernels::set_backend(*backend);
+    EXPECT_EQ(&kernels::active_backend(), backend);
+    EXPECT_STREQ(kernels::backend_name(), backend->name);
+    EXPECT_EQ(kernels::dot(a, a), 55.0) << backend->name;
   }
-  EXPECT_EQ(kernels::set_backend(kernels::Backend::kScalar),
-            kernels::Backend::kScalar);
-  EXPECT_STREQ(kernels::backend_name(), "scalar");
   kernels::set_backend(original);
 }
 
 TEST(KernelDispatch, BestBackendIsAvailableAndOrdered) {
-  const kernels::Backend best = kernels::best_backend();
-  EXPECT_TRUE(kernels::backend_available(best));
-  // best_backend prefers wider ISAs: anything it skipped over must be
-  // unavailable.
-  if (best != kernels::Backend::kAvx512) {
-    EXPECT_FALSE(kernels::backend_available(kernels::Backend::kAvx512));
+  const auto backends = kernels::available_backends();
+  ASSERT_FALSE(backends.empty());
+  EXPECT_STREQ(backends.front()->name, "scalar");
+  for (std::size_t i = 0; i < backends.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_NE(backends[i], backends[j]);
+      EXPECT_STRNE(backends[i]->name, backends[j]->name);
+    }
   }
-  if (best != kernels::Backend::kAvx512 && best != kernels::Backend::kAvx2) {
-    EXPECT_FALSE(kernels::backend_available(kernels::Backend::kAvx2));
-  }
+  // At startup the kernels dispatch to the widest backend, the last entry.
+  EXPECT_EQ(&kernels::active_backend(), backends.back());
 }
 
-TEST(KernelDispatch, UnavailableNamedBackendsForwardToScalar) {
-  // Namespaces for backends that were compiled out (e.g. neon on x86) are
-  // still linkable and forward to scalar — bit-identical by definition.
-  util::Rng rng{505};
-  const Vec a = random_vec(rng, 33);
-  const Vec b = random_vec(rng, 33);
-  const double expected = kernels::scalar::dot(a, b);
-  for (const auto& fns : kBackendFns) {
-    if (kernels::backend_available(fns.backend)) continue;
-    EXPECT_EQ(fns.dot(a, b), expected)
-        << kernels::backend_name(fns.backend) << " stub";
-  }
-}
-
-PpoAgent train_ppo_with(kernels::Backend backend, std::size_t threads,
+PpoAgent train_ppo_with(const kernels::Backend& backend, std::size_t threads,
                         bool continuous) {
   util::set_log_level(util::LogLevel::kWarn);
   BackendGuard guard{backend};
@@ -489,8 +417,9 @@ PpoAgent train_ppo_with(kernels::Backend backend, std::size_t threads,
 }
 
 void expect_identical_params(const PpoAgent& agent, const PpoAgent& reference,
-                             kernels::Backend backend, std::size_t threads) {
-  const char* name = kernels::backend_name(backend);
+                             const kernels::Backend& backend,
+                             std::size_t threads) {
+  const char* name = backend.name;
   const auto ref_actor = reference.actor().params();
   const auto actor = agent.actor().params();
   ASSERT_EQ(actor.size(), ref_actor.size());
@@ -512,31 +441,27 @@ void expect_identical_params(const PpoAgent& agent, const PpoAgent& reference,
 }
 
 TEST(ParallelKernels, PpoDiscreteBitIdenticalAcrossBackendsAndThreads) {
-  const std::vector<kernels::Backend> simd = available_simd_backends();
-  if (simd.empty()) GTEST_SKIP() << "no SIMD backend available";
-  const PpoAgent reference =
-      train_ppo_with(kernels::Backend::kScalar, 1, /*continuous=*/false);
-  std::vector<kernels::Backend> backends{kernels::Backend::kScalar};
-  backends.insert(backends.end(), simd.begin(), simd.end());
-  for (kernels::Backend backend : backends) {
+  if (kernels::available_backends().size() < 2) {
+    GTEST_SKIP() << "no SIMD backend available";
+  }
+  const PpoAgent reference = train_ppo_with(scalar(), 1, /*continuous=*/false);
+  for (const kernels::Backend* backend : kernels::available_backends()) {
     for (std::size_t threads : kThreadCounts) {
-      const PpoAgent agent = train_ppo_with(backend, threads, false);
-      expect_identical_params(agent, reference, backend, threads);
+      const PpoAgent agent = train_ppo_with(*backend, threads, false);
+      expect_identical_params(agent, reference, *backend, threads);
     }
   }
 }
 
 TEST(ParallelKernels, PpoContinuousBitIdenticalAcrossBackendsAndThreads) {
-  const std::vector<kernels::Backend> simd = available_simd_backends();
-  if (simd.empty()) GTEST_SKIP() << "no SIMD backend available";
-  const PpoAgent reference =
-      train_ppo_with(kernels::Backend::kScalar, 1, /*continuous=*/true);
-  std::vector<kernels::Backend> backends{kernels::Backend::kScalar};
-  backends.insert(backends.end(), simd.begin(), simd.end());
-  for (kernels::Backend backend : backends) {
+  if (kernels::available_backends().size() < 2) {
+    GTEST_SKIP() << "no SIMD backend available";
+  }
+  const PpoAgent reference = train_ppo_with(scalar(), 1, /*continuous=*/true);
+  for (const kernels::Backend* backend : kernels::available_backends()) {
     for (std::size_t threads : kThreadCounts) {
-      const PpoAgent agent = train_ppo_with(backend, threads, true);
-      expect_identical_params(agent, reference, backend, threads);
+      const PpoAgent agent = train_ppo_with(*backend, threads, true);
+      expect_identical_params(agent, reference, *backend, threads);
     }
   }
 }

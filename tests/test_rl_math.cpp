@@ -68,8 +68,8 @@ TEST(MatrixKernels, RankKUpdateAccumulates) {
 TEST(MatrixKernels, DotAndNorm) {
   const std::vector<double> a{3, 4};
   const std::vector<double> b{1, 2};
-  EXPECT_DOUBLE_EQ(dot(a, b), 11.0);
-  EXPECT_DOUBLE_EQ(l2_norm(a), 5.0);
+  EXPECT_DOUBLE_EQ(kernels::dot(a, b), 11.0);
+  EXPECT_DOUBLE_EQ(std::sqrt(kernels::dot(a, a)), 5.0);
 }
 
 // ---------------------------------------------------------------- mlp
@@ -299,14 +299,11 @@ TEST(MlpArena, BlockForwardsMatchPerSampleForwardOnEveryBackend) {
   // member forward() of each input bit for bit — for both hidden
   // activations, widths that are not multiples of the 4-lane kernel width,
   // a 1-wide output, and every kernel backend this host can run.
-  const kernels::Backend original = kernels::active_backend();
+  const kernels::Backend& original = kernels::active_backend();
   const std::vector<std::vector<std::size_t>> shapes{
       {5, 7, 3}, {6, 13, 1}, {3, 4, 9, 2}};
-  for (const kernels::Backend backend :
-       {kernels::Backend::kScalar, kernels::Backend::kAvx2,
-        kernels::Backend::kAvx512, kernels::Backend::kNeon}) {
-    if (!kernels::backend_available(backend)) continue;
-    kernels::set_backend(backend);
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    kernels::set_backend(*backend);
     for (const Activation act : {Activation::kTanh, Activation::kRelu}) {
       for (const auto& shape : shapes) {
         Rng rng{61};
@@ -329,7 +326,7 @@ TEST(MlpArena, BlockForwardsMatchPerSampleForwardOnEveryBackend) {
           ASSERT_EQ(row.size(), single.size());
           for (std::size_t j = 0; j < single.size(); ++j) {
             ASSERT_EQ(row[j], single[j])
-                << kernels::backend_name(backend) << " row " << k;
+                << backend->name << " row " << k;
           }
         }
       }
@@ -394,7 +391,7 @@ TEST(ClipGradNorm, ScalesOnlyWhenAboveThreshold) {
   EXPECT_DOUBLE_EQ(norm, 5.0);
   EXPECT_DOUBLE_EQ(g[0], 3.0);
   clip_grad_norm(g, 0.5);
-  EXPECT_NEAR(l2_norm(g), 0.5, 1e-12);
+  EXPECT_NEAR(std::sqrt(kernels::dot(g, g)), 0.5, 1e-12);
 }
 
 // ---------------------------------------------------------------- distributions
