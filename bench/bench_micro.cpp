@@ -82,23 +82,44 @@ void BM_BbDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_BbDecision);
 
-void BM_MpcDecision(benchmark::State& state) {
-  // One RobustMPC decision = exhaustive 6^5 plan search.
+void BM_MpcDecision(benchmark::State& state, double throughput_mbps,
+                    std::size_t chunk) {
+  // One RobustMPC decision: branch and bound over the 6^5 plans. The
+  // `pruned` counter is the fraction of the exhaustive tree's nodes the
+  // bound skipped. A chunk-0 observation is a cold start: empty buffer, no
+  // throughput samples, the lowest rung as the previous bitrate.
   const abr::VideoManifest m;
   abr::RobustMpc mpc;
   mpc.begin_video(m);
   abr::AbrObservation obs;
-  obs.chunk_index = 10;
-  obs.buffer_s = 12.0;
-  obs.last_bitrate_mbps = 1.2;
-  obs.throughput_history_mbps = {2.0, 2.2, 1.9, 2.1, 2.0};
+  obs.chunk_index = chunk;
+  obs.last_bitrate_mbps = m.bitrate_mbps(0);
+  if (chunk > 0) {
+    obs.buffer_s = 12.0;
+    obs.last_bitrate_mbps = 1.2;
+    obs.throughput_history_mbps.assign(5, throughput_mbps);
+    obs.throughput_history_mbps[1] *= 1.1;
+    obs.throughput_history_mbps[2] *= 0.95;
+  }
+  const abr::RobustMpc::SearchStats before = mpc.search_stats();
   for (auto _ : state) benchmark::DoNotOptimize(mpc.choose_quality(obs));
+  const abr::RobustMpc::SearchStats& after = mpc.search_stats();
+  state.counters["pruned"] =
+      static_cast<double>(after.pruned - before.pruned) /
+      static_cast<double>(after.nodes - before.nodes);
 }
-BENCHMARK(BM_MpcDecision)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MpcDecision, link_2mbps, 2.0, 10)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MpcDecision, fast_40mbps, 40.0, 10)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MpcDecision, slow_0p4mbps, 0.4, 10)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MpcDecision, cold_start, 0.0, 0)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MpcDpDecision(benchmark::State& state) {
   // One mpc-dp decision = value iteration over 5 depths x 100 buffer
-  // levels x 6^2 quality pairs, the same observation as BM_MpcDecision.
+  // levels x 6^2 quality pairs, on a steady 2 Mbps mid-video observation.
   const abr::VideoManifest m;
   abr::MpcDp dp;
   dp.begin_video(m);

@@ -174,23 +174,35 @@ double window_qoe(const VideoManifest& manifest, std::size_t start_chunk,
 
 namespace {
 
-double best_window_qoe_rec(const VideoManifest& manifest,
-                           std::size_t start_chunk, std::size_t depth,
-                           double buffer, double prev_bitrate,
-                           std::span<const double> bandwidths,
-                           const QoeParams& qoe, double max_buffer_s) {
-  const std::size_t chunk = start_chunk + depth;
-  if (depth >= bandwidths.size() || chunk >= manifest.num_chunks()) return 0.0;
+/// The oracle's per-call tables: dt[depth * Q + q] download time (s) of
+/// window chunk `depth` at quality q, and the ladder's bitrate[q].
+struct WindowTables {
+  const double* dt;
+  const double* bitrate;
+  std::size_t num_q;
+  std::size_t depth;  ///< chunks in the window
+  double chunk_s;
+  double max_buffer_s;
+  const QoeParams& qoe;
+};
+
+/// Best QoE of window chunks `depth`.. from `buffer`, summed backward as
+/// here + rest; the last chunk's empty rest is the literal 0.0.
+double best_window_qoe_rec(const WindowTables& t, std::size_t depth,
+                           double buffer, double prev_bitrate) {
+  const double* dt = t.dt + depth * t.num_q;
+  const bool leaf = depth + 1 == t.depth;
   double best = kNegInf;
-  for (std::size_t q = 0; q < manifest.num_qualities(); ++q) {
-    const StepOutcome out = simulate_step(manifest, chunk, q,
-                                          bandwidths[depth], buffer,
-                                          max_buffer_s);
-    const double bitrate = manifest.bitrate_mbps(q);
-    const double here = chunk_qoe(bitrate, out.rebuffer, prev_bitrate, qoe);
-    const double rest =
-        best_window_qoe_rec(manifest, start_chunk, depth + 1, out.buffer_after,
-                            bitrate, bandwidths, qoe, max_buffer_s);
+  for (std::size_t q = 0; q < t.num_q; ++q) {
+    const double bitrate = t.bitrate[q];
+    const double rebuffer = std::max(0.0, dt[q] - buffer);
+    const double here = chunk_qoe(bitrate, rebuffer, prev_bitrate, t.qoe);
+    double rest = 0.0;
+    if (!leaf) {
+      const double buffer_after = std::min(
+          std::max(0.0, buffer - dt[q]) + t.chunk_s, t.max_buffer_s);
+      rest = best_window_qoe_rec(t, depth + 1, buffer_after, bitrate);
+    }
     best = std::max(best, here + rest);
   }
   return best;
@@ -209,9 +221,23 @@ double optimal_window_qoe(const VideoManifest& manifest,
   for (double bw : bandwidths_mbps) {
     if (bw <= 0.0) throw std::invalid_argument{"optimal_window_qoe: bad bandwidth"};
   }
-  return best_window_qoe_rec(manifest, start_chunk, 0, start_buffer_s,
-                             prev_bitrate_mbps, bandwidths_mbps, qoe,
-                             max_buffer_s);
+  if (start_chunk >= manifest.num_chunks()) return 0.0;
+  const std::size_t depth =
+      std::min(bandwidths_mbps.size(), manifest.num_chunks() - start_chunk);
+  const std::size_t num_q = manifest.num_qualities();
+  std::vector<double> tables(depth * num_q + num_q);
+  double* dt = tables.data();
+  double* bitrate = dt + depth * num_q;
+  for (std::size_t q = 0; q < num_q; ++q) bitrate[q] = manifest.bitrate_mbps(q);
+  for (std::size_t d = 0; d < depth; ++d) {
+    for (std::size_t q = 0; q < num_q; ++q) {
+      dt[d * num_q + q] = manifest.chunk_size_bits(start_chunk + d, q) /
+                          (bandwidths_mbps[d] * 1e6);
+    }
+  }
+  const WindowTables t{dt, bitrate, num_q, depth, manifest.chunk_duration_s(),
+                       max_buffer_s, qoe};
+  return best_window_qoe_rec(t, 0, start_buffer_s, prev_bitrate_mbps);
 }
 
 }  // namespace netadv::abr

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 namespace netadv::core {
@@ -136,12 +137,14 @@ rl::StepResult AbrAdversaryEnv::step(const rl::Vec& action,
   // protocol terms depend on the configured goal (Section 5's "different
   // adversarial goals"); kQoeRegret is the paper's headline objective.
   const WindowEntry& start = window_.front();
-  std::vector<double> bandwidths;
-  std::vector<std::size_t> qualities;
-  for (const auto& w : window_) {
-    bandwidths.push_back(w.bandwidth_mbps);
-    qualities.push_back(w.quality);
+  window_bandwidths_.resize(window_.size());
+  window_qualities_.resize(window_.size());
+  for (std::size_t k = 0; k < window_.size(); ++k) {
+    window_bandwidths_[k] = window_[k].bandwidth_mbps;
+    window_qualities_[k] = window_[k].quality;
   }
+  const std::span<const double> bandwidths{window_bandwidths_};
+  const std::span<const std::size_t> qualities{window_qualities_};
   switch (params_.goal) {
     case Goal::kQoeRegret:
       last_reward_.optimal = abr::optimal_window_qoe(

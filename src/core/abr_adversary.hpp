@@ -133,6 +133,10 @@ class AbrAdversaryEnv final : public rl::Env {
   abr::AbrObservationTracker tracker_;
   std::deque<ObsTuple> history_;
   std::deque<WindowEntry> window_;
+  // window_'s bandwidths and qualities as contiguous spans for the reward
+  // oracles, resized in place each step.
+  std::vector<double> window_bandwidths_;
+  std::vector<std::size_t> window_qualities_;
   std::vector<double> episode_bandwidths_;
   std::vector<std::size_t> episode_qualities_;
   std::vector<double> episode_buffers_;

@@ -11,8 +11,17 @@ constexpr double kEps = 1e-8;
 }
 
 RunningNormalizer::RunningNormalizer(std::size_t dims, double clip)
-    : mean_(dims, 0.0), m2_(dims, 0.0), clip_(clip) {
+    : mean_(dims, 0.0), m2_(dims, 0.0), std_(dims, 0.0), clip_(clip) {
   if (dims == 0) throw std::invalid_argument{"RunningNormalizer dims must be > 0"};
+  refresh_std();
+}
+
+void RunningNormalizer::refresh_std() {
+  for (std::size_t i = 0; i < std_.size(); ++i) {
+    const double var =
+        count_ < 2 ? 1.0 : m2_[i] / static_cast<double>(count_ - 1);
+    std_[i] = std::sqrt(var + kEps);
+  }
 }
 
 void RunningNormalizer::update(const Vec& x) {
@@ -25,6 +34,7 @@ void RunningNormalizer::update(const Vec& x) {
     mean_[i] += delta / static_cast<double>(count_);
     m2_[i] += delta * (x[i] - mean_[i]);
   }
+  refresh_std();
 }
 
 Vec RunningNormalizer::normalize(const Vec& x) const {
@@ -33,9 +43,7 @@ Vec RunningNormalizer::normalize(const Vec& x) const {
   }
   Vec out(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const double var =
-        count_ < 2 ? 1.0 : m2_[i] / static_cast<double>(count_ - 1);
-    out[i] = std::clamp((x[i] - mean_[i]) / std::sqrt(var + kEps), -clip_, clip_);
+    out[i] = std::clamp((x[i] - mean_[i]) / std_[i], -clip_, clip_);
   }
   return out;
 }
@@ -62,10 +70,11 @@ void RunningNormalizer::restore(Vec mean, Vec variance, std::size_t count) {
     // that never came from m2_). Restoring variance * 1 here used to plant
     // a spurious 1.0 that contaminated variance() once count_ reached 2.
     for (auto& m2 : m2_) m2 = 0.0;
-    return;
+  } else {
+    const auto n = static_cast<double>(count_ - 1);
+    for (std::size_t i = 0; i < m2_.size(); ++i) m2_[i] = variance[i] * n;
   }
-  const auto n = static_cast<double>(count_ - 1);
-  for (std::size_t i = 0; i < m2_.size(); ++i) m2_[i] = variance[i] * n;
+  refresh_std();
 }
 
 void RunningNormalizer::restore_moments(Vec mean, Vec m2, std::size_t count) {
@@ -76,6 +85,7 @@ void RunningNormalizer::restore_moments(Vec mean, Vec m2, std::size_t count) {
   mean_ = std::move(mean);
   m2_ = std::move(m2);
   count_ = count;
+  refresh_std();
 }
 
 ReturnNormalizer::ReturnNormalizer(double gamma, double clip)

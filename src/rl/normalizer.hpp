@@ -19,7 +19,8 @@ class RunningNormalizer {
   /// Fold one observation into the statistics.
   void update(const Vec& x);
 
-  /// Whiten: (x - mean) / sqrt(var + eps), clipped to [-clip, clip].
+  /// Whiten: (x - mean) / sqrt(var + eps), clipped to [-clip, clip]. The
+  /// divisor is cached per dimension whenever the moments change.
   Vec normalize(const Vec& x) const;
 
   std::size_t dims() const noexcept { return mean_.size(); }
@@ -42,8 +43,12 @@ class RunningNormalizer {
   void restore_moments(Vec mean, Vec m2, std::size_t count);
 
  private:
+  /// Recomputes std_ from m2_ and count_.
+  void refresh_std();
+
   Vec mean_;
   Vec m2_;
+  Vec std_;  // sqrt(var + eps) per dimension, as normalize() divides by it
   std::size_t count_ = 0;
   double clip_;
 };

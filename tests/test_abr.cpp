@@ -579,17 +579,21 @@ TEST(RobustMpc, RejectsAChunkPastTheEndOfTheVideo) {
 
 // Brute-force reference for RobustMpc's plan search: an odometer over all
 // Q^H plans in lexicographic order (last chunk fastest), each plan's QoE_lin
-// summed forward in depth order, the first strict maximum winning. Returns
-// that plan's first quality.
-std::size_t exhaustive_mpc_choice(const VideoManifest& m,
-                                  const AbrObservation& obs,
-                                  double predicted_mbps,
-                                  const RobustMpc::Params& params) {
+// summed forward in depth order, the first strict maximum winning.
+struct EnumeratedChoice {
+  std::size_t first = 0;  ///< first quality of the first best plan
+  std::size_t ties = 0;   ///< plans whose QoE equals the best
+};
+
+EnumeratedChoice exhaustive_mpc_choice(const VideoManifest& m,
+                                       const AbrObservation& obs,
+                                       double predicted_mbps,
+                                       const RobustMpc::Params& params) {
   const std::size_t num_q = m.num_qualities();
   const std::size_t depth =
       std::min(params.horizon, m.num_chunks() - obs.chunk_index);
   std::vector<std::size_t> plan(depth, 0);
-  std::size_t best_first = 0;
+  EnumeratedChoice choice;
   double best = -std::numeric_limits<double>::infinity();
   for (;;) {
     double buffer = obs.buffer_s;
@@ -607,22 +611,42 @@ std::size_t exhaustive_mpc_choice(const VideoManifest& m,
     }
     if (qoe > best) {
       best = qoe;
-      best_first = plan[0];
+      choice.first = plan[0];
+      choice.ties = 1;
+    } else if (qoe == best) {
+      ++choice.ties;
     }
     std::size_t d = depth;
     while (d > 0 && ++plan[d - 1] == num_q) {
       plan[d - 1] = 0;
       --d;
     }
-    if (d == 0) return best_first;
+    if (d == 0) return choice;
   }
+}
+
+// QoE settings the pruned search must survive: the defaults; no rebuffer
+// penalty (the bound keeps only lambda = 0); a penalty below the largest
+// fixed multiplier; no smoothness charge; a buffer cap below one chunk's
+// duration; and a heavy penalty with a tight cap.
+std::vector<RobustMpc::Params> search_variants(std::size_t horizon) {
+  return {{.horizon = horizon},
+          {.horizon = horizon, .qoe = {.rebuffer_penalty = 0.0}},
+          {.horizon = horizon, .qoe = {.rebuffer_penalty = 0.3}},
+          {.horizon = horizon, .qoe = {.smoothness_penalty = 0.0}},
+          {.horizon = horizon, .max_buffer_s = 2.5},
+          {.horizon = horizon,
+           .qoe = {.rebuffer_penalty = 50.0, .smoothness_penalty = 3.0},
+           .max_buffer_s = 8.0}};
 }
 
 // RobustMpc's search is exact: on seeded observations it picks the same
 // first quality as enumerating every plan. The cases cycle through a cold
 // start at chunk 0, each of the last four chunks (depth limit below the
 // horizon), a full buffer, a link so slow every plan rebuffers, and random
-// mid-video states, on a 3-rung and the default 6-rung ladder.
+// mid-video states, on a 3-rung and the default 6-rung ladder, under every
+// search_variants() QoE setting plus randomized ones (rebuffer penalty
+// 0-50, smoothness 0-3, buffer cap 2-60 s).
 TEST(RobustMpc, SearchMatchesExhaustiveEnumeration) {
   VideoManifest::Params three_rungs;
   three_rungs.bitrates_kbps = {300, 1200, 4300};
@@ -633,40 +657,153 @@ TEST(RobustMpc, SearchMatchesExhaustiveEnumeration) {
   for (const VideoManifest& m : ladders) {
     const std::size_t last_chunk = m.num_chunks() - 1;
     for (const std::size_t horizon : {1, 3, 5}) {
-      const RobustMpc::Params params{.horizon = horizon};
-      RobustMpc mpc{params};
-      for (std::size_t i = 0; i < 88; ++i) {
-        const std::size_t kind = i % 8;
-        AbrObservation obs;
-        obs.chunk_index = kind == 0   ? 0
-                          : kind <= 4 ? last_chunk + 1 - kind
-                                      : 1 + rng.index(last_chunk);
-        obs.remaining_chunks = m.num_chunks() - obs.chunk_index;
-        obs.buffer_s = kind == 5 ? params.max_buffer_s
-                                 : rng.uniform(0.0, params.max_buffer_s);
-        if (obs.chunk_index > 0) {
-          obs.last_quality = rng.index(m.num_qualities());
-          obs.last_bitrate_mbps = m.bitrate_mbps(obs.last_quality);
-          const std::size_t samples = 1 + rng.index(8);
-          // A full buffer meets a slow link, so the cap at max_buffer_s
-          // shapes the later downloads' stalls.
-          const double lo = kind == 6 ? 0.005 : 0.2;
-          const double hi = kind == 6 ? 0.01 : kind == 5 ? 1.0 : 6.0;
-          for (std::size_t s = 0; s < samples; ++s) {
-            obs.throughput_history_mbps.push_back(rng.uniform(lo, hi));
+      std::vector<RobustMpc::Params> variants = search_variants(horizon);
+      for (int r = 0; r < 3; ++r) {
+        variants.push_back({.horizon = horizon,
+                            .qoe = {.rebuffer_penalty = rng.uniform(0.0, 50.0),
+                                    .smoothness_penalty = rng.uniform(0.0, 3.0)},
+                            .max_buffer_s = rng.uniform(2.0, 60.0)});
+      }
+      for (const RobustMpc::Params& params : variants) {
+        RobustMpc mpc{params};
+        for (std::size_t i = 0; i < 40; ++i) {
+          const std::size_t kind = i % 8;
+          AbrObservation obs;
+          obs.chunk_index = kind == 0   ? 0
+                            : kind <= 4 ? last_chunk + 1 - kind
+                                        : 1 + rng.index(last_chunk);
+          obs.remaining_chunks = m.num_chunks() - obs.chunk_index;
+          obs.buffer_s = kind == 5 ? params.max_buffer_s
+                                   : rng.uniform(0.0, params.max_buffer_s);
+          if (obs.chunk_index > 0) {
+            obs.last_quality = rng.index(m.num_qualities());
+            obs.last_bitrate_mbps = m.bitrate_mbps(obs.last_quality);
+            const std::size_t samples = 1 + rng.index(8);
+            // A full buffer meets a slow link, so the cap at max_buffer_s
+            // shapes the later downloads' stalls.
+            const double lo = kind == 6 ? 0.005 : 0.2;
+            const double hi = kind == 6 ? 0.01 : kind == 5 ? 1.0 : 6.0;
+            for (std::size_t s = 0; s < samples; ++s) {
+              obs.throughput_history_mbps.push_back(rng.uniform(lo, hi));
+            }
           }
+          mpc.begin_video(m);
+          const double predicted = mpc.predicted_throughput_mbps(obs);
+          EXPECT_EQ(mpc.choose_quality(obs),
+                    exhaustive_mpc_choice(m, obs, predicted, params).first)
+              << "ladder " << m.num_qualities() << ", horizon " << horizon
+              << ", chunk " << obs.chunk_index << ", buffer " << obs.buffer_s
+              << ", rebuffer penalty " << params.qoe.rebuffer_penalty
+              << ", smoothness " << params.qoe.smoothness_penalty
+              << ", max buffer " << params.max_buffer_s;
+          ++checked;
         }
-        mpc.begin_video(m);
-        const double predicted = mpc.predicted_throughput_mbps(obs);
-        EXPECT_EQ(mpc.choose_quality(obs),
-                  exhaustive_mpc_choice(m, obs, predicted, params))
-            << "ladder " << m.num_qualities() << ", horizon " << horizon
-            << ", chunk " << obs.chunk_index << ", buffer " << obs.buffer_s;
-        ++checked;
       }
     }
   }
-  EXPECT_GE(checked, 500u);
+  EXPECT_GE(checked, 2000u);
+}
+
+// On a fast link nothing rebuffers, so every rung at or above the previous
+// bitrate scores the same under the default smoothness charge and equal
+// plans are everywhere: the best constant plan that seeds the incumbent is
+// often itself optimal, and the search must not skip the subtree holding
+// a plan that only ties it. The bound does prune here, and the counter
+// says so.
+TEST(RobustMpc, PrunedSearchMatchesEnumerationOnFastLinks) {
+  const VideoManifest m;
+  Rng rng{24};
+  std::size_t tied = 0;
+  for (const std::size_t horizon : {2, 3, 5}) {
+    for (const RobustMpc::Params& params : search_variants(horizon)) {
+      RobustMpc mpc{params};
+      for (std::size_t i = 0; i < 40; ++i) {
+        AbrObservation obs;
+        obs.chunk_index = i % 5 == 0 ? m.num_chunks() - 1 - rng.index(4)
+                                     : 1 + rng.index(m.num_chunks() - 1);
+        obs.remaining_chunks = m.num_chunks() - obs.chunk_index;
+        obs.buffer_s = rng.uniform(0.0, params.max_buffer_s);
+        obs.last_quality = rng.index(m.num_qualities());
+        obs.last_bitrate_mbps = m.bitrate_mbps(obs.last_quality);
+        for (std::size_t s = 0; s < 5; ++s) {
+          obs.throughput_history_mbps.push_back(rng.uniform(20.0, 60.0));
+        }
+        mpc.begin_video(m);
+        const double predicted = mpc.predicted_throughput_mbps(obs);
+        const EnumeratedChoice expected =
+            exhaustive_mpc_choice(m, obs, predicted, params);
+        EXPECT_EQ(mpc.choose_quality(obs), expected.first)
+            << "horizon " << horizon << ", chunk " << obs.chunk_index
+            << ", buffer " << obs.buffer_s << ", rebuffer penalty "
+            << params.qoe.rebuffer_penalty << ", smoothness "
+            << params.qoe.smoothness_penalty;
+        if (expected.ties > 1) ++tied;
+      }
+      const RobustMpc::SearchStats& stats = mpc.search_stats();
+      EXPECT_GT(stats.pruned, 0u) << "horizon " << horizon;
+      EXPECT_LT(stats.pruned, stats.nodes);
+    }
+  }
+  EXPECT_GE(tied, 20u);
+}
+
+// Wraps RobustMpc and checks each of its decisions against enumeration
+// from the same observation and throughput prediction, as a playback
+// feeds them.
+class EnumerationCheckedMpc final : public AbrProtocol {
+ public:
+  explicit EnumerationCheckedMpc(RobustMpc::Params params)
+      : params_(params), mpc_(params) {}
+
+  std::string name() const override { return "mpc-checked"; }
+  void begin_video(const VideoManifest& manifest) override {
+    manifest_ = &manifest;
+    mpc_.begin_video(manifest);
+  }
+  std::size_t choose_quality(const AbrObservation& observation) override {
+    const std::size_t chosen = mpc_.choose_quality(observation);
+    // After the decision the predictor has scored its last prediction, so
+    // its estimate is the throughput the decision planned with.
+    const double predicted = mpc_.predicted_throughput_mbps(observation);
+    const std::size_t expected =
+        exhaustive_mpc_choice(*manifest_, observation, predicted, params_)
+            .first;
+    EXPECT_EQ(chosen, expected) << "chunk " << observation.chunk_index;
+    ++decisions_;
+    return chosen;
+  }
+  std::size_t decisions() const noexcept { return decisions_; }
+
+ private:
+  RobustMpc::Params params_;
+  RobustMpc mpc_;
+  const VideoManifest* manifest_ = nullptr;
+  std::size_t decisions_ = 0;
+};
+
+// Whole videos over seeded FCC-like traces (half on a starved 0.2-2 Mbps
+// range, where rebuffering drives the plan): the decision sequence the
+// pruned search makes is the enumeration reference's, chunk for chunk,
+// with the throughput predictor's state carried across the video.
+TEST(RobustMpc, ReplayedDecisionsMatchEnumeration) {
+  const VideoManifest m;
+  netadv::trace::FccLikeGenerator::Params starved;
+  starved.bandwidth_min_mbps = 0.2;
+  starved.bandwidth_max_mbps = 2.0;
+  Rng rng{2024};
+  std::vector<Trace> traces =
+      netadv::trace::FccLikeGenerator{}.generate_many(4, rng);
+  for (Trace& t :
+       netadv::trace::FccLikeGenerator{starved}.generate_many(4, rng)) {
+    traces.push_back(std::move(t));
+  }
+  for (const RobustMpc::Params& params :
+       {RobustMpc::Params{}, RobustMpc::Params{.qoe = {.rebuffer_penalty = 0.3}},
+        RobustMpc::Params{.robust = false, .max_buffer_s = 2.5}}) {
+    EnumerationCheckedMpc checked{params};
+    for (const Trace& t : traces) run_playback(checked, m, t);
+    EXPECT_EQ(checked.decisions(), traces.size() * m.num_chunks());
+  }
 }
 
 // ---------------------------------------------------------------- mpc-dp
@@ -879,6 +1016,75 @@ TEST(OptimalWindow, WindowPastVideoEndIsTruncated) {
   // Only 2 chunks remain from chunk 0; should not throw.
   const double q = optimal_window_qoe(m, 0, 0.0, 0.3, bw);
   EXPECT_GT(q, -1e17);
+}
+
+// The Equation-1 oracle before it read a download-time table: recursion
+// over the manifest, one chunk_size_bits per node, each level scored
+// here + rest. Kept as the bit-level reference for the tabulated form.
+double untabulated_window_qoe(const VideoManifest& m, std::size_t start_chunk,
+                              std::size_t depth, double buffer, double prev,
+                              const std::vector<double>& bandwidths,
+                              const QoeParams& qoe, double max_buffer_s) {
+  const std::size_t chunk = start_chunk + depth;
+  if (depth >= bandwidths.size() || chunk >= m.num_chunks()) return 0.0;
+  double best = -std::numeric_limits<double>::infinity();
+  for (std::size_t q = 0; q < m.num_qualities(); ++q) {
+    const double dt =
+        m.chunk_size_bits(chunk, q) / (bandwidths[depth] * 1e6);
+    const double rebuffer = std::max(0.0, dt - buffer);
+    const double buffer_after =
+        std::min(std::max(0.0, buffer - dt) + m.chunk_duration_s(), max_buffer_s);
+    const double bitrate = m.bitrate_mbps(q);
+    const double here = chunk_qoe(bitrate, rebuffer, prev, qoe);
+    const double rest =
+        untabulated_window_qoe(m, start_chunk, depth + 1, buffer_after, bitrate,
+                               bandwidths, qoe, max_buffer_s);
+    best = std::max(best, here + rest);
+  }
+  return best;
+}
+
+// optimal_window_qoe returns exactly the untabulated recursion's double on
+// windows of 1-5 chunks: random states, windows running past the video's
+// end, an all-rebuffer slow link from an empty buffer, and a buffer at the
+// cap on a fast link, under default and randomized QoE settings.
+TEST(OptimalWindow, MatchesUntabulatedRecursion) {
+  const VideoManifest m;
+  Rng rng{77};
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < 400; ++i) {
+    const std::size_t kind = i % 4;
+    const QoeParams qoe =
+        i % 8 < 4 ? QoeParams{}
+                  : QoeParams{.rebuffer_penalty = rng.uniform(0.0, 50.0),
+                              .smoothness_penalty = rng.uniform(0.0, 3.0)};
+    const double max_buffer_s = i % 3 == 0 ? 60.0 : rng.uniform(2.0, 60.0);
+    std::vector<double> bandwidths(1 + rng.index(5));
+    const double lo = kind == 2 ? 0.01 : kind == 3 ? 20.0 : 0.2;
+    const double hi = kind == 2 ? 0.02 : kind == 3 ? 60.0 : 6.0;
+    for (double& bw : bandwidths) bw = rng.uniform(lo, hi);
+    const std::size_t start_chunk =
+        kind == 1 ? m.num_chunks() - 1 - rng.index(3)
+                  : rng.index(m.num_chunks());
+    const double buffer = kind == 2   ? 0.0
+                          : kind == 3 ? max_buffer_s
+                                      : rng.uniform(0.0, max_buffer_s);
+    const double prev = m.bitrate_mbps(rng.index(m.num_qualities()));
+    EXPECT_EQ(optimal_window_qoe(m, start_chunk, buffer, prev, bandwidths, qoe,
+                                 max_buffer_s),
+              untabulated_window_qoe(m, start_chunk, 0, buffer, prev,
+                                     bandwidths, qoe, max_buffer_s))
+        << "case " << i << ", start " << start_chunk << ", window "
+        << bandwidths.size();
+    ++checked;
+  }
+  // Every plan of an empty-buffer window on a 0.01-0.02 Mbps link stalls.
+  const std::vector<double> crawl{0.01, 0.015, 0.01, 0.02};
+  const double stalled = optimal_window_qoe(m, 3, 0.0, 0.3, crawl);
+  EXPECT_LT(stalled, -1000.0);
+  EXPECT_EQ(stalled, untabulated_window_qoe(m, 3, 0, 0.0, 0.3, crawl,
+                                            QoeParams{}, 60.0));
+  EXPECT_EQ(checked, 400u);
 }
 
 // ---------------------------------------------------------------- runner

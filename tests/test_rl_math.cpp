@@ -722,6 +722,29 @@ TEST(RunningNormalizer, RestoreMomentsIsExactRoundTrip) {
   EXPECT_EQ(a.normalize(x), b.normalize(x));
 }
 
+TEST(RunningNormalizer, RestoreMomentsMatchesANormalizerUpdatedToThem) {
+  // normalize() divides by a per-dimension std cached when the moments
+  // change; restore_moments() must refresh it even over a stale cache.
+  Rng rng{59};
+  RunningNormalizer updated{3};
+  for (int i = 0; i < 211; ++i) {
+    updated.update({rng.normal(), rng.normal(3.0, 2.0), rng.uniform(0.0, 9.0)});
+  }
+  RunningNormalizer restored{3};
+  for (int i = 0; i < 5; ++i) restored.update({-1.0 * i, 40.0, 2.0 * i});
+  restored.restore_moments(updated.mean(), updated.m2(), updated.count());
+  for (int i = 0; i < 20; ++i) {
+    const Vec x{rng.normal(0.0, 3.0), rng.normal(3.0, 6.0), rng.uniform(-5.0, 15.0)};
+    EXPECT_EQ(restored.normalize(x), updated.normalize(x));
+  }
+
+  // A young normalizer's moments restore to the placeholder variance 1.
+  RunningNormalizer young{3};
+  young.update({1.0, 2.0, 3.0});
+  restored.restore_moments(young.mean(), young.m2(), young.count());
+  EXPECT_EQ(restored.normalize({0.5, 0.5, 0.5}), young.normalize({0.5, 0.5, 0.5}));
+}
+
 TEST(RunningNormalizer, RestoreYoungNormalizerKeepsZeroSecondMoment) {
   // With count < 2 Welford has accumulated no squared deviations, so
   // restore() must leave m2 at 0. It used to plant variance * 1 = 1.0,
