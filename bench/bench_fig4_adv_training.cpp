@@ -128,6 +128,7 @@ void run_fig4() {
                                              results[d][t][e].mean_qoe,
                                              results[d][t][e].p5_qoe});
     }
+    cell_csv.close();
     return out;
   });
   exp::SchedulerOptions options;

@@ -48,6 +48,7 @@ std::string write_csv(const std::string& filename,
   util::CsvWriter writer{path};
   writer.write_row(header);
   for (const auto& row : rows) writer.write_row(row);
+  writer.close();
   return path;
 }
 

@@ -29,9 +29,6 @@ class Bola final : public AbrProtocol {
   void begin_video(const VideoManifest& manifest) override;
   std::size_t choose_quality(const AbrObservation& observation) override;
 
-  /// The Lyapunov trade-off parameter in use (exposed for tests).
-  double control_parameter_v() const noexcept { return v_; }
-
  private:
   Params params_;
   const VideoManifest* manifest_ = nullptr;

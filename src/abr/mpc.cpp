@@ -21,7 +21,7 @@ constexpr double kRelativeSlack = 1e-9;
 }  // namespace
 
 RobustMpc::RobustMpc(Params params)
-    : params_(params), predictor_(params.throughput_window, params.robust) {
+    : params_(params), predictor_(params.throughput_window) {
   if (params_.horizon == 0 || params_.throughput_window == 0 ||
       params_.max_buffer_s <= 0.0) {
     throw std::invalid_argument{"RobustMpc: bad parameters"};

@@ -49,7 +49,6 @@ class RobustMpc final : public AbrProtocol {
   struct Params {
     std::size_t horizon = 5;            ///< lookahead chunks
     std::size_t throughput_window = 5;  ///< harmonic-mean window
-    bool robust = true;                 ///< discount by past prediction error
     QoeParams qoe{};
     double max_buffer_s = 60.0;
   };
@@ -65,7 +64,7 @@ class RobustMpc final : public AbrProtocol {
   RobustMpc() : RobustMpc(Params{}) {}
   explicit RobustMpc(Params params);
 
-  std::string name() const override { return params_.robust ? "mpc" : "fastmpc"; }
+  std::string name() const override { return "mpc"; }
   void begin_video(const VideoManifest& manifest) override;
   std::size_t choose_quality(const AbrObservation& observation) override;
 

@@ -9,7 +9,7 @@ namespace netadv::abr {
 MpcDp::MpcDp(Params params, std::unique_ptr<QoeModel> qoe)
     : params_(params),
       qoe_(std::move(qoe)),
-      predictor_(params.throughput_window, params.robust) {
+      predictor_(params.throughput_window) {
   if (params_.horizon == 0 || params_.buffer_levels < 2 ||
       params_.throughput_window == 0 || params_.max_buffer_s <= 0.0 ||
       qoe_ == nullptr) {

@@ -31,7 +31,6 @@ class MpcDp final : public AbrProtocol {
     std::size_t horizon = 5;            ///< lookahead chunks
     std::size_t buffer_levels = 100;    ///< buffer discretization grid
     std::size_t throughput_window = 5;  ///< harmonic-mean window
-    bool robust = true;                 ///< discount by past prediction error
     double max_buffer_s = 60.0;
   };
 

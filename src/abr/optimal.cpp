@@ -12,6 +12,8 @@ namespace netadv::abr {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+/// Buffer quantization step (s) of optimal_playback's dynamic program.
+constexpr double kBufferResolutionS = 0.2;
 
 /// One simulated chunk step shared by all planners.
 struct StepOutcome {
@@ -37,26 +39,25 @@ OptimalPlan optimal_playback(const VideoManifest& manifest,
                              const trace::Trace& trace,
                              const OptimalParams& params) {
   if (trace.empty()) throw std::invalid_argument{"optimal_playback: empty trace"};
-  if (params.buffer_resolution_s <= 0.0 || params.max_buffer_s <= 0.0) {
+  if (params.max_buffer_s <= 0.0) {
     throw std::invalid_argument{"optimal_playback: bad parameters"};
   }
 
   const std::size_t num_q = manifest.num_qualities();
   const std::size_t num_chunks = manifest.num_chunks();
-  const auto num_bins = static_cast<std::size_t>(
-                            params.max_buffer_s / params.buffer_resolution_s) +
-                        1;
+  const auto num_bins =
+      static_cast<std::size_t>(params.max_buffer_s / kBufferResolutionS) + 1;
 
   // Floor quantization keeps the DP's buffer estimate pessimistic, so every
   // plan it proposes is realizable; the reported QoE is recomputed by an
   // exact replay below.
   auto bin_of = [&](double buffer) {
-    const auto b = static_cast<std::size_t>(
-        std::floor(buffer / params.buffer_resolution_s));
+    const auto b =
+        static_cast<std::size_t>(std::floor(buffer / kBufferResolutionS));
     return std::min(b, num_bins - 1);
   };
   auto buffer_of = [&](std::size_t bin) {
-    return static_cast<double>(bin) * params.buffer_resolution_s;
+    return static_cast<double>(bin) * kBufferResolutionS;
   };
 
   // dp[q][bin]: best QoE after streaming the current chunk at quality q and

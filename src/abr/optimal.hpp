@@ -26,8 +26,6 @@ struct OptimalPlan {
 struct OptimalParams {
   QoeParams qoe{};
   double max_buffer_s = 60.0;
-  /// Buffer quantization step of the dynamic program; smaller is more exact.
-  double buffer_resolution_s = 0.2;
 };
 
 /// Best-attainable playback for `manifest` when chunk i downloads at the

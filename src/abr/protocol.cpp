@@ -56,7 +56,7 @@ double harmonic_mean_mbps(const std::vector<double>& history_mbps,
 }
 
 void RobustThroughputPredictor::reset(double cold_start_mbps) {
-  *this = RobustThroughputPredictor{window_, robust_};
+  *this = RobustThroughputPredictor{window_};
   cold_start_mbps_ = cold_start_mbps;
 }
 
@@ -68,7 +68,7 @@ double RobustThroughputPredictor::estimate(
 }
 
 double RobustThroughputPredictor::discounted(double mean_mbps) const {
-  if (!robust_ || past_errors_.empty()) return mean_mbps;
+  if (past_errors_.empty()) return mean_mbps;
   return mean_mbps /
          (1.0 + *std::max_element(past_errors_.begin(), past_errors_.end()));
 }

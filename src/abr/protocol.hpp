@@ -75,13 +75,11 @@ double harmonic_mean_mbps(const std::vector<double>& history_mbps,
                           std::size_t window);
 
 /// RobustMPC's throughput predictor, shared by RobustMpc and MpcDp: the
-/// harmonic mean, divided when `robust` by one plus the largest relative
-/// error of the last `window` undiscounted predictions against the sample
-/// that followed each.
+/// harmonic mean, divided by one plus the largest relative error of the last
+/// `window` undiscounted predictions against the sample that followed each.
 class RobustThroughputPredictor {
  public:
-  RobustThroughputPredictor(std::size_t window, bool robust)
-      : window_(window), robust_(robust) {}
+  explicit RobustThroughputPredictor(std::size_t window) : window_(window) {}
 
   /// New video: forget past errors; predict `cold_start_mbps` until the
   /// first sample arrives (1 Mbps before any reset).
@@ -96,7 +94,6 @@ class RobustThroughputPredictor {
   double discounted(double mean_mbps) const;
 
   std::size_t window_;
-  bool robust_;
   double cold_start_mbps_ = 1.0;
   std::deque<double> past_errors_;
   double last_mean_mbps_ = 0.0;

@@ -92,6 +92,7 @@ void save_ssim_table(const SsimTable& table, const std::string& path) {
     row.insert(row.end(), table[i].begin(), table[i].end());
     writer.write_row(row);
   }
+  writer.close();
 }
 
 SsimTable load_ssim_table(const std::string& path) {

@@ -7,11 +7,9 @@ namespace netadv::abr {
 
 StreamingSession::StreamingSession(const VideoManifest& manifest, Params params)
     : manifest_(&manifest), params_(params) {
-  if (params_.max_buffer_s <= 0.0 || params_.startup_buffer_s < 0.0 ||
-      params_.startup_buffer_s > params_.max_buffer_s) {
+  if (params_.max_buffer_s <= 0.0) {
     throw std::invalid_argument{"StreamingSession: bad parameters"};
   }
-  buffer_s_ = params_.startup_buffer_s;
 }
 
 DownloadResult StreamingSession::download_next(std::size_t quality,
@@ -54,7 +52,7 @@ DownloadResult StreamingSession::download_next(std::size_t quality,
 
 void StreamingSession::restart() {
   next_chunk_ = 0;
-  buffer_s_ = params_.startup_buffer_s;
+  buffer_s_ = 0.0;
   clock_s_ = 0.0;
 }
 

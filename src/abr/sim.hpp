@@ -32,7 +32,6 @@ class StreamingSession {
  public:
   struct Params {
     double max_buffer_s = 60.0;
-    double startup_buffer_s = 0.0;  ///< initial buffer (0: cold start)
   };
 
   explicit StreamingSession(const VideoManifest& manifest)

@@ -42,7 +42,6 @@ class CopaSender final : public CcSender {
   // Introspection for tests.
   double queuing_delay_s() const noexcept;
   double min_rtt_s() const noexcept { return min_rtt_; }
-  double standing_rtt_s() const noexcept { return standing_rtt_; }
   double velocity() const noexcept { return velocity_; }
 
  private:

@@ -29,7 +29,6 @@ class CubicSender final : public CcSender {
   double pacing_rate_bps() const override;
   double cwnd_packets() const override { return cwnd_; }
 
-  double srtt_s() const noexcept { return srtt_s_; }
   bool in_slow_start() const noexcept { return cwnd_ < ssthresh_; }
 
  private:

@@ -54,7 +54,6 @@ class MultiFlowRunner {
                   LinkSim::Params link_params, std::uint64_t seed,
                   std::vector<double> start_times_s = {});
 
-  std::size_t flow_count() const noexcept { return flows_.size(); }
   double now_s() const noexcept { return now_s_; }
 
   void set_conditions(const LinkConditions& conditions);

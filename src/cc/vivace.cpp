@@ -26,7 +26,6 @@ void VivaceSender::start(double now_s) {
   measured_plus_ = MonitorInterval{};
   measured_minus_ = MonitorInterval{};
   srtt_s_ = params_.initial_rtt_s;
-  last_utility_ = 0.0;
   direction_ = 0;
   amplifier_ = 1;
 }
@@ -67,7 +66,6 @@ void VivaceSender::finish_window(double now_s) {
 
     const double u_plus = utility_of(measured_plus_);
     const double u_minus = utility_of(measured_minus_);
-    last_utility_ = std::max(u_plus, u_minus);
     const int better_direction = u_plus >= u_minus ? +1 : -1;
 
     if (better_direction == direction_) {

@@ -50,7 +50,6 @@ class VivaceSender final : public CcSender {
 
   // Introspection for tests.
   double base_rate_mbps() const noexcept { return rate_mbps_; }
-  double last_utility() const noexcept { return last_utility_; }
   int amplifier() const noexcept { return amplifier_; }
 
  private:
@@ -79,7 +78,6 @@ class VivaceSender final : public CcSender {
   MonitorInterval measured_minus_{};  ///< stats attributable to the -eps MI
 
   double srtt_s_ = 0.1;
-  double last_utility_ = 0.0;
   int direction_ = 0;
   int amplifier_ = 1;
 };

@@ -33,14 +33,7 @@ class WindowedFilter {
     return samples_.empty() ? 0.0 : samples_.front().value;
   }
 
-  /// Time the current extreme was recorded (meaningful only if !empty()).
-  double extreme_age_s(double now_s) {
-    expire(now_s);
-    return samples_.empty() ? 0.0 : now_s - samples_.front().time;
-  }
-
   void reset() { samples_.clear(); }
-  double window_length_s() const noexcept { return window_s_; }
 
   /// Retune the window length, keeping recorded samples (they expire against
   /// the new length on the next update/get).

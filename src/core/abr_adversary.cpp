@@ -21,9 +21,6 @@ AbrAdversaryEnv::AbrAdversaryEnv(abr::VideoManifest manifest,
   if (params_.opt_window == 0 || params_.history == 0) {
     throw std::invalid_argument{"AbrAdversaryEnv: bad window parameters"};
   }
-  if (!params_.base_trace.empty() && params_.max_perturbation_mbps <= 0.0) {
-    throw std::invalid_argument{"AbrAdversaryEnv: bad max_perturbation"};
-  }
 }
 
 std::size_t AbrAdversaryEnv::observation_size() const {
@@ -32,10 +29,6 @@ std::size_t AbrAdversaryEnv::observation_size() const {
 }
 
 rl::ActionSpec AbrAdversaryEnv::action_spec() const {
-  if (!params_.base_trace.empty()) {
-    return rl::ActionSpec::continuous({-params_.max_perturbation_mbps},
-                                      {params_.max_perturbation_mbps});
-  }
   return rl::ActionSpec::continuous({params_.bandwidth_min_mbps},
                                     {params_.bandwidth_max_mbps});
 }
@@ -95,16 +88,7 @@ rl::Vec AbrAdversaryEnv::reset(util::Rng& /*rng*/) {
 rl::StepResult AbrAdversaryEnv::step(const rl::Vec& action,
                                      util::Rng& /*rng*/) {
   if (!episode_active_) throw std::logic_error{"AbrAdversaryEnv: step before reset"};
-  const rl::Vec physical = action_spec().to_physical(action);
-  double bandwidth = physical[0];
-  if (!params_.base_trace.empty()) {
-    // Perturbation mode: the action is a delta around the base test case.
-    const std::size_t chunk =
-        std::min(session_.next_chunk(), params_.base_trace.size() - 1);
-    bandwidth = std::clamp(
-        params_.base_trace[chunk].bandwidth_mbps + physical[0],
-        params_.bandwidth_min_mbps, params_.bandwidth_max_mbps);
-  }
+  const double bandwidth = action_spec().to_physical(action)[0];
 
   // Record the protocol's pre-chunk state for the r_opt window.
   WindowEntry entry;
@@ -169,20 +153,6 @@ rl::StepResult AbrAdversaryEnv::step(const rl::Vec& action,
       last_reward_.protocol = -window_rebuffer;
       break;
     }
-    case Goal::kLowBitrate: {
-      // "...or low bit-rate playback": reward the gap between the mean
-      // offered bandwidth (a bitrate an omniscient controller could stream)
-      // and the mean bitrate the target actually played.
-      double offered = 0.0;
-      double played = 0.0;
-      for (std::size_t k = 0; k < window_.size(); ++k) {
-        offered += std::min(bandwidths[k], manifest_.max_bitrate_mbps());
-        played += manifest_.bitrate_mbps(qualities[k]);
-      }
-      last_reward_.optimal = offered;
-      last_reward_.protocol = played;
-      break;
-    }
   }
   const double prev_bw = episode_bandwidths_.size() >= 2
                              ? episode_bandwidths_[episode_bandwidths_.size() - 2]
@@ -190,11 +160,11 @@ rl::StepResult AbrAdversaryEnv::step(const rl::Vec& action,
   last_reward_.smoothing =
       params_.smoothing_weight * std::abs(bandwidth - prev_bw);
 
-  if (params_.per_chunk_reward) {
-    const auto n = static_cast<double>(window_.size());
-    last_reward_.optimal /= n;
-    last_reward_.protocol /= n;
-  }
+  // Normalize the window terms by the window length so rewards stay on a
+  // per-chunk scale.
+  const auto n = static_cast<double>(window_.size());
+  last_reward_.optimal /= n;
+  last_reward_.protocol /= n;
 
   rl::StepResult step_result;
   step_result.reward = last_reward_.value();

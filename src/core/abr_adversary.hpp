@@ -22,7 +22,6 @@
 #include "abr/video.hpp"
 #include "core/reward.hpp"
 #include "rl/env.hpp"
-#include "trace/trace.hpp"
 
 namespace netadv::core {
 
@@ -37,30 +36,18 @@ class AbrAdversaryEnv final : public rl::Env {
   /// What the adversary optimizes (Section 5, "Different adversarial
   /// goals"). kQoeRegret is the paper's Equation-1 objective; kRebuffering
   /// rewards stall time it induces beyond what an optimal controller would
-  /// have suffered; kLowBitrate rewards pushing the target below the
-  /// bitrate an optimal controller could have sustained.
-  enum class Goal { kQoeRegret, kRebuffering, kLowBitrate };
+  /// have suffered.
+  enum class Goal { kQoeRegret, kRebuffering };
 
   struct Params {
     ObsMode obs_mode = ObsMode::kFull;
     Goal goal = Goal::kQoeRegret;
     double bandwidth_min_mbps = 0.8;
     double bandwidth_max_mbps = 4.8;
-    /// Section 5, "Constraining Adversaries": when `base_trace` is
-    /// non-empty the adversary no longer picks absolute bandwidths —
-    /// its action is a bounded *perturbation* of the base trace's
-    /// per-chunk bandwidth (|delta| <= max_perturbation_mbps, result still
-    /// clamped into [bandwidth_min, bandwidth_max]). This searches for
-    /// "small changes to an existing test case" that break the target.
-    trace::Trace base_trace{};
-    double max_perturbation_mbps = 1.0;
     std::size_t opt_window = 4;        ///< r_opt lookback (network changes)
     std::size_t history = 10;          ///< observations in the state
     double smoothing_weight = 1.0;     ///< scales |bw_t - bw_{t-1}|
     abr::QoeParams qoe{};
-    /// Normalize the window QoE terms by the window length so rewards stay
-    /// on a per-chunk scale.
-    bool per_chunk_reward = true;
   };
 
   /// `protocol` must outlive the environment.

@@ -227,6 +227,7 @@ void write_rows(const std::string& path,
   util::CsvWriter writer{path};
   writer.write_row(header);
   for (const auto& row : rows) writer.write_row(row);
+  writer.close();
 }
 
 /// A record job's output: the replayable corpus, one summary row per trace.
@@ -784,6 +785,7 @@ JobResult run_robustify_round(const JobContext& ctx) {
         mean_qoe, p5_qoe, static_cast<double>(eval_traces.size()),
         static_cast<double>(env.traces().size()),
         static_cast<double>(round.adversarial_traces.size())});
+    writer.close();
   }
   result.note = format_note(
       "eval mean QoE %.2f, p5 %.2f (%zu adversarial traces added)", mean_qoe,
@@ -971,6 +973,7 @@ JobResult run_promote(const JobContext& ctx) {
     writer.write_row(std::vector<double>{static_cast<double>(best),
                                          worst.rows[best][*regret],
                                          worst.rows[best][*qoe]});
+    writer.close();
   }
   if (const std::string* store_name = ctx.job->find("store_name")) {
     result.artifacts.push_back(publish_checkpoint(ctx, *store_name, "protocol",

@@ -9,38 +9,8 @@
 
 namespace netadv::rl {
 
-namespace {
-
-double activate(Activation act, double z) noexcept {
-  switch (act) {
-    case Activation::kTanh:
-      return std::tanh(z);
-    case Activation::kRelu:
-      return z > 0.0 ? z : 0.0;
-    case Activation::kIdentity:
-      return z;
-  }
-  return z;
-}
-
-/// Derivative expressed in terms of pre-activation z and post-activation a.
-double activate_grad(Activation act, double z, double a) noexcept {
-  switch (act) {
-    case Activation::kTanh:
-      return 1.0 - a * a;
-    case Activation::kRelu:
-      return z > 0.0 ? 1.0 : 0.0;
-    case Activation::kIdentity:
-      return 1.0;
-  }
-  return 1.0;
-}
-
-}  // namespace
-
-Mlp::Mlp(std::vector<std::size_t> sizes, Activation hidden_activation,
-         double final_gain, util::Rng& rng)
-    : sizes_(std::move(sizes)), hidden_(hidden_activation) {
+Mlp::Mlp(std::vector<std::size_t> sizes, double final_gain, util::Rng& rng)
+    : sizes_(std::move(sizes)) {
   if (sizes_.size() < 2) throw std::invalid_argument{"Mlp needs >= 2 layer sizes"};
   for (std::size_t s : sizes_) {
     if (s == 0) throw std::invalid_argument{"Mlp layer size must be > 0"};
@@ -119,7 +89,7 @@ const Vec& Mlp::forward(const Vec& input) {
     z.resize(l.out);
     kernels::gemv(weight(l), l.out, l.in, act_[i], bias(l), z);
     if (i + 1 < layers_.size()) {
-      for (double& v : z) v = activate(hidden_, v);
+      for (double& v : z) v = std::tanh(v);
     }
   }
   return act_.back();
@@ -154,7 +124,7 @@ void Mlp::forward_rows(Arena& arena, std::size_t begin, std::size_t end) const {
                   bias(l), z);
     if (i + 1 < layers_.size()) {
       double* const a = arena.row(arena.in_[i + 1], begin, l.out).data();
-      for (std::size_t j = 0; j < z.size(); ++j) a[j] = activate(hidden_, z[j]);
+      for (std::size_t j = 0; j < z.size(); ++j) a[j] = std::tanh(z[j]);
     }
   }
 }
@@ -171,7 +141,8 @@ void Mlp::backward_rows(const Arena& arena, std::size_t lo, std::size_t hi,
   if (lo == hi) return;
   // The output layer is linear: its dLoss/dPre is the caller's dLoss/dOutput,
   // already in each record's tail. Each layer below gets W^T delta (one
-  // gemm_transposed over the block's records) scaled by act'(pre).
+  // gemm_transposed over the block's records) scaled by tanh's gradient
+  // 1 - a*a at the layer's output a.
   const std::size_t n = hi - lo;
   double* const records = deltas.data() + lo * delta_size_;
   const std::size_t last = (n - 1) * delta_size_;  // the last record's start
@@ -183,11 +154,8 @@ void Mlp::backward_rows(const Arena& arena, std::size_t lo, std::size_t hi,
                              n, {records + below, last + l.in}, delta_size_);
     for (std::size_t k = lo; k < hi; ++k) {
       double* const d = deltas.data() + k * delta_size_ + below;
-      const auto pre = arena.row(arena.pre_[idx - 1], k, l.in);
-      const auto post = arena.row(arena.in_[idx], k, l.in);
-      for (std::size_t j = 0; j < l.in; ++j) {
-        d[j] *= activate_grad(hidden_, pre[j], post[j]);
-      }
+      const auto a = arena.row(arena.in_[idx], k, l.in);
+      for (std::size_t j = 0; j < l.in; ++j) d[j] *= 1.0 - a[j] * a[j];
     }
   }
 }

@@ -28,12 +28,10 @@
 
 namespace netadv::rl {
 
-enum class Activation { kTanh, kRelu, kIdentity };
-
 class Mlp {
  public:
-  /// Activations of a batch of samples, one row per sample: for each layer,
-  /// its input rows (layer 0's are the samples' inputs) and its
+  /// Per-layer values of a batch of samples, one row per sample: for each
+  /// layer, its input rows (layer 0's are the samples' inputs) and its
   /// pre-activation rows, each a row-major rows x width matrix in one flat
   /// buffer. The last layer is linear, so its pre-activations are the
   /// network outputs. Size it with reset(), write the inputs with
@@ -70,16 +68,14 @@ class Mlp {
   };
 
   /// `sizes` is {input, hidden..., output}; at least {in, out}.
-  /// Hidden layers use `hidden_activation`; the output layer is linear, with
-  /// its initial weights scaled by `final_gain` (0.01 is the usual PPO trick
-  /// for policy heads; 1.0 for value heads).
-  Mlp(std::vector<std::size_t> sizes, Activation hidden_activation,
-      double final_gain, util::Rng& rng);
+  /// Hidden layers are tanh; the output layer is linear, with its initial
+  /// weights scaled by `final_gain` (0.01 is the usual PPO trick for policy
+  /// heads; 1.0 for value heads).
+  Mlp(std::vector<std::size_t> sizes, double final_gain, util::Rng& rng);
 
   std::size_t input_size() const noexcept { return sizes_.front(); }
   std::size_t output_size() const noexcept { return sizes_.back(); }
   std::size_t param_count() const noexcept { return params_.size(); }
-  std::size_t layer_count() const noexcept { return layers_.size(); }
 
   /// Forward pass; the returned reference is valid until the next forward().
   const Vec& forward(const Vec& input);
@@ -130,9 +126,6 @@ class Mlp {
   std::span<double> grads() noexcept { return grads_; }
   std::span<const double> grads() const noexcept { return grads_; }
 
-  const std::vector<std::size_t>& layer_sizes() const noexcept { return sizes_; }
-  Activation hidden_activation() const noexcept { return hidden_; }
-
  private:
   struct Layer {
     std::size_t in = 0;
@@ -155,7 +148,6 @@ class Mlp {
   void check_arena(const Arena& arena, const char* where) const;
 
   std::vector<std::size_t> sizes_;
-  Activation hidden_;
   std::vector<Layer> layers_;
   std::vector<double> params_;
   std::vector<double> grads_;

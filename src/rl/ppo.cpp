@@ -63,9 +63,9 @@ PpoAgent::PpoAgent(std::size_t observation_size, ActionSpec action_spec,
       config_(std::move(config)),
       rng_(seed),
       actor_(make_actor_sizes(observation_size, config_, action_spec_),
-             config_.activation, /*final_gain=*/0.01, rng_),
+             /*final_gain=*/0.01, rng_),
       critic_(make_critic_sizes(observation_size, config_),
-              config_.activation, /*final_gain=*/1.0, rng_),
+              /*final_gain=*/1.0, rng_),
       actor_opt_(actor_.param_count(), {.learning_rate = config_.learning_rate}),
       critic_opt_(critic_.param_count(),
                   {.learning_rate = config_.learning_rate}),
@@ -95,13 +95,8 @@ PpoAgent::PpoAgent(std::size_t observation_size, ActionSpec action_spec,
   }
 }
 
-Vec PpoAgent::normalized(const Vec& observation) const {
-  return config_.normalize_observations ? obs_normalizer_.normalize(observation)
-                                        : observation;
-}
-
 Vec PpoAgent::act_stochastic(const Vec& observation, util::Rng& rng) {
-  const Vec& head = actor_.forward(normalized(observation));
+  const Vec& head = actor_.forward(obs_normalizer_.normalize(observation));
   if (discrete()) {
     return {static_cast<double>(Categorical::sample(head, rng))};
   }
@@ -109,7 +104,7 @@ Vec PpoAgent::act_stochastic(const Vec& observation, util::Rng& rng) {
 }
 
 Vec PpoAgent::act_deterministic(const Vec& observation) {
-  const Vec& head = actor_.forward(normalized(observation));
+  const Vec& head = actor_.forward(obs_normalizer_.normalize(observation));
   if (discrete()) {
     return {static_cast<double>(Categorical::mode(head))};
   }
@@ -120,7 +115,7 @@ std::vector<Vec> PpoAgent::act_deterministic_batch(
     const std::vector<Vec>& observations) {
   std::vector<Vec> norm(observations.size());
   for (std::size_t i = 0; i < observations.size(); ++i) {
-    norm[i] = normalized(observations[i]);
+    norm[i] = obs_normalizer_.normalize(observations[i]);
   }
   std::vector<Vec> heads = actor_.forward_batch(norm);
   if (discrete()) {
@@ -134,7 +129,7 @@ std::vector<Vec> PpoAgent::act_deterministic_batch(
 }
 
 double PpoAgent::value_estimate(const Vec& observation) {
-  return critic_.forward(normalized(observation))[0];
+  return critic_.forward(obs_normalizer_.normalize(observation))[0];
 }
 
 double PpoAgent::evaluate(Env& env, std::size_t episodes, util::Rng& rng,
@@ -176,8 +171,8 @@ TrainReport PpoAgent::train(Env& env, std::size_t total_steps,
     double episode_reward_sum_this_update = 0.0;
 
     while (!buffer.full()) {
-      if (config_.normalize_observations) obs_normalizer_.update(raw_obs);
-      const Vec obs = normalized(raw_obs);
+      obs_normalizer_.update(raw_obs);
+      const Vec obs = obs_normalizer_.normalize(raw_obs);
 
       Transition t;
       t.observation = obs;
@@ -194,9 +189,7 @@ TrainReport PpoAgent::train(Env& env, std::size_t total_steps,
 
       StepResult result = env.step(t.action, rng_);
       episode_reward += result.reward;
-      t.reward = config_.normalize_rewards
-                     ? return_normalizer_.normalize(result.reward, result.done)
-                     : result.reward;
+      t.reward = return_normalizer_.normalize(result.reward, result.done);
       t.done = result.done;
       buffer.add(std::move(t));
       ++steps_done;
@@ -212,7 +205,8 @@ TrainReport PpoAgent::train(Env& env, std::size_t total_steps,
       }
     }
 
-    const double last_value = critic_.forward(normalized(raw_obs))[0];
+    const double last_value =
+        critic_.forward(obs_normalizer_.normalize(raw_obs))[0];
     buffer.compute_advantages(last_value, config_.gamma, config_.gae_lambda);
 
     const MinibatchStats stats = run_update_epochs(buffer, pool_);

@@ -31,7 +31,6 @@ namespace netadv::rl {
 
 struct PpoConfig {
   std::vector<std::size_t> hidden_sizes{64, 64};
-  Activation activation = Activation::kTanh;
   double learning_rate = 3e-4;
   std::size_t n_steps = 2048;        // rollout horizon per update
   std::size_t minibatch_size = 64;
@@ -43,8 +42,6 @@ struct PpoConfig {
   double vf_coef = 0.5;
   double max_grad_norm = 0.5;
   double initial_log_std = 0.0;      // continuous head only
-  bool normalize_observations = true;
-  bool normalize_rewards = true;
 };
 
 class PpoAgent {
@@ -122,7 +119,6 @@ class PpoAgent {
   }
 
  private:
-  Vec normalized(const Vec& observation) const;
   bool discrete() const noexcept {
     return action_spec_.type == ActionType::kDiscrete;
   }

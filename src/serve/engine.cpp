@@ -24,11 +24,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// One live playback. Everything a tick task touches lives here, so
 /// parallel tick bodies confine their writes to their own slot.
 struct SessionEngine::Session {
-  Session(const abr::VideoManifest& manifest, std::size_t trace,
-          const SessionEngine::Params& params)
-      : trace_index(trace),
-        stream(manifest, params.session),
-        tracker(manifest, params.history_window) {}
+  Session(const abr::VideoManifest& manifest, std::size_t trace)
+      : trace_index(trace), stream(manifest), tracker(manifest) {}
 
   std::size_t trace_index;
   abr::StreamingSession stream;
@@ -42,10 +39,8 @@ struct SessionEngine::Session {
 };
 
 SessionEngine::SessionEngine(abr::VideoManifest manifest,
-                             std::vector<trace::Trace> traces, Params params)
-    : manifest_(std::move(manifest)),
-      traces_(std::move(traces)),
-      params_(params) {
+                             std::vector<trace::Trace> traces)
+    : manifest_(std::move(manifest)), traces_(std::move(traces)) {
   if (traces_.empty()) {
     throw std::invalid_argument{"SessionEngine: trace set must be non-empty"};
   }
@@ -59,7 +54,7 @@ std::vector<SessionEngine::Session> SessionEngine::make_sessions(
   std::vector<Session> out;
   out.reserve(sessions);
   for (std::size_t i = 0; i < sessions; ++i) {
-    out.emplace_back(manifest_, i % traces_.size(), params_);
+    out.emplace_back(manifest_, i % traces_.size());
     out.back().qualities.reserve(manifest_.num_chunks());
     out.back().bitrates_mbps.reserve(manifest_.num_chunks());
     out.back().rebuffers_s.reserve(manifest_.num_chunks());
@@ -228,7 +223,12 @@ void save_session_summaries(std::span<const SessionSummary> summaries,
                  s.trace, s.chunks, s.qoe, s.qoe_lin, s.rebuffer_s,
                  s.mean_bitrate_mbps, s.quality_switches);
   }
-  std::fclose(f);
+  // A failed fprintf sets the stream's error flag; fclose flushes what the
+  // buffer still holds and reports that write's failure.
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) {
+    throw std::runtime_error{"save_session_summaries: cannot write " + path};
+  }
 }
 
 }  // namespace netadv::serve

@@ -33,7 +33,6 @@
 #include <cstddef>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "abr/qoe_model.hpp"
@@ -90,18 +89,10 @@ struct ServeStats {
 /// Multiplexes N concurrent simulated playbacks through one process.
 class SessionEngine {
  public:
-  struct Params {
-    std::size_t history_window = 8;          ///< observation history depth
-    abr::StreamingSession::Params session;   ///< per-session buffer dynamics
-  };
-
   /// Sessions stream `manifest`; session i draws per-chunk bandwidth from
   /// traces[i % traces.size()]. Throws std::invalid_argument on an empty
   /// trace set.
-  SessionEngine(abr::VideoManifest manifest, std::vector<trace::Trace> traces)
-      : SessionEngine(std::move(manifest), std::move(traces), Params{}) {}
-  SessionEngine(abr::VideoManifest manifest, std::vector<trace::Trace> traces,
-                Params params);
+  SessionEngine(abr::VideoManifest manifest, std::vector<trace::Trace> traces);
 
   const abr::VideoManifest& manifest() const noexcept { return manifest_; }
   const std::vector<trace::Trace>& traces() const noexcept { return traces_; }
@@ -134,7 +125,6 @@ class SessionEngine {
 
   abr::VideoManifest manifest_;
   std::vector<trace::Trace> traces_;
-  Params params_;
 };
 
 }  // namespace netadv::serve

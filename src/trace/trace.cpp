@@ -48,6 +48,7 @@ void save_trace(const Trace& trace, const std::string& path) {
     writer.write_row(std::vector<double>{s.duration_s, s.bandwidth_mbps,
                                          s.latency_ms, s.loss_rate});
   }
+  writer.close();
 }
 
 Trace load_trace(const std::string& path) {
@@ -77,6 +78,7 @@ void save_trace_set(const std::vector<Trace>& traces, const std::string& path) {
                                            s.loss_rate});
     }
   }
+  writer.close();
 }
 
 std::vector<Trace> load_trace_set(const std::string& path) {

@@ -46,6 +46,11 @@ void CsvWriter::write_row(const std::vector<double>& cells) {
   out_ << '\n';
 }
 
+void CsvWriter::close() {
+  out_.close();
+  if (!out_) throw std::runtime_error{"CsvWriter: cannot write " + path_};
+}
+
 CsvTable read_csv(const std::string& path) {
   std::ifstream in{path};
   if (!in) throw std::runtime_error{"read_csv: cannot open " + path};

@@ -9,9 +9,10 @@
 
 namespace netadv::util {
 
-/// Row-at-a-time CSV writer. Creates/truncates the file on construction and
-/// flushes on destruction (RAII); throws std::runtime_error if the file
-/// cannot be opened.
+/// Row-at-a-time CSV writer. Creates/truncates the file on construction;
+/// throws std::runtime_error if the file cannot be opened. Call close() to
+/// learn whether every row reached the file: the destructor flushes too, but
+/// cannot report a failed write.
 class CsvWriter {
  public:
   explicit CsvWriter(const std::string& path);
@@ -20,6 +21,9 @@ class CsvWriter {
   void write_row(const std::vector<std::string>& cells);
   /// Write a data row of doubles (formatted with %.6g).
   void write_row(const std::vector<double>& cells);
+  /// Flush and close the file; throws std::runtime_error naming the path if
+  /// any write failed (a full disk, say).
+  void close();
 
   const std::string& path() const noexcept { return path_; }
 

@@ -299,6 +299,13 @@ TEST(QoeModel, SsimTableLoadRejectsBadHeaderAndOrder) {
   EXPECT_THROW(save_ssim_table({}, dir + "/empty.csv"), std::runtime_error);
 }
 
+TEST(QoeModel, SsimTableSaveReportsAFullDisk) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(save_ssim_table(synthetic_ssim_table(exact_manifest()),
+                               "/dev/full"),
+               std::runtime_error);
+}
+
 TEST(QoeModel, SsimTableLoadIsStrictAboutRowsAndIndices) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "netadv_qoe_strict").string();
@@ -495,11 +502,65 @@ TEST(BufferBased, ValidatesParams) {
                std::invalid_argument);
 }
 
+// ---------------------------------------------------------------- predictor
+
+AbrObservation with_history(std::vector<double> history_mbps) {
+  AbrObservation obs;
+  obs.throughput_history_mbps = std::move(history_mbps);
+  return obs;
+}
+
+TEST(ThroughputPredictor, DiscountsByTheLargestRelativeError) {
+  RobustThroughputPredictor predictor{5};
+  predictor.reset(0.3);
+  // No error history yet: the plain harmonic mean.
+  EXPECT_DOUBLE_EQ(predictor.predict(with_history({2.0})), 2.0);
+  // Predicted 2.0, then 1.0 arrived: a relative error of |2 - 1| / 1 = 1.
+  const AbrObservation second = with_history({1.0, 2.0});
+  const double mean = harmonic_mean_mbps(second.throughput_history_mbps, 5);
+  EXPECT_DOUBLE_EQ(predictor.predict(second), mean / 2.0);
+  EXPECT_DOUBLE_EQ(predictor.estimate(second), mean / 2.0);
+  // Predicted 4/3, then 4.0 arrived: error 2/3 < 1, so the discount holds.
+  const AbrObservation third = with_history({4.0, 1.0, 2.0});
+  EXPECT_DOUBLE_EQ(predictor.predict(third),
+                   harmonic_mean_mbps(third.throughput_history_mbps, 5) / 2.0);
+}
+
+TEST(ThroughputPredictor, OldErrorsLeaveTheWindow) {
+  RobustThroughputPredictor predictor{2};
+  predictor.reset(0.3);
+  std::vector<double> history{2.0};
+  predictor.predict(with_history(history));
+  history.insert(history.begin(), 1.0);  // predicted 2, got 1: error 1
+  EXPECT_DOUBLE_EQ(predictor.predict(with_history(history)),
+                   harmonic_mean_mbps(history, 2) / 2.0);
+  // From here each sample equals the mean predicted before it (error 0).
+  history.insert(history.begin(), harmonic_mean_mbps(history, 2));
+  EXPECT_DOUBLE_EQ(predictor.predict(with_history(history)),
+                   harmonic_mean_mbps(history, 2) / 2.0);  // errors {1, 0}
+  history.insert(history.begin(), harmonic_mean_mbps(history, 2));
+  EXPECT_DOUBLE_EQ(predictor.predict(with_history(history)),
+                   harmonic_mean_mbps(history, 2));  // errors {0, 0}
+}
+
+TEST(ThroughputPredictor, ResetForgetsErrorsAndSetsTheColdStart) {
+  RobustThroughputPredictor predictor{5};
+  predictor.reset(0.3);
+  predictor.predict(with_history({2.0}));
+  predictor.predict(with_history({1.0, 2.0}));
+  predictor.reset(0.75);
+  EXPECT_DOUBLE_EQ(predictor.estimate(AbrObservation{}), 0.75);
+  EXPECT_DOUBLE_EQ(predictor.predict(AbrObservation{}), 0.75);
+  const AbrObservation obs = with_history({1.0, 2.0, 4.0});
+  EXPECT_DOUBLE_EQ(predictor.estimate(obs), 12.0 / 7.0);
+}
+
 // ---------------------------------------------------------------- mpc
 
 TEST(RobustMpc, PredictsHarmonicMean) {
+  // A fresh predictor has no error history, so nothing is discounted.
   const VideoManifest m;
-  RobustMpc mpc{{.robust = false}};
+  RobustMpc mpc;
   mpc.begin_video(m);
   AbrObservation obs;
   obs.throughput_history_mbps = {1.0, 2.0, 4.0};
@@ -536,20 +597,6 @@ TEST(RobustMpc, PicksLowRateOnSlowLink) {
   for (std::size_t i = 4; i < record.chunks.size(); ++i) {
     EXPECT_LE(record.chunks[i].bitrate_mbps, 0.75);
   }
-}
-
-TEST(RobustMpc, RobustVariantIsMoreConservative) {
-  const VideoManifest m = exact_manifest();
-  RobustMpc robust{{.robust = true}};
-  RobustMpc fast{{.robust = false}};
-  // Oscillating link makes prediction errors large.
-  Trace t;
-  for (int i = 0; i < 48; ++i) {
-    t.append({4.0, i % 2 == 0 ? 4.0 : 1.0, 80.0, 0.0});
-  }
-  const PlaybackRecord rr = run_playback(robust, m, t);
-  const PlaybackRecord rf = run_playback(fast, m, t);
-  EXPECT_LE(rr.total_rebuffer_s, rf.total_rebuffer_s + 1e-9);
 }
 
 TEST(RobustMpc, ValidatesParams) {
@@ -799,7 +846,7 @@ TEST(RobustMpc, ReplayedDecisionsMatchEnumeration) {
   }
   for (const RobustMpc::Params& params :
        {RobustMpc::Params{}, RobustMpc::Params{.qoe = {.rebuffer_penalty = 0.3}},
-        RobustMpc::Params{.robust = false, .max_buffer_s = 2.5}}) {
+        RobustMpc::Params{.max_buffer_s = 2.5}}) {
     EnumerationCheckedMpc checked{params};
     for (const Trace& t : traces) run_playback(checked, m, t);
     EXPECT_EQ(checked.decisions(), traces.size() * m.num_chunks());
@@ -809,12 +856,18 @@ TEST(RobustMpc, ReplayedDecisionsMatchEnumeration) {
 // ---------------------------------------------------------------- mpc-dp
 
 TEST(MpcDp, PredictorMatchesRobustMpc) {
+  // Both planners start a video with a fresh predictor: the undiscounted
+  // harmonic mean.
   const VideoManifest m;
-  MpcDp dp{{.robust = false}, std::make_unique<LinQoe>()};
+  MpcDp dp;
+  RobustMpc mpc;
   dp.begin_video(m);
+  mpc.begin_video(m);
   AbrObservation obs;
   obs.throughput_history_mbps = {1.0, 2.0, 4.0};
   EXPECT_NEAR(dp.predicted_throughput_mbps(obs), 12.0 / 7.0, 1e-9);
+  EXPECT_EQ(dp.predicted_throughput_mbps(obs),
+            mpc.predicted_throughput_mbps(obs));
 }
 
 TEST(MpcDp, PicksHighRateOnFastStableLink) {

@@ -570,6 +570,29 @@ TEST(BuiltinJobs, GenReplayPipelineProducesQoePerTrace) {
   EXPECT_NE(qoe.find("trace,qoe"), std::string::npos);
 }
 
+TEST(BuiltinJobs, FullDiskFailsTheJobNamingItsArtifact) {
+  // The replay's CSV lands on /dev/full (a full disk): the job must fail
+  // with an error naming the file, not complete with a truncated artifact.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string dir = temp_dir("netadv_builtin_full_disk");
+  std::filesystem::create_directories(dir);
+  std::filesystem::create_symlink("/dev/full", dir + "/replay-bb_qoe.csv");
+  const exp::Campaign c = campaign_from(
+      "[campaign]\nname = full\nseed = 3\nout_dir = " + dir + "\n"
+      "[job corpus]\nkind = gen-traces\ngenerator = random\ncount = 3\n"
+      "[job replay-bb]\nkind = replay\nafter = corpus\n"
+      "traces = corpus\nprotocol = bb\n");
+  const exp::CampaignReport report =
+      exp::run_campaign(c, exp::builtin_jobs());
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.outcome_of("corpus").status, "completed");
+  const exp::JobOutcome& replay = report.outcome_of("replay-bb");
+  EXPECT_EQ(replay.status, "failed");
+  EXPECT_NE(replay.error.find("replay-bb_qoe.csv"), std::string::npos)
+      << replay.error;
+  std::filesystem::remove_all(dir);
+}
+
 /// gen-traces feeding a qoe_models serving grid: the campaign-level route
 /// into serve::SessionEngine.
 std::string serve_pipeline_spec(const std::string& dir) {

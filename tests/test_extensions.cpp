@@ -1,6 +1,5 @@
 // Tests for the Section-5 extensions and extra baselines: Copa, BOLA,
-// Mahimahi trace interop, alternative adversarial goals, and the
-// perturbation-constrained adversary.
+// Mahimahi trace interop, and alternative adversarial goals.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -312,23 +311,6 @@ TEST(AdversaryGoals, RebufferingGoalGivesNothingOnFastLink) {
   EXPECT_LT(positive, 1.0);
 }
 
-TEST(AdversaryGoals, LowBitrateGoalTracksBitrateGap) {
-  const abr::VideoManifest m = exact_manifest();
-  abr::BufferBased bb;
-  core::AbrAdversaryEnv::Params p;
-  p.goal = core::AbrAdversaryEnv::Goal::kLowBitrate;
-  p.opt_window = 1;
-  core::AbrAdversaryEnv env{m, bb, p};
-  Rng rng{43};
-  env.reset(rng);
-  // At max bandwidth while BB still ramps (low buffer -> lowest quality),
-  // the gap between offered and played bitrate is large.
-  const rl::StepResult r = env.step({1.0}, rng);
-  EXPECT_NEAR(env.last_reward().optimal, 4.3, 0.6);   // offered (capped)
-  EXPECT_NEAR(env.last_reward().protocol, 0.3, 0.1);  // BB plays lowest
-  EXPECT_GT(r.reward, 3.0);
-}
-
 TEST(AdversaryGoals, CcCongestionGoalRewardsQueues) {
   core::CcAdversaryEnv::Params p;
   p.goal = core::CcAdversaryEnv::Goal::kCongestion;
@@ -345,68 +327,6 @@ TEST(AdversaryGoals, CcCongestionGoalRewardsQueues) {
     best = std::max(best, r.reward);
   }
   EXPECT_GT(best, 0.05);
-}
-
-// ---------------------------------------------------------------- perturbation mode
-
-TEST(PerturbationAdversary, StaysWithinDeltaOfBaseTrace) {
-  const abr::VideoManifest m = exact_manifest();
-  abr::BufferBased bb;
-  core::AbrAdversaryEnv::Params p;
-  p.base_trace = constant_trace(2.4);
-  p.max_perturbation_mbps = 0.5;
-  core::AbrAdversaryEnv env{m, bb, p};
-
-  const rl::ActionSpec spec = env.action_spec();
-  EXPECT_DOUBLE_EQ(spec.low[0], -0.5);
-  EXPECT_DOUBLE_EQ(spec.high[0], 0.5);
-
-  Rng rng{53};
-  env.reset(rng);
-  rl::StepResult r{};
-  while (!r.done) r = env.step({rng.uniform(-3.0, 3.0)}, rng);
-  for (double bw : env.episode_bandwidths()) {
-    EXPECT_GE(bw, 2.4 - 0.5 - 1e-9);
-    EXPECT_LE(bw, 2.4 + 0.5 + 1e-9);
-  }
-}
-
-TEST(PerturbationAdversary, ClampsToGlobalBandwidthRange) {
-  const abr::VideoManifest m = exact_manifest();
-  abr::BufferBased bb;
-  core::AbrAdversaryEnv::Params p;
-  p.base_trace = constant_trace(0.9);  // near the 0.8 floor
-  p.max_perturbation_mbps = 2.0;
-  core::AbrAdversaryEnv env{m, bb, p};
-  Rng rng{59};
-  env.reset(rng);
-  env.step({-1.0}, rng);  // -2.0 delta would go to -1.1; must clamp to 0.8
-  EXPECT_DOUBLE_EQ(env.episode_bandwidths()[0], 0.8);
-}
-
-TEST(PerturbationAdversary, ValidatesPerturbationBound) {
-  const abr::VideoManifest m = exact_manifest();
-  abr::BufferBased bb;
-  core::AbrAdversaryEnv::Params p;
-  p.base_trace = constant_trace(2.0);
-  p.max_perturbation_mbps = 0.0;
-  EXPECT_THROW((core::AbrAdversaryEnv{m, bb, p}), std::invalid_argument);
-}
-
-TEST(PerturbationAdversary, RegretStillNonNegative) {
-  const abr::VideoManifest m = exact_manifest();
-  abr::BufferBased bb;
-  core::AbrAdversaryEnv::Params p;
-  p.base_trace = constant_trace(2.4);
-  p.max_perturbation_mbps = 1.0;
-  core::AbrAdversaryEnv env{m, bb, p};
-  Rng rng{61};
-  env.reset(rng);
-  rl::StepResult r{};
-  while (!r.done) {
-    r = env.step({rng.uniform(-1.0, 1.0)}, rng);
-    EXPECT_GE(env.last_reward().regret(), -1e-9);
-  }
 }
 
 }  // namespace

@@ -98,7 +98,7 @@ TEST(RngForkStreams, IndependentOfConsumptionOrder) {
 
 TEST(BatchedForward, MatchesPerSampleForwardBitExactly) {
   util::Rng rng{7};
-  rl::Mlp net{{11, 32, 16, 5}, rl::Activation::kTanh, 0.01, rng};
+  rl::Mlp net{{11, 32, 16, 5}, 0.01, rng};
   std::vector<rl::Vec> inputs;
   for (std::size_t n = 0; n < 17; ++n) {
     rl::Vec x(11);
@@ -121,7 +121,7 @@ TEST(ParallelArena, BlockForwardsOnAPoolMatchPerSampleForward) {
   // own block of rows of one shared arena. Every row must equal the member
   // forward of its input bit for bit, and the tasks must not race.
   util::Rng rng{11};
-  rl::Mlp net{{7, 13, 6, 3}, rl::Activation::kTanh, 0.5, rng};
+  rl::Mlp net{{7, 13, 6, 3}, 0.5, rng};
   const std::size_t rows = 37;
   const std::size_t block = 8;
   std::vector<rl::Vec> inputs(rows, rl::Vec(7));

@@ -35,10 +35,7 @@ abr::VideoManifest exact_manifest() {
 
 std::unique_ptr<abr::AbrProtocol> make_protocol(const std::string& kind) {
   if (kind == "bb") return std::make_unique<abr::BufferBased>();
-  if (kind == "mpc") return std::make_unique<abr::RobustMpc>();
-  abr::RobustMpc::Params p;
-  p.robust = false;
-  return std::make_unique<abr::RobustMpc>(p);  // "fastmpc"
+  return std::make_unique<abr::RobustMpc>();
 }
 
 trace::Trace constant_trace(double bw, std::size_t n = 48) {
@@ -83,7 +80,7 @@ TEST_P(AbrProtocolProperty, NeverBeatsOfflineOptimal) {
 
 INSTANTIATE_TEST_SUITE_P(
     ProtocolsAcrossRates, AbrProtocolProperty,
-    ::testing::Combine(::testing::Values("bb", "mpc", "fastmpc"),
+    ::testing::Combine(::testing::Values("bb", "mpc"),
                        ::testing::Values(0.4, 0.8, 1.5, 2.4, 4.8, 12.0)),
     [](const auto& info) {
       return std::get<0>(info.param) + "_" +

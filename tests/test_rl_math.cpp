@@ -76,7 +76,7 @@ TEST(MatrixKernels, DotAndNorm) {
 
 TEST(Mlp, OutputShapeAndDeterminism) {
   Rng rng{3};
-  Mlp net{{4, 8, 3}, Activation::kTanh, 1.0, rng};
+  Mlp net{{4, 8, 3}, 1.0, rng};
   EXPECT_EQ(net.input_size(), 4u);
   EXPECT_EQ(net.output_size(), 3u);
   EXPECT_EQ(net.param_count(), 4u * 8 + 8 + 8 * 3 + 3);
@@ -89,9 +89,8 @@ TEST(Mlp, OutputShapeAndDeterminism) {
 
 TEST(Mlp, RejectsBadConstruction) {
   Rng rng{1};
-  EXPECT_THROW((Mlp{{4}, Activation::kTanh, 1.0, rng}), std::invalid_argument);
-  EXPECT_THROW((Mlp{{4, 0, 2}, Activation::kTanh, 1.0, rng}),
-               std::invalid_argument);
+  EXPECT_THROW((Mlp{{4}, 1.0, rng}), std::invalid_argument);
+  EXPECT_THROW((Mlp{{4, 0, 2}, 1.0, rng}), std::invalid_argument);
 }
 
 /// Sample k's delta record in a flat buffer of records, with `grad_output`
@@ -139,7 +138,7 @@ Vec backprop(Mlp& net, const Vec& x, const Vec& grad_output) {
 
 TEST(Mlp, RejectsWrongInputSize) {
   Rng rng{1};
-  Mlp net{{2, 3}, Activation::kTanh, 1.0, rng};
+  Mlp net{{2, 3}, 1.0, rng};
   EXPECT_THROW(net.forward({1.0}), std::invalid_argument);
   EXPECT_THROW(net.forward_batch({{1.0, 2.0}, {1.0}}), std::invalid_argument);
   Mlp::Arena arena;
@@ -157,7 +156,7 @@ TEST(Mlp, RejectsWrongInputSize) {
                                    net.grads()),
                std::invalid_argument);
   // An arena laid out for another network's shape is refused outright.
-  Mlp wider{{2, 4}, Activation::kTanh, 1.0, rng};
+  Mlp wider{{2, 4}, 1.0, rng};
   EXPECT_THROW(wider.forward_rows(arena, 0, 1), std::invalid_argument);
   Vec wider_deltas(wider.delta_size());
   EXPECT_THROW(wider.backward_rows(arena, 0, 1, wider_deltas),
@@ -166,7 +165,7 @@ TEST(Mlp, RejectsWrongInputSize) {
 
 TEST(Mlp, BackwardBeforeForwardThrows) {
   Rng rng{1};
-  Mlp net{{2, 3}, Activation::kTanh, 1.0, rng};
+  Mlp net{{2, 3}, 1.0, rng};
   const Mlp::Arena empty;
   Vec deltas(net.delta_size());
   EXPECT_THROW(net.backward_rows(empty, 0, 1, deltas), std::logic_error);
@@ -178,9 +177,9 @@ TEST(Mlp, BackwardBeforeForwardThrows) {
 }
 
 // Finite-difference check of dLoss/dParams where Loss = sum(output * coef).
-void check_param_gradients(Activation act) {
+TEST(Mlp, ParamGradientsMatchFiniteDifferenceTanh) {
   Rng rng{17};
-  Mlp net{{3, 5, 4, 2}, act, 1.0, rng};
+  Mlp net{{3, 5, 4, 2}, 1.0, rng};
   const Vec x{0.3, -0.7, 0.9};
   const Vec coef{1.3, -0.4};
 
@@ -199,24 +198,15 @@ void check_param_gradients(Activation act) {
     params[i] = saved;
     const double numeric =
         ((yp[0] - ym[0]) * coef[0] + (yp[1] - ym[1]) * coef[1]) / (2 * eps);
-    EXPECT_NEAR(analytic[i], numeric, 1e-5)
-        << "param index " << i << " activation " << static_cast<int>(act);
+    EXPECT_NEAR(analytic[i], numeric, 1e-5) << "param index " << i;
   }
-}
-
-TEST(Mlp, ParamGradientsMatchFiniteDifferenceTanh) {
-  check_param_gradients(Activation::kTanh);
-}
-
-TEST(Mlp, ParamGradientsMatchFiniteDifferenceRelu) {
-  check_param_gradients(Activation::kRelu);
 }
 
 TEST(Mlp, InputGradientMatchesFiniteDifference) {
   // dLoss/dInput = W0^T (layer 0's delta): checks the first layer's delta,
   // the end of the backward chain.
   Rng rng{19};
-  Mlp net{{3, 6, 2}, Activation::kTanh, 1.0, rng};
+  Mlp net{{3, 6, 2}, 1.0, rng};
   Vec x{0.5, -0.1, 0.2};
   const Vec coef{0.7, 1.1};
   net.zero_grad();
@@ -241,7 +231,7 @@ TEST(Mlp, InputGradientMatchesFiniteDifference) {
 
 TEST(Mlp, GradientsAccumulateAcrossBackwardCalls) {
   Rng rng{23};
-  Mlp net{{2, 3, 1}, Activation::kTanh, 1.0, rng};
+  Mlp net{{2, 3, 1}, 1.0, rng};
   const Vec x{0.4, 0.6};
   net.zero_grad();
   backprop(net, x, {1.0});
@@ -261,7 +251,7 @@ TEST(Mlp, RowBlocksOverManySamplesMatchOneSampleAtATime) {
   // full-row passes bit for bit: each delta is the same fma chain whatever
   // the block, and each gradient element gets its adds in sample order.
   Rng rng{29};
-  Mlp net{{3, 5, 4, 2}, Activation::kTanh, 1.0, rng};
+  Mlp net{{3, 5, 4, 2}, 1.0, rng};
   const std::size_t m = 7;
   std::vector<Vec> xs(m, Vec(3));
   std::vector<Vec> coefs(m, Vec(2));
@@ -296,38 +286,35 @@ TEST(Mlp, RowBlocksOverManySamplesMatchOneSampleAtATime) {
 
 TEST(MlpArena, BlockForwardsMatchPerSampleForwardOnEveryBackend) {
   // forward_rows over uneven row blocks of one arena must reproduce the
-  // member forward() of each input bit for bit — for both hidden
-  // activations, widths that are not multiples of the 4-lane kernel width,
-  // a 1-wide output, and every kernel backend this host can run.
+  // member forward() of each input bit for bit — for widths that are not
+  // multiples of the 4-lane kernel width, a 1-wide output, and every kernel
+  // backend this host can run.
   const kernels::Backend& original = kernels::active_backend();
   const std::vector<std::vector<std::size_t>> shapes{
       {5, 7, 3}, {6, 13, 1}, {3, 4, 9, 2}};
   for (const kernels::Backend* backend : kernels::available_backends()) {
     kernels::set_backend(*backend);
-    for (const Activation act : {Activation::kTanh, Activation::kRelu}) {
-      for (const auto& shape : shapes) {
-        Rng rng{61};
-        Mlp net{shape, act, 1.0, rng};
-        const std::size_t rows = 11;
-        Mlp::Arena arena;
-        arena.reset(net, rows);
-        std::vector<Vec> xs(rows, Vec(net.input_size()));
-        for (std::size_t k = 0; k < rows; ++k) {
-          for (double& v : xs[k]) v = rng.uniform(-2.0, 2.0);
-          arena.set_input(k, xs[k]);
-        }
-        for (const auto& [lo, hi] :
-             {std::pair<std::size_t, std::size_t>{5, 11}, {0, 4}, {4, 5}}) {
-          net.forward_rows(arena, lo, hi);
-        }
-        for (std::size_t k = 0; k < rows; ++k) {
-          const Vec& single = net.forward(xs[k]);
-          const auto row = arena.output(k);
-          ASSERT_EQ(row.size(), single.size());
-          for (std::size_t j = 0; j < single.size(); ++j) {
-            ASSERT_EQ(row[j], single[j])
-                << backend->name << " row " << k;
-          }
+    for (const auto& shape : shapes) {
+      Rng rng{61};
+      Mlp net{shape, 1.0, rng};
+      const std::size_t rows = 11;
+      Mlp::Arena arena;
+      arena.reset(net, rows);
+      std::vector<Vec> xs(rows, Vec(net.input_size()));
+      for (std::size_t k = 0; k < rows; ++k) {
+        for (double& v : xs[k]) v = rng.uniform(-2.0, 2.0);
+        arena.set_input(k, xs[k]);
+      }
+      for (const auto& [lo, hi] :
+           {std::pair<std::size_t, std::size_t>{5, 11}, {0, 4}, {4, 5}}) {
+        net.forward_rows(arena, lo, hi);
+      }
+      for (std::size_t k = 0; k < rows; ++k) {
+        const Vec& single = net.forward(xs[k]);
+        const auto row = arena.output(k);
+        ASSERT_EQ(row.size(), single.size());
+        for (std::size_t j = 0; j < single.size(); ++j) {
+          ASSERT_EQ(row[j], single[j]) << backend->name << " row " << k;
         }
       }
     }
@@ -337,7 +324,7 @@ TEST(MlpArena, BlockForwardsMatchPerSampleForwardOnEveryBackend) {
 
 TEST(Mlp, FinalGainScalesLastLayerInit) {
   Rng rng1{5};
-  Mlp small{{4, 4, 4}, Activation::kTanh, 0.01, rng1};
+  Mlp small{{4, 4, 4}, 0.01, rng1};
   // Last-layer weights live at the tail of the parameter array.
   const auto params = small.params();
   double max_last = 0.0;

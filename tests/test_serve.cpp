@@ -145,6 +145,15 @@ TEST(SessionSummaryCsv, RoundTripsByteIdentically) {
       std::runtime_error);
 }
 
+TEST(SessionSummaryCsv, SaveReportsAFullDisk) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  serve::SessionEngine engine{exact_manifest(), fcc_traces(2, 5)};
+  abr::LinQoe qoe;
+  const auto summaries = engine.run(bb_factory(), qoe, 3);
+  EXPECT_THROW(serve::save_session_summaries(summaries, "/dev/full"),
+               std::runtime_error);
+}
+
 // ------------------------------------------------------ batch policy seam
 
 TEST(BatchPolicy, PensieveRequiresBeginServing) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 
 #include "trace/generators.hpp"
 #include "trace/trace.hpp"
@@ -64,6 +65,13 @@ TEST(Trace, CsvRoundTrip) {
     EXPECT_DOUBLE_EQ(loaded[i].loss_rate, t[i].loss_rate);
   }
   std::remove(path.c_str());
+}
+
+TEST(Trace, SavesReportAFullDisk) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Trace trace = make_simple_trace();
+  EXPECT_THROW(save_trace(trace, "/dev/full"), std::runtime_error);
+  EXPECT_THROW(save_trace_set({trace, trace}, "/dev/full"), std::runtime_error);
 }
 
 TEST(Trace, LoadMissingFileThrows) {

@@ -216,6 +216,23 @@ TEST(Csv, RoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(Csv, CloseReportsAFailedWriteNamingThePath) {
+  // /dev/full accepts the open and fails every write: a full disk.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  CsvWriter writer{"/dev/full"};
+  writer.write_row(std::vector<std::string>{"a", "b"});
+  for (int i = 0; i < 10; ++i) {
+    writer.write_row(std::vector<double>{static_cast<double>(i), 2.0});
+  }
+  try {
+    writer.close();
+    FAIL() << "close() reported no error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("/dev/full"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Csv, ReadMissingFileThrows) {
   EXPECT_THROW(read_csv("/nonexistent/netadv.csv"), std::runtime_error);
 }
