@@ -203,13 +203,20 @@ void BM_PpoUpdateCc(benchmark::State& state) {
   rl::PpoAgent agent{env.observation_size(), env.action_spec(), cfg, 5};
   util::Rng rng{9};
   rl::RolloutBuffer rollout{cfg.n_steps};
+  rl::Mlp::Arena actor_row, critic_row;
+  actor_row.reset(agent.actor(), 1);
+  critic_row.reset(agent.critic(), 1);
   while (!rollout.full()) {
     rl::Transition t;
     t.observation = {rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
-    const rl::Vec head = agent.actor().forward(t.observation);
+    actor_row.set_input(0, t.observation);
+    agent.actor().forward_rows(actor_row, 0, 1);
+    const auto head = actor_row.output(0);
     t.action = rl::DiagGaussian::sample(head, agent.log_std(), rng);
     t.log_prob = rl::DiagGaussian::log_prob(head, agent.log_std(), t.action);
-    t.value = agent.critic().forward(t.observation)[0];
+    critic_row.set_input(0, t.observation);
+    agent.critic().forward_rows(critic_row, 0, 1);
+    t.value = critic_row.output(0)[0];
     t.advantage = rng.uniform(-1.0, 1.0);
     t.return_ = t.value + t.advantage;
     rollout.add(std::move(t));

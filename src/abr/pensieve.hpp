@@ -100,7 +100,7 @@ class PensievePolicy final : public AbrProtocol {
 
 /// PensievePolicy over a *private copy* of a trained PPO agent. Use one per
 /// parallel task: concurrent workers serving the same trained Pensieve must
-/// never share an agent (act_deterministic mutates the forward caches), so
+/// never share an agent (act_deterministic writes the agent's arenas), so
 /// factories hand each task its own OwnedPensievePolicy and the source agent
 /// is only read at construction time.
 class OwnedPensievePolicy final : public AbrProtocol {

@@ -125,6 +125,7 @@ void save_eval_matrix(const EvalMatrix& matrix, const std::string& path) {
           << full_precision(cell.worst_qoe) << '\n';
     }
   }
+  out.close();
   if (!out) throw std::runtime_error{"save_eval_matrix: write failed " + path};
 }
 
@@ -136,6 +137,7 @@ void save_eval_worst(const EvalMatrix& matrix, const std::string& path) {
     out << c << ',' << full_precision(matrix.worst_case_regret(c)) << ','
         << full_precision(matrix.worst_case_qoe(c)) << '\n';
   }
+  out.close();
   if (!out) throw std::runtime_error{"save_eval_worst: write failed " + path};
 }
 

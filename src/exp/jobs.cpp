@@ -175,6 +175,7 @@ void copy_bytes(const std::string& from, const std::string& to) {
   buffer << in.rdbuf();
   std::ofstream out{to, std::ios::binary | std::ios::trunc};
   out << buffer.str();
+  out.close();
   if (!out) throw std::runtime_error{"cannot write " + to};
 }
 

@@ -135,6 +135,7 @@ void save_checkpoint(const PpoAgent& agent, const std::string& path,
   // Raw Welford m2, not variance: exact round trip (see checkpoint.hpp).
   write_vector(out, "obs_m2", agent.obs_normalizer().m2());
   out << "obs_count " << agent.obs_normalizer().count() << '\n';
+  out.close();
   if (!out) throw std::runtime_error{"save_checkpoint: write failed for " + path};
 }
 

@@ -31,18 +31,6 @@ inline double dot_canonical(const double* a, const double* b,
 
 namespace scalar {
 
-void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
-          std::span<const double> x, std::span<const double> b,
-          std::span<double> y) {
-  assert(w.size() == rows * cols);
-  assert(x.size() == cols);
-  assert(b.size() == rows);
-  assert(y.size() == rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    y[r] = b[r] + dot_canonical(w.data() + r * cols, x.data(), cols);
-  }
-}
-
 void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::size_t batch,
           std::span<const double> b, std::span<double> y) {
@@ -106,8 +94,7 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return dot_canonical(a.data(), b.data(), a.size());
 }
 
-const Backend backend{"scalar", gemv, gemm, gemm_transposed, rank_k_update,
-                      dot};
+const Backend backend{"scalar", gemm, gemm_transposed, rank_k_update, dot};
 
 }  // namespace scalar
 
@@ -170,12 +157,6 @@ const char* backend_name() noexcept { return active_backend().name; }
 
 void set_backend(const Backend& backend) noexcept {
   active_slot().store(&backend, std::memory_order_relaxed);
-}
-
-void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
-          std::span<const double> x, std::span<const double> b,
-          std::span<double> y) {
-  active_backend().gemv(w, rows, cols, x, b, y);
 }
 
 void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,

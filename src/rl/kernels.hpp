@@ -1,4 +1,4 @@
-// Vectorized math kernels for the MLP core (gemv, gemm, batched transposed
+// Vectorized math kernels for the MLP core (gemm, batched transposed
 // product, rank-k update, dot) behind runtime CPU dispatch, preserving the
 // repo's bit-exactness contract. Everything is fp64 (DESIGN.md §7).
 //
@@ -43,8 +43,8 @@
 //  * gemm, batch >= 4 and cols >= 8: four samples x one weight-row pair per
 //    4-element step. The pair [row0 | row1] is loaded once and fmadded
 //    against each sample's broadcast x slice into that sample's own
-//    two-row accumulator — per half, exactly gemv's chain for that row.
-//    Narrower layers and the last batch % 4 samples use the gemv loop.
+//    two-row accumulator — per half, exactly one row's canonical chain.
+//    Narrower layers and the last batch % 4 samples use the per-row loop.
 //  * gemm_transposed: up to 4 samples x 16 columns of y held in registers
 //    across all W rows; each element is the fma chain over r = 0, 1, ...
 //    from 0.0, which is what the scalar loop computes element by element.
@@ -56,7 +56,7 @@
 // The scalar backend defines the order; AVX2 and NEON run the batched
 // kernels as loops over their one-sample bodies.
 //
-// Each backend is one `Backend` table: its name and its five kernels.
+// Each backend is one `Backend` table: its name and its four kernels.
 // Which backends exist is fixed by the build (every one the target
 // architecture and compiler can express) and by the CPU (a host never runs
 // an ISA it lacks); available_backends() lists them, and the unqualified
@@ -81,9 +81,6 @@ inline constexpr std::size_t kLanes = 4;
 /// only wall-clock differs.
 struct Backend {
   const char* name;  // "scalar", "avx2", "avx512" or "neon"
-  void (*gemv)(std::span<const double> w, std::size_t rows, std::size_t cols,
-               std::span<const double> x, std::span<const double> b,
-               std::span<double> y);
   void (*gemm)(std::span<const double> w, std::size_t rows, std::size_t cols,
                std::span<const double> x, std::size_t batch,
                std::span<const double> b, std::span<double> y);
@@ -117,13 +114,10 @@ void set_backend(const Backend& backend) noexcept;
 // ---------------------------------------------------------------------------
 // Dispatched entry points: one call through the active backend.
 
-/// y = W x + b, W row-major (rows x cols). Per row: bias + canonical dot.
-void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
-          std::span<const double> x, std::span<const double> b,
-          std::span<double> y);
-
 /// Batched forward: Y = X W^T + 1 b^T with X (batch x cols) and Y
-/// (batch x rows), each output element computed exactly like gemv's.
+/// (batch x rows), W row-major (rows x cols). Each output element is
+/// b[r] + the canonical dot of W's row r and the sample's x row, whatever
+/// the batch: one-sample inference is gemm at batch 1.
 void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::size_t batch,
           std::span<const double> b, std::span<double> y);

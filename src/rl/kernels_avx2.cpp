@@ -42,18 +42,6 @@ inline double dot_canonical_avx2(const double* a, const double* b,
 
 }  // namespace
 
-void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
-          std::span<const double> x, std::span<const double> b,
-          std::span<double> y) {
-  assert(w.size() == rows * cols);
-  assert(x.size() == cols);
-  assert(b.size() == rows);
-  assert(y.size() == rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    y[r] = b[r] + dot_canonical_avx2(w.data() + r * cols, x.data(), cols);
-  }
-}
-
 void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::size_t batch,
           std::span<const double> b, std::span<double> y) {
@@ -132,7 +120,7 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return dot_canonical_avx2(a.data(), b.data(), a.size());
 }
 
-extern const Backend backend{"avx2", gemv, gemm, gemm_transposed,
-                             rank_k_update, dot};
+extern const Backend backend{"avx2", gemm, gemm_transposed, rank_k_update,
+                             dot};
 
 }  // namespace netadv::rl::kernels::avx2

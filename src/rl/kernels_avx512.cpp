@@ -22,7 +22,8 @@
 //    accumulators, one per sample, for each of one or two row pairs; an odd
 //    last row pairs two samples in one zmm instead ([row.x_s | row.x_s+1]).
 //    Each half is still one output's canonical chain, reduced by the fixed
-//    tree. It tiles from 8 columns up; narrower layers keep the gemv loop.
+//    tree. It tiles from 8 columns up; narrower layers and the last
+//    batch % 4 samples keep the per-row loop, gemv_rows.
 //  * gemm_transposed and rank_k_update have no cross-lane reduction: their
 //    tiles hold up to 16 columns of output (or of W) per row/sample in
 //    registers across the whole reduction, with a vfmadd chain for
@@ -98,8 +99,8 @@ inline void dot_pair(const double* row0, const double* row1, const double* x,
   *out1 = (lane[4] + lane[5]) + (lane[6] + lane[7]);
 }
 
-/// gemv on raw rows: row pairs through dot_pair, an odd last row through
-/// the 256-bit canonical dot.
+/// One sample's y = W x + b on raw rows, gemm's remainder loop: row pairs
+/// through dot_pair, an odd last row through the 256-bit canonical dot.
 inline void gemv_rows(const double* w, std::size_t rows, std::size_t cols,
                       const double* x, const double* b, double* y) noexcept {
   const std::size_t r2 = rows & ~static_cast<std::size_t>(1);
@@ -156,7 +157,7 @@ inline __m512d broadcast4_tail(const double* a, __mmask8 low) noexcept {
 }
 
 /// Narrowest `cols` at which gemm tiles four samples; below it the per-row
-/// gemv loop is faster (the CC adversary's 2- and 4-wide layers).
+/// gemv_rows loop is faster (the CC adversary's 2- and 4-wide layers).
 constexpr std::size_t kGemmTileMinCols = 8;
 
 /// The canonical totals (l0 + l1) + (l2 + l3) of one row pair's four
@@ -175,8 +176,8 @@ inline __m512d reduce_pair(const __m512d* acc) noexcept {
 }
 
 /// Rows r .. r+3 of four samples from two row pairs' accumulators acc[p][s]:
-/// each output is b[row] + its canonical total, as in gemv, stored as one
-/// 4-wide slice per sample.
+/// each output is b[row] + its canonical total, as in gemv_rows, stored as
+/// one 4-wide slice per sample.
 inline void store_row_quads(const __m512d (*acc)[4], const double* b,
                             double* y, std::size_t rows) noexcept {
   const __m512d s0 = reduce_pair(acc[0]);  // rows 0, 1
@@ -404,16 +405,6 @@ void rank_k_tile(double* w, std::size_t cols, const double* g, std::size_t ldg,
 
 }  // namespace
 
-void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
-          std::span<const double> x, std::span<const double> b,
-          std::span<double> y) {
-  assert(w.size() == rows * cols);
-  assert(x.size() == cols);
-  assert(b.size() == rows);
-  assert(y.size() == rows);
-  gemv_rows(w.data(), rows, cols, x.data(), b.data(), y.data());
-}
-
 void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::size_t batch,
           std::span<const double> b, std::span<double> y) {
@@ -498,7 +489,7 @@ double dot(std::span<const double> a, std::span<const double> b) {
 
 #undef NETADV_UNROLL
 
-extern const Backend backend{"avx512", gemv, gemm, gemm_transposed,
-                             rank_k_update, dot};
+extern const Backend backend{"avx512", gemm, gemm_transposed, rank_k_update,
+                             dot};
 
 }  // namespace netadv::rl::kernels::avx512

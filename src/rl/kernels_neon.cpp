@@ -48,18 +48,6 @@ inline double dot_canonical_neon(const double* a, const double* b,
 
 }  // namespace
 
-void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
-          std::span<const double> x, std::span<const double> b,
-          std::span<double> y) {
-  assert(w.size() == rows * cols);
-  assert(x.size() == cols);
-  assert(b.size() == rows);
-  assert(y.size() == rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    y[r] = b[r] + dot_canonical_neon(w.data() + r * cols, x.data(), cols);
-  }
-}
-
 void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::size_t batch,
           std::span<const double> b, std::span<double> y) {
@@ -68,8 +56,11 @@ void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
   assert(b.size() == rows);
   assert(y.size() == batch * rows);
   for (std::size_t n = 0; n < batch; ++n) {
-    gemv(w, rows, cols, x.subspan(n * cols, cols), b,
-         y.subspan(n * rows, rows));
+    const double* xn = x.data() + n * cols;
+    double* yn = y.data() + n * rows;
+    for (std::size_t r = 0; r < rows; ++r) {
+      yn[r] = b[r] + dot_canonical_neon(w.data() + r * cols, xn, cols);
+    }
   }
 }
 
@@ -132,7 +123,7 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return dot_canonical_neon(a.data(), b.data(), a.size());
 }
 
-extern const Backend backend{"neon", gemv, gemm, gemm_transposed,
-                             rank_k_update, dot};
+extern const Backend backend{"neon", gemm, gemm_transposed, rank_k_update,
+                             dot};
 
 }  // namespace netadv::rl::kernels::neon

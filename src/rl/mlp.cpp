@@ -43,8 +43,6 @@ Mlp::Mlp(std::vector<std::size_t> sizes, double final_gain, util::Rng& rng)
     for (auto& value : w) value = rng.uniform(-limit, limit);
     // Biases start at zero (already the case from assign()).
   }
-
-  act_.resize(layers_.size() + 1);
 }
 
 void Mlp::Arena::reset(const Mlp& net, std::size_t rows) {
@@ -76,37 +74,6 @@ void Mlp::check_arena(const Arena& arena, const char* where) const {
     throw std::invalid_argument{std::string{"Mlp::"} + where +
                                 ": arena not laid out for this network"};
   }
-}
-
-const Vec& Mlp::forward(const Vec& input) {
-  if (input.size() != input_size()) {
-    throw std::invalid_argument{"Mlp::forward: wrong input size"};
-  }
-  act_[0] = input;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const Layer& l = layers_[i];
-    Vec& z = act_[i + 1];
-    z.resize(l.out);
-    kernels::gemv(weight(l), l.out, l.in, act_[i], bias(l), z);
-    if (i + 1 < layers_.size()) {
-      for (double& v : z) v = std::tanh(v);
-    }
-  }
-  return act_.back();
-}
-
-std::vector<Vec> Mlp::forward_batch(const std::vector<Vec>& inputs) const {
-  Arena arena;
-  arena.reset(*this, inputs.size());
-  for (std::size_t n = 0; n < inputs.size(); ++n) arena.set_input(n, inputs[n]);
-  forward_rows(arena, 0, inputs.size());
-  std::vector<Vec> outputs;
-  outputs.reserve(inputs.size());
-  for (std::size_t n = 0; n < inputs.size(); ++n) {
-    const auto out = arena.output(n);
-    outputs.emplace_back(out.begin(), out.end());
-  }
-  return outputs;
 }
 
 void Mlp::forward_rows(Arena& arena, std::size_t begin, std::size_t end) const {

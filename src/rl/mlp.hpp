@@ -4,11 +4,12 @@
 // vector so the optimizer and the checkpoint code can treat the network as a
 // flat parameter array.
 //
-// Training runs over an Arena: a flat, row-major activation record of a
+// Every pass runs over an Arena: a flat, row-major activation record of a
 // batch of samples (per layer, the pre-activations and the layer's inputs as
-// m x width matrices). Every method that touches an arena is const, so
-// threads share one network and work on disjoint rows. forward_rows() runs
-// one kernels::gemm per layer over a block of rows; backward_rows() writes a
+// m x width matrices); one observation is a one-row arena. Every method that
+// touches an arena is const, so threads share one network and work on
+// disjoint rows. forward_rows(), the network's only forward, runs one
+// kernels::gemm per layer over a block of rows; backward_rows() writes a
 // block of samples' per-layer dLoss/dPre-activation records with one
 // kernels::gemm_transposed per layer; accumulate_rows() *adds* a block of
 // gradient rows over all the arena's samples in ascending sample order, one
@@ -77,17 +78,10 @@ class Mlp {
   std::size_t output_size() const noexcept { return sizes_.back(); }
   std::size_t param_count() const noexcept { return params_.size(); }
 
-  /// Forward pass; the returned reference is valid until the next forward().
-  const Vec& forward(const Vec& input);
-
-  /// Inference-only batched forward over N inputs via the gemm kernel.
-  /// Bit-identical to calling forward() per input (same accumulation order).
-  /// Const and safe from several threads on the same network at once.
-  std::vector<Vec> forward_batch(const std::vector<Vec>& inputs) const;
-
   /// Forward rows [begin, end) of `arena` (inputs already set) with one
-  /// kernels::gemm per layer. Each row is bit-identical to forward() of its
-  /// input, because gemm computes every element in gemv's canonical order.
+  /// kernels::gemm per layer, tanh on every hidden layer. Each row is
+  /// bit-identical whatever block it is forwarded in, because gemm computes
+  /// every element in the same canonical order at any batch size.
   /// Const; concurrent calls on disjoint row ranges are safe.
   void forward_rows(Arena& arena, std::size_t begin, std::size_t end) const;
 
@@ -152,9 +146,6 @@ class Mlp {
   std::vector<double> params_;
   std::vector<double> grads_;
   std::size_t delta_size_ = 0;
-
-  // Per-layer post-activations of the member forward() (act_[0] = input).
-  std::vector<Vec> act_;
 };
 
 }  // namespace netadv::rl

@@ -41,6 +41,15 @@ constexpr std::size_t kSampleBlock = 8;
 /// gradients.
 constexpr std::size_t kRowBlock = 16;
 
+/// `net`'s output for one input, forwarded on `row`, a one-row arena laid
+/// out for `net`; valid until the arena's next use.
+std::span<const double> forward_one(const Mlp& net, Mlp::Arena& row,
+                                    std::span<const double> input) {
+  row.set_input(0, input);
+  net.forward_rows(row, 0, 1);
+  return row.output(0);
+}
+
 }  // namespace
 
 /// run_update_epochs owns one set for all its minibatches, so the buffers
@@ -93,10 +102,13 @@ PpoAgent::PpoAgent(std::size_t observation_size, ActionSpec action_spec,
   if (config_.minibatch_size == 0 || config_.minibatch_size > config_.n_steps) {
     throw std::invalid_argument{"PpoAgent: bad minibatch size"};
   }
+  actor_row_.reset(actor_, 1);
+  critic_row_.reset(critic_, 1);
 }
 
 Vec PpoAgent::act_stochastic(const Vec& observation, util::Rng& rng) {
-  const Vec& head = actor_.forward(obs_normalizer_.normalize(observation));
+  const auto head = forward_one(actor_, actor_row_,
+                                obs_normalizer_.normalize(observation));
   if (discrete()) {
     return {static_cast<double>(Categorical::sample(head, rng))};
   }
@@ -104,32 +116,32 @@ Vec PpoAgent::act_stochastic(const Vec& observation, util::Rng& rng) {
 }
 
 Vec PpoAgent::act_deterministic(const Vec& observation) {
-  const Vec& head = actor_.forward(obs_normalizer_.normalize(observation));
+  const auto head = forward_one(actor_, actor_row_,
+                                obs_normalizer_.normalize(observation));
   if (discrete()) {
     return {static_cast<double>(Categorical::mode(head))};
   }
-  return head;
+  return {head.begin(), head.end()};
 }
 
 std::vector<Vec> PpoAgent::act_deterministic_batch(
     const std::vector<Vec>& observations) {
-  std::vector<Vec> norm(observations.size());
-  for (std::size_t i = 0; i < observations.size(); ++i) {
-    norm[i] = obs_normalizer_.normalize(observations[i]);
+  const std::size_t n = observations.size();
+  actor_rows_.reset(actor_, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    actor_rows_.set_input(i, obs_normalizer_.normalize(observations[i]));
   }
-  std::vector<Vec> heads = actor_.forward_batch(norm);
-  if (discrete()) {
-    std::vector<Vec> actions(heads.size());
-    for (std::size_t i = 0; i < heads.size(); ++i) {
-      actions[i] = {static_cast<double>(Categorical::mode(heads[i]))};
+  actor_.forward_rows(actor_rows_, 0, n);
+  std::vector<Vec> actions(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto head = actor_rows_.output(i);
+    if (discrete()) {
+      actions[i] = {static_cast<double>(Categorical::mode(head))};
+    } else {
+      actions[i].assign(head.begin(), head.end());
     }
-    return actions;
   }
-  return heads;
-}
-
-double PpoAgent::value_estimate(const Vec& observation) {
-  return critic_.forward(obs_normalizer_.normalize(observation))[0];
+  return actions;
 }
 
 double PpoAgent::evaluate(Env& env, std::size_t episodes, util::Rng& rng,
@@ -176,8 +188,8 @@ TrainReport PpoAgent::train(Env& env, std::size_t total_steps,
 
       Transition t;
       t.observation = obs;
-      const Vec& head = actor_.forward(obs);
-      t.value = critic_.forward(obs)[0];
+      const auto head = forward_one(actor_, actor_row_, obs);
+      t.value = forward_one(critic_, critic_row_, obs)[0];
       if (discrete()) {
         const std::size_t a = Categorical::sample(head, rng_);
         t.action = {static_cast<double>(a)};
@@ -205,8 +217,8 @@ TrainReport PpoAgent::train(Env& env, std::size_t total_steps,
       }
     }
 
-    const double last_value =
-        critic_.forward(obs_normalizer_.normalize(raw_obs))[0];
+    const double last_value = forward_one(
+        critic_, critic_row_, obs_normalizer_.normalize(raw_obs))[0];
     buffer.compute_advantages(last_value, config_.gamma, config_.gae_lambda);
 
     const MinibatchStats stats = run_update_epochs(buffer, pool_);

@@ -57,12 +57,9 @@ class PpoAgent {
   /// "actions before exploration noise", Figure 6).
   Vec act_deterministic(const Vec& observation);
 
-  /// Batched deterministic actions over N observations through the gemm
-  /// forward path; bit-identical to N act_deterministic calls.
+  /// Deterministic actions over N observations as one N-row forward;
+  /// bit-identical to N act_deterministic calls.
   std::vector<Vec> act_deterministic_batch(const std::vector<Vec>& observations);
-
-  /// Critic estimate of the (normalized-reward) value of an observation.
-  double value_estimate(const Vec& observation);
 
   /// Run PPO for at least `total_steps` environment steps (rounded up to a
   /// whole number of rollouts).
@@ -155,6 +152,14 @@ class PpoAgent {
 
   RunningNormalizer obs_normalizer_;
   ReturnNormalizer return_normalizer_;
+
+  // Inference activations, kept across calls: a one-row arena per net,
+  // laid out at construction, for every single-observation forward, and
+  // the actor's N rows of act_deterministic_batch, whose reset() reuses the
+  // allocation.
+  Mlp::Arena actor_row_;
+  Mlp::Arena critic_row_;
+  Mlp::Arena actor_rows_;
 
   util::ThreadPool* pool_ = nullptr;
 };

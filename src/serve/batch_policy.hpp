@@ -2,7 +2,7 @@
 // the serving front end (engine.hpp).
 //
 // A per-session AbrProtocol answers one observation at a time, so serving N
-// pensieve sessions costs N gemv-bound forwards per tick. A BatchPolicy
+// pensieve sessions costs N one-row forwards per tick. A BatchPolicy
 // instead answers a whole tick's worth of observations at once;
 // PensieveBatchPolicy gathers the feature vectors and runs ONE
 // PpoAgent::act_deterministic_batch (gemm-shaped) per tick.
@@ -44,7 +44,7 @@ class BatchPolicy {
 
 /// Pensieve behind the batch seam: features via pensieve_features(), one
 /// act_deterministic_batch per tick. Owns a private copy of the agent
-/// (inference mutates forward caches), like OwnedPensievePolicy.
+/// (inference writes the agent's arenas), like OwnedPensievePolicy.
 class PensieveBatchPolicy final : public BatchPolicy {
  public:
   explicit PensieveBatchPolicy(const rl::PpoAgent& agent) : agent_(agent) {}

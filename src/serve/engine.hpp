@@ -18,7 +18,7 @@
 //   batched      run(policy, ...): observations of all active sessions are
 //                gathered in session order and answered by ONE
 //                BatchPolicy::choose_batch call (for pensieve: one
-//                gemm-shaped act_deterministic_batch instead of N gemv
+//                N-row act_deterministic_batch instead of N one-row
 //                forwards), then downloads fan out as above.
 //
 // Determinism: session i always streams trace (i mod num_traces), decisions

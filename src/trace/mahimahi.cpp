@@ -34,6 +34,7 @@ void save_mahimahi_trace(const Trace& trace, const std::string& path,
     }
     t_ms = end_ms;
   }
+  out.close();
   if (!out) throw std::runtime_error{"save_mahimahi_trace: write failed"};
 }
 

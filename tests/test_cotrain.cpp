@@ -321,6 +321,14 @@ TEST(EvalMatrix, CsvArtifactsCarryThePromotionInputs) {
   EXPECT_EQ(table.rows[1][2], m.worst_case_qoe(1));
 }
 
+TEST(EvalMatrix, SavesReportAFullDisk) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const core::EvalMatrix m =
+      hand_matrix({{1.0, 5.0, 4.0}, {0.5, 9.0, 8.0}}, 2);
+  EXPECT_THROW(save_eval_matrix(m, "/dev/full"), std::runtime_error);
+  EXPECT_THROW(save_eval_worst(m, "/dev/full"), std::runtime_error);
+}
+
 // -------------------------------------------------------- cotrain expansion
 
 exp::Campaign campaign_from(const std::string& text) {
@@ -508,6 +516,38 @@ TEST(CotrainCampaign, PromoteRejectsAWorstCsvWithoutItsColumns) {
             std::string::npos)
       << error;
   EXPECT_FALSE(std::filesystem::exists(dir + "/p_pensieve.ckpt"));
+}
+
+TEST(CotrainCampaign, PromoteReportsAFullDisk) {
+  // The promoted checkpoint lands on /dev/full (a full disk): the promote
+  // job must fail naming it, not complete with an empty champion.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string dir = temp_dir("netadv_promote_full_disk");
+  std::filesystem::create_directories(dir);
+  std::filesystem::create_symlink("/dev/full", dir + "/p_pensieve.ckpt");
+  exp::JobRegistry registry = exp::builtin_jobs();
+  registry.add("one-column-matrix", [](const exp::JobContext& ctx) {
+    exp::JobResult result;
+    result.artifacts.push_back(ctx.artifact("_worst.csv"));
+    std::ofstream{result.artifacts.back()}
+        << "checkpoint,worst_case_regret,worst_case_qoe\n0,1,2\n";
+    result.artifacts.push_back(ctx.artifact("_pensieve.ckpt"));
+    std::ofstream{result.artifacts.back()} << "checkpoint bytes\n";
+    return result;
+  });
+  const exp::CampaignReport report = exp::run_campaign(
+      campaign_from("[campaign]\nname = full\nout_dir = " + dir + "\n"
+                    "[job m]\nkind = one-column-matrix\n"
+                    "[job p]\nkind = promote\nafter = m\nmatrix_from = m\n"
+                    "checkpoints = m\n"),
+      registry);
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.outcome_of("m").status, "completed");
+  const exp::JobOutcome& promote = report.outcome_of("p");
+  EXPECT_EQ(promote.status, "failed");
+  EXPECT_NE(promote.error.find("p_pensieve.ckpt"), std::string::npos)
+      << promote.error;
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------- determinism / resume

@@ -257,6 +257,13 @@ TEST(Mahimahi, LowRateStillEmitsOpportunities) {
   std::remove(path.c_str());
 }
 
+TEST(Mahimahi, SaveReportsAFullDisk) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  trace::Trace t;
+  t.append({0.01, 12.0, 30.0, 0.0});  // 10 opportunities: one buffered write
+  EXPECT_THROW(trace::save_mahimahi_trace(t, "/dev/full"), std::runtime_error);
+}
+
 TEST(Mahimahi, ErrorsAreReported) {
   trace::Trace empty;
   EXPECT_THROW(trace::save_mahimahi_trace(empty, "/tmp/x.trace"),

@@ -137,18 +137,21 @@ TEST(KernelCanonicalOrder, DotMatchesFourLaneFmaReference) {
   }
 }
 
-TEST(KernelCanonicalOrder, GemvIsBiasPlusCanonicalDotPerRow) {
+TEST(KernelCanonicalOrder, GemmIsBiasPlusCanonicalDotPerRow) {
   util::Rng rng{202};
-  const std::size_t rows = 7, cols = 13;
+  const std::size_t rows = 7, cols = 13, batch = 5;
   const Vec w = random_vec(rng, rows * cols);
-  const Vec x = random_vec(rng, cols);
+  const Vec x = random_vec(rng, batch * cols);
   const Vec b = random_vec(rng, rows);
-  Vec y(rows, 0.0);
-  scalar().gemv(w, rows, cols, x, b, y);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const Vec row(w.begin() + static_cast<std::ptrdiff_t>(r * cols),
-                  w.begin() + static_cast<std::ptrdiff_t>((r + 1) * cols));
-    EXPECT_EQ(y[r], b[r] + scalar().dot(row, x)) << "row " << r;
+  Vec y(batch * rows, 0.0);
+  scalar().gemm(w, rows, cols, x, batch, b, y);
+  for (std::size_t n = 0; n < batch; ++n) {
+    const std::span<const double> xn{x.data() + n * cols, cols};
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::span<const double> row{w.data() + r * cols, cols};
+      EXPECT_EQ(y[n * rows + r], b[r] + scalar().dot(row, xn))
+          << "sample " << n << " row " << r;
+    }
   }
 }
 
@@ -249,8 +252,9 @@ TEST_P(KernelBitIdentityP, ScalarAndSimdAgreeOnEveryKernel) {
   const kernels::Backend& simd =
       *kernels::available_backends()[GetParam().index];
   util::Rng rng{303};
-  // Odd and even row counts both matter: the AVX-512 gemv pairs rows two
-  // per register and handles a trailing odd row separately.
+  // One-sample gemm over every column tail. Odd and even row counts both
+  // matter: AVX-512's per-row loop pairs rows two per register and handles
+  // a trailing odd row separately.
   for (std::size_t rows : kRows) {
     for (std::size_t cols : kSizes) {
       const Vec w = random_vec(rng, rows * cols);
@@ -258,9 +262,9 @@ TEST_P(KernelBitIdentityP, ScalarAndSimdAgreeOnEveryKernel) {
       const Vec b = random_vec(rng, rows);
 
       Vec ys(rows, 0.0), yv(rows, 0.0);
-      scalar().gemv(w, rows, cols, x, b, ys);
-      simd.gemv(w, rows, cols, x, b, yv);
-      EXPECT_TRUE(same_bits(ys, yv)) << "gemv " << rows << "x" << cols;
+      scalar().gemm(w, rows, cols, x, 1, b, ys);
+      simd.gemm(w, rows, cols, x, 1, b, yv);
+      EXPECT_TRUE(same_bits(ys, yv)) << "gemm 1 x " << rows << "x" << cols;
 
       const Vec a2 = random_vec(rng, cols);
       EXPECT_TRUE(same_bits(scalar().dot(x, a2), simd.dot(x, a2)))
@@ -333,9 +337,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 GTEST_ALLOW_UNINSTANTIATED_PARAMETERIZED_TEST(KernelBitIdentityP);
 
-TEST(KernelBitIdentity, GemmEqualsRepeatedGemv) {
+TEST(KernelBitIdentity, GemmEqualsPerSampleGemm) {
   // gemm tiles four samples at a time from 8 columns up; each of its
-  // outputs must still equal gemv's, below, at and across the tiles.
+  // outputs must still equal that sample's one-sample gemm, below, at and
+  // across the tiles.
   for (const kernels::Backend* backend : kernels::available_backends()) {
     const BackendGuard guard{*backend};
     util::Rng rng{404};
@@ -350,9 +355,9 @@ TEST(KernelBitIdentity, GemmEqualsRepeatedGemv) {
           kernels::gemm(w, rows, cols, xb, batch, b, batched);
           for (std::size_t n = 0; n < batch; ++n) {
             Vec y(rows, 0.0);
-            kernels::gemv(w, rows, cols,
+            kernels::gemm(w, rows, cols,
                           std::span<const double>{xb}.subspan(n * cols, cols),
-                          b, y);
+                          1, b, y);
             EXPECT_TRUE(same_bits(
                 std::span<const double>{batched}.subspan(n * rows, rows), y))
                 << backend->name << " sample " << n << " of "

@@ -96,29 +96,45 @@ TEST(RngForkStreams, IndependentOfConsumptionOrder) {
   EXPECT_EQ(first_a, first_b);
 }
 
+/// `net`'s output for `input` alone: a one-row forward_rows.
+rl::Vec forward_one(const rl::Mlp& net, const rl::Vec& input) {
+  rl::Mlp::Arena row;
+  row.reset(net, 1);
+  row.set_input(0, input);
+  net.forward_rows(row, 0, 1);
+  const auto out = row.output(0);
+  return {out.begin(), out.end()};
+}
+
 TEST(BatchedForward, MatchesPerSampleForwardBitExactly) {
+  // One 17-row forward (four 4-sample gemm tiles and a remainder row) must
+  // equal each input's one-row forward bit for bit.
   util::Rng rng{7};
   rl::Mlp net{{11, 32, 16, 5}, 0.01, rng};
+  const std::size_t rows = 17;
+  rl::Mlp::Arena arena;
+  arena.reset(net, rows);
   std::vector<rl::Vec> inputs;
-  for (std::size_t n = 0; n < 17; ++n) {
+  for (std::size_t n = 0; n < rows; ++n) {
     rl::Vec x(11);
     for (auto& v : x) v = rng.uniform(-2.0, 2.0);
+    arena.set_input(n, x);
     inputs.push_back(std::move(x));
   }
-  const auto batched = net.forward_batch(inputs);
-  ASSERT_EQ(batched.size(), inputs.size());
-  for (std::size_t n = 0; n < inputs.size(); ++n) {
-    const rl::Vec& single = net.forward(inputs[n]);
-    ASSERT_EQ(batched[n].size(), single.size());
+  net.forward_rows(arena, 0, rows);
+  for (std::size_t n = 0; n < rows; ++n) {
+    const rl::Vec single = forward_one(net, inputs[n]);
+    const auto batched = arena.output(n);
+    ASSERT_EQ(batched.size(), single.size());
     for (std::size_t j = 0; j < single.size(); ++j) {
-      EXPECT_EQ(batched[n][j], single[j]);  // bit-identical, not just close
+      EXPECT_EQ(batched[j], single[j]);  // bit-identical, not just close
     }
   }
 }
 
 TEST(ParallelArena, BlockForwardsOnAPoolMatchPerSampleForward) {
   // The PPO update's phase-(a) pattern: tasks on a pool each forward their
-  // own block of rows of one shared arena. Every row must equal the member
+  // own block of rows of one shared arena. Every row must equal the one-row
   // forward of its input bit for bit, and the tasks must not race.
   util::Rng rng{11};
   rl::Mlp net{{7, 13, 6, 3}, 0.5, rng};
@@ -138,7 +154,7 @@ TEST(ParallelArena, BlockForwardsOnAPoolMatchPerSampleForward) {
     net.forward_rows(arena, lo, hi);
   });
   for (std::size_t k = 0; k < rows; ++k) {
-    const rl::Vec& single = net.forward(inputs[k]);
+    const rl::Vec single = forward_one(net, inputs[k]);
     const auto row = arena.output(k);
     ASSERT_EQ(row.size(), single.size());
     for (std::size_t j = 0; j < single.size(); ++j) {
@@ -300,8 +316,8 @@ rl::RolloutBuffer scored_rollout(rl::PpoAgent& agent, std::size_t steps) {
     rl::Transition t;
     t.observation.resize(agent.observation_size());
     for (auto& v : t.observation) v = rng.uniform(-1.0, 1.0);
-    const rl::Vec head = agent.actor().forward(t.observation);
-    t.value = agent.critic().forward(t.observation)[0];
+    const rl::Vec head = forward_one(agent.actor(), t.observation);
+    t.value = forward_one(agent.critic(), t.observation)[0];
     if (agent.action_spec().type == rl::ActionType::kDiscrete) {
       const std::size_t a = rl::Categorical::sample(head, rng);
       t.action = {static_cast<double>(a)};

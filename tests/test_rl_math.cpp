@@ -26,13 +26,13 @@ using netadv::util::Rng;
 
 // ---------------------------------------------------------------- matrix
 
-TEST(MatrixKernels, GemvMatchesHandComputation) {
-  // W = [[1, 2], [3, 4]], x = [5, 6], b = [0.5, -0.5]
+TEST(MatrixKernels, GemmMatchesHandComputation) {
+  // W = [[1, 2], [3, 4]], one sample x = [5, 6], b = [0.5, -0.5]
   const std::vector<double> w{1, 2, 3, 4};
   const std::vector<double> x{5, 6};
   const std::vector<double> b{0.5, -0.5};
   std::vector<double> y(2);
-  kernels::gemv(w, 2, 2, x, b, y);
+  kernels::gemm(w, 2, 2, x, 1, b, y);
   EXPECT_DOUBLE_EQ(y[0], 17.5);
   EXPECT_DOUBLE_EQ(y[1], 38.5);
 }
@@ -74,6 +74,16 @@ TEST(MatrixKernels, DotAndNorm) {
 
 // ---------------------------------------------------------------- mlp
 
+/// `net`'s output for `x` alone: a one-row forward_rows.
+Vec forward_one(const Mlp& net, const Vec& x) {
+  Mlp::Arena row;
+  row.reset(net, 1);
+  row.set_input(0, x);
+  net.forward_rows(row, 0, 1);
+  const auto out = row.output(0);
+  return {out.begin(), out.end()};
+}
+
 TEST(Mlp, OutputShapeAndDeterminism) {
   Rng rng{3};
   Mlp net{{4, 8, 3}, 1.0, rng};
@@ -81,8 +91,8 @@ TEST(Mlp, OutputShapeAndDeterminism) {
   EXPECT_EQ(net.output_size(), 3u);
   EXPECT_EQ(net.param_count(), 4u * 8 + 8 + 8 * 3 + 3);
   const Vec x{0.1, -0.2, 0.3, 0.4};
-  const Vec y1 = net.forward(x);
-  const Vec y2 = net.forward(x);
+  const Vec y1 = forward_one(net, x);
+  const Vec y2 = forward_one(net, x);
   ASSERT_EQ(y1.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(y1[i], y2[i]);
 }
@@ -139,8 +149,6 @@ Vec backprop(Mlp& net, const Vec& x, const Vec& grad_output) {
 TEST(Mlp, RejectsWrongInputSize) {
   Rng rng{1};
   Mlp net{{2, 3}, 1.0, rng};
-  EXPECT_THROW(net.forward({1.0}), std::invalid_argument);
-  EXPECT_THROW(net.forward_batch({{1.0, 2.0}, {1.0}}), std::invalid_argument);
   Mlp::Arena arena;
   arena.reset(net, 1);
   EXPECT_THROW(arena.set_input(0, Vec{1.0}), std::invalid_argument);
@@ -192,9 +200,9 @@ TEST(Mlp, ParamGradientsMatchFiniteDifferenceTanh) {
   for (std::size_t i = 0; i < params.size(); i += 7) {  // sample every 7th
     const double saved = params[i];
     params[i] = saved + eps;
-    const Vec yp = net.forward(x);
+    const Vec yp = forward_one(net, x);
     params[i] = saved - eps;
-    const Vec ym = net.forward(x);
+    const Vec ym = forward_one(net, x);
     params[i] = saved;
     const double numeric =
         ((yp[0] - ym[0]) * coef[0] + (yp[1] - ym[1]) * coef[1]) / (2 * eps);
@@ -219,9 +227,9 @@ TEST(Mlp, InputGradientMatchesFiniteDifference) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double saved = x[i];
     x[i] = saved + eps;
-    const Vec yp = net.forward(x);
+    const Vec yp = forward_one(net, x);
     x[i] = saved - eps;
-    const Vec ym = net.forward(x);
+    const Vec ym = forward_one(net, x);
     x[i] = saved;
     const double numeric =
         ((yp[0] - ym[0]) * coef[0] + (yp[1] - ym[1]) * coef[1]) / (2 * eps);
@@ -285,36 +293,42 @@ TEST(Mlp, RowBlocksOverManySamplesMatchOneSampleAtATime) {
 }
 
 TEST(MlpArena, BlockForwardsMatchPerSampleForwardOnEveryBackend) {
-  // forward_rows over uneven row blocks of one arena must reproduce the
-  // member forward() of each input bit for bit — for widths that are not
-  // multiples of the 4-lane kernel width, a 1-wide output, and every kernel
-  // backend this host can run.
+  // forward_rows over uneven row blocks of one arena (one reaching a
+  // 4-sample gemm tile) must reproduce each input's one-row forward bit for
+  // bit — for widths that are not multiples of the 4-lane kernel width, a
+  // 1-wide output, and every kernel backend this host can run, each checked
+  // against the scalar backend's one-row forwards.
   const kernels::Backend& original = kernels::active_backend();
   const std::vector<std::vector<std::size_t>> shapes{
       {5, 7, 3}, {6, 13, 1}, {3, 4, 9, 2}};
-  for (const kernels::Backend* backend : kernels::available_backends()) {
-    kernels::set_backend(*backend);
-    for (const auto& shape : shapes) {
-      Rng rng{61};
-      Mlp net{shape, 1.0, rng};
-      const std::size_t rows = 11;
+  for (const auto& shape : shapes) {
+    Rng rng{61};
+    Mlp net{shape, 1.0, rng};
+    const std::size_t rows = 11;
+    std::vector<Vec> xs(rows, Vec(net.input_size()));
+    for (Vec& x : xs) {
+      for (double& v : x) v = rng.uniform(-2.0, 2.0);
+    }
+    kernels::set_backend(*kernels::available_backends()[0]);
+    std::vector<Vec> reference;
+    for (const Vec& x : xs) reference.push_back(forward_one(net, x));
+    for (const kernels::Backend* backend : kernels::available_backends()) {
+      kernels::set_backend(*backend);
       Mlp::Arena arena;
       arena.reset(net, rows);
-      std::vector<Vec> xs(rows, Vec(net.input_size()));
-      for (std::size_t k = 0; k < rows; ++k) {
-        for (double& v : xs[k]) v = rng.uniform(-2.0, 2.0);
-        arena.set_input(k, xs[k]);
-      }
+      for (std::size_t k = 0; k < rows; ++k) arena.set_input(k, xs[k]);
       for (const auto& [lo, hi] :
            {std::pair<std::size_t, std::size_t>{5, 11}, {0, 4}, {4, 5}}) {
         net.forward_rows(arena, lo, hi);
       }
       for (std::size_t k = 0; k < rows; ++k) {
-        const Vec& single = net.forward(xs[k]);
+        const Vec single = forward_one(net, xs[k]);
         const auto row = arena.output(k);
-        ASSERT_EQ(row.size(), single.size());
-        for (std::size_t j = 0; j < single.size(); ++j) {
-          ASSERT_EQ(row[j], single[j]) << backend->name << " row " << k;
+        ASSERT_EQ(row.size(), reference[k].size());
+        for (std::size_t j = 0; j < row.size(); ++j) {
+          ASSERT_EQ(row[j], reference[k][j]) << backend->name << " row " << k;
+          ASSERT_EQ(single[j], reference[k][j])
+              << backend->name << " one-row " << k;
         }
       }
     }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -20,6 +21,13 @@ namespace {
 
 using namespace netadv::rl;
 using netadv::util::Rng;
+
+/// Bit-for-bit equality: tells -0.0 from 0.0 and compares NaN payloads.
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
 
 PpoConfig small_config() {
   PpoConfig cfg;
@@ -128,6 +136,78 @@ TEST(PpoAgent, ConstructorValidatesArguments) {
 
 // Protocols and recorders hold a PpoAgent; it must train, evaluate and
 // describe itself through that public surface alone.
+TEST(MlpArena, AgentInferenceReusesArenasAcrossRowCounts) {
+  // One agent's inference arenas serve every call: act_deterministic,
+  // act_stochastic and act_deterministic_batch at N = 0, 1, 5 and 17,
+  // interleaved, each over different observations. Every result must equal,
+  // bit for bit, that of a fresh copy of the agent making the same call, so
+  // nothing one call leaves in an arena reaches the next.
+  PpoConfig cfg = small_config();
+  cfg.hidden_sizes = {13, 7};
+  const std::size_t obs_size = 9;
+  for (const ActionSpec& spec :
+       {ActionSpec::discrete(4),
+        ActionSpec::continuous({-1.0, 0.0, -2.0}, {1.0, 3.0, 2.0})}) {
+    PpoAgent pristine{obs_size, spec, cfg, 41};
+    Rng rng{43};
+    std::vector<Vec> pool(17, Vec(obs_size));
+    for (Vec& x : pool) {
+      for (double& v : x) v = rng.uniform(-3.0, 3.0);
+      pristine.obs_normalizer().update(x);
+    }
+    const auto observations = [&](std::size_t n, std::size_t first) {
+      std::vector<Vec> out;
+      for (std::size_t i = 0; i < n; ++i) {
+        out.push_back(pool[(first + i) % pool.size()]);
+      }
+      return out;
+    };
+    enum class Call { kDeterministic, kStochastic, kBatch };
+    struct Step {
+      Call call;
+      std::size_t n;      // batch rows
+      std::size_t first;  // first observation; the stochastic call's seed
+    };
+    const Step steps[] = {
+        {Call::kBatch, 17, 0},         {Call::kDeterministic, 1, 3},
+        {Call::kBatch, 0, 0},          {Call::kStochastic, 1, 5},
+        {Call::kBatch, 5, 7},          {Call::kBatch, 1, 2},
+        {Call::kDeterministic, 1, 11}, {Call::kBatch, 17, 4},
+        {Call::kStochastic, 1, 9},     {Call::kBatch, 5, 1},
+        {Call::kBatch, 0, 0},          {Call::kDeterministic, 1, 0},
+        {Call::kBatch, 1, 16},         {Call::kStochastic, 1, 2}};
+    PpoAgent agent = pristine;
+    for (std::size_t i = 0; i < std::size(steps); ++i) {
+      const Step& step = steps[i];
+      PpoAgent fresh = pristine;
+      std::vector<Vec> got, want;
+      const std::vector<Vec> obs = observations(step.n, step.first);
+      switch (step.call) {
+        case Call::kDeterministic:
+          got = {agent.act_deterministic(obs[0])};
+          want = {fresh.act_deterministic(obs[0])};
+          break;
+        case Call::kStochastic: {
+          Rng a{step.first};
+          Rng b{step.first};
+          got = {agent.act_stochastic(obs[0], a)};
+          want = {fresh.act_stochastic(obs[0], b)};
+          break;
+        }
+        case Call::kBatch:
+          got = agent.act_deterministic_batch(obs);
+          want = fresh.act_deterministic_batch(obs);
+          break;
+      }
+      ASSERT_EQ(got.size(), step.n) << "step " << i;
+      ASSERT_EQ(want.size(), step.n) << "step " << i;
+      for (std::size_t k = 0; k < step.n; ++k) {
+        EXPECT_TRUE(same_bits(got[k], want[k])) << "step " << i << " row " << k;
+      }
+    }
+  }
+}
+
 TEST(AgentInterface, PolymorphicUseAcrossAlgorithms) {
   ContextualBanditEnv env{2, 3, 16};
   PpoConfig cfg = small_config();
@@ -157,9 +237,17 @@ TEST(Checkpoint, RoundTripPreservesBehaviour) {
     obs[ctx] = 1.0;
     EXPECT_EQ(agent.act_deterministic(obs)[0],
               restored.act_deterministic(obs)[0]);
-    EXPECT_NEAR(agent.value_estimate(obs), restored.value_estimate(obs), 1e-9);
   }
+  EXPECT_TRUE(same_bits(agent.critic().params(), restored.critic().params()));
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, SaveReportsAFullDisk) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  ContextualBanditEnv env{2, 3, 16};
+  const PpoAgent agent{env.observation_size(), env.action_spec(),
+                       small_config(), 29};
+  EXPECT_THROW(save_checkpoint(agent, "/dev/full"), std::runtime_error);
 }
 
 std::string read_file(const std::string& path) {
