@@ -117,21 +117,42 @@ BENCHMARK_CAPTURE(BM_MpcDecision, slow_0p4mbps, 0.4, 10)
 BENCHMARK_CAPTURE(BM_MpcDecision, cold_start, 0.0, 0)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_MpcDpDecision(benchmark::State& state) {
-  // One mpc-dp decision = value iteration over 5 depths x 100 buffer
-  // levels x 6^2 quality pairs, on a steady 2 Mbps mid-video observation.
+void BM_MpcDpDecision(benchmark::State& state, double throughput_mbps,
+                      double buffer_s, std::size_t chunk) {
+  // One mpc-dp decision: value iteration over the (depth, buffer level)
+  // rows reachable from the observed buffer, 6^2 quality pairs each. The
+  // `skipped` counter is the share of the full 4 x 100 rows left out. The
+  // observations match BM_MpcDecision's, but the 40 Mbps buffer sits near
+  // the cap and the 0.4 Mbps one is empty.
   const abr::VideoManifest m;
   abr::MpcDp dp;
   dp.begin_video(m);
   abr::AbrObservation obs;
-  obs.chunk_index = 10;
-  obs.buffer_s = 12.0;
-  obs.last_quality = 2;
-  obs.last_bitrate_mbps = 1.2;
-  obs.throughput_history_mbps = {2.0, 2.2, 1.9, 2.1, 2.0};
+  obs.chunk_index = chunk;
+  obs.buffer_s = buffer_s;
+  obs.last_bitrate_mbps = m.bitrate_mbps(0);
+  if (chunk > 0) {
+    obs.last_quality = 2;
+    obs.last_bitrate_mbps = 1.2;
+    obs.throughput_history_mbps.assign(5, throughput_mbps);
+    obs.throughput_history_mbps[1] *= 1.1;
+    obs.throughput_history_mbps[2] *= 0.95;
+  }
+  const abr::MpcDp::SearchStats before = dp.search_stats();
   for (auto _ : state) benchmark::DoNotOptimize(dp.choose_quality(obs));
+  const abr::MpcDp::SearchStats& after = dp.search_stats();
+  state.counters["skipped"] =
+      1.0 - static_cast<double>(after.evaluated - before.evaluated) /
+                static_cast<double>(after.rows - before.rows);
 }
-BENCHMARK(BM_MpcDpDecision)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MpcDpDecision, link_2mbps, 2.0, 12.0, 10)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MpcDpDecision, fast_40mbps, 40.0, 58.0, 10)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MpcDpDecision, slow_0p4mbps, 0.4, 0.0, 10)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MpcDpDecision, cold_start, 0.0, 0.0, 0)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_OfflineOptimalDp(benchmark::State& state) {
   const abr::VideoManifest m;

@@ -2,14 +2,24 @@
 // discretized buffer grid (Yan et al., NSDI 2020), optimizing a pluggable
 // QoeModel instead of QoE_lin only.
 //
-// Where RobustMpc (mpc.hpp) enumerates every quality sequence over the
-// horizon (Q^H plans), mpc-dp solves the same lookahead as a backward
-// dynamic program over (depth, discretized buffer level, previous quality):
-// cost per decision is H * levels * Q^2 instead of Q^H, so deeper horizons
-// and bigger ladders stay cheap — the per-decision budget that matters when
-// one process serves thousands of sessions (serve::SessionEngine). Per
-// depth, the download times, quality scores and the Q x Q smoothness
-// charges are tabulated once, outside the loop over buffer levels.
+// Where RobustMpc (mpc.hpp) searches the quality sequences over the horizon
+// (Q^H plans), mpc-dp solves the same lookahead as a backward dynamic
+// program over (depth, discretized buffer level, previous quality). Per
+// decision, the download times and quality scores of every depth and, per
+// depth, the Q x Q smoothness charges are tabulated once, outside the loop
+// over buffer levels.
+//
+// Only the (depth, level) rows the decision can reach are computed. A
+// forward pass starts from the continuous buffer at depth 0 and lists,
+// depth by depth, the levels the Q rungs lead to; a round-stamped mark
+// array keeps each list free of repeats (puffer's curr_round_). The
+// backward pass then fills exactly the listed rows, so depth d costs at
+// most min(Q^d, levels) rows of Q^2 work instead of `levels` rows — the
+// per-decision budget that matters when one process serves thousands of
+// sessions (serve::SessionEngine). Each computed cell keeps the full
+// table's expression, and every cell a row reads was listed at the next
+// depth, so the decisions are those of filling the whole table, bit for
+// bit.
 //
 // The throughput predictor is RobustMpc's (RobustThroughputPredictor):
 // harmonic mean of the last `throughput_window` samples, discounted by the
@@ -17,6 +27,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -34,6 +45,14 @@ class MpcDp final : public AbrProtocol {
     double max_buffer_s = 60.0;
   };
 
+  /// Value-table counters summed over every decision since construction.
+  /// A row is one (depth, buffer level) of depths 1..H-1, so a decision
+  /// with lookahead H has (H - 1) * buffer_levels rows in the full table.
+  struct SearchStats {
+    std::uint64_t rows = 0;       ///< rows of the full tables
+    std::uint64_t evaluated = 0;  ///< of those, reachable and computed
+  };
+
   /// Default: QoE_lin, so `mpc-dp` is directly comparable to `mpc`.
   MpcDp() : MpcDp(Params{}, std::make_unique<LinQoe>()) {}
   MpcDp(Params params, std::unique_ptr<QoeModel> qoe);
@@ -49,21 +68,26 @@ class MpcDp final : public AbrProtocol {
   }
 
   const QoeModel& qoe() const noexcept { return *qoe_; }
+  const SearchStats& search_stats() const noexcept { return stats_; }
 
  private:
-  /// Fill dt_ and score_ for `chunk` under the predicted throughput.
-  void tabulate_chunk(std::size_t chunk, double predicted_mbps);
-
   Params params_;
   std::unique_ptr<QoeModel> qoe_;
   const VideoManifest* manifest_ = nullptr;
   RobustThroughputPredictor predictor_;
-  // Value-iteration planes and per-depth tables, reused across decisions to
-  // avoid per-call allocation on the serving hot path: dt_[q] download
-  // time, score_[q] quality score, smooth_[p * Q + q] smoothness charge,
-  // base_[q] the level's score before the smoothness charge.
+  // Value-iteration planes and tables, reused across decisions so a
+  // decision allocates nothing on the serving hot path:
+  // dt_[d * Q + q] download time and score_[d * Q + q] quality score of
+  // depth d, smooth_[p * Q + q] one depth's smoothness charge, base_[q] a
+  // level's score before the smoothness charge.
   std::vector<double> value_, next_value_;
   std::vector<double> dt_, score_, smooth_, base_;
+  // Reachable levels: reach_[reach_begin_[d] .. reach_begin_[d + 1]) lists
+  // depth d's, each once; mark_[level] == stamp_ while that list is built.
+  std::vector<std::size_t> reach_, reach_begin_;
+  std::vector<std::uint64_t> mark_;
+  std::uint64_t stamp_ = 0;
+  SearchStats stats_;
 };
 
 }  // namespace netadv::abr

@@ -24,10 +24,13 @@ void AbrObservationTracker::sync_session(std::size_t next_chunk,
   obs_.chunk_index = next_chunk;
   obs_.remaining_chunks = remaining;
   obs_.buffer_s = buffer_s;
-  obs_.next_chunk_sizes_bits =
-      next_chunk < manifest_->num_chunks()
-          ? manifest_->chunk_sizes_bits(next_chunk)
-          : std::vector<double>(manifest_->num_qualities(), 0.0);
+  // Filled in place: this runs once per chunk on every playback path.
+  const bool ended = next_chunk >= manifest_->num_chunks();
+  obs_.next_chunk_sizes_bits.resize(manifest_->num_qualities());
+  for (std::size_t q = 0; q < obs_.next_chunk_sizes_bits.size(); ++q) {
+    obs_.next_chunk_sizes_bits[q] =
+        ended ? 0.0 : manifest_->chunk_size_bits(next_chunk, q);
+  }
 }
 
 void AbrObservationTracker::on_chunk(std::size_t quality, double bitrate_mbps,

@@ -13,7 +13,9 @@ AbrAdversaryEnv::AbrAdversaryEnv(abr::VideoManifest manifest,
       protocol_(&protocol),
       params_(params),
       session_(manifest_),
-      tracker_(manifest_) {
+      tracker_(manifest_),
+      action_spec_(rl::ActionSpec::continuous({params_.bandwidth_min_mbps},
+                                              {params_.bandwidth_max_mbps})) {
   if (params_.bandwidth_min_mbps <= 0.0 ||
       params_.bandwidth_max_mbps <= params_.bandwidth_min_mbps) {
     throw std::invalid_argument{"AbrAdversaryEnv: bad bandwidth range"};
@@ -21,6 +23,7 @@ AbrAdversaryEnv::AbrAdversaryEnv(abr::VideoManifest manifest,
   if (params_.opt_window == 0 || params_.history == 0) {
     throw std::invalid_argument{"AbrAdversaryEnv: bad window parameters"};
   }
+  history_.resize(params_.history * tuple_size());
 }
 
 std::size_t AbrAdversaryEnv::observation_size() const {
@@ -28,45 +31,41 @@ std::size_t AbrAdversaryEnv::observation_size() const {
                                                 : params_.history * tuple_size();
 }
 
-rl::ActionSpec AbrAdversaryEnv::action_spec() const {
-  return rl::ActionSpec::continuous({params_.bandwidth_min_mbps},
-                                    {params_.bandwidth_max_mbps});
-}
+rl::ActionSpec AbrAdversaryEnv::action_spec() const { return action_spec_; }
 
 rl::Vec AbrAdversaryEnv::flatten_history() const {
   if (params_.obs_mode == ObsMode::kTimeOnly) {
     return {static_cast<double>(session_.next_chunk()) /
             static_cast<double>(manifest_.num_chunks())};
   }
-  rl::Vec out;
-  out.reserve(observation_size());
-  // Most recent tuple first; zero-pad to the fixed history length.
-  for (std::size_t i = 0; i < params_.history; ++i) {
-    if (i < history_.size()) {
-      const ObsTuple& t = history_[i];
-      out.push_back(t.prev_bitrate_mbps);
-      out.push_back(t.buffer_s);
-      for (double bits : t.next_sizes_bits) out.push_back(bits / 1e6);
-      out.push_back(t.remaining_frac);
-      out.push_back(t.throughput_mbps);
-      out.push_back(t.download_time_s);
-    } else {
-      for (std::size_t k = 0; k < tuple_size(); ++k) out.push_back(0.0);
-    }
-  }
-  return out;
+  return history_;
 }
 
-void AbrAdversaryEnv::push_tuple(ObsTuple tuple) {
-  history_.push_front(std::move(tuple));
-  while (history_.size() > params_.history) history_.pop_back();
+void AbrAdversaryEnv::push_tuple(double prev_bitrate_mbps, double buffer_s,
+                                 double throughput_mbps,
+                                 double download_time_s) {
+  std::copy_backward(history_.begin(),
+                     history_.end() - static_cast<std::ptrdiff_t>(tuple_size()),
+                     history_.end());
+  double* out = history_.data();
+  *out++ = prev_bitrate_mbps;
+  *out++ = buffer_s;
+  const std::size_t next = session_.next_chunk();
+  const bool ended = session_.finished();
+  for (std::size_t q = 0; q < manifest_.num_qualities(); ++q) {
+    *out++ = ended ? 0.0 : manifest_.chunk_size_bits(next, q) / 1e6;
+  }
+  *out++ = static_cast<double>(session_.remaining_chunks()) /
+           static_cast<double>(manifest_.num_chunks());
+  *out++ = throughput_mbps;
+  *out = download_time_s;
 }
 
 rl::Vec AbrAdversaryEnv::reset(util::Rng& /*rng*/) {
   session_.restart();
   tracker_ = abr::AbrObservationTracker{manifest_};
   protocol_->begin_video(manifest_);
-  history_.clear();
+  std::fill(history_.begin(), history_.end(), 0.0);
   window_.clear();
   episode_bandwidths_.clear();
   episode_qualities_.clear();
@@ -76,19 +75,14 @@ rl::Vec AbrAdversaryEnv::reset(util::Rng& /*rng*/) {
   episode_active_ = true;
 
   // Initial observation: what the protocol is about to see.
-  ObsTuple first;
-  first.prev_bitrate_mbps = manifest_.bitrate_mbps(0);
-  first.buffer_s = 0.0;
-  first.next_sizes_bits = manifest_.chunk_sizes_bits(0);
-  first.remaining_frac = 1.0;
-  push_tuple(std::move(first));
+  push_tuple(manifest_.bitrate_mbps(0), 0.0, 0.0, 0.0);
   return flatten_history();
 }
 
 rl::StepResult AbrAdversaryEnv::step(const rl::Vec& action,
                                      util::Rng& /*rng*/) {
   if (!episode_active_) throw std::logic_error{"AbrAdversaryEnv: step before reset"};
-  const double bandwidth = action_spec().to_physical(action)[0];
+  const double bandwidth = action_spec_.to_physical(action, 0);
 
   // Record the protocol's pre-chunk state for the r_opt window.
   WindowEntry entry;
@@ -172,18 +166,8 @@ rl::StepResult AbrAdversaryEnv::step(const rl::Vec& action,
   episode_active_ = !step_result.done;
 
   // Update the adversary's view with what it just observed.
-  ObsTuple tuple;
-  tuple.prev_bitrate_mbps = result.bitrate_mbps;
-  tuple.buffer_s = session_.buffer_s();
-  tuple.next_sizes_bits =
-      step_result.done
-          ? std::vector<double>(manifest_.num_qualities(), 0.0)
-          : manifest_.chunk_sizes_bits(session_.next_chunk());
-  tuple.remaining_frac = static_cast<double>(session_.remaining_chunks()) /
-                         static_cast<double>(manifest_.num_chunks());
-  tuple.throughput_mbps = result.throughput_mbps;
-  tuple.download_time_s = result.download_time_s;
-  push_tuple(std::move(tuple));
+  push_tuple(result.bitrate_mbps, session_.buffer_s(), result.throughput_mbps,
+             result.download_time_s);
 
   step_result.observation = flatten_history();
   return step_result;

@@ -87,16 +87,6 @@ class AbrAdversaryEnv final : public rl::Env {
   }
 
  private:
-  /// One per-chunk observation tuple as the paper lists it.
-  struct ObsTuple {
-    double prev_bitrate_mbps = 0.0;
-    double buffer_s = 0.0;
-    std::vector<double> next_sizes_bits;
-    double remaining_frac = 0.0;
-    double throughput_mbps = 0.0;
-    double download_time_s = 0.0;
-  };
-
   /// Snapshot of protocol state just before a chunk, for the r_opt window.
   struct WindowEntry {
     std::size_t chunk = 0;
@@ -110,7 +100,12 @@ class AbrAdversaryEnv final : public rl::Env {
     return 5 + manifest_.num_qualities();
   }
   rl::Vec flatten_history() const;
-  void push_tuple(ObsTuple tuple);
+  /// Shift the history one tuple back, dropping the oldest, and write the
+  /// newest tuple in front: the chunk just played, the buffer it left, the
+  /// session's next-chunk sizes (Mbit; zeros once the video ends) and
+  /// remaining share, and the chunk's throughput and download time.
+  void push_tuple(double prev_bitrate_mbps, double buffer_s,
+                  double throughput_mbps, double download_time_s);
 
   abr::VideoManifest manifest_;
   abr::AbrProtocol* protocol_;
@@ -118,7 +113,10 @@ class AbrAdversaryEnv final : public rl::Env {
 
   abr::StreamingSession session_;
   abr::AbrObservationTracker tracker_;
-  std::deque<ObsTuple> history_;
+  rl::ActionSpec action_spec_;
+  // The kFull observation: params_.history tuples of tuple_size() values,
+  // most recent first, zero-padded; overwritten in place each step.
+  rl::Vec history_;
   std::deque<WindowEntry> window_;
   // window_'s bandwidths and qualities as contiguous spans for the reward
   // oracles, resized in place each step.

@@ -56,11 +56,14 @@ struct ActionSpec {
   /// linearly into [low, high] per dimension.
   Vec to_physical(const Vec& raw) const {
     Vec out(low.size());
-    for (std::size_t i = 0; i < low.size(); ++i) {
-      const double clipped = std::clamp(raw[i], -1.0, 1.0);
-      out[i] = low[i] + (clipped + 1.0) * 0.5 * (high[i] - low[i]);
-    }
+    for (std::size_t i = 0; i < low.size(); ++i) out[i] = to_physical(raw, i);
     return out;
+  }
+
+  /// Dimension `i` of to_physical(raw), without building the vector.
+  double to_physical(const Vec& raw, std::size_t i) const {
+    const double clipped = std::clamp(raw[i], -1.0, 1.0);
+    return low[i] + (clipped + 1.0) * 0.5 * (high[i] - low[i]);
   }
 
   /// Inverse of to_physical for in-range values (used by tests/recorders).

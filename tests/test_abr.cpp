@@ -967,6 +967,173 @@ TEST(MpcDp, DecisionsPinnedOnSeededTraces) {
   }
 }
 
+// Reference for mpc-dp's reachable-row value iteration: the full-table
+// form it replaced, which fills every (depth, buffer level) row of every
+// depth from the same observation and throughput prediction.
+std::size_t full_table_dp_choice(const VideoManifest& m, const QoeModel& qoe,
+                                 const MpcDp::Params& params,
+                                 const AbrObservation& observation,
+                                 double predicted) {
+  const std::size_t num_q = m.num_qualities();
+  const std::size_t levels = params.buffer_levels;
+  const std::size_t depth_limit =
+      std::min(params.horizon, m.num_chunks() - observation.chunk_index);
+  const double rebuf_pen = qoe.rebuffer_penalty();
+  const double smooth_pen = qoe.smoothness_penalty();
+  const double chunk_dur = m.chunk_duration_s();
+  const double grid = static_cast<double>(levels - 1);
+  const double step = params.max_buffer_s / grid;
+  const auto level_of = [step](double buffer_s) {
+    const double x = buffer_s / step;
+    const auto whole = static_cast<std::size_t>(x);
+    return whole + (x - static_cast<double>(whole) >= 0.5 ? 1 : 0);
+  };
+  std::vector<double> dt(num_q), score(num_q), smooth(num_q * num_q),
+      base(num_q), value(levels * num_q), next_value(levels * num_q, 0.0);
+  const auto tabulate = [&](std::size_t chunk) {
+    for (std::size_t q = 0; q < num_q; ++q) {
+      dt[q] = m.chunk_size_bits(chunk, q) / (predicted * 1e6);
+      score[q] = qoe.quality_score(chunk, q);
+    }
+  };
+  for (std::size_t d = depth_limit; d-- > 1;) {
+    const std::size_t chunk = observation.chunk_index + d;
+    tabulate(chunk);
+    for (std::size_t p = 0; p < num_q; ++p) {
+      const double prev_score = qoe.quality_score(chunk - 1, p);
+      for (std::size_t q = 0; q < num_q; ++q) {
+        smooth[p * num_q + q] = smooth_pen * std::abs(score[q] - prev_score);
+      }
+    }
+    for (std::size_t level = 0; level < levels; ++level) {
+      const double buffer =
+          static_cast<double>(level) * params.max_buffer_s / grid;
+      for (std::size_t q = 0; q < num_q; ++q) {
+        const double rebuffer = std::max(0.0, dt[q] - buffer);
+        const double next_buffer = std::min(
+            std::max(0.0, buffer - dt[q]) + chunk_dur, params.max_buffer_s);
+        base[q] = score[q] - rebuf_pen * rebuffer +
+                  next_value[level_of(next_buffer) * num_q + q];
+      }
+      for (std::size_t p = 0; p < num_q; ++p) {
+        double best = -1e18;
+        for (std::size_t q = 0; q < num_q; ++q) {
+          best = std::max(best, base[q] - smooth[p * num_q + q]);
+        }
+        value[level * num_q + p] = best;
+      }
+    }
+    std::swap(value, next_value);
+  }
+  const std::size_t chunk = observation.chunk_index;
+  const bool first_chunk = chunk == 0;
+  const double prev_score =
+      first_chunk ? 0.0
+                  : qoe.quality_score(chunk - 1, observation.last_quality);
+  tabulate(chunk);
+  std::size_t best_quality = 0;
+  double best = -1e18;
+  for (std::size_t q = 0; q < num_q; ++q) {
+    const double rebuffer = std::max(0.0, dt[q] - observation.buffer_s);
+    const double next_buffer =
+        std::min(std::max(0.0, observation.buffer_s - dt[q]) + chunk_dur,
+                 params.max_buffer_s);
+    const double smooth_charge =
+        first_chunk ? 0.0 : smooth_pen * std::abs(score[q] - prev_score);
+    const double v = score[q] - rebuf_pen * rebuffer - smooth_charge +
+                     next_value[level_of(next_buffer) * num_q + q];
+    if (v > best) {
+      best = v;
+      best_quality = q;
+    }
+  }
+  return best_quality;
+}
+
+// mpc-dp computes only the rows reachable from the observed buffer; its
+// decision must equal the full table's on random observations under every
+// shipped QoE model, at the buffer's extremes and on half-step rounding
+// boundaries, at chunk 0 and on the last chunks (lookahead shorter than the
+// horizon), on coarse grids, and with a cap below one chunk, where every
+// successor clamps to the top level.
+TEST(MpcDp, ReachableDpMatchesFullTableDp) {
+  const VideoManifest m;
+  const std::size_t last_chunk = m.num_chunks() - 1;
+  const MpcDp::Params variants[] = {
+      {},
+      {.buffer_levels = 2},
+      {.buffer_levels = 7},
+      {.max_buffer_s = 3.0},
+      {.horizon = 3, .buffer_levels = 7, .max_buffer_s = 3.0},
+  };
+  Rng rng{27};
+  std::size_t checked = 0;
+  for (const std::string model : {"lin", "log", "ssim"}) {
+    for (const MpcDp::Params& params : variants) {
+      std::unique_ptr<QoeModel> qoe;
+      if (model == "lin") qoe = std::make_unique<LinQoe>();
+      if (model == "log") qoe = std::make_unique<LogQoe>();
+      if (model == "ssim") qoe = std::make_unique<SsimTableQoe>();
+      MpcDp dp{params, std::move(qoe)};
+      const double step =
+          params.max_buffer_s / static_cast<double>(params.buffer_levels - 1);
+      for (std::size_t i = 0; i < 240; ++i) {
+        const std::size_t kind = i % 10;
+        AbrObservation obs;
+        obs.chunk_index = kind == 0   ? 0
+                          : kind <= 4 ? last_chunk + 1 - kind
+                                      : 1 + rng.index(last_chunk);
+        obs.remaining_chunks = m.num_chunks() - obs.chunk_index;
+        if (obs.chunk_index > 0) {
+          obs.last_quality = rng.index(m.num_qualities());
+          obs.last_bitrate_mbps = m.bitrate_mbps(obs.last_quality);
+          const double ranges[][2] = {{0.2, 1.0}, {0.2, 6.0}, {20.0, 60.0}};
+          const double* range = ranges[rng.index(3)];
+          const std::size_t samples = 1 + rng.index(8);
+          for (std::size_t s = 0; s < samples; ++s) {
+            obs.throughput_history_mbps.push_back(
+                rng.uniform(range[0], range[1]));
+          }
+        }
+        dp.begin_video(m);
+        const double half_step =
+            (static_cast<double>(rng.index(params.buffer_levels - 1)) + 0.5) *
+            step;
+        const std::size_t rung = rng.index(m.num_qualities());
+        const double dt =
+            m.chunk_size_bits(obs.chunk_index, rung) /
+            (dp.predicted_throughput_mbps(obs) * 1e6);
+        switch (kind) {
+          case 5: obs.buffer_s = params.max_buffer_s; break;
+          case 6: obs.buffer_s = 0.0; break;
+          case 7: obs.buffer_s = half_step; break;
+          case 8:
+            // One rung's download lands the buffer on a half step.
+            obs.buffer_s =
+                std::max(0.0, half_step + dt - m.chunk_duration_s());
+            break;
+          default: obs.buffer_s = rng.uniform(0.0, params.max_buffer_s);
+        }
+        const std::size_t chosen = dp.choose_quality(obs);
+        const double predicted = dp.predicted_throughput_mbps(obs);
+        EXPECT_EQ(chosen,
+                  full_table_dp_choice(m, dp.qoe(), params, obs, predicted))
+            << model << ", levels " << params.buffer_levels << ", cap "
+            << params.max_buffer_s << ", horizon " << params.horizon
+            << ", chunk " << obs.chunk_index << ", buffer " << obs.buffer_s;
+        ++checked;
+      }
+      const MpcDp::SearchStats& stats = dp.search_stats();
+      EXPECT_GT(stats.evaluated, 0u);
+      EXPECT_LE(stats.evaluated, stats.rows);
+      if (params.buffer_levels == 100) {
+        EXPECT_LT(stats.evaluated, stats.rows / 2) << model;
+      }
+    }
+  }
+  EXPECT_GE(checked, 3000u);
+}
+
 TEST(MpcDp, ValidatesParamsAndRequiresBeginVideo) {
   EXPECT_THROW((MpcDp{{.horizon = 0}, std::make_unique<LinQoe>()}),
                std::invalid_argument);
