@@ -72,8 +72,7 @@ void RobustMpc::prepare_bounds(double buffer_s, double prev_bitrate_mbps) {
       const double dt = dt_[d * num_q + q];
       const double rebuffer = std::max(0.0, dt - buffer);
       value = value + chunk_qoe(bitrate_[q], rebuffer, prev, qoe);
-      buffer = std::min(std::max(0.0, buffer - dt) + chunk_s,
-                        params_.max_buffer_s);
+      buffer = next_buffer_s(buffer, dt, chunk_s, params_.max_buffer_s);
       prev = bitrate_[q];
     }
     incumbent_ = std::max(incumbent_, value);
@@ -134,9 +133,8 @@ double RobustMpc::search(std::size_t depth, double buffer_s,
     const double rebuffer = std::max(0.0, dt[q] - buffer_s);
     double value =
         qoe + chunk_qoe(bitrate_[q], rebuffer, prev_bitrate_mbps, params_.qoe);
-    const double next_buffer =
-        std::min(std::max(0.0, buffer_s - dt[q]) + manifest_->chunk_duration_s(),
-                 params_.max_buffer_s);
+    const double next_buffer = next_buffer_s(
+        buffer_s, dt[q], manifest_->chunk_duration_s(), params_.max_buffer_s);
     // Skip the child when some lambda bounds the rest of every plan in it
     // strictly below what the incumbent needs.
     const double need = incumbent_ - slack_ - value;

@@ -30,7 +30,7 @@
 // With a negative penalty the bound does not hold and nothing is pruned.
 //
 // At chunk 0 the smoothness term is charged against
-// observation.last_bitrate_mbps as given (the tracker reports the lowest
+// observation.last_bitrate_mbps as given (the session reports the lowest
 // rung), unlike mpc-dp, which charges none there. This is kept on purpose:
 // changing it would move every bench_out golden.
 #pragma once
@@ -50,7 +50,7 @@ class RobustMpc final : public AbrProtocol {
     std::size_t horizon = 5;            ///< lookahead chunks
     std::size_t throughput_window = 5;  ///< harmonic-mean window
     QoeParams qoe{};
-    double max_buffer_s = 60.0;
+    double max_buffer_s = kMaxBufferS;
   };
 
   /// Search-tree counters summed over every decision since construction.

@@ -70,8 +70,7 @@ std::size_t MpcDp::choose_quality(const AbrObservation& observation) {
     return static_cast<double>(level) * max_buffer / grid;
   };
   const auto successor = [&](double buffer_s, double dt) {
-    return level_of(
-        std::min(std::max(0.0, buffer_s - dt) + chunk_dur, max_buffer));
+    return level_of(next_buffer_s(buffer_s, dt, chunk_dur, max_buffer));
   };
 
   for (std::size_t d = 0; d < depth_limit; ++d) {

@@ -42,7 +42,7 @@ class MpcDp final : public AbrProtocol {
     std::size_t horizon = 5;            ///< lookahead chunks
     std::size_t buffer_levels = 100;    ///< buffer discretization grid
     std::size_t throughput_window = 5;  ///< harmonic-mean window
-    double max_buffer_s = 60.0;
+    double max_buffer_s = kMaxBufferS;
   };
 
   /// Value-table counters summed over every decision since construction.

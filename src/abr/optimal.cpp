@@ -28,8 +28,8 @@ StepOutcome simulate_step(const VideoManifest& manifest, std::size_t chunk,
   const double dt = size_bits / (bandwidth_mbps * 1e6);
   StepOutcome out;
   out.rebuffer = std::max(0.0, dt - buffer);
-  out.buffer_after = std::min(
-      std::max(0.0, buffer - dt) + manifest.chunk_duration_s(), max_buffer_s);
+  out.buffer_after =
+      next_buffer_s(buffer, dt, manifest.chunk_duration_s(), max_buffer_s);
   return out;
 }
 
@@ -200,8 +200,8 @@ double best_window_qoe_rec(const WindowTables& t, std::size_t depth,
     const double here = chunk_qoe(bitrate, rebuffer, prev_bitrate, t.qoe);
     double rest = 0.0;
     if (!leaf) {
-      const double buffer_after = std::min(
-          std::max(0.0, buffer - dt[q]) + t.chunk_s, t.max_buffer_s);
+      const double buffer_after =
+          next_buffer_s(buffer, dt[q], t.chunk_s, t.max_buffer_s);
       rest = best_window_qoe_rec(t, depth + 1, buffer_after, bitrate);
     }
     best = std::max(best, here + rest);

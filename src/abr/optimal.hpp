@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "abr/qoe.hpp"
+#include "abr/sim.hpp"
 #include "abr/video.hpp"
 #include "trace/trace.hpp"
 
@@ -25,7 +26,7 @@ struct OptimalPlan {
 
 struct OptimalParams {
   QoeParams qoe{};
-  double max_buffer_s = 60.0;
+  double max_buffer_s = kMaxBufferS;
 };
 
 /// Best-attainable playback for `manifest` when chunk i downloads at the
@@ -45,7 +46,7 @@ double optimal_window_qoe(const VideoManifest& manifest,
                           double prev_bitrate_mbps,
                           std::span<const double> bandwidths_mbps,
                           const QoeParams& qoe = {},
-                          double max_buffer_s = 60.0);
+                          double max_buffer_s = kMaxBufferS);
 
 /// QoE the given quality choices actually earn over the same window and
 /// conditions (the r_protocol counterpart of optimal_window_qoe).
@@ -53,6 +54,7 @@ double window_qoe(const VideoManifest& manifest, std::size_t start_chunk,
                   double start_buffer_s, double prev_bitrate_mbps,
                   std::span<const std::size_t> qualities,
                   std::span<const double> bandwidths_mbps,
-                  const QoeParams& qoe = {}, double max_buffer_s = 60.0);
+                  const QoeParams& qoe = {},
+                  double max_buffer_s = kMaxBufferS);
 
 }  // namespace netadv::abr

@@ -8,7 +8,7 @@
 namespace netadv::abr {
 
 std::size_t pensieve_feature_size(const VideoManifest& manifest) {
-  return 2 + 2 * kPensieveHistory + manifest.num_qualities() + 1;
+  return 2 + 2 * kHistoryWindow + manifest.num_qualities() + 1;
 }
 
 rl::Vec pensieve_features(const AbrObservation& observation,
@@ -17,12 +17,12 @@ rl::Vec pensieve_features(const AbrObservation& observation,
   f.reserve(pensieve_feature_size(manifest));
   f.push_back(observation.last_bitrate_mbps / manifest.max_bitrate_mbps());
   f.push_back(observation.buffer_s / 10.0);
-  for (std::size_t i = 0; i < kPensieveHistory; ++i) {
+  for (std::size_t i = 0; i < kHistoryWindow; ++i) {
     f.push_back(i < observation.throughput_history_mbps.size()
                     ? observation.throughput_history_mbps[i]
                     : 0.0);
   }
-  for (std::size_t i = 0; i < kPensieveHistory; ++i) {
+  for (std::size_t i = 0; i < kHistoryWindow; ++i) {
     f.push_back(i < observation.download_time_history_s.size()
                     ? observation.download_time_history_s[i]
                     : 0.0);
@@ -43,14 +43,8 @@ rl::Vec pensieve_features(const AbrObservation& observation,
 
 PensieveEnv::PensieveEnv(VideoManifest manifest,
                          std::vector<trace::Trace> traces, QoeParams qoe)
-    : manifest_(std::move(manifest)),
-      traces_(std::move(traces)),
-      qoe_(qoe),
-      session_(manifest_) {
-  if (traces_.empty()) throw std::invalid_argument{"PensieveEnv: empty corpus"};
-  for (const auto& t : traces_) {
-    if (t.empty()) throw std::invalid_argument{"PensieveEnv: empty trace in corpus"};
-  }
+    : manifest_(std::move(manifest)), qoe_(qoe), session_(manifest_) {
+  set_traces(std::move(traces));
 }
 
 std::size_t PensieveEnv::observation_size() const {
@@ -70,17 +64,12 @@ void PensieveEnv::set_traces(std::vector<trace::Trace> traces) {
 }
 
 rl::Vec PensieveEnv::observe() const {
-  return pensieve_features(obs_, manifest_);
+  return pensieve_features(session_.observation(), manifest_);
 }
 
 rl::Vec PensieveEnv::reset(util::Rng& rng) {
   current_trace_ = &traces_[rng.index(traces_.size())];
   session_.restart();
-  obs_ = AbrObservation{};
-  obs_.remaining_chunks = manifest_.num_chunks();
-  obs_.last_quality = 0;
-  obs_.last_bitrate_mbps = manifest_.bitrate_mbps(0);
-  obs_.next_chunk_sizes_bits = manifest_.chunk_sizes_bits(0);
   return observe();
 }
 
@@ -93,40 +82,20 @@ rl::StepResult PensieveEnv::step(const rl::Vec& action, util::Rng& /*rng*/) {
     throw std::invalid_argument{"PensieveEnv: bad quality action"};
   }
 
-  const double prev_bitrate = obs_.last_bitrate_mbps;
+  const double prev_bitrate = session_.observation().last_bitrate_mbps;
   const double bandwidth =
       bandwidth_for_chunk(*current_trace_, session_.next_chunk());
   const DownloadResult result = session_.download_next(quality, bandwidth);
 
   rl::StepResult step_result;
-  // First chunk carries no smoothness charge (obs_.last_bitrate was seeded
-  // to the chosen ladder's base; chunk_qoe handles the |R1-R0| form via the
-  // convention prev == own bitrate on chunk 0).
+  // First chunk carries no smoothness charge (the session starts with the
+  // lowest rung as the last bitrate; chunk_qoe handles the |R1-R0| form via
+  // the convention prev == own bitrate on chunk 0).
   const double prev_for_qoe =
       result.chunk_index == 0 ? result.bitrate_mbps : prev_bitrate;
   step_result.reward =
       chunk_qoe(result.bitrate_mbps, result.rebuffer_s, prev_for_qoe, qoe_);
   step_result.done = session_.finished();
-
-  obs_.chunk_index = session_.next_chunk();
-  obs_.remaining_chunks = session_.remaining_chunks();
-  obs_.buffer_s = session_.buffer_s();
-  obs_.last_quality = quality;
-  obs_.last_bitrate_mbps = result.bitrate_mbps;
-  obs_.throughput_history_mbps.insert(obs_.throughput_history_mbps.begin(),
-                                      result.throughput_mbps);
-  if (obs_.throughput_history_mbps.size() > kPensieveHistory) {
-    obs_.throughput_history_mbps.resize(kPensieveHistory);
-  }
-  obs_.download_time_history_s.insert(obs_.download_time_history_s.begin(),
-                                      result.download_time_s);
-  if (obs_.download_time_history_s.size() > kPensieveHistory) {
-    obs_.download_time_history_s.resize(kPensieveHistory);
-  }
-  obs_.next_chunk_sizes_bits =
-      step_result.done ? std::vector<double>(manifest_.num_qualities(), 0.0)
-                       : manifest_.chunk_sizes_bits(session_.next_chunk());
-
   step_result.observation = observe();
   return step_result;
 }

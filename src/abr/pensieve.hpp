@@ -26,11 +26,7 @@
 
 namespace netadv::abr {
 
-/// History length of the throughput/download-time windows in the feature
-/// vector (Pensieve's k = 8).
-inline constexpr std::size_t kPensieveHistory = 8;
-
-/// Feature layout:
+/// Feature layout, with k = kHistoryWindow (sim.hpp) and Q qualities:
 ///   [0]              last chunk bitrate / max bitrate
 ///   [1]              buffer (seconds / 10)
 ///   [2 .. 2+k)       throughput history, Mbps (most recent first, 0-padded)
@@ -70,7 +66,6 @@ class PensieveEnv final : public rl::Env {
 
   StreamingSession session_;
   const trace::Trace* current_trace_ = nullptr;
-  AbrObservation obs_;
 };
 
 /// Default PPO hyperparameters for training Pensieve in this simulator.

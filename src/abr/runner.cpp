@@ -13,27 +13,20 @@ double bandwidth_for_chunk(const trace::Trace& trace, std::size_t index) {
 
 PlaybackRecord run_playback(AbrProtocol& protocol,
                             const VideoManifest& manifest,
-                            const trace::Trace& trace, const QoeParams& qoe,
-                            std::size_t history_window) {
+                            const trace::Trace& trace, const QoeParams& qoe) {
   protocol.begin_video(manifest);
   StreamingSession session{manifest};
-  AbrObservationTracker tracker{manifest, history_window};
 
   PlaybackRecord record;
   record.chunks.reserve(manifest.num_chunks());
 
   while (!session.finished()) {
-    tracker.sync_session(session.next_chunk(), session.remaining_chunks(),
-                         session.buffer_s());
-    const std::size_t quality = protocol.choose_quality(tracker.current());
+    const std::size_t quality = protocol.choose_quality(session.observation());
     if (quality >= manifest.num_qualities()) {
       throw std::logic_error{"run_playback: protocol returned bad quality"};
     }
     const double bandwidth = bandwidth_for_chunk(trace, session.next_chunk());
-    const DownloadResult result = session.download_next(quality, bandwidth);
-    record.chunks.push_back(result);
-    tracker.on_chunk(quality, result.bitrate_mbps, result.throughput_mbps,
-                     result.download_time_s);
+    record.chunks.push_back(session.download_next(quality, bandwidth));
   }
 
   std::vector<double> bitrates;

@@ -31,13 +31,12 @@ struct PlaybackRecord {
 double bandwidth_for_chunk(const trace::Trace& trace, std::size_t index);
 
 /// Run one full playback of `manifest` through `protocol` with per-chunk
-/// bandwidths taken from `trace`. `history_window` bounds the
-/// throughput/download-time history exposed to the protocol.
+/// bandwidths taken from `trace`. The protocol sees the session's
+/// observation before each chunk.
 PlaybackRecord run_playback(AbrProtocol& protocol,
                             const VideoManifest& manifest,
                             const trace::Trace& trace,
-                            const QoeParams& qoe = {},
-                            std::size_t history_window = 8);
+                            const QoeParams& qoe = {});
 
 /// QoE of one playback per trace; the CDF inputs of Figure 1.
 std::vector<double> qoe_per_trace(AbrProtocol& protocol,

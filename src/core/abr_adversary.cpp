@@ -13,7 +13,6 @@ AbrAdversaryEnv::AbrAdversaryEnv(abr::VideoManifest manifest,
       protocol_(&protocol),
       params_(params),
       session_(manifest_),
-      tracker_(manifest_),
       action_spec_(rl::ActionSpec::continuous({params_.bandwidth_min_mbps},
                                               {params_.bandwidth_max_mbps})) {
   if (params_.bandwidth_min_mbps <= 0.0 ||
@@ -41,29 +40,24 @@ rl::Vec AbrAdversaryEnv::flatten_history() const {
   return history_;
 }
 
-void AbrAdversaryEnv::push_tuple(double prev_bitrate_mbps, double buffer_s,
-                                 double throughput_mbps,
-                                 double download_time_s) {
+void AbrAdversaryEnv::push_tuple() {
   std::copy_backward(history_.begin(),
                      history_.end() - static_cast<std::ptrdiff_t>(tuple_size()),
                      history_.end());
+  const abr::AbrObservation& obs = session_.observation();
+  const bool started = !obs.throughput_history_mbps.empty();
   double* out = history_.data();
-  *out++ = prev_bitrate_mbps;
-  *out++ = buffer_s;
-  const std::size_t next = session_.next_chunk();
-  const bool ended = session_.finished();
-  for (std::size_t q = 0; q < manifest_.num_qualities(); ++q) {
-    *out++ = ended ? 0.0 : manifest_.chunk_size_bits(next, q) / 1e6;
-  }
-  *out++ = static_cast<double>(session_.remaining_chunks()) /
+  *out++ = obs.last_bitrate_mbps;
+  *out++ = obs.buffer_s;
+  for (const double bits : obs.next_chunk_sizes_bits) *out++ = bits / 1e6;
+  *out++ = static_cast<double>(obs.remaining_chunks) /
            static_cast<double>(manifest_.num_chunks());
-  *out++ = throughput_mbps;
-  *out = download_time_s;
+  *out++ = started ? obs.throughput_history_mbps.front() : 0.0;
+  *out = started ? obs.download_time_history_s.front() : 0.0;
 }
 
 rl::Vec AbrAdversaryEnv::reset(util::Rng& /*rng*/) {
   session_.restart();
-  tracker_ = abr::AbrObservationTracker{manifest_};
   protocol_->begin_video(manifest_);
   std::fill(history_.begin(), history_.end(), 0.0);
   window_.clear();
@@ -75,7 +69,7 @@ rl::Vec AbrAdversaryEnv::reset(util::Rng& /*rng*/) {
   episode_active_ = true;
 
   // Initial observation: what the protocol is about to see.
-  push_tuple(manifest_.bitrate_mbps(0), 0.0, 0.0, 0.0);
+  push_tuple();
   return flatten_history();
 }
 
@@ -88,18 +82,14 @@ rl::StepResult AbrAdversaryEnv::step(const rl::Vec& action,
   WindowEntry entry;
   entry.chunk = session_.next_chunk();
   entry.buffer_before_s = session_.buffer_s();
-  entry.prev_bitrate_mbps = tracker_.current().last_bitrate_mbps;
+  entry.prev_bitrate_mbps = session_.observation().last_bitrate_mbps;
 
   // Let the target choose, then stream the chunk under our conditions.
-  tracker_.sync_session(session_.next_chunk(), session_.remaining_chunks(),
-                        session_.buffer_s());
-  const std::size_t quality = protocol_->choose_quality(tracker_.current());
+  const std::size_t quality = protocol_->choose_quality(session_.observation());
   if (quality >= manifest_.num_qualities()) {
     throw std::logic_error{"AbrAdversaryEnv: protocol returned bad quality"};
   }
   const abr::DownloadResult result = session_.download_next(quality, bandwidth);
-  tracker_.on_chunk(quality, result.bitrate_mbps, result.throughput_mbps,
-                    result.download_time_s);
 
   entry.bandwidth_mbps = bandwidth;
   entry.quality = quality;
@@ -166,8 +156,7 @@ rl::StepResult AbrAdversaryEnv::step(const rl::Vec& action,
   episode_active_ = !step_result.done;
 
   // Update the adversary's view with what it just observed.
-  push_tuple(result.bitrate_mbps, session_.buffer_s(), result.throughput_mbps,
-             result.download_time_s);
+  push_tuple();
 
   step_result.observation = flatten_history();
   return step_result;

@@ -101,18 +101,17 @@ class AbrAdversaryEnv final : public rl::Env {
   }
   rl::Vec flatten_history() const;
   /// Shift the history one tuple back, dropping the oldest, and write the
-  /// newest tuple in front: the chunk just played, the buffer it left, the
-  /// session's next-chunk sizes (Mbit; zeros once the video ends) and
-  /// remaining share, and the chunk's throughput and download time.
-  void push_tuple(double prev_bitrate_mbps, double buffer_s,
-                  double throughput_mbps, double download_time_s);
+  /// session's observation as the newest tuple in front: the last bitrate,
+  /// the buffer, the next-chunk sizes (Mbit; zeros once the video ends),
+  /// the remaining share, and the newest throughput and download time
+  /// (zeros before the first chunk).
+  void push_tuple();
 
   abr::VideoManifest manifest_;
   abr::AbrProtocol* protocol_;
   Params params_;
 
   abr::StreamingSession session_;
-  abr::AbrObservationTracker tracker_;
   rl::ActionSpec action_spec_;
   // The kFull observation: params_.history tuples of tuple_size() values,
   // most recent first, zero-padded; overwritten in place each step.

@@ -25,11 +25,10 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// parallel tick bodies confine their writes to their own slot.
 struct SessionEngine::Session {
   Session(const abr::VideoManifest& manifest, std::size_t trace)
-      : trace_index(trace), stream(manifest), tracker(manifest) {}
+      : trace_index(trace), stream(manifest) {}
 
   std::size_t trace_index;
   abr::StreamingSession stream;
-  abr::AbrObservationTracker tracker;
   std::unique_ptr<abr::AbrProtocol> protocol;  ///< per-session mode only
 
   // Per-chunk accumulators, appended in playback order.
@@ -68,8 +67,6 @@ void SessionEngine::apply_download(Session& session,
       traces_[session.trace_index], session.stream.next_chunk());
   const abr::DownloadResult result =
       session.stream.download_next(quality, bandwidth);
-  session.tracker.on_chunk(result.quality, result.bitrate_mbps,
-                           result.throughput_mbps, result.download_time_s);
   session.qualities.push_back(result.quality);
   session.bitrates_mbps.push_back(result.bitrate_mbps);
   session.rebuffers_s.push_back(result.rebuffer_s);
@@ -131,10 +128,8 @@ std::vector<SessionSummary> SessionEngine::run(
     latencies.assign(active.size(), 0.0);
     const auto tick = [&](std::size_t k) {
       Session& s = sessions[active[k]];
-      s.tracker.sync_session(s.stream.next_chunk(), s.stream.remaining_chunks(),
-                             s.stream.buffer_s());
       const auto decide_start = std::chrono::steady_clock::now();
-      const std::size_t quality = s.protocol->choose_quality(s.tracker.current());
+      const std::size_t quality = s.protocol->choose_quality(s.stream.observation());
       latencies[k] = seconds_since(decide_start);
       apply_download(s, quality);
     };
@@ -178,10 +173,7 @@ std::vector<SessionSummary> SessionEngine::run(BatchPolicy& policy,
     // one choose_batch call.
     observations.clear();
     for (const std::size_t i : active) {
-      Session& s = sessions[i];
-      s.tracker.sync_session(s.stream.next_chunk(), s.stream.remaining_chunks(),
-                             s.stream.buffer_s());
-      observations.push_back(&s.tracker.current());
+      observations.push_back(&sessions[i].stream.observation());
     }
     const auto decide_start = std::chrono::steady_clock::now();
     const std::vector<std::size_t> qualities = policy.choose_batch(observations);

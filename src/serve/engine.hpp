@@ -3,8 +3,9 @@
 // Everything else in the repo replays ONE (protocol, trace) pair per task; a
 // real ABR deployment multiplexes thousands of concurrent playbacks through
 // one process. SessionEngine reproduces that shape on the simulator: each
-// session owns a trace cursor, a StreamingSession, an observation tracker,
-// and (in per-session mode) a private protocol instance, and the engine
+// session owns a trace cursor, a StreamingSession (which also keeps the
+// observation its protocol sees), and (in per-session mode) a private
+// protocol instance, and the engine
 // drives all of them in lockstep "ticks" — one quality decision plus one
 // chunk download per active session per tick — until every session finishes
 // its video.

@@ -373,13 +373,19 @@ TEST(StreamingSession, BufferAbsorbsDownloadTime) {
 }
 
 TEST(StreamingSession, BufferCapsAndSleeps) {
+  // Each near-instant download adds almost a whole 4 s chunk, so fifteen
+  // stay under the 60 s cap and the sixteenth overflows it.
   const VideoManifest m = exact_manifest();
-  StreamingSession s{m, {.max_buffer_s = 8.0}};
-  s.download_next(0, 1000.0);
-  s.download_next(0, 1000.0);
+  StreamingSession s{m};
+  for (int i = 0; i < 15; ++i) {
+    const DownloadResult r = s.download_next(0, 1000.0);
+    EXPECT_EQ(r.sleep_s, 0.0);
+    EXPECT_LT(r.buffer_after_s, kMaxBufferS);
+  }
   const DownloadResult r = s.download_next(0, 1000.0);
   EXPECT_GT(r.sleep_s, 0.0);
-  EXPECT_NEAR(r.buffer_after_s, 8.0, 1e-6);
+  EXPECT_EQ(r.buffer_after_s, kMaxBufferS);
+  EXPECT_EQ(s.buffer_s(), kMaxBufferS);
 }
 
 TEST(StreamingSession, BufferNeverNegativeAndTimeMonotone) {
@@ -431,8 +437,6 @@ TEST(StreamingSession, ValidatesInputs) {
   StreamingSession s{m};
   EXPECT_THROW(s.download_next(99, 1.0), std::invalid_argument);
   EXPECT_THROW(s.download_next(0, 0.0), std::invalid_argument);
-  EXPECT_THROW((StreamingSession{m, {.max_buffer_s = -1.0}}),
-               std::invalid_argument);
 }
 
 TEST(StreamingSession, RestartResets) {
@@ -443,6 +447,61 @@ TEST(StreamingSession, RestartResets) {
   EXPECT_EQ(s.next_chunk(), 0u);
   EXPECT_DOUBLE_EQ(s.buffer_s(), 0.0);
   EXPECT_DOUBLE_EQ(s.clock_s(), 0.0);
+}
+
+TEST(StreamingSession, ObservationFollowsDownloads) {
+  VideoManifest::Params p;
+  p.num_chunks = kHistoryWindow + 4;
+  const VideoManifest m{p};
+  StreamingSession s{m};
+  const auto expect_start = [&] {
+    const AbrObservation& obs = s.observation();
+    EXPECT_EQ(obs.chunk_index, 0u);
+    EXPECT_EQ(obs.remaining_chunks, m.num_chunks());
+    EXPECT_EQ(obs.buffer_s, 0.0);
+    EXPECT_EQ(obs.last_quality, 0u);
+    EXPECT_EQ(obs.last_bitrate_mbps, m.bitrate_mbps(0));
+    EXPECT_TRUE(obs.throughput_history_mbps.empty());
+    EXPECT_TRUE(obs.download_time_history_s.empty());
+    EXPECT_EQ(obs.next_chunk_sizes_bits, m.chunk_sizes_bits(0));
+  };
+  expect_start();
+
+  std::vector<double> throughputs;  // oldest first
+  std::vector<double> download_times;
+  for (std::size_t i = 0; i < m.num_chunks(); ++i) {
+    const std::size_t quality = i % m.num_qualities();
+    const double bandwidth = 0.5 + static_cast<double>(i);
+    const DownloadResult r = s.download_next(quality, bandwidth);
+    throughputs.push_back(bandwidth);
+    download_times.push_back(r.download_time_s);
+
+    const AbrObservation& obs = s.observation();
+    EXPECT_EQ(obs.chunk_index, i + 1);
+    EXPECT_EQ(obs.remaining_chunks, m.num_chunks() - i - 1);
+    EXPECT_EQ(obs.buffer_s, r.buffer_after_s);
+    EXPECT_EQ(obs.last_quality, quality);
+    EXPECT_EQ(obs.last_bitrate_mbps, m.bitrate_mbps(quality));
+    // Newest first, capped at the window.
+    const std::size_t n = std::min(i + 1, kHistoryWindow);
+    ASSERT_EQ(obs.throughput_history_mbps.size(), n);
+    ASSERT_EQ(obs.download_time_history_s.size(), n);
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(obs.throughput_history_mbps[k], throughputs[i - k]);
+      EXPECT_EQ(obs.download_time_history_s[k], download_times[i - k]);
+    }
+    ASSERT_EQ(obs.next_chunk_sizes_bits.size(), m.num_qualities());
+    for (std::size_t q = 0; q < m.num_qualities(); ++q) {
+      EXPECT_EQ(obs.next_chunk_sizes_bits[q],
+                s.finished() ? 0.0 : m.chunk_size_bits(i + 1, q));
+    }
+  }
+  EXPECT_TRUE(s.finished());
+  EXPECT_EQ(s.observation().next_chunk_sizes_bits,
+            std::vector<double>(m.num_qualities(), 0.0));
+
+  s.restart();
+  expect_start();
 }
 
 // ---------------------------------------------------------------- bb
@@ -1338,8 +1397,8 @@ TEST(Runner, HistoryWindowIsBounded) {
     std::string name() const override { return "probe"; }
     void begin_video(const VideoManifest&) override {}
     std::size_t choose_quality(const AbrObservation& obs) override {
-      EXPECT_LE(obs.throughput_history_mbps.size(), 3u);
-      EXPECT_LE(obs.download_time_history_s.size(), 3u);
+      EXPECT_LE(obs.throughput_history_mbps.size(), kHistoryWindow);
+      EXPECT_LE(obs.download_time_history_s.size(), kHistoryWindow);
       if (!obs.throughput_history_mbps.empty()) {
         max_seen = std::max(max_seen, obs.throughput_history_mbps.size());
       }
@@ -1349,8 +1408,8 @@ TEST(Runner, HistoryWindowIsBounded) {
   };
   const VideoManifest m;
   Probe probe;
-  run_playback(probe, m, constant_trace(2.0), {}, /*history_window=*/3);
-  EXPECT_EQ(probe.max_seen, 3u);
+  run_playback(probe, m, constant_trace(2.0));
+  EXPECT_EQ(probe.max_seen, kHistoryWindow);
 }
 
 TEST(Runner, QoePerTraceMatchesSingleRuns) {

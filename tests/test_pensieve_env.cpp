@@ -63,7 +63,7 @@ TEST(PensieveFeatures, HistoriesZeroPadded) {
   obs.next_chunk_sizes_bits = m.chunk_sizes_bits(0);
   const rl::Vec f = abr::pensieve_features(obs, m);
   EXPECT_DOUBLE_EQ(f[2], 2.5);
-  for (std::size_t i = 3; i < 2 + abr::kPensieveHistory; ++i) {
+  for (std::size_t i = 3; i < 2 + abr::kHistoryWindow; ++i) {
     EXPECT_DOUBLE_EQ(f[i], 0.0);
   }
 }
@@ -98,6 +98,56 @@ TEST(PensieveEnv, EpisodeRewardEqualsPlaybackQoe) {
   Fixed fixed;
   const double runner_total = abr::run_playback(fixed, m, t).total_qoe;
   EXPECT_NEAR(env_total, runner_total, 1e-9);
+}
+
+TEST(PensieveEnv, ObservationMatchesReplayFeatures) {
+  // The environment Pensieve trains in must show it exactly what replay
+  // shows the trained policy: under the same quality schedule on the same
+  // trace, every step's features equal, bit for bit, those of the
+  // observation run_playback hands the protocol at that chunk.
+  const abr::VideoManifest m;  // chunk sizes vary around the bitrate
+  trace::Trace t;
+  Rng trace_rng{23};
+  for (std::size_t i = 0; i < m.num_chunks(); ++i) {
+    t.append({4.0, trace_rng.uniform(0.3, 6.0), 80.0, 0.0});
+  }
+  // A quality schedule fixed by the chunk index alone.
+  const auto schedule = [](const abr::VideoManifest& manifest,
+                           std::size_t chunk) {
+    return (chunk * 5 + chunk / 3) % manifest.num_qualities();
+  };
+
+  class Recorder final : public abr::AbrProtocol {
+   public:
+    explicit Recorder(decltype(schedule) pick) : pick_(pick) {}
+    std::string name() const override { return "recorder"; }
+    void begin_video(const abr::VideoManifest& manifest) override {
+      manifest_ = &manifest;
+    }
+    std::size_t choose_quality(const abr::AbrObservation& obs) override {
+      features.push_back(abr::pensieve_features(obs, *manifest_));
+      return pick_(*manifest_, obs.chunk_index);
+    }
+    std::vector<rl::Vec> features;
+
+   private:
+    decltype(schedule) pick_;
+    const abr::VideoManifest* manifest_ = nullptr;
+  };
+  Recorder recorder{schedule};
+  abr::run_playback(recorder, m, t);
+  ASSERT_EQ(recorder.features.size(), m.num_chunks());
+
+  abr::PensieveEnv env{m, {t}};
+  Rng rng{29};
+  rl::Vec observation = env.reset(rng);
+  for (std::size_t chunk = 0; chunk < m.num_chunks(); ++chunk) {
+    EXPECT_EQ(observation, recorder.features[chunk]) << "chunk " << chunk;
+    const rl::StepResult r =
+        env.step({static_cast<double>(schedule(m, chunk))}, rng);
+    EXPECT_EQ(r.done, chunk + 1 == m.num_chunks());
+    observation = r.observation;
+  }
 }
 
 TEST(PensieveEnv, EpisodeLengthIsChunkCount) {
